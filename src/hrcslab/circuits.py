@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QubitSubset, Statevector, UnitaryMatrix, _apply_unitary_batch, apply_unitary
+from .core import UnitaryMatrix, _apply_unitary_batch
 from .errors import ConfigurationError
 
 TWO_TURNS = 4.0 * math.pi
@@ -179,14 +179,6 @@ def gate_operands(gate: Gate) -> tuple[np.ndarray, tuple[int, ...]]:
     control, target = gate.qubits
     lo, hi = sorted(gate.qubits)
     return _cnot_matrix(int(control != lo), int(target != lo)), (lo, hi)
-
-
-def apply_gate_sequence(state: Statevector, seq: GateSequence) -> Statevector:
-    """Apply all gates in order to ``state``."""
-    for gate in seq.gates:
-        matrix, qubits = gate_operands(gate)
-        state = apply_unitary(state, UnitaryMatrix(matrix), QubitSubset(qubits))
-    return state
 
 
 def apply_gate_sequence_batch(amps: np.ndarray, seq: GateSequence, n_qubits: int) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Protocol execution: per-step unitary, bath measurement, optional reset,
 final system measurement.
 
-Four modes share one circuit description: single-trajectory sampling (and a
-vectorized many-shot twin), forced-outcome replay of a recorded path, exact
-enumeration of the full joint outcome distribution, and a density-matrix
-oracle for the depolarizing-noise variant.
+Four modes share one circuit description: batched trajectory sampling
+(``run_trajectory`` is the sampler at one shot), forced-outcome replay of
+recorded paths, exact enumeration of the full joint outcome distribution, and
+a density-matrix oracle for the depolarizing-noise variant.  The three
+pure-state modes advance a (rows, 2^n) amplitude batch through one step
+kernel, ``_propagate``.
 
 Outcome indexing: a joint outcome (z_1, ..., z_t, x) maps to the integer with
 z_1 in the most significant bit block and x in the least significant one.
@@ -21,20 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits
-from .circuits import GateSequence, apply_gate_sequence, apply_gate_sequence_batch, build_hea, sample_hea_params
+from .circuits import GateSequence, apply_gate_sequence_batch, build_hea, sample_hea_params
 from .core import (
     PROB_FLOOR,
     QubitSubset,
-    Statevector,
     UnitaryMatrix,
     _apply_unitary_batch,
-    apply_pauli_string,
-    apply_unitary,
-    collapse,
-    measure_probabilities,
     pauli_labels_from_index,
     pauli_permutation,
-    reset_to_zero,
     sample_haar_unitary,
 )
 from .errors import CapacityError, ConfigurationError, DegenerateBranchError
@@ -68,8 +64,6 @@ class HrcsConfig:
     reset_bath: bool = True
     unitary_source: str = "haar"
     hea_layers: int | None = None
-    gamma_system: float = 1.0
-    gamma_bath: float = 1.0
     master_seed: int = 0
 
     def __post_init__(self):
@@ -83,9 +77,6 @@ class HrcsConfig:
             )
         if self.unitary_source == "hea" and (self.hea_layers is None or self.hea_layers < 1):
             raise ConfigurationError("hea source needs hea_layers >= 1")
-        for name, g in (("gamma_system", self.gamma_system), ("gamma_bath", self.gamma_bath)):
-            if not 0.0 <= g <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1], got {g}")
 
     @property
     def n_qubits(self) -> int:
@@ -123,10 +114,6 @@ class NoiseModel:
         for name, g in (("gamma_system", self.gamma_system), ("gamma_bath", self.gamma_bath)):
             if not 0.0 <= g <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {g}")
-
-    @classmethod
-    def from_config(cls, config: HrcsConfig) -> "NoiseModel":
-        return cls(config.gamma_system, config.gamma_bath)
 
     @property
     def trivial(self) -> bool:
@@ -236,12 +223,6 @@ def instantiate_circuit(config: HrcsConfig, instance_index: int) -> list[StepUni
     ]
 
 
-def _apply_step(state: Statevector, step: StepUnitary, config: HrcsConfig) -> Statevector:
-    if isinstance(step, UnitaryMatrix):
-        return apply_unitary(state, step, QubitSubset.range(0, config.n_qubits))
-    return apply_gate_sequence(state, step)
-
-
 def step_matrices(config: HrcsConfig, unitaries: list[StepUnitary]) -> list[np.ndarray]:
     """Dense matrices of the step unitaries (gate sequences get compiled)."""
     out = []
@@ -253,72 +234,24 @@ def step_matrices(config: HrcsConfig, unitaries: list[StepUnitary]) -> list[np.n
     return out
 
 
-def _sample_outcome(probs: np.ndarray, rng: np.random.Generator) -> int:
-    u = rng.random()
-    cum = np.cumsum(probs)
-    outcome = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    return min(outcome, probs.size - 1)
+def _propagate(amps: np.ndarray, step: StepUnitary, n: int) -> np.ndarray:
+    """The step kernel: apply one step unitary to every row of a (rows, 2^n)
+    amplitude batch."""
+    if isinstance(step, UnitaryMatrix):
+        return _apply_unitary_batch(amps, step.entries, tuple(range(n)), n)
+    return apply_gate_sequence_batch(amps, step, n)
 
 
-def _maybe_apply_random_pauli(
-    state: Statevector, targets: QubitSubset, gamma: float, rng: np.random.Generator
-) -> Statevector:
-    """Trajectory unraveling of the depolarizing channel: with probability
-    1-gamma, apply a Pauli string drawn uniformly from all 4^m (identity
-    included)."""
-    if gamma >= 1.0:
-        return state
-    if rng.random() < 1.0 - gamma:
-        labels = pauli_labels_from_index(int(rng.integers(4 ** len(targets))), len(targets))
-        state = apply_pauli_string(state, labels, targets)
-    return state
-
-
-def run_trajectory(
-    config: HrcsConfig,
-    unitaries: list[StepUnitary],
-    noise: NoiseModel | None,
-    rng: np.random.Generator,
-    with_ideal: bool = False,
-) -> TrajectoryRecord:
-    """Sample one full protocol run and its path probability."""
-    _check_trajectory_capacity(config)
-    state = Statevector.zero(config.n_qubits)
-    system, bath = config.system, config.bath
-    noisy = noise is not None and not noise.trivial
-    prob_product = 1.0
-    bath_outcomes: list[int] = []
-    for step in unitaries:
-        state = _apply_step(state, step, config)
-        if noisy:
-            state = _maybe_apply_random_pauli(state, system, noise.gamma_system, rng)
-            state = _maybe_apply_random_pauli(state, bath, noise.gamma_bath, rng)
-        probs = measure_probabilities(state, bath)
-        z = _sample_outcome(probs, rng)
-        if probs[z] < PROB_FLOOR:
-            raise DegenerateBranchError(f"sampled bath branch {z:#x} below underflow floor")
-        state, p_z = collapse(state, bath, z)
-        if config.reset_bath:
-            state = reset_to_zero(state, bath, z)
-        bath_outcomes.append(z)
-        prob_product *= p_z
-    probs = measure_probabilities(state, system)
-    x = _sample_outcome(probs, rng)
-    if probs[x] < PROB_FLOOR:
-        raise DegenerateBranchError(f"sampled final branch {x:#x} below underflow floor")
-    _, p_x = collapse(state, system, x)
-    prob_product *= p_x
-
-    ideal: float | None
-    if not noisy:
-        # the Born-probability product along a noiseless path is the joint
-        # probability itself
-        ideal = prob_product
-    elif with_ideal:
-        ideal = ideal_probability(config, unitaries, tuple(bath_outcomes), x)
+def _keep_branch(blocks: np.ndarray, z: np.ndarray, picked: np.ndarray, reset: bool) -> np.ndarray:
+    """Rebuild a (rows, 2^n) batch from each row's kept system block after
+    bath outcome z: the bath reads z, or 0 after a reset."""
+    rows = blocks.shape[0]
+    amps = np.zeros_like(blocks)
+    if reset:
+        amps[:, 0, :] = picked
     else:
-        ideal = None
-    return TrajectoryRecord(tuple(bath_outcomes), x, prob_product, ideal)
+        amps[np.arange(rows), z, :] = picked
+    return amps.reshape(rows, -1)
 
 
 @dataclass
@@ -352,7 +285,9 @@ class TrajectoryBatch:
 def _batch_random_paulis(
     amps: np.ndarray, targets: QubitSubset, n: int, gamma: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized depolarizing unraveling across a (shots, 2^n) batch."""
+    """Trajectory unraveling of the depolarizing channel across a (shots, 2^n)
+    batch: with probability 1-gamma a row gets a Pauli string drawn uniformly
+    from all 4^m (identity included)."""
     if gamma >= 1.0:
         return amps
     shots = amps.shape[0]
@@ -376,11 +311,7 @@ def sample_trajectories(
     rng: np.random.Generator,
     with_ideal: bool = False,
 ) -> TrajectoryBatch:
-    """Vectorized twin of run_trajectory: n_shots paths of the same circuit.
-
-    Statistically identical to looping run_trajectory, not bitwise identical
-    (the random stream is consumed in a different order).
-    """
+    """Sample n_shots protocol runs of the same circuit, all advanced as one batch."""
     _check_trajectory_capacity(config)
     n, n_sys, n_bath = config.n_qubits, config.n_system, config.n_bath
     d_sys, d_bath = 1 << n_sys, 1 << n_bath
@@ -393,10 +324,7 @@ def sample_trajectories(
     model_prob = np.ones(n_shots)
 
     for k, step in enumerate(unitaries):
-        if isinstance(step, UnitaryMatrix):
-            amps = _apply_unitary_batch(amps, step.entries, tuple(range(n)), n)
-        else:
-            amps = apply_gate_sequence_batch(amps, step, n)
+        amps = _propagate(amps, step, n)
         if noisy:
             amps = _batch_random_paulis(amps, config.system, n, noise.gamma_system, rng)
             amps = _batch_random_paulis(amps, config.bath, n, noise.gamma_bath, rng)
@@ -413,12 +341,7 @@ def sample_trajectories(
         picked = blocks[rows, z, :] / np.sqrt(p_z)[:, None]
         model_prob *= p_z
         bath_outcomes[:, k] = z
-        amps = np.zeros_like(blocks)
-        if config.reset_bath:
-            amps[:, 0, :] = picked
-        else:
-            amps[rows, z, :] = picked
-        amps = amps.reshape(n_shots, -1)
+        amps = _keep_branch(blocks, z, picked, config.reset_bath)
 
     sys_probs = (np.abs(amps) ** 2).reshape(n_shots, d_bath, d_sys).sum(axis=1)
     cum = np.cumsum(sys_probs, axis=1)
@@ -430,13 +353,25 @@ def sample_trajectories(
     model_prob *= p_x
 
     ideal: np.ndarray | None
-    if noise is None or noise.trivial:
+    if not noisy:
         ideal = model_prob.copy()
     elif with_ideal:
         ideal = ideal_probabilities_batch(config, unitaries, bath_outcomes, x)
     else:
         ideal = None
     return TrajectoryBatch(bath_outcomes, x, model_prob, ideal)
+
+
+def run_trajectory(
+    config: HrcsConfig,
+    unitaries: list[StepUnitary],
+    noise: NoiseModel | None,
+    rng: np.random.Generator,
+    with_ideal: bool = False,
+) -> TrajectoryRecord:
+    """Sample one full protocol run and its path probability: the batched
+    sampler at one shot."""
+    return sample_trajectories(config, unitaries, 1, noise, rng, with_ideal).record(0)
 
 
 def ideal_probability(
@@ -477,19 +412,9 @@ def ideal_probabilities_batch(
     amps = np.zeros((shots, 1 << n), dtype=complex)
     amps[:, 0] = 1.0
     for k, step in enumerate(unitaries):
-        if isinstance(step, UnitaryMatrix):
-            amps = _apply_unitary_batch(amps, step.entries, tuple(range(n)), n)
-        else:
-            amps = apply_gate_sequence_batch(amps, step, n)
-        blocks = amps.reshape(shots, d_bath, d_sys)
+        blocks = _propagate(amps, step, n).reshape(shots, d_bath, d_sys)
         z = bath_outcomes[:, k]
-        picked = blocks[rows, z, :]
-        amps = np.zeros_like(blocks)
-        if config.reset_bath:
-            amps[:, 0, :] = picked
-        else:
-            amps[rows, z, :] = picked
-        amps = amps.reshape(shots, -1)
+        amps = _keep_branch(blocks, z, blocks[rows, z, :], config.reset_bath)
     final_amp = amps.reshape(shots, d_bath, d_sys).sum(axis=1)[rows, final_outcomes]
     return np.abs(final_amp) ** 2
 
@@ -513,13 +438,7 @@ def enumerate_joint_distribution(
     out = np.zeros(1 << config.n_eff)
 
     def walk(amps: np.ndarray, k: int, prefix: int) -> None:
-        vec = amps
-        step = unitaries[k]
-        if isinstance(step, UnitaryMatrix):
-            vec = _apply_unitary_batch(vec[None, :], step.entries, tuple(range(n)), n)[0]
-        else:
-            vec = apply_gate_sequence_batch(vec[None, :], step, n)[0]
-        blocks = vec.reshape(d_bath, d_sys)
+        blocks = _propagate(amps[None, :], unitaries[k], n).reshape(d_bath, d_sys)
         for z in range(d_bath):
             block = blocks[z]
             weight = float(np.sum(np.abs(block) ** 2))

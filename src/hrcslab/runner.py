@@ -12,8 +12,10 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
 import json
-import time
+import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,57 +37,166 @@ from .engine import (
 )
 from .core import sample_haar_state
 from .errors import CapacityError, ConfigurationError
+from .estimators import EnsembleStats
 
 SCHEMA_VERSION = 1
 
-EXPERIMENT_KINDS = (
-    "cp_sweep",
-    "ps_sweep",
-    "marginal_sweep",
-    "pop_hist",
-    "tvd",
-    "xeb",
-    "noisy_xeb",
-    "theory_table",
-    "reset_check",
-)
-
-THEORY_FAMILIES = (
-    "haar_power_sum",
-    "hrcs_power_sum",
-    "marginal_cp_spatial",
-    "marginal_cp_temporal",
-    "marginal_cp_per_step",
-    "ideal_xeb",
-    "noisy_xeb_exact",
-    "noisy_xeb_asymptotic",
-    "tvd_bound_exact",
-    "tvd_bound_asymptotic",
-    "critical_steps",
-)
-
-_SPEC_FIELDS = {
-    "schema_version",
-    "kind",
-    "n_system",
-    "n_bath",
-    "steps",
-    "k_orders",
-    "gammas",
-    "instances",
-    "shots",
-    "reset_bath",
-    "unitary_source",
-    "hea_layers",
-    "master_seed",
-    "out",
-    "format",
-    "theory_family",
-    "epsilon",
-    "pop_bins",
+# theory family -> closed form at one parameter point, as a function of
+# (N_A, N_B, t, K, gamma, epsilon)
+THEORY = {
+    "haar_power_sum": lambda a, b, t, k, g, eps: theory.haar_power_sum(a + t * b, k),
+    "hrcs_power_sum": lambda a, b, t, k, g, eps: theory.hrcs_power_sum(a, b, t, k, "exact"),
+    "marginal_cp_spatial": lambda a, b, t, k, g, eps: theory.marginal_cp("spatial", a, b, t),
+    "marginal_cp_temporal": lambda a, b, t, k, g, eps: theory.marginal_cp("temporal", a, b, t),
+    "marginal_cp_per_step": lambda a, b, t, k, g, eps: theory.marginal_cp("per_step", a, b, t),
+    "ideal_xeb": lambda a, b, t, k, g, eps: theory.ideal_xeb(a, b, t),
+    "noisy_xeb_exact": lambda a, b, t, k, g, eps: theory.noisy_xeb(a, b, t, g, "exact"),
+    "noisy_xeb_asymptotic": lambda a, b, t, k, g, eps: theory.noisy_xeb(a, b, t, g, "asymptotic"),
+    "tvd_bound_exact": lambda a, b, t, k, g, eps: theory.tvd_upper_bound(a, b, t, "exact"),
+    "tvd_bound_asymptotic": lambda a, b, t, k, g, eps: theory.tvd_upper_bound(a, b, t, "asymptotic"),
+    "critical_steps": lambda a, b, t, k, g, eps: theory.critical_steps("joint_ps", a, b, eps, k),
 }
+THEORY_FAMILIES = tuple(THEORY)
+GAMMA_FAMILIES = ("noisy_xeb_exact", "noisy_xeb_asymptotic")
+
+MARGINALS = ("spatial", "temporal", "per_step")
+
+
+# per-instance measures: (spec, config, step unitaries, gamma, index) -> one
+# value per statistic of the kind (pop_hist: the whole joint distribution)
+
+
+def _power_sums(spec, config, unitaries, gamma, index) -> list[float]:
+    dist = enumerate_joint_distribution(config, unitaries)
+    orders = [k for _, k, _, _ in KIND_TABLE[spec.kind].statistics(spec, None)]
+    return [estimators.power_sum_exact(dist, k) for k in orders]
+
+
+def _marginal_cps(spec, config, unitaries, gamma, index) -> list[float]:
+    dist = enumerate_joint_distribution(config, unitaries)
+    return [
+        estimators.power_sum_exact(marginalize(dist, config, m, step=config.steps), 2)
+        for m in MARGINALS
+    ]
+
+
+def _probabilities(spec, config, unitaries, gamma, index) -> np.ndarray:
+    return enumerate_joint_distribution(config, unitaries).probabilities
+
+
+def _tvd(spec, config, unitaries, gamma, index) -> list[float]:
+    dist = enumerate_joint_distribution(config, unitaries)
+    rng = np.random.default_rng(derive_seed(spec.master_seed, "haar-partner", config.steps, index))
+    haar = np.abs(sample_haar_state(1 << config.n_eff, rng)) ** 2
+    return [estimators.tvd_exact(dist.probabilities, haar)]
+
+
+def _xeb(spec, config, unitaries, gamma, index) -> list[float]:
+    """Sampled XEB; with a gamma the shots are noisy and replayed noiselessly."""
+    t = config.steps
+    if gamma is None:
+        rng = np.random.default_rng(derive_seed(spec.master_seed, "shots", t, index))
+        ideal = sample_trajectories(config, unitaries, spec.shots, None, rng).ideal_probabilities
+    else:
+        rng = np.random.default_rng(derive_seed(spec.master_seed, "noisy-shots", t, gamma, index))
+        batch = sample_trajectories(config, unitaries, spec.shots, NoiseModel(gamma, gamma), rng)
+        ideal = ideal_probabilities_batch(
+            config, unitaries, batch.bath_outcomes, batch.final_outcomes
+        )
+    return [estimators.xeb_estimate(ideal, config.n_eff).mean]
+
+
+def _reset_pair(spec, config, unitaries, gamma, index) -> list[float]:
+    with_reset, without_reset = replay_no_reset_equivalence(config, unitaries)
+    return [estimators.power_sum_exact(d, k) for k in (2, 3) for d in (with_reset, without_reset)]
+
+
+def _ensemble(spec, t, rows) -> list[EnsembleStats]:
+    """One ensemble aggregate per statistic (column) over the instances (rows)."""
+    return [estimators.ensemble_aggregate([row[j] for row in rows]) for j in range(len(rows[0]))]
+
+
+def _porter_thomas(spec, t, rows) -> list[EnsembleStats]:
+    """KS distance and density integral of all instances' probabilities pooled."""
+    pooled = np.concatenate(rows)
+    n_eff = spec.n_system + t * spec.n_bath
+    ks = estimators.ks_distance_to_porter_thomas(pooled, n_eff)
+    hist = estimators.pop_histogram(pooled, n_eff, bins=spec.pop_bins)
+    return [EnsembleStats(spec.instances, v, 0.0) for v in (ks, hist.integral())]
+
+
+def _fixed(value: float) -> Callable[..., float]:
+    return lambda *point: value
+
+
+_HRCS = THEORY["hrcs_power_sum"]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """How one experiment kind runs.
+
+    ``engine`` names the engine limit that applies ("enumerate", "sample", or
+    None for a pure formula sweep).  ``statistics(spec, K)`` lists the
+    (statistic, K, theory formula, theory source) rows reported at each
+    parameter point; ``points(spec)`` yields the (t, K, gamma) points in
+    output order; ``aggregate(spec, t, rows)`` turns the per-instance rows
+    into one EnsembleStats per statistic.
+    """
+
+    engine: str | None
+    measure: Callable | None
+    statistics: Callable
+    points: Callable = lambda s: ((t, None, None) for t in s.steps)
+    aggregate: Callable = _ensemble
+
+
+KIND_TABLE = {
+    "cp_sweep": Kind("enumerate", _power_sums, lambda s, k: (
+        ("collision_probability", 2, _HRCS, "hrcs_power_sum_exact"),)),
+    "ps_sweep": Kind("enumerate", _power_sums, lambda s, k: tuple(
+        ("power_sum", q, _HRCS, "hrcs_power_sum_exact") for q in s.k_orders)),
+    "marginal_sweep": Kind("enumerate", _marginal_cps, lambda s, k: tuple(
+        (f"marginal_cp_{m}", 2, THEORY[f"marginal_cp_{m}"], f"marginal_cp_{m}")
+        for m in MARGINALS)),
+    "pop_hist": Kind("enumerate", _probabilities, lambda s, k: (
+        ("pop_ks_to_porter_thomas", None, _fixed(0.0), "porter_thomas_density"),
+        ("pop_density_integral", None, _fixed(1.0), "porter_thomas_density"),
+    ), aggregate=_porter_thomas),
+    "tvd": Kind("enumerate", _tvd, lambda s, k: (
+        ("tvd_to_haar", None, THEORY["tvd_bound_exact"], "tvd_bound_exact"),)),
+    "xeb": Kind("sample", _xeb, lambda s, k: (
+        ("xeb_fidelity", None, THEORY["ideal_xeb"], "ideal_xeb"),)),
+    "noisy_xeb": Kind("sample", _xeb, lambda s, k: (
+        ("noisy_xeb_fidelity", None, THEORY["noisy_xeb_exact"], "noisy_xeb_exact"),
+    ), points=lambda s: itertools.product(s.steps, (None,), s.gammas)),
+    # the formula is its own measurement, one record per (t, K, gamma)
+    "theory_table": Kind(None, None, lambda s, k: (
+        (s.theory_family, k, THEORY[s.theory_family], s.theory_family),
+    ), points=lambda s: itertools.product(s.steps, s.k_orders, s.gammas or (None,))),
+    "reset_check": Kind("enumerate", _reset_pair, lambda s, k: tuple(
+        (name, q, _HRCS, "hrcs_power_sum_exact") for name, q in (
+            ("collision_probability_reset", 2),
+            ("collision_probability_no_reset", 2),
+            ("power_sum_reset", 3),
+            ("power_sum_no_reset", 3),
+        ))),
+}
+EXPERIMENT_KINDS = tuple(KIND_TABLE)
+
+# (shots, 2^n) complex arrays an xeb instance holds at its peak: measured 4.6
+# with dense steps and 5.6 with gate sequences, replay included
+SAMPLER_LIVE_COPIES = 6
 
 CSV_COLUMNS = ("n_A", "n_B", "t", "K", "gamma", "statistic", "mean", "std_error", "theory_value")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -113,10 +224,31 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigurationError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        if self.instances < 1 or self.shots < 1:
-            raise ConfigurationError("instances and shots must be >= 1")
+        for name in ("n_system", "n_bath", "instances", "shots", "master_seed", "pop_bins"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (self.hea_layers is None or _is_int(self.hea_layers)):
+            raise ConfigurationError(f"hea_layers must be an integer, got {self.hea_layers!r}")
+        if not isinstance(self.reset_bath, bool):
+            raise ConfigurationError(f"reset_bath must be true or false, got {self.reset_bath!r}")
+        for name, ok, what in (
+            ("steps", _is_int, "integers"),
+            ("k_orders", _is_int, "integers"),
+            ("gammas", _is_real, "numbers"),
+        ):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not all(ok(v) for v in values):
+                raise ConfigurationError(f"{name} must be a list of {what}, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
+        if self.instances < 1 or self.shots < 1 or self.pop_bins < 1:
+            raise ConfigurationError("instances, shots and pop_bins must be >= 1")
         if not self.steps:
             raise ConfigurationError("steps list is empty")
+        self.config_for(min(self.steps))  # register sizes, steps >= 1, unitary source
+        if not all(0.0 <= g <= 1.0 for g in self.gammas):
+            raise ConfigurationError(f"gammas must lie in [0, 1], got {self.gammas}")
+        if not (_is_real(self.epsilon) and self.epsilon > 0):
+            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.format not in ("jsonl", "csv"):
             raise ConfigurationError(f"format must be jsonl or csv, got {self.format!r}")
         if self.kind == "theory_table":
@@ -125,6 +257,8 @@ class ExperimentSpec:
                     f"theory_table needs theory_family from {THEORY_FAMILIES}, "
                     f"got {self.theory_family!r}"
                 )
+            if self.theory_family in GAMMA_FAMILIES and not self.gammas:
+                raise ConfigurationError(f"{self.theory_family} needs a gammas list")
         if self.kind in ("ps_sweep",) and any(k < 2 for k in self.k_orders):
             raise ConfigurationError("power-sum orders must be >= 2")
         if self.kind == "noisy_xeb" and not self.gammas:
@@ -132,7 +266,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentSpec":
-        unknown = set(doc) - _SPEC_FIELDS
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)} - {"schema_version"}
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         if doc.get("schema_version") != SCHEMA_VERSION:
@@ -143,11 +277,7 @@ class ExperimentSpec:
         missing = required - set(doc)
         if missing:
             raise ConfigurationError(f"missing config keys: {sorted(missing)}")
-        kwargs = {k: v for k, v in doc.items() if k != "schema_version"}
-        for key in ("steps", "k_orders", "gammas"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in doc.items() if k != "schema_version"})
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentSpec":
@@ -189,7 +319,6 @@ class ResultRecord:
     measured: estimators.EnsembleStats
     theory_value: float
     theory_source: str
-    wall_time_s: float = 0.0  # informational only, never serialized
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,89 +384,32 @@ def write_records(records, path: str, format: str = "jsonl") -> None:
 
 def _check_capacity(spec: ExperimentSpec) -> None:
     """Refuse specs that would exceed an engine mode before any work starts."""
-    t_max = max(spec.steps)
-    n_eff_max = spec.n_system + t_max * spec.n_bath
+    engine = KIND_TABLE[spec.kind].engine
+    n_eff_max = spec.n_system + max(spec.steps) * spec.n_bath
     n_phys = spec.n_system + spec.n_bath
-    if spec.kind in ("cp_sweep", "ps_sweep", "marginal_sweep", "pop_hist", "tvd", "reset_check"):
-        if n_eff_max > ENUMERATION_MAX_BITS:
+    if engine == "enumerate" and n_eff_max > ENUMERATION_MAX_BITS:
+        raise CapacityError(
+            f"{spec.kind} enumerates {n_eff_max} effective bits, limit {ENUMERATION_MAX_BITS}"
+        )
+    if engine == "sample":
+        if n_phys > TRAJECTORY_MAX_QUBITS:
+            raise CapacityError(f"{n_phys} physical qubits exceed {TRAJECTORY_MAX_QUBITS}")
+        need = spec.shots * (16 << n_phys) * SAMPLER_LIVE_COPIES
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > memory:
             raise CapacityError(
-                f"{spec.kind} enumerates {n_eff_max} effective bits, limit {ENUMERATION_MAX_BITS}"
+                f"{spec.shots} shots on {n_phys} qubits need about {need / 1e9:.3g} GB of "
+                f"amplitudes, more than the {memory / 1e9:.3g} GB of physical memory"
             )
-    if spec.kind in ("xeb", "noisy_xeb") and n_phys > TRAJECTORY_MAX_QUBITS:
-        raise CapacityError(f"{n_phys} physical qubits exceed {TRAJECTORY_MAX_QUBITS}")
 
 
-# ---------------------------------------------------------------------------
-# per-instance worker functions (top level so process pools can pickle them)
-
-
-def _instance_power_sums(spec_dict: dict, t: int, orders: tuple[int, ...], index: int) -> list[float]:
+def _instance(spec_dict: dict, t: int, gamma: float | None, index: int):
+    """Measure ensemble member ``index`` at ``t`` steps as its kind says (top
+    level so process pools can pickle it)."""
     spec = ExperimentSpec(**spec_dict)
     config = spec.config_for(t)
     unitaries = instantiate_circuit(config, index)
-    dist = enumerate_joint_distribution(config, unitaries)
-    return [estimators.power_sum_exact(dist, k) for k in orders]
-
-
-def _instance_marginal_cps(spec_dict: dict, t: int, index: int) -> list[float]:
-    spec = ExperimentSpec(**spec_dict)
-    config = spec.config_for(t)
-    unitaries = instantiate_circuit(config, index)
-    dist = enumerate_joint_distribution(config, unitaries)
-    spatial = estimators.power_sum_exact(marginalize(dist, config, "spatial"), 2)
-    temporal = estimators.power_sum_exact(marginalize(dist, config, "temporal"), 2)
-    per_step = estimators.power_sum_exact(marginalize(dist, config, "per_step", step=t), 2)
-    return [spatial, temporal, per_step]
-
-
-def _instance_probabilities(spec_dict: dict, t: int, index: int) -> np.ndarray:
-    spec = ExperimentSpec(**spec_dict)
-    config = spec.config_for(t)
-    unitaries = instantiate_circuit(config, index)
-    return enumerate_joint_distribution(config, unitaries).probabilities
-
-
-def _instance_tvd(spec_dict: dict, t: int, index: int) -> float:
-    spec = ExperimentSpec(**spec_dict)
-    config = spec.config_for(t)
-    unitaries = instantiate_circuit(config, index)
-    dist = enumerate_joint_distribution(config, unitaries)
-    rng = np.random.default_rng(derive_seed(spec.master_seed, "haar-partner", t, index))
-    haar = np.abs(sample_haar_state(1 << config.n_eff, rng)) ** 2
-    return estimators.tvd_exact(dist.probabilities, haar)
-
-
-def _instance_xeb(spec_dict: dict, t: int, index: int) -> float:
-    spec = ExperimentSpec(**spec_dict)
-    config = spec.config_for(t)
-    unitaries = instantiate_circuit(config, index)
-    rng = np.random.default_rng(derive_seed(spec.master_seed, "shots", t, index))
-    batch = sample_trajectories(config, unitaries, spec.shots, None, rng)
-    return estimators.xeb_estimate(batch.ideal_probabilities, config.n_eff).mean
-
-
-def _instance_noisy_xeb(spec_dict: dict, t: int, gamma: float, index: int) -> float:
-    spec = ExperimentSpec(**spec_dict)
-    config = spec.config_for(t)
-    unitaries = instantiate_circuit(config, index)
-    noise = NoiseModel(gamma, gamma)
-    rng = np.random.default_rng(derive_seed(spec.master_seed, "noisy-shots", t, gamma, index))
-    batch = sample_trajectories(config, unitaries, spec.shots, noise, rng)
-    ideal = ideal_probabilities_batch(config, unitaries, batch.bath_outcomes, batch.final_outcomes)
-    return estimators.xeb_estimate(ideal, config.n_eff).mean
-
-
-def _instance_reset_check(spec_dict: dict, t: int, index: int) -> list[float]:
-    spec = ExperimentSpec(**spec_dict)
-    config = spec.config_for(t)
-    unitaries = instantiate_circuit(config, index)
-    with_reset, without_reset = replay_no_reset_equivalence(config, unitaries)
-    return [
-        estimators.power_sum_exact(with_reset, 2),
-        estimators.power_sum_exact(without_reset, 2),
-        estimators.power_sum_exact(with_reset, 3),
-        estimators.power_sum_exact(without_reset, 3),
-    ]
+    return KIND_TABLE[spec.kind].measure(spec, config, unitaries, gamma, index)
 
 
 class InstanceFailure(RuntimeError):
@@ -353,21 +425,21 @@ def _failure(args, exc) -> "InstanceFailure":
     )
 
 
-def _run_instances(fn, args_list, workers: int):
+def _run_instances(args_list, workers: int):
     """Map instance jobs, preserving order; a failing instance aborts the
     whole run with its stream seed reported.  Serial when workers == 1."""
     results = []
     if workers <= 1:
         for args in args_list:
             try:
-                results.append(fn(*args))
+                results.append(_instance(*args))
             except (ConfigurationError, CapacityError):
                 raise
             except Exception as exc:  # noqa: BLE001
                 raise _failure(args, exc) from exc
         return results
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
+        futures = [pool.submit(_instance, *args) for args in args_list]
         for args, fut in zip(args_list, futures):
             try:
                 results.append(fut.result())
@@ -381,214 +453,24 @@ def _run_instances(fn, args_list, workers: int):
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]:
     """Execute one experiment spec and return records in parameter order."""
     _check_capacity(spec)
+    kind = KIND_TABLE[spec.kind]
     spec_hash = spec.hash()
     spec_dict = dataclasses.asdict(spec)
     records: list[ResultRecord] = []
-
-    def make_record(t, order, gamma, statistic, measured, theory_value, source, started):
-        return ResultRecord(
-            spec_hash=spec_hash,
-            n_system=spec.n_system,
-            n_bath=spec.n_bath,
-            steps=t,
-            order=order,
-            gamma=gamma,
-            statistic=statistic,
-            measured=measured,
-            theory_value=theory_value,
-            theory_source=source,
-            wall_time_s=time.monotonic() - started,
-        )
-
-    if spec.kind == "cp_sweep":
-        for t in spec.steps:
-            started = time.monotonic()
-            args = [(spec_dict, t, (2,), b) for b in range(spec.instances)]
-            values = [row[0] for row in _run_instances(_instance_power_sums, args, workers)]
-            records.append(
-                make_record(
-                    t, 2, None, "collision_probability",
-                    estimators.ensemble_aggregate(values),
-                    theory.hrcs_power_sum(spec.n_system, spec.n_bath, t, 2, "exact"),
-                    "hrcs_power_sum_exact", started,
-                )
-            )
-        return records
-
-    if spec.kind == "ps_sweep":
-        for t in spec.steps:
-            started = time.monotonic()
-            args = [(spec_dict, t, spec.k_orders, b) for b in range(spec.instances)]
-            rows = _run_instances(_instance_power_sums, args, workers)
-            for j, k in enumerate(spec.k_orders):
-                records.append(
-                    make_record(
-                        t, k, None, "power_sum",
-                        estimators.ensemble_aggregate([row[j] for row in rows]),
-                        theory.hrcs_power_sum(spec.n_system, spec.n_bath, t, k, "exact"),
-                        "hrcs_power_sum_exact", started,
-                    )
-                )
-        return records
-
-    if spec.kind == "marginal_sweep":
-        stats_and_sources = (
-            ("marginal_cp_spatial", "spatial"),
-            ("marginal_cp_temporal", "temporal"),
-            ("marginal_cp_per_step", "per_step"),
-        )
-        for t in spec.steps:
-            started = time.monotonic()
-            args = [(spec_dict, t, b) for b in range(spec.instances)]
-            rows = _run_instances(_instance_marginal_cps, args, workers)
-            for j, (stat, kind) in enumerate(stats_and_sources):
-                records.append(
-                    make_record(
-                        t, 2, None, stat,
-                        estimators.ensemble_aggregate([row[j] for row in rows]),
-                        theory.marginal_cp(kind, spec.n_system, spec.n_bath, t),
-                        f"marginal_cp_{kind}", started,
-                    )
-                )
-        return records
-
-    if spec.kind == "pop_hist":
-        for t in spec.steps:
-            started = time.monotonic()
-            n_eff = spec.n_system + t * spec.n_bath
-            args = [(spec_dict, t, b) for b in range(spec.instances)]
-            pooled = np.concatenate(_run_instances(_instance_probabilities, args, workers))
-            ks = estimators.ks_distance_to_porter_thomas(pooled, n_eff)
-            hist = estimators.pop_histogram(pooled, n_eff, bins=spec.pop_bins)
-            records.append(
-                make_record(
-                    t, None, None, "pop_ks_to_porter_thomas",
-                    estimators.EnsembleStats(spec.instances, ks, 0.0),
-                    0.0, "porter_thomas_density", started,
-                )
-            )
-            records.append(
-                make_record(
-                    t, None, None, "pop_density_integral",
-                    estimators.EnsembleStats(spec.instances, hist.integral(), 0.0),
-                    1.0, "porter_thomas_density", started,
-                )
-            )
-        return records
-
-    if spec.kind == "tvd":
-        for t in spec.steps:
-            started = time.monotonic()
-            args = [(spec_dict, t, b) for b in range(spec.instances)]
-            values = _run_instances(_instance_tvd, args, workers)
-            records.append(
-                make_record(
-                    t, None, None, "tvd_to_haar",
-                    estimators.ensemble_aggregate(values),
-                    theory.tvd_upper_bound(spec.n_system, spec.n_bath, t, "exact"),
-                    "tvd_bound_exact", started,
-                )
-            )
-        return records
-
-    if spec.kind == "xeb":
-        for t in spec.steps:
-            started = time.monotonic()
-            args = [(spec_dict, t, b) for b in range(spec.instances)]
-            values = _run_instances(_instance_xeb, args, workers)
-            records.append(
-                make_record(
-                    t, None, None, "xeb_fidelity",
-                    estimators.ensemble_aggregate(values),
-                    theory.ideal_xeb(spec.n_system, spec.n_bath, t),
-                    "ideal_xeb", started,
-                )
-            )
-        return records
-
-    if spec.kind == "noisy_xeb":
-        for t in spec.steps:
-            for gamma in spec.gammas:
-                started = time.monotonic()
-                args = [(spec_dict, t, gamma, b) for b in range(spec.instances)]
-                values = _run_instances(_instance_noisy_xeb, args, workers)
-                records.append(
-                    make_record(
-                        t, None, gamma, "noisy_xeb_fidelity",
-                        estimators.ensemble_aggregate(values),
-                        theory.noisy_xeb(spec.n_system, spec.n_bath, t, gamma, "exact"),
-                        "noisy_xeb_exact", started,
-                    )
-                )
-        return records
-
-    if spec.kind == "reset_check":
-        stats = (
-            ("collision_probability_reset", 2),
-            ("collision_probability_no_reset", 2),
-            ("power_sum_reset", 3),
-            ("power_sum_no_reset", 3),
-        )
-        for t in spec.steps:
-            started = time.monotonic()
-            args = [(spec_dict, t, b) for b in range(spec.instances)]
-            rows = _run_instances(_instance_reset_check, args, workers)
-            for j, (stat, k) in enumerate(stats):
-                records.append(
-                    make_record(
-                        t, k, None, stat,
-                        estimators.ensemble_aggregate([row[j] for row in rows]),
-                        theory.hrcs_power_sum(spec.n_system, spec.n_bath, t, k, "exact"),
-                        "hrcs_power_sum_exact", started,
-                    )
-                )
-        return records
-
-    # theory_table: pure formula sweep, no engine work
-    for t in spec.steps:
-        for k in spec.k_orders:
-            for gamma in spec.gammas or (None,):
-                started = time.monotonic()
-                value = _theory_value(spec, t, k, gamma)
-                records.append(
-                    make_record(
-                        t, k, gamma, spec.theory_family,
-                        estimators.EnsembleStats(1, value, 0.0),
-                        value, spec.theory_family, started,
-                    )
-                )
+    for t, k, gamma in kind.points(spec):
+        statistics = kind.statistics(spec, k)
+        values = [
+            formula(spec.n_system, spec.n_bath, t, order, gamma, spec.epsilon)
+            for _, order, formula, _ in statistics
+        ]
+        if kind.measure is None:
+            measured = [EnsembleStats(1, value, 0.0) for value in values]
+        else:
+            args = [(spec_dict, t, gamma, b) for b in range(spec.instances)]
+            measured = kind.aggregate(spec, t, _run_instances(args, workers))
+        for (statistic, order, _, source), stats, value in zip(statistics, measured, values):
+            records.append(ResultRecord(
+                spec_hash, spec.n_system, spec.n_bath, t, order, gamma,
+                statistic, stats, value, source,
+            ))
     return records
-
-
-def _theory_value(spec: ExperimentSpec, t: int, k: int, gamma: float | None) -> float:
-    fam = spec.theory_family
-    n_a, n_b = spec.n_system, spec.n_bath
-    if fam == "haar_power_sum":
-        return theory.haar_power_sum(n_a + t * n_b, k)
-    if fam == "hrcs_power_sum":
-        return theory.hrcs_power_sum(n_a, n_b, t, k, "exact")
-    if fam == "marginal_cp_spatial":
-        return theory.marginal_cp("spatial", n_a, n_b, t)
-    if fam == "marginal_cp_temporal":
-        return theory.marginal_cp("temporal", n_a, n_b, t)
-    if fam == "marginal_cp_per_step":
-        return theory.marginal_cp("per_step", n_a, n_b, t)
-    if fam == "ideal_xeb":
-        return theory.ideal_xeb(n_a, n_b, t)
-    if fam == "noisy_xeb_exact":
-        return theory.noisy_xeb(n_a, n_b, t, _need_gamma(gamma), "exact")
-    if fam == "noisy_xeb_asymptotic":
-        return theory.noisy_xeb(n_a, n_b, t, _need_gamma(gamma), "asymptotic")
-    if fam == "tvd_bound_exact":
-        return theory.tvd_upper_bound(n_a, n_b, t, "exact")
-    if fam == "tvd_bound_asymptotic":
-        return theory.tvd_upper_bound(n_a, n_b, t, "asymptotic")
-    if fam == "critical_steps":
-        return theory.critical_steps("joint_ps", n_a, n_b, spec.epsilon, k)
-    raise ConfigurationError(f"unknown theory family {fam!r}")
-
-
-def _need_gamma(gamma: float | None) -> float:
-    if gamma is None:
-        raise ConfigurationError("this theory family needs a gammas list")
-    return gamma

@@ -15,7 +15,7 @@ from hrcslab import (
     hea_gate_count,
     sample_hea_params,
 )
-from hrcslab.circuits import Gate, TWO_TURNS, apply_gate_sequence, brickwork_pairs
+from hrcslab.circuits import Gate, TWO_TURNS, apply_gate_sequence_batch, brickwork_pairs
 from hrcslab.theory import haar_power_sum
 
 from conftest import random_state
@@ -117,16 +117,14 @@ class TestDenseCompilation:
         u = gate_sequence_to_unitary(seq, n)
         assert u.unitarity_defect() < 1e-9
         state = random_state(n, seed=41 + n)
-        stepped = apply_gate_sequence(state, seq)
-        np.testing.assert_allclose(
-            stepped.amplitudes, u.entries @ state.amplitudes, atol=1e-9
-        )
+        stepped = apply_gate_sequence_batch(state.amplitudes[None, :], seq, n)[0]
+        np.testing.assert_allclose(stepped, u.entries @ state.amplitudes, atol=1e-9)
 
     def test_applying_to_zero_state_matches_first_column(self, rng):
         seq = build_hea(3, sample_hea_params(3, 2, rng))
         u = gate_sequence_to_unitary(seq, 3)
-        out = apply_gate_sequence(Statevector.zero(3), seq)
-        np.testing.assert_allclose(out.amplitudes, u.entries[:, 0], atol=1e-9)
+        out = apply_gate_sequence_batch(Statevector.zero(3).amplitudes[None, :], seq, 3)[0]
+        np.testing.assert_allclose(out, u.entries[:, 0], atol=1e-9)
 
     def test_register_cap(self):
         with pytest.raises(ConfigurationError):
@@ -161,7 +159,7 @@ class TestHaarConvergence:
             for b in range(instances):
                 gen = np.random.default_rng(1_000_000 + 977 * layers + b)
                 seq = build_hea(n, sample_hea_params(n, layers, gen))
-                amps = apply_gate_sequence(Statevector.zero(n), seq).amplitudes
+                amps = apply_gate_sequence_batch(Statevector.zero(n).amplitudes[None, :], seq, n)[0]
                 vals.append(float(np.sum(np.abs(amps) ** 4)))
             arr = np.asarray(vals)
             means.append(arr.mean())

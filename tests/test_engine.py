@@ -424,16 +424,13 @@ class TestSerialization:
 class TestConfigValidation:
     def test_gamma_range(self):
         with pytest.raises(ConfigurationError):
-            HrcsConfig(n_system=1, n_bath=1, steps=1, gamma_system=1.5)
+            NoiseModel(1.5, 1.0)
 
     def test_replace_keeps_validation(self):
         cfg = small_config()
         with pytest.raises(ConfigurationError):
             dataclasses.replace(cfg, steps=0)
 
-    def test_noise_model_from_config(self):
-        cfg = small_config(gamma_system=0.8, gamma_bath=0.9)
-        noise = NoiseModel.from_config(cfg)
-        assert (noise.gamma_system, noise.gamma_bath) == (0.8, 0.9)
-        assert not noise.trivial
+    def test_noise_model_trivial(self):
+        assert not NoiseModel(0.8, 0.9).trivial
         assert NoiseModel(1.0, 1.0).trivial

@@ -2,12 +2,16 @@
 equivalence, record layout, and file formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import hrcslab.runner as runner_mod
 from hrcslab import CapacityError, ConfigurationError
+from hrcslab.engine import instance_seed
 from hrcslab.runner import (
     CSV_COLUMNS,
+    KIND_TABLE,
     ExperimentSpec,
     run_experiment,
     write_records,
@@ -70,6 +74,34 @@ class TestSpecParsing:
         with pytest.raises(ConfigurationError, match="theory_family"):
             ExperimentSpec.from_json_dict(spec_doc(kind="theory_table"))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"shots": True},
+            {"instances": 2.0},
+            {"n_system": True},
+            {"master_seed": "7"},
+            {"hea_layers": False},
+            {"reset_bath": 1},
+            {"steps": (1.5,)},
+            {"steps": (True,)},
+            {"steps": (0,)},
+            {"steps": 3},
+            {"k_orders": (2.0,)},
+            {"pop_bins": 0},
+            {"gammas": (1.5,)},
+            {"gammas": (-0.1,)},
+            {"gammas": (True,)},
+            {"epsilon": 0},
+            {"epsilon": "1"},
+            {"kind": "theory_table", "theory_family": "noisy_xeb_exact"},
+        ],
+        ids=str,
+    )
+    def test_bad_field_rejected_up_front(self, overrides):
+        with pytest.raises(ConfigurationError):
+            cp_spec(**overrides)
+
 
 class TestCapacity:
     def test_enumeration_capacity_refused_before_work(self):
@@ -83,6 +115,27 @@ class TestCapacity:
         )
         with pytest.raises(CapacityError):
             run_experiment(spec)
+
+    @pytest.mark.parametrize("kind", ["xeb", "noisy_xeb"])
+    def test_shot_batch_beyond_memory_refused_before_work(self, kind, monkeypatch):
+        # 1000 shots of 2^24 amplitudes are 268 GB per copy of the batch
+        def no_work(*args):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(runner_mod, "_instance", no_work)
+        spec = ExperimentSpec(
+            kind=kind, n_system=12, n_bath=12, steps=(1,), gammas=(0.7,), instances=1, shots=1000
+        )
+        with pytest.raises(CapacityError, match="GB"):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(Path(__file__).parent.parent.joinpath("scripts", "configs").glob("*.json")),
+        ids=lambda path: path.stem,
+    )
+    def test_shipped_configs_within_capacity(self, path):
+        runner_mod._check_capacity(ExperimentSpec.from_json_file(str(path)))
 
 
 class TestRunExperiment:
@@ -175,17 +228,22 @@ class TestRunExperiment:
         assert int_rec.statistic == "pop_density_integral"
         assert int_rec.measured.mean == pytest.approx(1.0, abs=0.05)
 
-    def test_instance_failure_reports_seed(self, monkeypatch):
-        import hrcslab.runner as runner_mod
+    @pytest.mark.parametrize(
+        "kind", [kind for kind, entry in KIND_TABLE.items() if entry.measure is not None]
+    )
+    def test_instance_failure_reports_seed(self, kind, monkeypatch):
+        real = runner_mod.instantiate_circuit
 
-        def boom(spec_dict, t, orders, index):
+        def faulty(config, index):
             if index == 3:
                 raise RuntimeError("synthetic fault")
-            return [0.1]
+            return real(config, index)
 
-        monkeypatch.setattr(runner_mod, "_instance_power_sums", boom)
-        with pytest.raises(runner_mod.InstanceFailure, match=r"instance 3 .*stream seed 0x"):
-            run_experiment(cp_spec(steps=(1,)))
+        monkeypatch.setattr(runner_mod, "instantiate_circuit", faulty)
+        spec = cp_spec(kind=kind, steps=(1,), instances=5, shots=20, gammas=(0.7,))
+        seed = instance_seed(spec.config_for(1), 3)
+        with pytest.raises(runner_mod.InstanceFailure, match=rf"instance 3 .*stream seed {seed:#x}"):
+            run_experiment(spec)
 
 
 class TestDeterminism:
@@ -256,8 +314,3 @@ class TestWriteRecords:
             write_records(run_experiment(cp_spec(), workers=workers), str(path), "jsonl")
             paths.append(path.read_bytes())
         assert paths[0] == paths[1] == paths[2]
-
-    def test_wall_time_not_serialized(self):
-        rec = run_experiment(cp_spec(instances=3))[0]
-        assert rec.wall_time_s >= 0.0
-        assert "wall_time_s" not in rec.to_json_dict()
