@@ -3,10 +3,10 @@ final system measurement.
 
 Four modes share one circuit description: batched trajectory sampling
 (``run_trajectory`` is the sampler at one shot), forced-outcome replay of
-recorded paths, exact enumeration of the full joint outcome distribution, and
-a density-matrix oracle for the depolarizing-noise variant.  The three
-pure-state modes advance a (rows, 2^n) amplitude batch through one step
-kernel, ``_propagate``.
+recorded paths, exact enumeration of the joint outcome distribution (one
+batch per tree level), and a density-matrix oracle for the depolarizing-noise
+variant.  The three pure-state modes advance a (rows, 2^n) amplitude batch
+through one step kernel, ``_propagate``, and one collapse/reset, ``_keep_branch``.
 
 Outcome indexing: a joint outcome (z_1, ..., z_t, x) maps to the integer with
 z_1 in the most significant bit block and x in the least significant one.
@@ -29,8 +29,6 @@ from .core import (
     QubitSubset,
     UnitaryMatrix,
     _apply_unitary_batch,
-    pauli_labels_from_index,
-    pauli_permutation,
     sample_haar_unitary,
 )
 from .errors import CapacityError, ConfigurationError, DegenerateBranchError
@@ -242,11 +240,11 @@ def _propagate(amps: np.ndarray, step: StepUnitary, n: int) -> np.ndarray:
     return apply_gate_sequence_batch(amps, step, n)
 
 
-def _keep_branch(blocks: np.ndarray, z: np.ndarray, picked: np.ndarray, reset: bool) -> np.ndarray:
-    """Rebuild a (rows, 2^n) batch from each row's kept system block after
-    bath outcome z: the bath reads z, or 0 after a reset."""
-    rows = blocks.shape[0]
-    amps = np.zeros_like(blocks)
+def _keep_branch(picked: np.ndarray, z: np.ndarray, d_bath: int, reset: bool) -> np.ndarray:
+    """Rebuild a (rows, 2^n) batch from each row's kept (rows, d_sys) system
+    block after bath outcome z: the bath reads z, or 0 after a reset."""
+    rows, d_sys = picked.shape
+    amps = np.zeros((rows, d_bath, d_sys), dtype=picked.dtype)
     if reset:
         amps[:, 0, :] = picked
     else:
@@ -287,19 +285,26 @@ def _batch_random_paulis(
 ) -> np.ndarray:
     """Trajectory unraveling of the depolarizing channel across a (shots, 2^n)
     batch: with probability 1-gamma a row gets a Pauli string drawn uniformly
-    from all 4^m (identity included)."""
+    from all 4^m (identity included).  Code digit i (0 I, 1 X, 2 Y, 3 Z) acts
+    on targets[i]; the string sets new[j] = i^(n_Y + 2 popcount(src & zy_mask))
+    old[src] with src = j ^ flip_mask (X, Y flip; Y, Z carry a sign)."""
     if gamma >= 1.0:
         return amps
     shots = amps.shape[0]
     m = len(targets)
     hit = rng.random(shots) < 1.0 - gamma
     codes = np.where(hit, rng.integers(4 ** m, size=shots), 0)
-    for code in np.unique(codes):
-        if code == 0:
-            continue  # all-identity string
-        rows = codes == code
-        perm, phase = pauli_permutation(pauli_labels_from_index(int(code), m), targets, n)
-        amps[rows] = amps[rows][:, perm] * phase
+    rows = np.flatnonzero(codes)  # code 0 is the all-identity string
+    digits = (codes[rows, None] >> (2 * np.arange(m))) & 3
+    bits = 1 << np.asarray(targets.indices)
+    flip_mask = np.where((digits == 1) | (digits == 2), bits, 0).sum(axis=1)
+    zy_mask = np.where(digits >= 2, bits, 0).sum(axis=1)
+    n_y = (digits == 2).sum(axis=1, dtype=np.uint8)
+    src = np.arange(1 << n) ^ flip_mask[:, None]
+    picked = amps[rows[:, None], src]
+    quarter_turns = n_y[:, None] + 2 * np.bitwise_count(src & zy_mask[:, None])
+    picked *= np.array([1, 1j, -1, -1j])[quarter_turns % 4]
+    amps[rows] = picked
     return amps
 
 
@@ -313,6 +318,7 @@ def sample_trajectories(
 ) -> TrajectoryBatch:
     """Sample n_shots protocol runs of the same circuit, all advanced as one batch."""
     _check_trajectory_capacity(config)
+    _check_steps(config, unitaries)
     n, n_sys, n_bath = config.n_qubits, config.n_system, config.n_bath
     d_sys, d_bath = 1 << n_sys, 1 << n_bath
     noisy = noise is not None and not noise.trivial
@@ -341,7 +347,7 @@ def sample_trajectories(
         picked = blocks[rows, z, :] / np.sqrt(p_z)[:, None]
         model_prob *= p_z
         bath_outcomes[:, k] = z
-        amps = _keep_branch(blocks, z, picked, config.reset_bath)
+        amps = _keep_branch(picked, z, d_bath, config.reset_bath)
 
     sys_probs = (np.abs(amps) ** 2).reshape(n_shots, d_bath, d_sys).sum(axis=1)
     cum = np.cumsum(sys_probs, axis=1)
@@ -404,6 +410,7 @@ def ideal_probabilities_batch(
     final_outcomes: np.ndarray,
 ) -> np.ndarray:
     """Forced-outcome replay for many paths at once; rows index paths."""
+    _check_steps(config, unitaries)
     n, n_sys, n_bath = config.n_qubits, config.n_system, config.n_bath
     d_sys, d_bath = 1 << n_sys, 1 << n_bath
     shots = bath_outcomes.shape[0]
@@ -414,7 +421,7 @@ def ideal_probabilities_batch(
     for k, step in enumerate(unitaries):
         blocks = _propagate(amps, step, n).reshape(shots, d_bath, d_sys)
         z = bath_outcomes[:, k]
-        amps = _keep_branch(blocks, z, blocks[rows, z, :], config.reset_bath)
+        amps = _keep_branch(blocks[rows, z, :], z, d_bath, config.reset_bath)
     final_amp = amps.reshape(shots, d_bath, d_sys).sum(axis=1)[rows, final_outcomes]
     return np.abs(final_amp) ** 2
 
@@ -422,44 +429,31 @@ def ideal_probabilities_batch(
 def enumerate_joint_distribution(
     config: HrcsConfig, unitaries: list[StepUnitary]
 ) -> JointDistribution:
-    """Depth-first exact evaluation of the full joint outcome distribution.
+    """Breadth-first exact evaluation of the full joint outcome distribution.
 
-    States are propagated unnormalized so every leaf value is already the
-    product of its branch probabilities; branches of exactly zero weight are
-    recorded as 0 and not expanded.
+    Step k advances all d_B^k live branches as one (d_B^k, 2^n) batch through
+    the step kernel; each row then splits into d_B children, appended as
+    row * d_B + z, so the leaves come out in ``BIT_ORDER``.  States are
+    propagated unnormalized: every leaf value is already the product of its
+    branch probabilities, and a zero-weight branch yields exact zeros.
     """
     if config.n_eff > ENUMERATION_MAX_BITS:
         raise CapacityError(
             f"enumeration over {config.n_eff} effective bits exceeds {ENUMERATION_MAX_BITS}"
         )
-    n, n_sys, n_bath = config.n_qubits, config.n_system, config.n_bath
-    d_sys, d_bath = 1 << n_sys, 1 << n_bath
-    t = config.steps
-    out = np.zeros(1 << config.n_eff)
-
-    def walk(amps: np.ndarray, k: int, prefix: int) -> None:
-        blocks = _propagate(amps[None, :], unitaries[k], n).reshape(d_bath, d_sys)
-        for z in range(d_bath):
-            block = blocks[z]
-            weight = float(np.sum(np.abs(block) ** 2))
-            child_prefix = (prefix << n_bath) | z
-            if weight == 0.0:
-                continue
-            if k + 1 == t:
-                base = child_prefix << n_sys
-                out[base : base + d_sys] = np.abs(block) ** 2
-            else:
-                child = np.zeros(1 << n, dtype=complex)
-                if config.reset_bath:
-                    child[:d_sys] = block
-                else:
-                    child[z * d_sys : (z + 1) * d_sys] = block
-                walk(child, k + 1, child_prefix)
-
-    root = np.zeros(1 << n, dtype=complex)
-    root[0] = 1.0
-    walk(root, 0, 0)
-    return JointDistribution(out, config.n_eff)
+    _check_steps(config, unitaries)
+    n = config.n_qubits
+    d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
+    amps = np.zeros((1, 1 << n), dtype=complex)
+    amps[0, 0] = 1.0
+    for k, step in enumerate(unitaries):
+        blocks = _propagate(amps, step, n).reshape(-1, d_sys)
+        del amps  # the last level holds 2^n_eff amplitudes: keep one level live
+        if k + 1 < config.steps:
+            z = np.tile(np.arange(d_bath), blocks.shape[0] // d_bath)
+            amps = _keep_branch(blocks, z, d_bath, config.reset_bath)
+            del blocks
+    return JointDistribution((np.abs(blocks) ** 2).reshape(-1), config.n_eff)
 
 
 def marginalize(
@@ -524,6 +518,7 @@ def enumerate_noisy_joint_distribution(
         raise CapacityError(
             f"noisy enumeration over {config.n_eff} effective bits exceeds {NOISY_ORACLE_MAX_BITS}"
         )
+    _check_steps(config, unitaries)
     n, n_sys, n_bath = config.n_qubits, config.n_system, config.n_bath
     d, d_sys, d_bath = 1 << n, 1 << n_sys, 1 << n_bath
     t = config.steps
@@ -571,6 +566,11 @@ def replay_no_reset_equivalence(
         dataclasses.replace(config, reset_bath=False), unitaries
     )
     return with_reset, without_reset
+
+
+def _check_steps(config: HrcsConfig, unitaries: list[StepUnitary]) -> None:
+    if len(unitaries) != config.steps:
+        raise ConfigurationError(f"{len(unitaries)} step unitaries for {config.steps} steps")
 
 
 def _check_trajectory_capacity(config: HrcsConfig) -> None:

@@ -2,8 +2,9 @@
 against the closed-form layer."""
 
 import dataclasses
-
 import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from hrcslab import (
     ConfigurationError,
     HrcsConfig,
     NoiseModel,
+    QubitSubset,
     UnitaryMatrix,
     enumerate_joint_distribution,
     enumerate_noisy_joint_distribution,
@@ -25,9 +27,12 @@ from hrcslab import (
     sample_trajectories,
     theory,
 )
+from hrcslab.core import pauli_labels_from_index, pauli_permutation
 from hrcslab.engine import (
+    _batch_random_paulis,
     depolarize_density,
     derive_seed,
+    ideal_probabilities_batch,
     outcome_index,
     split_outcome_index,
     step_matrices,
@@ -40,6 +45,44 @@ from conftest import small_config
 def identity_steps(config):
     dim = 1 << config.n_qubits
     return [UnitaryMatrix(np.eye(dim)) for _ in range(config.steps)]
+
+
+def depth_first_reference(config, unitaries):
+    """Joint distribution by a depth-first walk, one dense matrix-vector
+    product per tree node: the oracle for the breadth-first enumerator."""
+    d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
+    mats = step_matrices(config, unitaries)
+    out = np.zeros(1 << config.n_eff)
+
+    def walk(state, k, prefix):
+        blocks = (mats[k] @ state).reshape(d_bath, d_sys)
+        for z, block in enumerate(blocks):
+            leaf = prefix * d_bath + z
+            if k + 1 == config.steps:
+                out[leaf * d_sys : (leaf + 1) * d_sys] = np.abs(block) ** 2
+            else:
+                child = np.zeros(1 << config.n_qubits, dtype=complex)
+                lo = 0 if config.reset_bath else z * d_sys
+                child[lo : lo + d_sys] = block
+                walk(child, k + 1, leaf)
+
+    root = np.zeros(1 << config.n_qubits, dtype=complex)
+    root[0] = 1.0
+    walk(root, 0, 0)
+    return out
+
+
+def enumeration_config(shape, source, reset, seed=11):
+    n_system, n_bath, steps = shape
+    return HrcsConfig(
+        n_system=n_system,
+        n_bath=n_bath,
+        steps=steps,
+        reset_bath=reset,
+        unitary_source=source,
+        hea_layers=3 if source == "hea" else None,
+        master_seed=seed,
+    )
 
 
 class TestInstantiation:
@@ -236,6 +279,55 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_joint_distribution(cfg, [])
 
+    @pytest.mark.parametrize("reset", [True, False])
+    @pytest.mark.parametrize("source", ["haar", "hea"])
+    @pytest.mark.parametrize("shape", [(1, 1, 6), (2, 1, 8), (2, 2, 4), (3, 3, 3), (1, 2, 3)])
+    def test_matches_depth_first_reference(self, shape, source, reset):
+        # batched and per-node products round differently; 1e-12 relative is
+        # about 4500 ulp of float64
+        cfg = enumeration_config(shape, source, reset)
+        for instance in range(2):
+            steps = instantiate_circuit(cfg, instance)
+            np.testing.assert_allclose(
+                enumerate_joint_distribution(cfg, steps).probabilities,
+                depth_first_reference(cfg, steps),
+                rtol=1e-12,
+                atol=0,
+            )
+
+    @pytest.mark.parametrize("reset", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 1, 5), (2, 1, 4), (2, 2, 3)])
+    def test_later_steps_do_not_change_earlier_marginals(self, shape, reset):
+        # summing out (z_t, x) of t steps leaves the (t-1)-step distribution,
+        # summed over x, of the same leading unitaries
+        cfg = enumeration_config(shape, "haar", reset)
+        shorter = dataclasses.replace(cfg, steps=cfg.steps - 1)
+        steps = instantiate_circuit(cfg, 0)
+        prefixes = 1 << (shorter.steps * cfg.n_bath)
+        full = enumerate_joint_distribution(cfg, steps).probabilities
+        head = enumerate_joint_distribution(shorter, steps[:-1]).probabilities
+        np.testing.assert_allclose(
+            full.reshape(prefixes, -1).sum(axis=1),
+            head.reshape(prefixes, -1).sum(axis=1),
+            rtol=1e-12,
+            atol=1e-15,
+        )
+
+    def test_peak_memory_is_a_few_frontiers(self):
+        # n_eff = 20: the last level holds 2^20 amplitudes of 16 B.  Measured
+        # peak: 3.1 of those (the frontier, the step kernel's transposed copy
+        # and its output).
+        cfg = HrcsConfig(n_system=1, n_bath=1, steps=19, master_seed=4)
+        steps = instantiate_circuit(cfg, 0)
+        tracemalloc.start()
+        try:
+            dist = enumerate_joint_distribution(cfg, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dist.total() == pytest.approx(1.0, abs=1e-9)
+        assert peak < 4 * (1 << cfg.n_eff) * 16
+
     def test_hea_steps_enumerate_too(self):
         cfg = HrcsConfig(
             n_system=1, n_bath=1, steps=2, unitary_source="hea", hea_layers=4, master_seed=2
@@ -273,6 +365,25 @@ class TestMarginalize:
         dist = enumerate_joint_distribution(cfg, instantiate_circuit(cfg, 0))
         with pytest.raises(ConfigurationError):
             marginalize(dist, cfg, "per_step", step=3)
+
+
+class TestPauliUnraveling:
+    @pytest.mark.parametrize("targets", [(0, 1), (2, 3, 4), (1,)])
+    def test_matches_per_string_permutation(self, targets):
+        n, shots, gamma = 5, 300, 0.2
+        gen = np.random.default_rng(3)
+        amps = gen.standard_normal((shots, 1 << n)) + 1j * gen.standard_normal((shots, 1 << n))
+        subset = QubitSubset.of(*targets)
+        expected = amps.copy()
+        draws = np.random.default_rng(8)
+        hit = draws.random(shots) < 1.0 - gamma
+        codes = np.where(hit, draws.integers(4 ** len(targets), size=shots), 0)
+        for row, code in enumerate(codes):
+            labels = pauli_labels_from_index(int(code), len(targets))
+            perm, phase = pauli_permutation(labels, subset, n)
+            expected[row] = amps[row, perm] * phase
+        got = _batch_random_paulis(amps.copy(), subset, n, gamma, np.random.default_rng(8))
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestDepolarizeDensity:
@@ -419,6 +530,32 @@ class TestSerialization:
         for idx in (0, 5, 100, (1 << cfg.n_eff) - 1):
             zs, x = split_outcome_index(cfg, idx)
             assert outcome_index(cfg, zs, x) == idx
+
+
+class TestStepCount:
+    MODES = {
+        "sample": lambda cfg, steps: sample_trajectories(
+            cfg, steps, 4, None, np.random.default_rng(0)
+        ),
+        "replay": lambda cfg, steps: ideal_probabilities_batch(
+            cfg,
+            steps,
+            np.zeros((1, cfg.steps), dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+        ),
+        "enumerate": enumerate_joint_distribution,
+        "noisy_oracle": lambda cfg, steps: enumerate_noisy_joint_distribution(
+            cfg, steps, NoiseModel(0.9, 0.9)
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_length_step_list_refused(self, mode, count):
+        cfg = small_config(steps=3)
+        steps = instantiate_circuit(dataclasses.replace(cfg, steps=count), 0)
+        with pytest.raises(ConfigurationError):
+            self.MODES[mode](cfg, steps)
 
 
 class TestConfigValidation:
