@@ -1,18 +1,7 @@
 """hrcslab: simulate holographic random circuit sampling and check the
 measured statistics against their closed-form values."""
 
-from .core import (
-    QubitSubset,
-    Statevector,
-    UnitaryMatrix,
-    apply_pauli_string,
-    apply_unitary,
-    collapse,
-    measure_probabilities,
-    reset_to_zero,
-    sample_haar_state,
-    sample_haar_unitary,
-)
+from .core import UnitaryMatrix, sample_haar_state, sample_haar_unitary
 from .circuits import (
     Gate,
     GateSequence,
@@ -34,7 +23,6 @@ from .engine import (
     instantiate_circuit,
     marginalize,
     replay_no_reset_equivalence,
-    run_trajectory,
     sample_trajectories,
 )
 from .errors import CapacityError, ConfigurationError, DegenerateBranchError
@@ -65,16 +53,11 @@ __all__ = [
     "JointDistribution",
     "NoiseModel",
     "PopHistogram",
-    "QubitSubset",
     "ResultRecord",
-    "Statevector",
     "TrajectoryBatch",
     "TrajectoryRecord",
     "UnitaryMatrix",
-    "apply_pauli_string",
-    "apply_unitary",
     "build_hea",
-    "collapse",
     "ensemble_aggregate",
     "enumerate_joint_distribution",
     "enumerate_noisy_joint_distribution",
@@ -83,15 +66,12 @@ __all__ = [
     "ideal_probability",
     "instantiate_circuit",
     "marginalize",
-    "measure_probabilities",
     "merge_stats",
     "pop_histogram",
     "power_sum_exact",
     "power_sum_mc",
     "replay_no_reset_equivalence",
-    "reset_to_zero",
     "run_experiment",
-    "run_trajectory",
     "sample_haar_state",
     "sample_haar_unitary",
     "sample_hea_params",

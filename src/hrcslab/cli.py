@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from .errors import CapacityError, ConfigurationError
@@ -39,8 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"run a {_COMMAND_TO_KIND[command]} experiment")
         p.add_argument("--config", required=True, help="path to a JSON experiment spec")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: all cores)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes (default: 1)")
         p.add_argument("--out", default=None, help="override output path")
         p.add_argument("--format", choices=["jsonl", "csv"], default=None,
                        help="override output format")
@@ -67,8 +66,7 @@ def main(argv: list[str] | None = None) -> int:
             spec = dataclasses.replace(spec, **overrides)
         if spec.out is None:
             raise ConfigurationError("no output path: set 'out' in the config or pass --out")
-        workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-        records = run_experiment(spec, workers=workers)
+        records = run_experiment(spec, workers=args.workers)
         write_records(records, spec.out, spec.format)
         print(f"wrote {len(records)} records to {spec.out}")
         return 0

@@ -1,9 +1,14 @@
-"""Dense statevector primitives for few-qubit registers.
+"""The amplitude-batch kernel and Haar sampling.
+
+Every pure state in this package is a row of a (rows, 2^n) complex batch;
+``_apply_unitary_batch`` applies a dense matrix on some of its qubits to all
+rows at once.  ``PAULI_MATRICES`` is the dense oracle the tests check the
+batched Pauli unraveling against.
 
 Bit convention used everywhere in this package: qubit 0 is the least
 significant bit of the amplitude index, so the basis state
 |q_{n-1} ... q_1 q_0> lives at index sum_i q_i 2^i.  A reshaped tensor
-view ``amps.reshape([2]*n)`` therefore has qubit ``q`` on axis ``n-1-q``.
+view ``amps.reshape([2]*n)`` of one row therefore has qubit ``q`` on axis ``n-1-q``.
 """
 
 from __future__ import annotations
@@ -12,14 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateBranchError
+from .errors import ConfigurationError
 
-NORM_ATOL = 1e-10
-UNITARITY_ATOL = 1e-9
 PROB_FLOOR = 1e-300
-MAX_QUBITS = 24
-
-PAULI_LABELS = "IXYZ"
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -27,41 +27,6 @@ PAULI_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-@dataclass(frozen=True)
-class QubitSubset:
-    """Strictly increasing qubit positions addressing part of a register."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(q) for q in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if any(q < 0 for q in idx):
-            raise ConfigurationError(f"negative qubit index in {idx}")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ConfigurationError(f"qubit indices must be strictly increasing, got {idx}")
-
-    @classmethod
-    def of(cls, *indices: int) -> "QubitSubset":
-        return cls(tuple(indices))
-
-    @classmethod
-    def range(cls, start: int, stop: int) -> "QubitSubset":
-        return cls(tuple(range(start, stop)))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def validate_for(self, n_qubits: int) -> None:
-        if self.indices and self.indices[-1] >= n_qubits:
-            raise ConfigurationError(
-                f"qubit {self.indices[-1]} out of range for {n_qubits}-qubit register"
-            )
 
 
 @dataclass(frozen=True)
@@ -84,42 +49,6 @@ class UnitaryMatrix:
         return float(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))))
 
 
-@dataclass(frozen=True)
-class Statevector:
-    """Normalized pure state over ``n_qubits`` qubits."""
-
-    amplitudes: np.ndarray
-    n_qubits: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size != 1 << self.n_qubits:
-            raise ConfigurationError(
-                f"amplitude vector of length {amps.size} does not match {self.n_qubits} qubits"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "Statevector":
-        if not 1 <= n_qubits <= MAX_QUBITS:
-            raise ConfigurationError(f"register size {n_qubits} outside [1, {MAX_QUBITS}]")
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(amps, n_qubits)
-
-    @classmethod
-    def basis(cls, n_qubits: int, index: int) -> "Statevector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps, n_qubits)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
 def _apply_unitary_batch(amps: np.ndarray, entries: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Apply a 2^k x 2^k matrix on ``qubits`` to a (batch, 2^n) amplitude array.
 
@@ -135,19 +64,6 @@ def _apply_unitary_batch(amps: np.ndarray, entries: np.ndarray, qubits: tuple[in
     out = np.tensordot(g, t, axes=(list(range(k, 2 * k)), axes))
     out = np.moveaxis(out, range(k), axes)
     return np.ascontiguousarray(out).reshape(batch, -1)
-
-
-def apply_unitary(state: Statevector, u: UnitaryMatrix, targets: QubitSubset) -> Statevector:
-    """Apply ``u`` to the target qubits, leaving the rest untouched."""
-    targets.validate_for(state.n_qubits)
-    if u.dim != 1 << len(targets):
-        raise ConfigurationError(
-            f"unitary of dim {u.dim} does not act on {len(targets)} qubits"
-        )
-    out = _apply_unitary_batch(
-        state.amplitudes[None, :], u.entries, targets.indices, state.n_qubits
-    )
-    return Statevector(out[0], state.n_qubits)
 
 
 def sample_haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
@@ -170,103 +86,3 @@ def sample_haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Amplitudes of a Haar-random pure state (normalized complex Gaussian vector)."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def measure_probabilities(state: Statevector, targets: QubitSubset) -> np.ndarray:
-    """Born probabilities of the 2^k outcomes on ``targets``.
-
-    Outcome index packs targets[0] as its least significant bit.
-    """
-    targets.validate_for(state.n_qubits)
-    n = state.n_qubits
-    p = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
-    keep = {n - 1 - q for q in targets.indices}
-    other = tuple(a for a in range(n) if a not in keep)
-    if other:
-        p = p.sum(axis=other)
-    return p.reshape(-1)
-
-
-def _target_selector(n: int, targets: QubitSubset, outcome: int) -> tuple:
-    sel: list = [slice(None)] * n
-    for pos, q in enumerate(targets.indices):
-        sel[n - 1 - q] = (outcome >> pos) & 1
-    return tuple(sel)
-
-
-def collapse(state: Statevector, targets: QubitSubset, outcome: int) -> tuple[Statevector, float]:
-    """Project onto ``outcome`` for ``targets``, renormalize, return (state, probability)."""
-    targets.validate_for(state.n_qubits)
-    n = state.n_qubits
-    psi = state.amplitudes.reshape((2,) * n)
-    sel = _target_selector(n, targets, outcome)
-    block = psi[sel]
-    prob = float(np.sum(np.abs(block) ** 2))
-    if prob <= PROB_FLOOR:
-        raise DegenerateBranchError(
-            f"outcome {outcome:#x} on qubits {targets.indices} has probability {prob}"
-        )
-    out = np.zeros_like(psi)
-    out[sel] = block / np.sqrt(prob)
-    return Statevector(out.reshape(-1), n), prob
-
-
-def reset_to_zero(state: Statevector, targets: QubitSubset, known_outcome: int) -> Statevector:
-    """Flip targets holding a 1 in ``known_outcome`` so the subset reads all zeros.
-
-    Deterministic bit flips only; the caller guarantees the state is already
-    collapsed onto ``known_outcome``.
-    """
-    targets.validate_for(state.n_qubits)
-    mask = 0
-    for pos, q in enumerate(targets.indices):
-        if (known_outcome >> pos) & 1:
-            mask |= 1 << q
-    if mask == 0:
-        return state
-    idx = np.arange(state.amplitudes.size) ^ mask
-    return Statevector(state.amplitudes[idx], state.n_qubits)
-
-
-def pauli_labels_from_index(index: int, m: int) -> str:
-    """Decode an integer in [0, 4^m) into an m-character Pauli string (digit 0 -> I)."""
-    labels = []
-    for _ in range(m):
-        labels.append(PAULI_LABELS[index & 3])
-        index >>= 2
-    return "".join(labels)
-
-
-def pauli_permutation(labels: str, targets: QubitSubset, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation/phase form of a Pauli string: new[j] = phase[j] * old[perm[j]]."""
-    if len(labels) != len(targets):
-        raise ConfigurationError(
-            f"{len(labels)} labels for {len(targets)} target qubits"
-        )
-    d = 1 << n
-    idx = np.arange(d)
-    mask = 0
-    phase = np.ones(d, dtype=complex)
-    for lab, q in zip(labels, targets.indices):
-        bit = (idx >> q) & 1
-        if lab == "I":
-            continue
-        if lab == "X":
-            mask ^= 1 << q
-        elif lab == "Y":
-            mask ^= 1 << q
-            phase = phase * np.where(bit, -1j, 1j)
-        elif lab == "Z":
-            phase = phase * np.where(bit, -1.0, 1.0)
-        else:
-            raise ConfigurationError(f"unknown Pauli label {lab!r}")
-    perm = idx ^ mask
-    # phase is defined on the input index; re-express on the output index
-    return perm, phase[perm]
-
-
-def apply_pauli_string(state: Statevector, labels: str, targets: QubitSubset) -> Statevector:
-    """Apply the tensor product of single-qubit Paulis named by ``labels`` to ``targets``."""
-    targets.validate_for(state.n_qubits)
-    perm, phase = pauli_permutation(labels, targets, state.n_qubits)
-    return Statevector(phase * state.amplitudes[perm], state.n_qubits)

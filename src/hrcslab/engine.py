@@ -1,12 +1,13 @@
 """Protocol execution: per-step unitary, bath measurement, optional reset,
 final system measurement.
 
-Four modes share one circuit description: batched trajectory sampling
-(``run_trajectory`` is the sampler at one shot), forced-outcome replay of
-recorded paths, exact enumeration of the joint outcome distribution (one
-batch per tree level), and a density-matrix oracle for the depolarizing-noise
-variant.  The three pure-state modes advance a (rows, 2^n) amplitude batch
-through one step kernel, ``_propagate``, and one collapse/reset, ``_keep_branch``.
+Four modes share one circuit description: batched trajectory sampling,
+forced-outcome replay of recorded paths, exact enumeration of the joint
+outcome distribution (one batch per tree level), and a density-matrix oracle
+for the depolarizing-noise variant.  The three pure-state modes hold their
+states only as rows of a (rows, 2^n) amplitude batch, advanced through one
+step kernel, ``_propagate``, and rebuilt after each bath outcome (kept at z,
+or reset to 0) by ``_keep_branch``.
 
 Outcome indexing: a joint outcome (z_1, ..., z_t, x) maps to the integer with
 z_1 in the most significant bit block and x in the least significant one.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,6 @@ from . import circuits
 from .circuits import GateSequence, apply_gate_sequence_batch, build_hea, sample_hea_params
 from .core import (
     PROB_FLOOR,
-    QubitSubset,
     UnitaryMatrix,
     _apply_unitary_batch,
     sample_haar_unitary,
@@ -83,14 +84,6 @@ class HrcsConfig:
     @property
     def n_eff(self) -> int:
         return self.n_system + self.steps * self.n_bath
-
-    @property
-    def system(self) -> QubitSubset:
-        return QubitSubset.range(0, self.n_system)
-
-    @property
-    def bath(self) -> QubitSubset:
-        return QubitSubset.range(self.n_system, self.n_system + self.n_bath)
 
     def hash(self) -> str:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -281,7 +274,7 @@ class TrajectoryBatch:
 
 
 def _batch_random_paulis(
-    amps: np.ndarray, targets: QubitSubset, n: int, gamma: float, rng: np.random.Generator
+    amps: np.ndarray, targets: Sequence[int], n: int, gamma: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Trajectory unraveling of the depolarizing channel across a (shots, 2^n)
     batch: with probability 1-gamma a row gets a Pauli string drawn uniformly
@@ -296,7 +289,7 @@ def _batch_random_paulis(
     codes = np.where(hit, rng.integers(4 ** m, size=shots), 0)
     rows = np.flatnonzero(codes)  # code 0 is the all-identity string
     digits = (codes[rows, None] >> (2 * np.arange(m))) & 3
-    bits = 1 << np.asarray(targets.indices)
+    bits = 1 << np.asarray(targets)
     flip_mask = np.where((digits == 1) | (digits == 2), bits, 0).sum(axis=1)
     zy_mask = np.where(digits >= 2, bits, 0).sum(axis=1)
     n_y = (digits == 2).sum(axis=1, dtype=np.uint8)
@@ -314,9 +307,12 @@ def sample_trajectories(
     n_shots: int,
     noise: NoiseModel | None,
     rng: np.random.Generator,
-    with_ideal: bool = False,
 ) -> TrajectoryBatch:
-    """Sample n_shots protocol runs of the same circuit, all advanced as one batch."""
+    """Sample n_shots protocol runs of the same circuit, all advanced as one batch.
+
+    Noiseless runs carry their model probabilities as ideal probabilities;
+    noisy ones carry none (``ideal_probabilities_batch`` replays them).
+    """
     _check_trajectory_capacity(config)
     _check_steps(config, unitaries)
     n, n_sys, n_bath = config.n_qubits, config.n_system, config.n_bath
@@ -332,8 +328,8 @@ def sample_trajectories(
     for k, step in enumerate(unitaries):
         amps = _propagate(amps, step, n)
         if noisy:
-            amps = _batch_random_paulis(amps, config.system, n, noise.gamma_system, rng)
-            amps = _batch_random_paulis(amps, config.bath, n, noise.gamma_bath, rng)
+            amps = _batch_random_paulis(amps, range(n_sys), n, noise.gamma_system, rng)
+            amps = _batch_random_paulis(amps, range(n_sys, n), n, noise.gamma_bath, rng)
         # bath qubits are the high bits: axis 1 of (shots, d_bath, d_sys)
         blocks = amps.reshape(n_shots, d_bath, d_sys)
         probs = np.abs(blocks) ** 2
@@ -357,27 +353,8 @@ def sample_trajectories(
     if np.any(p_x < PROB_FLOOR):
         raise DegenerateBranchError("sampled final branch below underflow floor")
     model_prob *= p_x
-
-    ideal: np.ndarray | None
-    if not noisy:
-        ideal = model_prob.copy()
-    elif with_ideal:
-        ideal = ideal_probabilities_batch(config, unitaries, bath_outcomes, x)
-    else:
-        ideal = None
+    ideal = None if noisy else model_prob.copy()
     return TrajectoryBatch(bath_outcomes, x, model_prob, ideal)
-
-
-def run_trajectory(
-    config: HrcsConfig,
-    unitaries: list[StepUnitary],
-    noise: NoiseModel | None,
-    rng: np.random.Generator,
-    with_ideal: bool = False,
-) -> TrajectoryRecord:
-    """Sample one full protocol run and its path probability: the batched
-    sampler at one shot."""
-    return sample_trajectories(config, unitaries, 1, noise, rng, with_ideal).record(0)
 
 
 def ideal_probability(

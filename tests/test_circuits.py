@@ -9,7 +9,6 @@ import pytest
 from hrcslab import (
     ConfigurationError,
     GateSequence,
-    Statevector,
     build_hea,
     gate_sequence_to_unitary,
     hea_gate_count,
@@ -18,7 +17,7 @@ from hrcslab import (
 from hrcslab.circuits import Gate, TWO_TURNS, apply_gate_sequence_batch, brickwork_pairs
 from hrcslab.theory import haar_power_sum
 
-from conftest import random_state
+from conftest import random_state, zero_batch
 
 
 class TestParamSampling:
@@ -117,13 +116,13 @@ class TestDenseCompilation:
         u = gate_sequence_to_unitary(seq, n)
         assert u.unitarity_defect() < 1e-9
         state = random_state(n, seed=41 + n)
-        stepped = apply_gate_sequence_batch(state.amplitudes[None, :], seq, n)[0]
-        np.testing.assert_allclose(stepped, u.entries @ state.amplitudes, atol=1e-9)
+        stepped = apply_gate_sequence_batch(state[None, :], seq, n)[0]
+        np.testing.assert_allclose(stepped, u.entries @ state, atol=1e-9)
 
     def test_applying_to_zero_state_matches_first_column(self, rng):
         seq = build_hea(3, sample_hea_params(3, 2, rng))
         u = gate_sequence_to_unitary(seq, 3)
-        out = apply_gate_sequence_batch(Statevector.zero(3).amplitudes[None, :], seq, 3)[0]
+        out = apply_gate_sequence_batch(zero_batch(3), seq, 3)[0]
         np.testing.assert_allclose(out, u.entries[:, 0], atol=1e-9)
 
     def test_register_cap(self):
@@ -159,7 +158,7 @@ class TestHaarConvergence:
             for b in range(instances):
                 gen = np.random.default_rng(1_000_000 + 977 * layers + b)
                 seq = build_hea(n, sample_hea_params(n, layers, gen))
-                amps = apply_gate_sequence_batch(Statevector.zero(n).amplitudes[None, :], seq, n)[0]
+                amps = apply_gate_sequence_batch(zero_batch(n), seq, n)[0]
                 vals.append(float(np.sum(np.abs(amps) ** 4)))
             arr = np.asarray(vals)
             means.append(arr.mean())

@@ -1,5 +1,6 @@
-"""Statevector primitive tests: gate application, measurement, collapse,
-reset, Pauli strings, and the Haar sampler's moment checks."""
+"""Amplitude-batch tests: gate application on (rows, 2^n) batches, Born
+probabilities, bath collapse and reset, Pauli strings, and the Haar
+sampler's moment checks."""
 
 import itertools
 
@@ -11,50 +12,89 @@ from hypothesis import strategies as st
 from hrcslab import (
     ConfigurationError,
     DegenerateBranchError,
-    QubitSubset,
-    Statevector,
+    HrcsConfig,
     UnitaryMatrix,
-    apply_pauli_string,
-    apply_unitary,
-    collapse,
-    measure_probabilities,
-    reset_to_zero,
+    enumerate_joint_distribution,
+    marginalize,
     sample_haar_state,
     sample_haar_unitary,
+    sample_trajectories,
 )
-from hrcslab.core import PAULI_MATRICES, pauli_labels_from_index
+from hrcslab.core import PAULI_MATRICES, _apply_unitary_batch
+from hrcslab.engine import _batch_random_paulis, _keep_branch, ideal_probabilities_batch
 
-from conftest import haar_on, random_state, subset
+from conftest import haar_on, pauli_string_matrix, random_state, zero_batch
+
+BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
-def bell_state():
-    return Statevector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), 2)
+def preparing(psi: np.ndarray) -> UnitaryMatrix:
+    """A unitary whose first column is ``psi``: one step of it from |0...0>
+    hands ``psi`` to the engine's bath and system measurements."""
+    basis = np.eye(psi.size, dtype=complex)
+    basis[:, 0] = psi
+    q, r = np.linalg.qr(basis)
+    q[:, 0] *= r[0, 0]  # |r_00| = 1, and q[:, 0] * r_00 = psi
+    return UnitaryMatrix(q)
+
+
+def one_step(psi: np.ndarray, n_system: int):
+    """Config and step list of a single step preparing ``psi``; the bath is
+    the register's high qubits."""
+    n = psi.size.bit_length() - 1
+    config = HrcsConfig(n_system=n_system, n_bath=n - n_system, steps=1)
+    return config, [preparing(psi)]
+
+
+def basis_state(n: int, index: int) -> np.ndarray:
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[index] = 1.0
+    return psi
+
+
+class FixedCodes:
+    """Stands in for the generator of ``_batch_random_paulis`` at gamma = 0:
+    every row is hit and draws the given Pauli code."""
+
+    def __init__(self, codes):
+        self.codes = np.asarray(codes)
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def integers(self, high, size):
+        assert size == self.codes.size and np.all(self.codes < high)
+        return self.codes
+
+
+def apply_codes(amps, codes, targets, n):
+    return _batch_random_paulis(amps, targets, n, 0.0, FixedCodes(codes))
 
 
 class TestApplyUnitary:
     def test_identity_leaves_state_unchanged(self):
-        state = random_state(3, seed=5)
-        out = apply_unitary(state, UnitaryMatrix(np.eye(4)), subset(0, 2))
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+        states = np.stack([random_state(3, seed=5 + r) for r in range(4)])
+        out = _apply_unitary_batch(states, np.eye(4), (0, 2), 3)
+        np.testing.assert_allclose(out, states, atol=1e-12)
 
     def test_x_on_qubit0_maps_00_to_01(self):
-        out = apply_unitary(Statevector.zero(2), UnitaryMatrix(PAULI_MATRICES["X"]), subset(0))
-        np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0], atol=1e-12)
+        out = _apply_unitary_batch(zero_batch(2), PAULI_MATRICES["X"], (0,), 2)
+        np.testing.assert_allclose(out, [[0, 1, 0, 0]], atol=1e-12)
 
     def test_x_on_qubit1_maps_00_to_10(self):
-        out = apply_unitary(Statevector.zero(2), UnitaryMatrix(PAULI_MATRICES["X"]), subset(1))
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 1, 0], atol=1e-12)
+        out = _apply_unitary_batch(zero_batch(2), PAULI_MATRICES["X"], (1,), 2)
+        np.testing.assert_allclose(out, [[0, 0, 1, 0]], atol=1e-12)
 
     def test_full_register_unitary_extracts_first_column(self):
         u = haar_on(3, seed=11)
-        out = apply_unitary(Statevector.zero(3), u, subset(0, 1, 2))
-        np.testing.assert_allclose(out.amplitudes, u.entries[:, 0], atol=1e-12)
+        out = _apply_unitary_batch(zero_batch(3, rows=2), u.entries, (0, 1, 2), 3)
+        np.testing.assert_allclose(out, [u.entries[:, 0]] * 2, atol=1e-12)
 
     def test_partial_application_matches_kron_oracle(self):
         # 2-qubit gate on qubits (0, 2) of 3; dense oracle built by hand
         u = haar_on(2, seed=3)
-        state = random_state(3, seed=8)
-        out = apply_unitary(state, u, subset(0, 2))
+        states = np.stack([random_state(3, seed=8 + r) for r in range(3)])
+        out = _apply_unitary_batch(states, u.entries, (0, 2), 3)
         big = np.zeros((8, 8), dtype=complex)
         for i, j in itertools.product(range(8), range(8)):
             if (i >> 1) & 1 != (j >> 1) & 1:
@@ -62,22 +102,18 @@ class TestApplyUnitary:
             row = ((i >> 2) << 1) | (i & 1)
             col = ((j >> 2) << 1) | (j & 1)
             big[i, j] = u.entries[row, col]
-        np.testing.assert_allclose(out.amplitudes, big @ state.amplitudes, atol=1e-12)
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ConfigurationError):
-            apply_unitary(Statevector.zero(2), UnitaryMatrix(np.eye(4)), subset(0))
+        np.testing.assert_allclose(out, states @ big.T, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 5), st.integers(0, 2**31 - 1), st.data())
-    def test_norm_preserved(self, n, seed, data):
-        state = random_state(n, seed)
+    @given(st.integers(1, 5), st.integers(0, 2**31 - 1), st.integers(1, 3), st.data())
+    def test_norm_preserved(self, n, seed, rows, data):
+        states = np.stack([random_state(n, seed + r) for r in range(rows)])
         k = data.draw(st.integers(1, n))
         targets = tuple(sorted(data.draw(
             st.sets(st.integers(0, n - 1), min_size=k, max_size=k))))
         u = haar_on(len(targets), seed ^ 0x5EED)
-        out = apply_unitary(state, u, QubitSubset(targets))
-        assert abs(out.norm() - 1.0) < 1e-10
+        out = _apply_unitary_batch(states, u.entries, targets, n)
+        assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-10)
 
 
 class TestHaarSampler:
@@ -124,121 +160,138 @@ class TestHaarSampler:
 
 
 class TestMeasureProbabilities:
+    """Born probabilities as the engine reads them off one step: the bath is
+    the high qubits, the system the low ones."""
+
     def test_basis_state_single_target(self):
-        probs = measure_probabilities(Statevector.basis(2, 0b01), subset(0))
-        np.testing.assert_allclose(probs, [0, 1], atol=1e-12)
+        config, steps = one_step(basis_state(2, 0b01), n_system=1)
+        dist = enumerate_joint_distribution(config, steps)
+        np.testing.assert_allclose(marginalize(dist, config, "spatial"), [0, 1], atol=1e-12)
+        np.testing.assert_allclose(marginalize(dist, config, "temporal"), [1, 0], atol=1e-12)
 
     def test_bell_state_is_balanced(self):
-        probs = measure_probabilities(bell_state(), subset(1))
-        np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
+        config, steps = one_step(BELL, n_system=1)
+        dist = enumerate_joint_distribution(config, steps)
+        np.testing.assert_allclose(marginalize(dist, config, "temporal"), [0.5, 0.5], atol=1e-12)
 
     def test_all_qubits_equals_amplitude_squares(self):
-        state = random_state(4, seed=2)
-        probs = measure_probabilities(state, subset(0, 1, 2, 3))
-        np.testing.assert_allclose(probs, np.abs(state.amplitudes) ** 2, atol=1e-12)
+        psi = random_state(4, seed=2)
+        config, steps = one_step(psi, n_system=2)
+        dist = enumerate_joint_distribution(config, steps)
+        np.testing.assert_allclose(dist.probabilities, np.abs(psi) ** 2, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 5), st.integers(0, 2**31 - 1), st.data())
+    @given(st.integers(2, 5), st.integers(0, 2**31 - 1), st.data())
     def test_born_rule_normalization(self, n, seed, data):
-        state = random_state(n, seed)
-        k = data.draw(st.integers(1, n))
-        targets = QubitSubset(tuple(sorted(data.draw(
-            st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))))
-        probs = measure_probabilities(state, targets)
-        assert abs(probs.sum() - 1.0) < 1e-10
+        n_system = data.draw(st.integers(1, n - 1))
+        config, steps = one_step(random_state(n, seed), n_system)
+        dist = enumerate_joint_distribution(config, steps)
+        for kind in ("spatial", "temporal"):
+            assert abs(marginalize(dist, config, kind).sum() - 1.0) < 1e-10
 
 
 class TestCollapse:
     def test_bell_collapse(self):
-        state, prob = collapse(bell_state(), subset(0), 1)
-        assert prob == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-12)
+        # the system reads what the bath read, each with probability 1/2
+        config, steps = one_step(BELL, n_system=1)
+        batch = sample_trajectories(config, steps, 200, None, np.random.default_rng(4))
+        np.testing.assert_array_equal(batch.final_outcomes, batch.bath_outcomes[:, 0])
+        assert set(batch.final_outcomes.tolist()) == {0, 1}
+        np.testing.assert_allclose(batch.model_probabilities, 0.5, atol=1e-12)
 
     def test_basis_state_idempotent(self):
-        basis = Statevector.basis(3, 0b101)
-        state, prob = collapse(basis, subset(0, 2), 0b11)
-        assert prob == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(state.amplitudes, basis.amplitudes, atol=1e-12)
+        # |101> on 1 system + 2 bath qubits: bath 0b10, system 1, with certainty
+        psi = basis_state(3, 0b101)
+        config, steps = one_step(psi, n_system=1)
+        batch = sample_trajectories(config, steps, 50, None, np.random.default_rng(6))
+        assert np.all(batch.bath_outcomes == 0b10) and np.all(batch.final_outcomes == 1)
+        np.testing.assert_allclose(batch.model_probabilities, 1.0, atol=1e-12)
+        kept = _keep_branch(np.array([[0, 1]], dtype=complex), np.array([0b10]), 4, reset=False)
+        np.testing.assert_array_equal(kept, psi[None, :])
 
     def test_probability_matches_measure_entry(self):
-        state = random_state(3, seed=4)
-        targets = subset(0, 2)
-        probs = measure_probabilities(state, targets)
-        for outcome in range(4):
-            _, p = collapse(state, targets, outcome)
-            assert p == pytest.approx(probs[outcome], abs=1e-12)
+        psi = random_state(3, seed=4)
+        config, steps = one_step(psi, n_system=1)
+        batch = sample_trajectories(config, steps, 2000, None, np.random.default_rng(5))
+        expected = np.abs(psi[batch.joint_indices(config)]) ** 2
+        np.testing.assert_allclose(batch.model_probabilities, expected, rtol=1e-10)
 
     def test_zero_probability_branch_raises(self):
+        config = HrcsConfig(n_system=1, n_bath=1, steps=1)
         with pytest.raises(DegenerateBranchError):
-            collapse(Statevector.zero(2), subset(0), 1)
+            sample_trajectories(
+                config, [UnitaryMatrix(np.zeros((4, 4)))], 3, None, np.random.default_rng(0)
+            )
 
     def test_collapse_probabilities_sum_to_one(self):
-        state = random_state(4, seed=17)
-        targets = subset(1, 3)
-        total = sum(collapse(state, targets, o)[1] for o in range(4))
-        assert abs(total - 1.0) < 1e-10
+        # forced replay of every (z, x) path: per bath outcome the paths sum
+        # to that outcome's Born weight, and all of them to one
+        psi = random_state(4, seed=17)
+        config, steps = one_step(psi, n_system=2)
+        z, x = (a.reshape(-1) for a in np.meshgrid(np.arange(4), np.arange(4), indexing="ij"))
+        probs = ideal_probabilities_batch(config, steps, z[:, None], x).reshape(4, 4)
+        bath_weights = (np.abs(psi.reshape(4, 4)) ** 2).sum(axis=1)
+        np.testing.assert_allclose(probs.sum(axis=1), bath_weights, atol=1e-12)
+        assert abs(probs.sum() - 1.0) < 1e-10
 
 
 class TestReset:
+    """``_keep_branch`` puts each row's kept system block at bath 0 after a
+    reset and at bath z without one; every other entry is zero."""
+
     def test_full_flip(self):
-        out = reset_to_zero(Statevector.basis(2, 0b11), subset(0, 1), 0b11)
-        np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0], atol=1e-12)
+        # |11> on 1 system + 1 bath qubit, bath read 1: the reset bath reads 0
+        kept = _keep_branch(np.array([[0, 1]], dtype=complex), np.array([1]), 2, reset=True)
+        np.testing.assert_array_equal(kept, [[0, 1, 0, 0]])
 
     def test_zero_outcome_is_identity(self):
-        state = random_state(3, seed=9)
-        out = reset_to_zero(state, subset(1, 2), 0)
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+        picked = np.stack([random_state(2, seed=9 + r) for r in range(3)])
+        zeros = np.zeros(3, dtype=np.int64)
+        with_reset = _keep_branch(picked, zeros, 4, reset=True)
+        np.testing.assert_array_equal(with_reset, _keep_branch(picked, zeros, 4, reset=False))
+        np.testing.assert_array_equal(with_reset[:, :4], picked)
+        assert not np.any(with_reset[:, 4:])
 
     def test_reset_then_measure_gives_zero(self):
-        state = random_state(3, seed=12)
-        targets = subset(1, 2)
-        for outcome in range(4):
-            collapsed, _ = collapse(state, targets, outcome)
-            reset = reset_to_zero(collapsed, targets, outcome)
-            probs = measure_probabilities(reset, targets)
-            assert probs[0] == pytest.approx(1.0, abs=1e-10)
+        d_sys, d_bath = 2, 4
+        picked = np.stack([random_state(1, seed=12 + r) for r in range(8)])
+        z = np.arange(8) % d_bath
+        for reset in (True, False):
+            blocks = _keep_branch(picked, z, d_bath, reset).reshape(-1, d_bath, d_sys)
+            for row, block in enumerate(blocks):
+                at = 0 if reset else z[row]
+                np.testing.assert_array_equal(block[at], picked[row])
+                assert not np.any(np.delete(block, at, axis=0))
 
 
 class TestPauliStrings:
     def test_identity_string(self):
-        state = random_state(3, seed=3)
-        out = apply_pauli_string(state, "III", subset(0, 1, 2))
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+        states = np.stack([random_state(3, seed=3 + r) for r in range(4)])
+        out = apply_codes(states.copy(), [0, 0, 0, 0], (0, 1, 2), 3)
+        np.testing.assert_array_equal(out, states)
 
     def test_x_on_qubit0(self):
-        out = apply_pauli_string(Statevector.zero(2), "X", subset(0))
-        np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0], atol=1e-12)
+        out = apply_codes(zero_batch(2), [1], (0,), 2)
+        np.testing.assert_allclose(out, [[0, 1, 0, 0]], atol=1e-12)
 
     def test_matches_dense_pauli_matrices(self):
+        # all 16 two-qubit strings, one per row, against their Kronecker products
         state = random_state(2, seed=6)
-        for i in range(16):
-            labels = pauli_labels_from_index(i, 2)
-            out = apply_pauli_string(state, labels, subset(0, 1))
-            dense = np.kron(PAULI_MATRICES[labels[1]], PAULI_MATRICES[labels[0]])
+        out = apply_codes(np.tile(state, (16, 1)), np.arange(16), (0, 1), 2)
+        for code in range(16):
             np.testing.assert_allclose(
-                out.amplitudes, dense @ state.amplitudes, atol=1e-12, err_msg=labels
+                out[code], pauli_string_matrix(code, (0, 1), 2) @ state, atol=1e-12,
+                err_msg=str(code),
             )
-
-    def test_label_count_mismatch_raises(self):
-        with pytest.raises(ConfigurationError):
-            apply_pauli_string(Statevector.zero(2), "XX", subset(0))
 
     def test_random_string_marginal_is_uniform(self, rng):
         # MC average of |amps|^2 on the twirled subset vs the exact channel
         # output (full depolarization replaces the marginal by uniform)
-        state = random_state(3, seed=23)
-        targets = subset(0, 1)
         draws = 100_000
-        acc = np.zeros(4)
-        codes = rng.integers(16, size=draws)
-        for code in range(16):
-            count = int(np.sum(codes == code))
-            if count == 0:
-                continue
-            labels = pauli_labels_from_index(code, 2)
-            twirled = apply_pauli_string(state, labels, targets)
-            acc += count * measure_probabilities(twirled, targets)
-        marginal = acc / draws
+        amps = np.tile(random_state(3, seed=23), (draws, 1))
+        twirled = _batch_random_paulis(amps, (0, 1), 3, 0.0, rng)
+        # qubits 0, 1 are the low two bits: axis 2 of (draws, 2, 4)
+        marginal = (np.abs(twirled) ** 2).reshape(draws, 2, 4).sum(axis=1).mean(axis=0)
         se = np.sqrt(0.25 * 0.75 / draws)  # binomial bound per outcome
         oracle = np.full(4, 0.25)  # exact channel at full strength: uniform
         assert np.all(np.abs(marginal - oracle) < 3 * se + 1e-3)
@@ -250,20 +303,13 @@ class TestPauliUnraveling:
         # trajectory-averaged rho vs gamma rho + (1-gamma) I/2 (x) tr_sub rho
         gamma = 0.6
         state = random_state(2, seed=77)
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-        targets = subset(0)
+        rho = np.outer(state, state.conj())
 
-        draws = 1_000_000
-        hit = rng.random(draws) < 1 - gamma
-        codes = np.where(hit, rng.integers(4, size=draws), 0)
+        draws, chunk = 1_000_000, 100_000
         avg = np.zeros((4, 4), dtype=complex)
-        for code in range(4):
-            count = int(np.sum(codes == code))
-            if count == 0:
-                continue
-            labels = pauli_labels_from_index(code, 1)
-            out = apply_pauli_string(state, labels, targets)
-            avg += (count / draws) * np.outer(out.amplitudes, out.amplitudes.conj())
+        for _ in range(draws // chunk):
+            out = _batch_random_paulis(np.tile(state, (chunk, 1)), (0,), 2, gamma, rng)
+            avg += out.T @ out.conj() / draws
 
         shaped = rho.reshape(2, 2, 2, 2)  # (q1_row, q0_row, q1_col, q0_col)
         traced = np.einsum("iaja->ij", shaped)  # trace out qubit 0
@@ -273,17 +319,3 @@ class TestPauliUnraveling:
         diff = avg - expected
         trace_distance = 0.5 * np.sum(np.linalg.svd(diff, compute_uv=False))
         assert trace_distance < 5e-3
-
-
-class TestQubitSubset:
-    def test_rejects_unsorted(self):
-        with pytest.raises(ConfigurationError):
-            QubitSubset((2, 1))
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ConfigurationError):
-            QubitSubset((1, 1))
-
-    def test_rejects_out_of_range_at_use(self):
-        with pytest.raises(ConfigurationError):
-            measure_probabilities(Statevector.zero(2), subset(3))

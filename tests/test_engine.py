@@ -13,7 +13,6 @@ from hrcslab import (
     ConfigurationError,
     HrcsConfig,
     NoiseModel,
-    QubitSubset,
     UnitaryMatrix,
     enumerate_joint_distribution,
     enumerate_noisy_joint_distribution,
@@ -23,11 +22,9 @@ from hrcslab import (
     marginalize,
     power_sum_exact,
     replay_no_reset_equivalence,
-    run_trajectory,
     sample_trajectories,
     theory,
 )
-from hrcslab.core import pauli_labels_from_index, pauli_permutation
 from hrcslab.engine import (
     _batch_random_paulis,
     depolarize_density,
@@ -39,7 +36,12 @@ from hrcslab.engine import (
 )
 from hrcslab.circuits import GateSequence
 
-from conftest import small_config
+from conftest import pauli_string_matrix, small_config
+
+
+def one_shot(config, unitaries, rng):
+    """One protocol run: the batched sampler at a single shot."""
+    return sample_trajectories(config, unitaries, 1, None, rng).record(0)
 
 
 def identity_steps(config):
@@ -134,7 +136,7 @@ class TestInstantiation:
 class TestTrajectories:
     def test_identity_circuit(self):
         cfg = small_config(steps=3)
-        rec = run_trajectory(cfg, identity_steps(cfg), None, np.random.default_rng(0))
+        rec = one_shot(cfg, identity_steps(cfg), np.random.default_rng(0))
         assert rec.bath_outcomes == (0, 0, 0)
         assert rec.final_outcome == 0
         assert rec.model_probability == pytest.approx(1.0, abs=1e-12)
@@ -146,7 +148,7 @@ class TestTrajectories:
         dist = enumerate_joint_distribution(cfg, steps)
         rng = np.random.default_rng(5)
         for _ in range(25):
-            rec = run_trajectory(cfg, steps, None, rng)
+            rec = one_shot(cfg, steps, rng)
             idx = outcome_index(cfg, rec.bath_outcomes, rec.final_outcome)
             assert rec.model_probability == pytest.approx(dist.probabilities[idx], rel=1e-10)
 
@@ -171,9 +173,7 @@ class TestTrajectories:
         batch = sample_trajectories(cfg, steps, 30_000, None, rng)
         stats = ensemble_aggregate(batch.model_probabilities)
         assert abs(stats.mean - exact) < 4 * stats.std_error
-        singles = [
-            run_trajectory(cfg, steps, None, rng).model_probability for _ in range(3000)
-        ]
+        singles = [one_shot(cfg, steps, rng).model_probability for _ in range(3000)]
         stats_single = ensemble_aggregate(singles)
         assert abs(stats_single.mean - exact) < 4 * stats_single.std_error
 
@@ -370,19 +370,18 @@ class TestMarginalize:
 class TestPauliUnraveling:
     @pytest.mark.parametrize("targets", [(0, 1), (2, 3, 4), (1,)])
     def test_matches_per_string_permutation(self, targets):
+        # each row against the dense Kronecker product of its drawn string;
+        # the oracle's entries are 0, +-1, +-i, so the match is bitwise
         n, shots, gamma = 5, 300, 0.2
         gen = np.random.default_rng(3)
         amps = gen.standard_normal((shots, 1 << n)) + 1j * gen.standard_normal((shots, 1 << n))
-        subset = QubitSubset.of(*targets)
         expected = amps.copy()
         draws = np.random.default_rng(8)
         hit = draws.random(shots) < 1.0 - gamma
         codes = np.where(hit, draws.integers(4 ** len(targets), size=shots), 0)
         for row, code in enumerate(codes):
-            labels = pauli_labels_from_index(int(code), len(targets))
-            perm, phase = pauli_permutation(labels, subset, n)
-            expected[row] = amps[row, perm] * phase
-        got = _batch_random_paulis(amps.copy(), subset, n, gamma, np.random.default_rng(8))
+            expected[row] = pauli_string_matrix(int(code), targets, n) @ amps[row]
+        got = _batch_random_paulis(amps.copy(), targets, n, gamma, np.random.default_rng(8))
         np.testing.assert_array_equal(got, expected)
 
 
@@ -508,7 +507,7 @@ class TestStepMatrices:
 class TestSerialization:
     def test_trajectory_record_json(self):
         cfg = small_config(steps=2)
-        rec = run_trajectory(cfg, identity_steps(cfg), None, np.random.default_rng(0))
+        rec = one_shot(cfg, identity_steps(cfg), np.random.default_rng(0))
         doc = rec.to_json_dict(config_hash=cfg.hash(), seed=12)
         assert doc["seed"] == 12
         assert doc["bath_outcomes"] == ["0x0", "0x0"]

@@ -1,7 +1,9 @@
 """Experiment driver tests: spec validation, determinism, parallel/serial
 equivalence, record layout, and file formats."""
 
+import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,10 @@ class TestSpecParsing:
             {"gammas": (True,)},
             {"epsilon": 0},
             {"epsilon": "1"},
+            {"epsilon": float("inf")},
+            {"out": True},
+            {"out": 3},
+            {"out": ""},
             {"kind": "theory_table", "theory_family": "noisy_xeb_exact"},
         ],
         ids=str,
@@ -128,6 +134,26 @@ class TestCapacity:
         )
         with pytest.raises(CapacityError, match="GB"):
             run_experiment(spec)
+
+    @pytest.mark.parametrize("kind", ["xeb", "noisy_xeb"])
+    @pytest.mark.parametrize("source", ["haar", "hea"])
+    def test_sampler_peak_within_live_copies(self, kind, source):
+        # what _check_capacity budgets per shot batch bounds what one instance
+        # of a sampled kind holds, replay included
+        gamma = 0.7 if kind == "noisy_xeb" else None
+        spec = ExperimentSpec(
+            kind=kind, n_system=4, n_bath=4, steps=(3,), gammas=(gamma,) if gamma else (),
+            instances=1, shots=2000, unitary_source=source,
+            hea_layers=4 if source == "hea" else None, master_seed=3,
+        )
+        tracemalloc.start()
+        try:
+            runner_mod._instance(dataclasses.asdict(spec), 3, gamma, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        batch_bytes = spec.shots * (16 << (spec.n_system + spec.n_bath))
+        assert peak < runner_mod.SAMPLER_LIVE_COPIES * batch_bytes
 
     @pytest.mark.parametrize(
         "path",
@@ -251,6 +277,15 @@ class TestDeterminism:
         a = run_experiment(cp_spec())
         b = run_experiment(cp_spec())
         assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_refused(self, workers, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(runner_mod, "_instance", no_work)
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_experiment(cp_spec(), workers=workers)
 
     def test_worker_count_invariance(self):
         serial = run_experiment(cp_spec(), workers=1)
