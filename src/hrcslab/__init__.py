@@ -16,10 +16,9 @@ from .engine import (
     JointDistribution,
     NoiseModel,
     TrajectoryBatch,
-    TrajectoryRecord,
     enumerate_joint_distribution,
     enumerate_noisy_joint_distribution,
-    ideal_probability,
+    ideal_probabilities_batch,
     instantiate_circuit,
     marginalize,
     replay_no_reset_equivalence,
@@ -55,7 +54,6 @@ __all__ = [
     "PopHistogram",
     "ResultRecord",
     "TrajectoryBatch",
-    "TrajectoryRecord",
     "UnitaryMatrix",
     "build_hea",
     "ensemble_aggregate",
@@ -63,7 +61,7 @@ __all__ = [
     "enumerate_noisy_joint_distribution",
     "gate_sequence_to_unitary",
     "hea_gate_count",
-    "ideal_probability",
+    "ideal_probabilities_batch",
     "instantiate_circuit",
     "marginalize",
     "merge_stats",

@@ -9,16 +9,17 @@ states only as rows of a (rows, 2^n) amplitude batch, advanced through one
 step kernel, ``_propagate``, and rebuilt after each bath outcome (kept at z,
 or reset to 0) by ``_keep_branch``.
 
-Outcome indexing: a joint outcome (z_1, ..., z_t, x) maps to the integer with
-z_1 in the most significant bit block and x in the least significant one.
-Within each block the register's own low qubit is the low bit.
+A sampled path is a row of ``TrajectoryBatch``.  Outcome indexing: a joint
+outcome (z_1, ..., z_t, x) maps to the integer with z_1 in the most
+significant bit block and x in the least significant one (the order of
+``TrajectoryBatch.joint_indices`` and of enumerated leaves).  Within each
+block the register's own low qubit is the low bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -38,8 +39,6 @@ TRAJECTORY_MAX_QUBITS = 24
 ENUMERATION_MAX_BITS = 22
 NOISY_ORACLE_MAX_QUBITS = 8
 NOISY_ORACLE_MAX_BITS = 20
-
-BIT_ORDER = "z1..zt|x; z1 most significant, x least significant"
 
 UNITARY_SOURCES = ("haar", "hea")
 
@@ -85,10 +84,6 @@ class HrcsConfig:
     def n_eff(self) -> int:
         return self.n_system + self.steps * self.n_bath
 
-    def hash(self) -> str:
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
-        return hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -112,34 +107,11 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    """One sampled outcome path with its Born-probability product."""
-
-    bath_outcomes: tuple[int, ...]
-    final_outcome: int
-    model_probability: float
-    ideal_probability: float | None = None
-
-    def to_json_dict(self, config_hash: str = "", seed: int | None = None) -> dict:
-        rec = {
-            "config_hash": config_hash,
-            "bath_outcomes": [format(z, "#x") for z in self.bath_outcomes],
-            "final_outcome": format(self.final_outcome, "#x"),
-            "model_probability": self.model_probability,
-            "ideal_probability": self.ideal_probability,
-        }
-        if seed is not None:
-            rec["seed"] = seed
-        return rec
-
-
-@dataclass(frozen=True)
 class JointDistribution:
     """Exact probability vector over all 2^n_eff spatiotemporal outcomes."""
 
     probabilities: np.ndarray
     n_eff: int
-    bit_order: str = BIT_ORDER
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
@@ -153,37 +125,6 @@ class JointDistribution:
 
     def total(self) -> float:
         return float(self.probabilities.sum())
-
-    def to_jsonl_lines(self, config_hash: str = ""):
-        for outcome, prob in enumerate(self.probabilities):
-            yield json.dumps(
-                {
-                    "config_hash": config_hash,
-                    "n_eff": self.n_eff,
-                    "bit_order": self.bit_order,
-                    "outcome": format(outcome, "#x"),
-                    "probability": float(prob),
-                },
-                sort_keys=True,
-            )
-
-
-def outcome_index(config: HrcsConfig, bath_outcomes, final_outcome: int) -> int:
-    """Pack (z_1..z_t, x) into the joint outcome integer."""
-    idx = 0
-    for z in bath_outcomes:
-        idx = (idx << config.n_bath) | int(z)
-    return (idx << config.n_system) | int(final_outcome)
-
-
-def split_outcome_index(config: HrcsConfig, index: int) -> tuple[tuple[int, ...], int]:
-    x = index & ((1 << config.n_system) - 1)
-    index >>= config.n_system
-    zs = []
-    for _ in range(config.steps):
-        zs.append(index & ((1 << config.n_bath) - 1))
-        index >>= config.n_bath
-    return tuple(reversed(zs)), x
 
 
 def instance_seed(config: HrcsConfig, instance_index: int) -> int:
@@ -252,19 +193,9 @@ class TrajectoryBatch:
     bath_outcomes: np.ndarray  # (shots, steps) ints
     final_outcomes: np.ndarray  # (shots,) ints
     model_probabilities: np.ndarray  # (shots,)
-    ideal_probabilities: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.final_outcomes.size
-
-    def record(self, i: int) -> TrajectoryRecord:
-        ideal = None if self.ideal_probabilities is None else float(self.ideal_probabilities[i])
-        return TrajectoryRecord(
-            tuple(int(z) for z in self.bath_outcomes[i]),
-            int(self.final_outcomes[i]),
-            float(self.model_probabilities[i]),
-            ideal,
-        )
 
     def joint_indices(self, config: HrcsConfig) -> np.ndarray:
         idx = np.zeros(len(self), dtype=np.int64)
@@ -310,8 +241,8 @@ def sample_trajectories(
 ) -> TrajectoryBatch:
     """Sample n_shots protocol runs of the same circuit, all advanced as one batch.
 
-    Noiseless runs carry their model probabilities as ideal probabilities;
-    noisy ones carry none (``ideal_probabilities_batch`` replays them).
+    A noiseless run's model probabilities are its ideal probabilities; a
+    noisy run's paths are replayed by ``ideal_probabilities_batch``.
     """
     _check_trajectory_capacity(config)
     _check_steps(config, unitaries)
@@ -353,31 +284,7 @@ def sample_trajectories(
     if np.any(p_x < PROB_FLOOR):
         raise DegenerateBranchError("sampled final branch below underflow floor")
     model_prob *= p_x
-    ideal = None if noisy else model_prob.copy()
-    return TrajectoryBatch(bath_outcomes, x, model_prob, ideal)
-
-
-def ideal_probability(
-    config: HrcsConfig,
-    unitaries: list[StepUnitary],
-    bath_outcomes,
-    final_outcome: int,
-) -> float:
-    """Joint probability of one forced outcome path under the noiseless circuit.
-
-    Projections are applied without renormalizing, so the squared final
-    amplitude is the full product of branch probabilities; an impossible
-    branch yields an exact 0.
-    """
-    bath_outcomes = tuple(int(z) for z in bath_outcomes)
-    _validate_outcomes(config, bath_outcomes, final_outcome)
-    batch = ideal_probabilities_batch(
-        config,
-        unitaries,
-        np.asarray(bath_outcomes, dtype=np.int64)[None, :],
-        np.asarray([final_outcome], dtype=np.int64),
-    )
-    return float(batch[0])
+    return TrajectoryBatch(bath_outcomes, x, model_prob)
 
 
 def ideal_probabilities_batch(
@@ -386,11 +293,22 @@ def ideal_probabilities_batch(
     bath_outcomes: np.ndarray,
     final_outcomes: np.ndarray,
 ) -> np.ndarray:
-    """Forced-outcome replay for many paths at once; rows index paths."""
+    """Joint probabilities of forced outcome paths under the noiseless circuit;
+    row i is the path (bath_outcomes[i], final_outcomes[i]).
+
+    Projections are applied without renormalizing, so each squared final
+    amplitude is the full product of branch probabilities; an impossible
+    branch yields an exact 0.
+    """
     _check_steps(config, unitaries)
     n, n_sys, n_bath = config.n_qubits, config.n_system, config.n_bath
     d_sys, d_bath = 1 << n_sys, 1 << n_bath
-    shots = bath_outcomes.shape[0]
+    shots = final_outcomes.shape[0]
+    if bath_outcomes.shape != (shots, config.steps) or not (
+        np.all((0 <= bath_outcomes) & (bath_outcomes < d_bath))
+        and np.all((0 <= final_outcomes) & (final_outcomes < d_sys))
+    ):
+        raise ConfigurationError(f"outcomes out of shape or range for {config.steps} steps")
     rows = np.arange(shots)
 
     amps = np.zeros((shots, 1 << n), dtype=complex)
@@ -410,7 +328,7 @@ def enumerate_joint_distribution(
 
     Step k advances all d_B^k live branches as one (d_B^k, 2^n) batch through
     the step kernel; each row then splits into d_B children, appended as
-    row * d_B + z, so the leaves come out in ``BIT_ORDER``.  States are
+    row * d_B + z, so the leaves come out in joint-outcome order.  States are
     propagated unnormalized: every leaf value is already the product of its
     branch probabilities, and a zero-weight branch yields exact zeros.
     """
@@ -555,14 +473,3 @@ def _check_trajectory_capacity(config: HrcsConfig) -> None:
         raise CapacityError(
             f"trajectory register of {config.n_qubits} qubits exceeds {TRAJECTORY_MAX_QUBITS}"
         )
-
-
-def _validate_outcomes(config: HrcsConfig, bath_outcomes: tuple[int, ...], final_outcome: int) -> None:
-    if len(bath_outcomes) != config.steps:
-        raise ConfigurationError(
-            f"{len(bath_outcomes)} bath outcomes for {config.steps} steps"
-        )
-    if any(not 0 <= z < 1 << config.n_bath for z in bath_outcomes):
-        raise ConfigurationError("bath outcome out of range")
-    if not 0 <= final_outcome < 1 << config.n_system:
-        raise ConfigurationError("final outcome out of range")

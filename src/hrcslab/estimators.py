@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import JointDistribution, TrajectoryBatch
+from .engine import JointDistribution
 from .errors import ConfigurationError
 from .theory import pop_density, porter_thomas_cdf
 
@@ -35,9 +35,6 @@ class EnsembleStats:
             raise ConfigurationError(f"non-finite mean {self.mean}")
         if self.std_error < 0:
             raise ConfigurationError(f"negative standard error {self.std_error}")
-
-    def to_json_dict(self) -> dict:
-        return {"count": self.count, "mean": self.mean, "std_error": self.std_error}
 
 
 def ensemble_aggregate(values: Sequence[float] | np.ndarray) -> EnsembleStats:
@@ -65,12 +62,6 @@ def merge_stats(a: EnsembleStats, b: EnsembleStats) -> EnsembleStats:
     return EnsembleStats(n, mean, se)
 
 
-def _model_probabilities(trajectories) -> np.ndarray:
-    if isinstance(trajectories, TrajectoryBatch):
-        return trajectories.model_probabilities
-    return np.asarray([r.model_probability for r in trajectories], dtype=float)
-
-
 def power_sum_exact(dist: JointDistribution | np.ndarray, order: int) -> float:
     """Sum of p^K over an exact distribution."""
     if order < 1:
@@ -80,16 +71,16 @@ def power_sum_exact(dist: JointDistribution | np.ndarray, order: int) -> float:
     return math.fsum(powered.tolist())
 
 
-def power_sum_mc(trajectories, order: int) -> EnsembleStats:
-    """Monte Carlo power-sum estimate from noiseless trajectories.
+def power_sum_mc(model_probabilities: Sequence[float] | np.ndarray, order: int) -> EnsembleStats:
+    """Monte Carlo power-sum estimate from the model probabilities of
+    noiseless trajectories (``TrajectoryBatch.model_probabilities``).
 
     E_{y~p}[p(y)^(K-1)] = sum_y p(y)^K, so averaging the (K-1)-th power of
     the recorded path probability is unbiased.
     """
     if order < 2:
         raise ConfigurationError(f"power-sum order must be >= 2, got {order}")
-    probs = _model_probabilities(trajectories)
-    return ensemble_aggregate(probs ** (order - 1))
+    return ensemble_aggregate(np.asarray(model_probabilities, dtype=float) ** (order - 1))
 
 
 def xeb_estimate(ideal_probabilities: Sequence[float] | np.ndarray, n_eff: int) -> EnsembleStats:

@@ -10,6 +10,7 @@ instance index) alone, and records are emitted in parameter order.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -97,7 +98,7 @@ def _xeb(spec, config, unitaries, gamma, index) -> list[float]:
     t = config.steps
     if gamma is None:
         rng = np.random.default_rng(derive_seed(spec.master_seed, "shots", t, index))
-        ideal = sample_trajectories(config, unitaries, spec.shots, None, rng).ideal_probabilities
+        ideal = sample_trajectories(config, unitaries, spec.shots, None, rng).model_probabilities
     else:
         rng = np.random.default_rng(derive_seed(spec.master_seed, "noisy-shots", t, gamma, index))
         batch = sample_trajectories(config, unitaries, spec.shots, NoiseModel(gamma, gamma), rng)
@@ -189,6 +190,10 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 # replay included: tracemalloc at 4+4 qubits, 2000 shots, t = 3 measures 5.03
 # with Haar steps and 5.65 with a 4-layer HEA
 SAMPLER_LIVE_COPIES = 6
+# (instances, 2^n_eff) float arrays a pop_hist point holds at its peak (the
+# kept distributions, their pooled copy and the KS/histogram temporaries):
+# tracemalloc measures 9.0-9.1 at 2+2/t=4, 2+1/t=12 and 3+2/t=6
+POP_HIST_LIVE_COPIES = 10
 
 CSV_COLUMNS = ("n_A", "n_B", "t", "K", "gamma", "statistic", "mean", "std_error", "theory_value")
 
@@ -263,13 +268,17 @@ class ExperimentSpec:
                 )
             if self.theory_family in GAMMA_FAMILIES and not self.gammas:
                 raise ConfigurationError(f"{self.theory_family} needs a gammas list")
-        if self.kind in ("ps_sweep",) and any(k < 2 for k in self.k_orders):
+        if self.kind in ("ps_sweep", "theory_table") and not self.k_orders:
+            raise ConfigurationError(f"{self.kind} needs at least one k_orders entry")
+        if self.kind == "ps_sweep" and any(k < 2 for k in self.k_orders):
             raise ConfigurationError("power-sum orders must be >= 2")
         if self.kind == "noisy_xeb" and not self.gammas:
             raise ConfigurationError("noisy_xeb needs at least one gamma")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentSpec":
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"config must be a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - {f.name for f in dataclasses.fields(cls)} - {"schema_version"}
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
@@ -391,15 +400,22 @@ def _check_capacity(spec: ExperimentSpec) -> None:
     engine = KIND_TABLE[spec.kind].engine
     n_eff_max = spec.n_system + max(spec.steps) * spec.n_bath
     n_phys = spec.n_system + spec.n_bath
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if engine == "enumerate" and n_eff_max > ENUMERATION_MAX_BITS:
         raise CapacityError(
             f"{spec.kind} enumerates {n_eff_max} effective bits, limit {ENUMERATION_MAX_BITS}"
         )
+    if spec.kind == "pop_hist":
+        need = spec.instances * (8 << n_eff_max) * POP_HIST_LIVE_COPIES
+        if need > memory:
+            raise CapacityError(
+                f"pooling {spec.instances} instances of {n_eff_max} effective bits needs about "
+                f"{need / 1e9:.3g} GB, more than the {memory / 1e9:.3g} GB of physical memory"
+            )
     if engine == "sample":
         if n_phys > TRAJECTORY_MAX_QUBITS:
             raise CapacityError(f"{n_phys} physical qubits exceed {TRAJECTORY_MAX_QUBITS}")
         need = spec.shots * (16 << n_phys) * SAMPLER_LIVE_COPIES
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > memory:
             raise CapacityError(
                 f"{spec.shots} shots on {n_phys} qubits need about {need / 1e9:.3g} GB of "
@@ -407,10 +423,9 @@ def _check_capacity(spec: ExperimentSpec) -> None:
             )
 
 
-def _instance(spec_dict: dict, t: int, gamma: float | None, index: int):
+def _instance(spec: ExperimentSpec, t: int, gamma: float | None, index: int):
     """Measure ensemble member ``index`` at ``t`` steps as its kind says (top
     level so process pools can pickle it)."""
-    spec = ExperimentSpec(**spec_dict)
     config = spec.config_for(t)
     unitaries = instantiate_circuit(config, index)
     return KIND_TABLE[spec.kind].measure(spec, config, unitaries, gamma, index)
@@ -420,38 +435,28 @@ class InstanceFailure(RuntimeError):
     """One ensemble member failed; carries enough context to reproduce it."""
 
 
-def _failure(args, exc) -> "InstanceFailure":
-    spec_dict, t, index = args[0], args[1], args[-1]
-    spec = ExperimentSpec(**spec_dict)
-    seed = instance_seed(spec.config_for(t), index)
-    return InstanceFailure(
-        f"instance {index} at t={t} (stream seed {seed:#x}) failed: {exc}"
-    )
-
-
-def _run_instances(args_list, workers: int):
-    """Map instance jobs, preserving order; a failing instance aborts the
-    whole run with its stream seed reported.  Serial when workers == 1."""
-    results = []
-    if workers <= 1:
-        for args in args_list:
+def _run_instances(spec: ExperimentSpec, t: int, gamma: float | None, workers: int) -> list:
+    """Measure every instance at one point, in index order; a failing instance
+    aborts the whole run with its stream seed reported.  Serial when
+    workers == 1."""
+    indices = range(spec.instances)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        results = (pool.map if pool else map)(
+            _instance, itertools.repeat(spec), itertools.repeat(t), itertools.repeat(gamma), indices
+        )
+        rows = []
+        for index in indices:
             try:
-                results.append(_instance(*args))
+                rows.append(next(results))
             except (ConfigurationError, CapacityError):
                 raise
             except Exception as exc:  # noqa: BLE001
-                raise _failure(args, exc) from exc
-        return results
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_instance, *args) for args in args_list]
-        for args, fut in zip(args_list, futures):
-            try:
-                results.append(fut.result())
-            except (ConfigurationError, CapacityError):
-                raise
-            except Exception as exc:  # noqa: BLE001
-                raise _failure(args, exc) from exc
-        return results
+                seed = instance_seed(spec.config_for(t), index)
+                raise InstanceFailure(
+                    f"instance {index} at t={t} (stream seed {seed:#x}) failed: {exc}"
+                ) from exc
+        return rows
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]:
@@ -461,7 +466,6 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]
     _check_capacity(spec)
     kind = KIND_TABLE[spec.kind]
     spec_hash = spec.hash()
-    spec_dict = dataclasses.asdict(spec)
     records: list[ResultRecord] = []
     for t, k, gamma in kind.points(spec):
         statistics = kind.statistics(spec, k)
@@ -472,8 +476,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]
         if kind.measure is None:
             measured = [EnsembleStats(1, value, 0.0) for value in values]
         else:
-            args = [(spec_dict, t, gamma, b) for b in range(spec.instances)]
-            measured = kind.aggregate(spec, t, _run_instances(args, workers))
+            measured = kind.aggregate(spec, t, _run_instances(spec, t, gamma, workers))
         for (statistic, order, _, source), stats, value in zip(statistics, measured, values):
             records.append(ResultRecord(
                 spec_hash, spec.n_system, spec.n_bath, t, order, gamma,

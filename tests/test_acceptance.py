@@ -166,11 +166,11 @@ def test_criterion_06_monte_carlo_vs_enumeration():
         batch = sample_trajectories(cfg, steps, 10_000, None, rng)
         for order in (2, 3):
             exact = power_sum_exact(dist, order)
-            stats = power_sum_mc(batch, order)
+            stats = power_sum_mc(batch.model_probabilities, order)
             if abs(stats.mean - exact) > 4 * stats.std_error:
                 failures.append(("ps", instance, order))
         xeb_target = 2.0 ** cfg.n_eff * power_sum_exact(dist, 2) - 1
-        xeb_stats = xeb_estimate(batch.ideal_probabilities, cfg.n_eff)
+        xeb_stats = xeb_estimate(batch.model_probabilities, cfg.n_eff)
         if abs(xeb_stats.mean - xeb_target) > 4 * xeb_stats.std_error:
             failures.append(("xeb", instance))
     report(6, "trajectory power sums and XEB within 4 SE of enumeration", failures)

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from hrcslab.cli import main
 
@@ -73,6 +74,14 @@ def test_missing_out_fails(tmp_path, capsys):
 
 def test_missing_config_file_fails(tmp_path, capsys):
     assert main(["cp-sweep", "--config", str(tmp_path / "absent.json"), "--out", "x"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", ["[]", "3"])
+def test_non_object_config_fails(tmp_path, capsys, body):
+    config = tmp_path / "spec.json"
+    config.write_text(body)
+    assert main(["cp-sweep", "--config", str(config), "--out", "x.jsonl"]) == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -2,7 +2,6 @@
 against the closed-form layer."""
 
 import dataclasses
-import json
 import tracemalloc
 
 import numpy as np
@@ -17,7 +16,7 @@ from hrcslab import (
     enumerate_joint_distribution,
     enumerate_noisy_joint_distribution,
     ensemble_aggregate,
-    ideal_probability,
+    ideal_probabilities_batch,
     instantiate_circuit,
     marginalize,
     power_sum_exact,
@@ -29,9 +28,6 @@ from hrcslab.engine import (
     _batch_random_paulis,
     depolarize_density,
     derive_seed,
-    ideal_probabilities_batch,
-    outcome_index,
-    split_outcome_index,
     step_matrices,
 )
 from hrcslab.circuits import GateSequence
@@ -40,8 +36,17 @@ from conftest import pauli_string_matrix, small_config
 
 
 def one_shot(config, unitaries, rng):
-    """One protocol run: the batched sampler at a single shot."""
-    return sample_trajectories(config, unitaries, 1, None, rng).record(0)
+    """One protocol run: the batched sampler at a single shot (row 0)."""
+    return sample_trajectories(config, unitaries, 1, None, rng)
+
+
+def all_paths(config):
+    """Every joint outcome in index order, decoded into the replay's
+    (bath_outcomes, final_outcomes) columns: z_1 most significant, x least."""
+    idx = np.arange(1 << config.n_eff)
+    shifts = config.n_system + config.n_bath * np.arange(config.steps - 1, -1, -1)
+    bath = (idx[:, None] >> shifts) & ((1 << config.n_bath) - 1)
+    return bath, idx & ((1 << config.n_system) - 1)
 
 
 def identity_steps(config):
@@ -136,11 +141,13 @@ class TestInstantiation:
 class TestTrajectories:
     def test_identity_circuit(self):
         cfg = small_config(steps=3)
-        rec = one_shot(cfg, identity_steps(cfg), np.random.default_rng(0))
-        assert rec.bath_outcomes == (0, 0, 0)
-        assert rec.final_outcome == 0
-        assert rec.model_probability == pytest.approx(1.0, abs=1e-12)
-        assert rec.ideal_probability == pytest.approx(1.0, abs=1e-12)
+        steps = identity_steps(cfg)
+        shot = one_shot(cfg, steps, np.random.default_rng(0))
+        assert shot.bath_outcomes[0].tolist() == [0, 0, 0]
+        assert shot.final_outcomes[0] == 0
+        assert shot.model_probabilities[0] == pytest.approx(1.0, abs=1e-12)
+        ideal = ideal_probabilities_batch(cfg, steps, shot.bath_outcomes, shot.final_outcomes)
+        assert ideal[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_noiseless_model_probability_equals_joint_probability(self):
         cfg = small_config()
@@ -148,9 +155,9 @@ class TestTrajectories:
         dist = enumerate_joint_distribution(cfg, steps)
         rng = np.random.default_rng(5)
         for _ in range(25):
-            rec = one_shot(cfg, steps, rng)
-            idx = outcome_index(cfg, rec.bath_outcomes, rec.final_outcome)
-            assert rec.model_probability == pytest.approx(dist.probabilities[idx], rel=1e-10)
+            shot = one_shot(cfg, steps, rng)
+            idx = shot.joint_indices(cfg)[0]
+            assert shot.model_probabilities[0] == pytest.approx(dist.probabilities[idx], rel=1e-10)
 
     def test_single_step_haar_cp_estimate(self):
         # ensemble mean of the path probability estimates the two-qubit Haar
@@ -173,7 +180,7 @@ class TestTrajectories:
         batch = sample_trajectories(cfg, steps, 30_000, None, rng)
         stats = ensemble_aggregate(batch.model_probabilities)
         assert abs(stats.mean - exact) < 4 * stats.std_error
-        singles = [one_shot(cfg, steps, rng).model_probability for _ in range(3000)]
+        singles = [one_shot(cfg, steps, rng).model_probabilities[0] for _ in range(3000)]
         stats_single = ensemble_aggregate(singles)
         assert abs(stats_single.mean - exact) < 4 * stats_single.std_error
 
@@ -187,16 +194,6 @@ class TestTrajectories:
         freq = hist / len(batch)
         se = np.sqrt(dist.probabilities * (1 - dist.probabilities) / len(batch))
         assert np.all(np.abs(freq - dist.probabilities) <= 4 * se + 1e-9)
-
-    def test_batch_record_view(self):
-        cfg = small_config()
-        steps = instantiate_circuit(cfg, 0)
-        batch = sample_trajectories(cfg, steps, 5, None, np.random.default_rng(1))
-        rec = batch.record(2)
-        assert rec.bath_outcomes == tuple(int(z) for z in batch.bath_outcomes[2])
-        assert rec.final_outcome == int(batch.final_outcomes[2])
-        assert rec.model_probability == pytest.approx(float(batch.model_probabilities[2]))
-        assert rec.ideal_probability == pytest.approx(rec.model_probability)
 
     def test_fully_depolarized_bath_outcomes_uniform(self):
         # gamma -> 0 on both registers: bath outcomes uniform, matching the
@@ -216,21 +213,18 @@ class TestTrajectories:
 class TestIdealProbability:
     def test_identity_circuit_zero_path(self):
         cfg = small_config(steps=2)
-        steps = identity_steps(cfg)
-        assert ideal_probability(cfg, steps, (0, 0), 0) == pytest.approx(1.0, abs=1e-12)
+        ideal = ideal_probabilities_batch(cfg, identity_steps(cfg), *all_paths(cfg))
+        assert ideal[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_circuit_orthogonal_path(self):
         cfg = small_config(steps=2)
-        steps = identity_steps(cfg)
-        assert ideal_probability(cfg, steps, (1, 0), 0) == 0.0
+        ideal = ideal_probabilities_batch(cfg, identity_steps(cfg), *all_paths(cfg))
+        assert np.all(ideal[1:] == 0.0)
 
     def test_paths_sum_to_one(self):
         cfg = small_config()
         steps = instantiate_circuit(cfg, 4)
-        total = 0.0
-        for idx in range(1 << cfg.n_eff):
-            zs, x = split_outcome_index(cfg, idx)
-            total += ideal_probability(cfg, steps, zs, x)
+        total = ideal_probabilities_batch(cfg, steps, *all_paths(cfg)).sum()
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_enumeration_entrywise(self):
@@ -238,16 +232,23 @@ class TestIdealProbability:
             cfg = small_config(reset_bath=reset)
             steps = instantiate_circuit(cfg, 6)
             dist = enumerate_joint_distribution(cfg, steps)
-            for idx in range(1 << cfg.n_eff):
-                zs, x = split_outcome_index(cfg, idx)
-                assert ideal_probability(cfg, steps, zs, x) == pytest.approx(
-                    dist.probabilities[idx], abs=1e-12
-                )
+            ideal = ideal_probabilities_batch(cfg, steps, *all_paths(cfg))
+            assert ideal == pytest.approx(dist.probabilities, abs=1e-12)
 
     def test_outcome_shape_validation(self):
         cfg = small_config(steps=2)
         with pytest.raises(ConfigurationError):
-            ideal_probability(cfg, identity_steps(cfg), (0,), 0)
+            ideal_probabilities_batch(
+                cfg, identity_steps(cfg), np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
+            )
+
+    @pytest.mark.parametrize("bath, final", [((-1, 0), 0), ((2, 0), 0), ((0, 0), -1), ((0, 0), 4)])
+    def test_outcome_range_validation(self, bath, final):
+        cfg = small_config(steps=2)  # 1 bath qubit, 2 system qubits
+        with pytest.raises(ConfigurationError):
+            ideal_probabilities_batch(
+                cfg, identity_steps(cfg), np.array([bath]), np.array([final])
+            )
 
 
 class TestEnumeration:
@@ -502,33 +503,6 @@ class TestStepMatrices:
         dense = instantiate_circuit(dense_cfg, 0)
         for m, u in zip(step_matrices(dense_cfg, dense), dense):
             np.testing.assert_array_equal(m, u.entries)
-
-
-class TestSerialization:
-    def test_trajectory_record_json(self):
-        cfg = small_config(steps=2)
-        rec = one_shot(cfg, identity_steps(cfg), np.random.default_rng(0))
-        doc = rec.to_json_dict(config_hash=cfg.hash(), seed=12)
-        assert doc["seed"] == 12
-        assert doc["bath_outcomes"] == ["0x0", "0x0"]
-        assert doc["final_outcome"] == "0x0"
-        json.dumps(doc)
-
-    def test_distribution_jsonl(self):
-        cfg = small_config(n_system=1, steps=1)
-        dist = enumerate_joint_distribution(cfg, instantiate_circuit(cfg, 0))
-        lines = list(dist.to_jsonl_lines(config_hash="abc"))
-        assert len(lines) == 1 << cfg.n_eff
-        parsed = [json.loads(line) for line in lines]
-        assert parsed[0]["config_hash"] == "abc"
-        total = sum(p["probability"] for p in parsed)
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_outcome_index_round_trip(self):
-        cfg = small_config(n_bath=2, steps=3)
-        for idx in (0, 5, 100, (1 << cfg.n_eff) - 1):
-            zs, x = split_outcome_index(cfg, idx)
-            assert outcome_index(cfg, zs, x) == idx
 
 
 class TestStepCount:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hrcslab import (
     ConfigurationError,
     EnsembleStats,
-    TrajectoryRecord,
     ensemble_aggregate,
     enumerate_joint_distribution,
     instantiate_circuit,
@@ -58,8 +57,7 @@ class TestPowerSumExact:
 
 class TestPowerSumMc:
     def test_delta_distribution_records(self):
-        records = [TrajectoryRecord((0,), 0, 1.0, 1.0) for _ in range(10)]
-        stats = power_sum_mc(records, 2)
+        stats = power_sum_mc(np.ones(10), 2)
         assert stats.mean == pytest.approx(1.0, abs=1e-12)
         assert stats.std_error == 0.0
 
@@ -70,12 +68,12 @@ class TestPowerSumMc:
         exact = power_sum_exact(enumerate_joint_distribution(cfg, steps), order)
         rng = np.random.default_rng(19)
         batch = sample_trajectories(cfg, steps, 10_000, None, rng)
-        stats = power_sum_mc(batch, order)
+        stats = power_sum_mc(batch.model_probabilities, order)
         assert abs(stats.mean - exact) < 4 * stats.std_error
 
     def test_rejects_order_one(self):
         with pytest.raises(ConfigurationError):
-            power_sum_mc([TrajectoryRecord((0,), 0, 1.0)], 1)
+            power_sum_mc(np.ones(1), 1)
 
 
 class TestXebEstimate:
@@ -101,7 +99,7 @@ class TestXebEstimate:
         target = 2.0 ** cfg.n_eff * exact - 1
         rng = np.random.default_rng(23)
         batch = sample_trajectories(cfg, steps, 20_000, None, rng)
-        stats = xeb_estimate(batch.ideal_probabilities, cfg.n_eff)
+        stats = xeb_estimate(batch.model_probabilities, cfg.n_eff)
         assert abs(stats.mean - target) < 4 * stats.std_error
 
     def test_noiseless_ensemble_fidelity_two_steps(self):
@@ -116,7 +114,7 @@ class TestXebEstimate:
             steps = instantiate_circuit(cfg, b)
             rng = np.random.default_rng(derive_seed(92, "xeb92", b))
             batch = sample_trajectories(cfg, steps, 300, None, rng)
-            means.append(xeb_estimate(batch.ideal_probabilities, cfg.n_eff).mean)
+            means.append(xeb_estimate(batch.model_probabilities, cfg.n_eff).mean)
         stats = ensemble_aggregate(means)
         assert abs(stats.mean - 0.92) < 4 * stats.std_error
 

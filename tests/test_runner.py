@@ -1,7 +1,6 @@
 """Experiment driver tests: spec validation, determinism, parallel/serial
 equivalence, record layout, and file formats."""
 
-import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -101,6 +100,8 @@ class TestSpecParsing:
             {"out": 3},
             {"out": ""},
             {"kind": "theory_table", "theory_family": "noisy_xeb_exact"},
+            {"kind": "ps_sweep", "k_orders": ()},
+            {"kind": "theory_table", "theory_family": "hrcs_power_sum", "k_orders": ()},
         ],
         ids=str,
     )
@@ -148,12 +149,36 @@ class TestCapacity:
         )
         tracemalloc.start()
         try:
-            runner_mod._instance(dataclasses.asdict(spec), 3, gamma, 0)
+            runner_mod._instance(spec, 3, gamma, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         batch_bytes = spec.shots * (16 << (spec.n_system + spec.n_bath))
         assert peak < runner_mod.SAMPLER_LIVE_COPIES * batch_bytes
+
+    def test_pooled_distributions_beyond_memory_refused_before_work(self, monkeypatch):
+        # 10^4 instances of 2^22 probabilities are 336 GB per pooled copy
+        def no_work(*args):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(runner_mod, "_instance", no_work)
+        spec = ExperimentSpec(kind="pop_hist", n_system=2, n_bath=2, steps=(10,), instances=10_000)
+        with pytest.raises(CapacityError, match="GB"):
+            run_experiment(spec)
+
+    def test_pop_hist_peak_within_live_copies(self):
+        # what _check_capacity budgets per pooled copy bounds a pop_hist point
+        spec = ExperimentSpec(
+            kind="pop_hist", n_system=2, n_bath=1, steps=(12,), instances=30, master_seed=1
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pooled_bytes = spec.instances * (8 << (spec.n_system + 12 * spec.n_bath))
+        assert peak < runner_mod.POP_HIST_LIVE_COPIES * pooled_bytes
 
     @pytest.mark.parametrize(
         "path",
