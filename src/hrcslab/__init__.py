@@ -7,7 +7,6 @@ from .circuits import (
     GateSequence,
     HeaParams,
     build_hea,
-    gate_sequence_to_unitary,
     hea_gate_count,
     sample_hea_params,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "ensemble_aggregate",
     "enumerate_joint_distribution",
     "enumerate_noisy_joint_distribution",
-    "gate_sequence_to_unitary",
     "hea_gate_count",
     "ideal_probabilities_batch",
     "instantiate_circuit",

@@ -1,5 +1,6 @@
 """Step-unitary generation: Haar matrices live in core; this module builds the
-one-dimensional hardware-efficient ansatz (HEA) used as a cheap stand-in.
+one-dimensional hardware-efficient ansatz (HEA) used as a cheap stand-in, and
+applies it gate by gate to an amplitude batch.
 
 One HEA layer rotates every qubit (RX then RZ) and then entangles with a fixed
 brickwork of CNOTs: pairs (2i, 2i+1) first, pairs (2i+1, 2i+2) second, pairs
@@ -8,13 +9,11 @@ falling off the register dropped.  Angles are drawn uniformly from [0, 4*pi).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UnitaryMatrix, _apply_unitary_batch
 from .errors import ConfigurationError
 
 TWO_TURNS = 4.0 * math.pi
@@ -59,19 +58,6 @@ class GateSequence:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"kind": g.kind, "qubits": list(g.qubits), "angle": g.angle} for g in self.gates]
-        )
-
-    @classmethod
-    def from_json(cls, text: str, n_qubits: int) -> "GateSequence":
-        records = json.loads(text)
-        gates = tuple(
-            Gate(r["kind"], tuple(r["qubits"]), r.get("angle")) for r in records
-        )
-        return cls(gates, n_qubits)
 
 
 @dataclass(frozen=True)
@@ -161,41 +147,32 @@ def _rz_matrix(phi: float) -> np.ndarray:
     )
 
 
-def _cnot_matrix(control_pos: int, target_pos: int) -> np.ndarray:
-    # positions are within the sorted 2-qubit subspace, position 0 = LSB
-    m = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        cb = (i >> control_pos) & 1
-        m[i ^ (cb << target_pos), i] = 1.0
-    return m
-
-
-def gate_operands(gate: Gate) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Dense matrix and ascending qubit tuple realizing ``gate``."""
-    if gate.kind == "rx":
-        return _rx_matrix(gate.angle), gate.qubits
-    if gate.kind == "rz":
-        return _rz_matrix(gate.angle), gate.qubits
-    control, target = gate.qubits
-    lo, hi = sorted(gate.qubits)
-    return _cnot_matrix(int(control != lo), int(target != lo)), (lo, hi)
+def _apply_2x2(amps: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
+    """Apply a 2x2 matrix on qubit q of every row, through the strided view
+    (rows, 2^(n-q-1), 2, 2^q) whose axis 2 is qubit q."""
+    view = amps.reshape(amps.shape[0], -1, 2, 1 << q)
+    lo, hi = view[:, :, 0], view[:, :, 1]
+    out = np.empty_like(view)
+    np.multiply(matrix[0, 0], lo, out=out[:, :, 0])
+    out[:, :, 0] += matrix[0, 1] * hi
+    np.multiply(matrix[1, 1], hi, out=out[:, :, 1])
+    out[:, :, 1] += matrix[1, 0] * lo
+    return out.reshape(amps.shape)
 
 
 def apply_gate_sequence_batch(amps: np.ndarray, seq: GateSequence, n_qubits: int) -> np.ndarray:
-    """Apply the sequence to every row of a (batch, 2^n) amplitude array."""
+    """Apply the sequence to every row of a (batch, 2^n) amplitude array.
+
+    A rotation is one 2x2 product on a strided view; a CNOT is one index
+    gather, entry j of every row taking the amplitude at j ^ ((bit c of j) << t).
+    The input is never written to.
+    """
+    idx = np.arange(1 << n_qubits)
     for gate in seq.gates:
-        matrix, qubits = gate_operands(gate)
-        amps = _apply_unitary_batch(amps, matrix, qubits, n_qubits)
+        if gate.kind == "cnot":
+            c, t = gate.qubits
+            amps = amps[:, idx ^ (((idx >> c) & 1) << t)]
+        else:
+            rotation = _rx_matrix if gate.kind == "rx" else _rz_matrix
+            amps = _apply_2x2(amps, rotation(gate.angle), gate.qubits[0])
     return amps
-
-
-def gate_sequence_to_unitary(seq: GateSequence, n_qubits: int) -> UnitaryMatrix:
-    """Dense matrix of the whole sequence; small-register oracle, n <= 12."""
-    if n_qubits > 12:
-        raise ConfigurationError(f"dense circuit matrix limited to 12 qubits, got {n_qubits}")
-    if seq.n_qubits != n_qubits:
-        raise ConfigurationError("sequence register size does not match n_qubits")
-    d = 1 << n_qubits
-    cols = np.eye(d, dtype=complex)  # row b = basis state |b> evolving under the sequence
-    cols = apply_gate_sequence_batch(cols, seq, n_qubits)
-    return UnitaryMatrix(cols.T)

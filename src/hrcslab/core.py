@@ -1,14 +1,16 @@
-"""The amplitude-batch kernel and Haar sampling.
+"""Dense unitaries and Haar sampling.
 
 Every pure state in this package is a row of a (rows, 2^n) complex batch;
-``_apply_unitary_batch`` applies a dense matrix on some of its qubits to all
-rows at once.  ``PAULI_MATRICES`` is the dense oracle the tests check the
-batched Pauli unraveling against.
+``engine._propagate`` advances such a batch by a ``UnitaryMatrix`` step and
+``circuits.apply_gate_sequence_batch`` by a gate sequence.
+``PAULI_MATRICES`` is the dense oracle the tests check the batched Pauli
+unraveling against.
 
 Bit convention used everywhere in this package: qubit 0 is the least
 significant bit of the amplitude index, so the basis state
-|q_{n-1} ... q_1 q_0> lives at index sum_i q_i 2^i.  A reshaped tensor
-view ``amps.reshape([2]*n)`` of one row therefore has qubit ``q`` on axis ``n-1-q``.
+|q_{n-1} ... q_1 q_0> lives at index sum_i q_i 2^i.  The view
+``amps.reshape(rows, 2^(n-q-1), 2, 2^q)`` of a batch therefore has qubit ``q``
+on axis 2.
 """
 
 from __future__ import annotations
@@ -47,23 +49,6 @@ class UnitaryMatrix:
         """Max-abs deviation of U^dag U from the identity."""
         d = self.dim
         return float(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))))
-
-
-def _apply_unitary_batch(amps: np.ndarray, entries: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix on ``qubits`` to a (batch, 2^n) amplitude array.
-
-    ``qubits`` must be ascending; qubits[0] is the least significant bit of
-    the matrix's own index space.
-    """
-    k = len(qubits)
-    batch = amps.shape[0]
-    t = amps.reshape((batch,) + (2,) * n)
-    # tensor axes carrying qubits q_{k-1}..q_0, matching the matrix bit order
-    axes = [1 + (n - 1 - q) for q in reversed(qubits)]
-    g = entries.reshape((2,) * (2 * k))
-    out = np.tensordot(g, t, axes=(list(range(k, 2 * k)), axes))
-    out = np.moveaxis(out, range(k), axes)
-    return np.ascontiguousarray(out).reshape(batch, -1)
 
 
 def sample_haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:

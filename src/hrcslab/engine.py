@@ -6,8 +6,9 @@ forced-outcome replay of recorded paths, exact enumeration of the joint
 outcome distribution (one batch per tree level), and a density-matrix oracle
 for the depolarizing-noise variant.  The three pure-state modes hold their
 states only as rows of a (rows, 2^n) amplitude batch, advanced through one
-step kernel, ``_propagate``, and rebuilt after each bath outcome (kept at z,
-or reset to 0) by ``_keep_branch``.
+step kernel, ``_propagate`` (a dense step is one matrix product, a gate
+sequence runs gate by gate in ``circuits``), and rebuilt after each bath
+outcome (kept at z, or reset to 0) by ``_keep_branch``.
 
 A sampled path is a row of ``TrajectoryBatch``.  Outcome indexing: a joint
 outcome (z_1, ..., z_t, x) maps to the integer with z_1 in the most
@@ -25,14 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuits
 from .circuits import GateSequence, apply_gate_sequence_batch, build_hea, sample_hea_params
-from .core import (
-    PROB_FLOOR,
-    UnitaryMatrix,
-    _apply_unitary_batch,
-    sample_haar_unitary,
-)
+from .core import PROB_FLOOR, UnitaryMatrix, sample_haar_unitary
 from .errors import CapacityError, ConfigurationError, DegenerateBranchError
 
 TRAJECTORY_MAX_QUBITS = 24
@@ -156,21 +151,22 @@ def instantiate_circuit(config: HrcsConfig, instance_index: int) -> list[StepUni
 
 
 def step_matrices(config: HrcsConfig, unitaries: list[StepUnitary]) -> list[np.ndarray]:
-    """Dense matrices of the step unitaries (gate sequences get compiled)."""
-    out = []
-    for step in unitaries:
-        if isinstance(step, UnitaryMatrix):
-            out.append(step.entries)
-        else:
-            out.append(circuits.gate_sequence_to_unitary(step, config.n_qubits).entries)
-    return out
+    """Dense matrices of the step unitaries.  A gate sequence is applied to
+    the identity batch, whose row b is then column b of the matrix."""
+    identity = np.eye(1 << config.n_qubits, dtype=complex)
+    return [
+        step.entries if isinstance(step, UnitaryMatrix)
+        else apply_gate_sequence_batch(identity, step, config.n_qubits).T
+        for step in unitaries
+    ]
 
 
 def _propagate(amps: np.ndarray, step: StepUnitary, n: int) -> np.ndarray:
     """The step kernel: apply one step unitary to every row of a (rows, 2^n)
-    amplitude batch."""
+    amplitude batch.  A dense step is one matrix product on the transposed
+    view, with no copy of the input."""
     if isinstance(step, UnitaryMatrix):
-        return _apply_unitary_batch(amps, step.entries, tuple(range(n)), n)
+        return np.ascontiguousarray(np.dot(step.entries, amps.T).T)
     return apply_gate_sequence_batch(amps, step, n)
 
 

@@ -147,15 +147,23 @@ def pop_histogram(
 
 def ks_distance_to_porter_thomas(values: Sequence[float] | np.ndarray, n_eff: int) -> float:
     """Kolmogorov-Smirnov distance between sampled outcome probabilities and
-    the Porter-Thomas law at dimension 2^n_eff."""
+    the Porter-Thomas law at dimension 2^n_eff.
+
+    Holds three arrays of the input's length: the sorted copy (reused for the
+    gaps once the CDF is taken), the CDF, and the ECDF steps j/n, of which
+    entries 1..n lie above each sorted value and 0..n-1 below it.
+    """
     vals = np.sort(np.asarray(values, dtype=float))
-    if vals.size == 0:
+    n = vals.size
+    if n == 0:
         raise ConfigurationError("cannot compute KS distance of zero values")
     cdf = porter_thomas_cdf(2.0 ** n_eff, vals)
-    n = vals.size
-    ecdf_hi = np.arange(1, n + 1) / n
-    ecdf_lo = np.arange(0, n) / n
-    return float(np.max(np.maximum(ecdf_hi - cdf, cdf - ecdf_lo)))
+    ecdf = np.arange(n + 1, dtype=float)
+    ecdf /= n
+    gap = np.subtract(ecdf[1:], cdf, out=vals)
+    above = gap.max()
+    below = np.subtract(cdf, ecdf[:-1], out=gap).max()
+    return float(np.maximum(above, below))
 
 
 def tvd_exact(dist_a: JointDistribution | np.ndarray, dist_b: JointDistribution | np.ndarray) -> float:

@@ -188,12 +188,16 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 
 # (shots, 2^n) complex arrays an xeb or noisy_xeb instance holds at its peak,
 # replay included: tracemalloc at 4+4 qubits, 2000 shots, t = 3 measures 5.03
-# with Haar steps and 5.65 with a 4-layer HEA
+# with Haar steps and 5.18 with a 4-layer HEA
 SAMPLER_LIVE_COPIES = 6
+# 2^n x 2^n complex arrays that drawing one Haar step holds beside its
+# output: peak RSS of sample_haar_unitary at 10-11 qubits grows by 4.1-4.3
+# of them (tracemalloc, blind to LAPACK's work buffers, sees 3.06)
+HAAR_QR_TRANSIENT_COPIES = 5
 # (instances, 2^n_eff) float arrays a pop_hist point holds at its peak (the
-# kept distributions, their pooled copy and the KS/histogram temporaries):
-# tracemalloc measures 9.0-9.1 at 2+2/t=4, 2+1/t=12 and 3+2/t=6
-POP_HIST_LIVE_COPIES = 10
+# kept distributions, their pooled copy, and the KS distance's sorted copy,
+# CDF and ECDF): tracemalloc measures 5.0 at 2+2/t=4, 2+1/t=12 and 3+2/t=6
+POP_HIST_LIVE_COPIES = 6
 
 CSV_COLUMNS = ("n_A", "n_B", "t", "K", "gamma", "statistic", "mean", "std_error", "theory_value")
 
@@ -412,15 +416,18 @@ def _check_capacity(spec: ExperimentSpec) -> None:
                 f"pooling {spec.instances} instances of {n_eff_max} effective bits needs about "
                 f"{need / 1e9:.3g} GB, more than the {memory / 1e9:.3g} GB of physical memory"
             )
-    if engine == "sample":
-        if n_phys > TRAJECTORY_MAX_QUBITS:
-            raise CapacityError(f"{n_phys} physical qubits exceed {TRAJECTORY_MAX_QUBITS}")
-        need = spec.shots * (16 << n_phys) * SAMPLER_LIVE_COPIES
-        if need > memory:
-            raise CapacityError(
-                f"{spec.shots} shots on {n_phys} qubits need about {need / 1e9:.3g} GB of "
-                f"amplitudes, more than the {memory / 1e9:.3g} GB of physical memory"
-            )
+    if engine == "sample" and n_phys > TRAJECTORY_MAX_QUBITS:
+        raise CapacityError(f"{n_phys} physical qubits exceed {TRAJECTORY_MAX_QUBITS}")
+    need = spec.shots * (16 << n_phys) * SAMPLER_LIVE_COPIES if engine == "sample" else 0
+    if engine is not None and spec.unitary_source == "haar":
+        # an instance holds all t dense steps (instantiate_circuit)
+        need += (max(spec.steps) + HAAR_QR_TRANSIENT_COPIES) * (16 << 2 * n_phys)
+    if need > memory:
+        raise CapacityError(
+            f"{spec.kind} on {n_phys} qubits at t = {max(spec.steps)} needs about "
+            f"{need / 1e9:.3g} GB of amplitudes and step unitaries, more than the "
+            f"{memory / 1e9:.3g} GB of physical memory"
+        )
 
 
 def _instance(spec: ExperimentSpec, t: int, gamma: float | None, index: int):

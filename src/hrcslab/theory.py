@@ -22,25 +22,6 @@ POP_KINDS = ("porter_thomas", "beta_marginal")
 XEB_MODES = ("exact", "asymptotic")
 
 
-@dataclass(frozen=True)
-class DimensionPair:
-    """Hilbert-space dimensions of the system and bath registers."""
-
-    d_system: int
-    d_bath: int
-
-    def __post_init__(self):
-        for name, d in (("d_system", self.d_system), ("d_bath", self.d_bath)):
-            if d < 2 or d & (d - 1):
-                raise ConfigurationError(f"{name} must be a power of two >= 2, got {d}")
-
-    @classmethod
-    def from_qubits(cls, n_system: int, n_bath: int) -> "DimensionPair":
-        if n_system < 1 or n_bath < 1:
-            raise ConfigurationError("system and bath need at least one qubit each")
-        return cls(1 << n_system, 1 << n_bath)
-
-
 def _log_rising(x: float, k: int) -> float:
     """log of x (x+1) ... (x+k-1); zero terms for k <= 0."""
     return math.fsum(math.log(x + j) for j in range(k))
@@ -194,9 +175,15 @@ def pop_density(kind: str, params, p) -> np.ndarray | float:
 
 
 def porter_thomas_cdf(d: float, p) -> np.ndarray:
-    """CDF 1 - (1-p)^(d-1) of the Porter-Thomas law, used for KS checks."""
-    p_arr = np.asarray(p, dtype=float)
-    return -np.expm1((d - 1.0) * np.log1p(-np.clip(p_arr, 0.0, 1.0)))
+    """CDF 1 - (1-p)^(d-1) of the Porter-Thomas law, used for KS checks;
+    evaluated in place in one new buffer."""
+    cdf = np.array(p, dtype=float)
+    np.clip(cdf, 0.0, 1.0, out=cdf)
+    np.negative(cdf, out=cdf)
+    np.log1p(cdf, out=cdf)
+    cdf *= d - 1.0
+    np.expm1(cdf, out=cdf)
+    return np.negative(cdf, out=cdf)[()]  # [()] turns a 0-d result into a scalar
 
 
 def tvd_upper_bound(n_system: int, n_bath: int, steps: int, which: str = "exact") -> float:
@@ -233,8 +220,8 @@ def ideal_xeb(n_system: int, n_bath: int, steps: int, patched: bool = False) -> 
 @dataclass(frozen=True)
 class NoisyTransferMatrix:
     """2x2 step recursion on the identity/swap coefficient pair under
-    per-step depolarizing noise; at gamma = 1 it reduces to the noiseless
-    transition matrix.
+    per-step depolarizing noise; at gamma = 1 it is the symmetric noiseless
+    recursion of the joint collision probability.
 
     One application accounts for one protocol step: the system channel left
     over from the previous step, the step unitary average, and the noisy
@@ -277,15 +264,6 @@ class NoisyTransferMatrix:
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.m00, self.m01], [self.m10, self.m11]])
-
-
-def noiseless_transition_matrix(n_system: int, n_bath: int) -> np.ndarray:
-    """Step recursion matrix of the noiseless joint-sampling second moment."""
-    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
-    c = 1.0 / (d_b * (d_a * d_a * d_b * d_b - 1.0))
-    diag = (d_a * d_a * d_b - 1.0) * c
-    off = d_a * (d_b - 1.0) * c
-    return np.array([[diag, off], [off, diag]])
 
 
 def noisy_xeb(

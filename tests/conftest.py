@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,59 @@ def pauli_string_matrix(code: int, targets, n: int) -> np.ndarray:
     for q in reversed(range(n)):  # qubit 0 is the least significant factor
         out = np.kron(out, PAULI_MATRICES[labels.get(q, "I")])
     return out
+
+
+def rx_matrix(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def rz_matrix(phi: float) -> np.ndarray:
+    return np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+
+
+def single_qubit_matrix(matrix: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Dense 2^n x 2^n operator: ``matrix`` on qubit q, the identity elsewhere."""
+    out = np.ones((1, 1), dtype=complex)
+    for k in reversed(range(n)):  # qubit 0 is the least significant factor
+        out = np.kron(out, matrix if k == q else np.eye(2))
+    return out
+
+
+def cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
+    """Dense CNOT built bit by bit: |j> -> |j'> with bit ``target`` of j
+    flipped when bit ``control`` of j is set."""
+    d = 1 << n
+    out = np.zeros((d, d))
+    for j in range(d):
+        bits = [(j >> k) & 1 for k in range(n)]
+        if bits[control]:
+            bits[target] ^= 1
+        out[sum(b << k for k, b in enumerate(bits)), j] = 1.0
+    return out
+
+
+def dense_gate_oracle(seq, n: int) -> np.ndarray:
+    """Dense matrix of a gate sequence from explicit per-gate operators,
+    independent of the batch kernels: the leftmost gate acts first."""
+    out = np.eye(1 << n, dtype=complex)
+    for gate in seq.gates:
+        if gate.kind == "cnot":
+            op = cnot_permutation(*gate.qubits, n)
+        else:
+            rotation = rx_matrix if gate.kind == "rx" else rz_matrix
+            op = single_qubit_matrix(rotation(gate.angle), gate.qubits[0], n)
+        out = op @ out
+    return out
+
+
+def tensordot_step(amps: np.ndarray, entries: np.ndarray, n: int) -> np.ndarray:
+    """A full-register dense step through ``np.tensordot`` on the (rows, 2, ..., 2)
+    tensor view, as the package computed it before the step kernel became one
+    matrix product; the shipped configs' output bytes depend on the two
+    agreeing bit for bit."""
+    rows = amps.shape[0]
+    tensor = amps.reshape((rows,) + (2,) * n)
+    gate = entries.reshape((2,) * (2 * n))
+    out = np.tensordot(gate, tensor, axes=(list(range(n, 2 * n)), list(range(1, n + 1))))
+    return np.ascontiguousarray(np.moveaxis(out, range(n), range(1, n + 1))).reshape(rows, -1)

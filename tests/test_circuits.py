@@ -1,23 +1,37 @@
-"""Ansatz construction tests: parameter sampling, brickwork layout, dense
-compilation, and convergence of the layered circuit toward Haar statistics."""
+"""Ansatz construction tests: parameter sampling, brickwork layout, the
+gate-by-gate batch kernel against an independent dense oracle, and
+convergence of the layered circuit toward Haar statistics."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hrcslab import (
-    ConfigurationError,
-    GateSequence,
-    build_hea,
-    gate_sequence_to_unitary,
-    hea_gate_count,
-    sample_hea_params,
-)
+from hrcslab import ConfigurationError, GateSequence, build_hea, hea_gate_count, sample_hea_params
 from hrcslab.circuits import Gate, TWO_TURNS, apply_gate_sequence_batch, brickwork_pairs
 from hrcslab.theory import haar_power_sum
 
-from conftest import random_state, zero_batch
+from conftest import dense_gate_oracle, random_state, zero_batch
+
+
+def compiled(seq: GateSequence, n: int) -> np.ndarray:
+    """Dense matrix of ``seq`` through the batch kernel: row b of the output
+    batch is the image of |b>, so the matrix is its transpose."""
+    return apply_gate_sequence_batch(np.eye(1 << n, dtype=complex), seq, n).T
+
+
+def random_sequence(n: int, count: int, rng) -> GateSequence:
+    """Rotations on random qubits and CNOTs on random ordered pairs, adjacent
+    or not, in both directions."""
+    gates = []
+    for _ in range(count):
+        kind = rng.choice(["rx", "rz", "cnot"])
+        if kind == "cnot":
+            pair = rng.choice(n, size=2, replace=False)
+            gates.append(Gate("cnot", (int(pair[0]), int(pair[1]))))
+        else:
+            gates.append(Gate(kind, (int(rng.integers(n)),), float(rng.uniform(0, TWO_TURNS))))
+    return GateSequence(tuple(gates), n)
 
 
 class TestParamSampling:
@@ -75,12 +89,10 @@ class TestBuildHea:
         layers = 3
         params_zero = sample_hea_params(3, layers, np.random.default_rng(0))
         params_zero = type(params_zero)(layers, np.zeros((layers, 3)), np.zeros((layers, 3)))
-        u = gate_sequence_to_unitary(build_hea(3, params_zero), 3)
+        u = compiled(build_hea(3, params_zero), 3)
         w_gates = tuple(Gate("cnot", pair) for pair in brickwork_pairs(3))
-        w = gate_sequence_to_unitary(GateSequence(w_gates, 3), 3)
-        np.testing.assert_allclose(
-            u.entries, np.linalg.matrix_power(w.entries, layers), atol=1e-12
-        )
+        w = compiled(GateSequence(w_gates, 3), 3)
+        np.testing.assert_allclose(u, np.linalg.matrix_power(w, layers), atol=1e-12)
 
     def test_shape_mismatch_raises(self, rng):
         params = sample_hea_params(3, 2, rng)
@@ -90,59 +102,69 @@ class TestBuildHea:
 
 class TestDenseCompilation:
     def test_empty_sequence_is_identity(self):
-        u = gate_sequence_to_unitary(GateSequence((), 3), 3)
-        np.testing.assert_allclose(u.entries, np.eye(8), atol=1e-12)
+        np.testing.assert_array_equal(compiled(GateSequence((), 3), 3), np.eye(8))
 
     def test_cnot_permutation_matrix(self):
-        u = gate_sequence_to_unitary(GateSequence((Gate("cnot", (0, 1)),), 2), 2)
+        u = compiled(GateSequence((Gate("cnot", (0, 1)),), 2), 2)
         # control is qubit 0 (the low bit): |q1 q0> flips q1 when q0 = 1
         expected = np.zeros((4, 4))
         for i in range(4):
             j = i ^ 0b10 if i & 1 else i
             expected[j, i] = 1
-        np.testing.assert_allclose(u.entries, expected, atol=1e-12)
+        np.testing.assert_array_equal(u, expected)
 
     def test_cnot_reversed_control(self):
-        u = gate_sequence_to_unitary(GateSequence((Gate("cnot", (1, 0)),), 2), 2)
+        u = compiled(GateSequence((Gate("cnot", (1, 0)),), 2), 2)
         expected = np.zeros((4, 4))
         for i in range(4):
             j = i ^ 0b01 if i & 2 else i
             expected[j, i] = 1
-        np.testing.assert_allclose(u.entries, expected, atol=1e-12)
+        np.testing.assert_array_equal(u, expected)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_gate_by_gate_matches_dense(self, n, rng):
         seq = build_hea(n, sample_hea_params(n, 2, rng))
-        u = gate_sequence_to_unitary(seq, n)
-        assert u.unitarity_defect() < 1e-9
+        u = dense_gate_oracle(seq, n)
         state = random_state(n, seed=41 + n)
         stepped = apply_gate_sequence_batch(state[None, :], seq, n)[0]
-        np.testing.assert_allclose(stepped, u.entries @ state, atol=1e-9)
+        np.testing.assert_allclose(stepped, u @ state, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_gates_match_oracle(self, n, rng):
+        # every (control, target) ordered pair, so both CNOT directions and,
+        # from n = 3 on, non-adjacent pairs
+        cnots = [Gate("cnot", (c, t)) for c in range(n) for t in range(n) if c != t]
+        seq = GateSequence(tuple(cnots) + random_sequence(n, 40, rng).gates, n)
+        states = np.stack([random_state(n, seed=100 * n + r) for r in range(5)])
+        out = apply_gate_sequence_batch(states, seq, n)
+        np.testing.assert_allclose(out, states @ dense_gate_oracle(seq, n).T, rtol=0, atol=1e-12)
+
+    def test_single_gates_match_oracle(self):
+        n = 4
+        states = np.stack([random_state(n, seed=7 + r) for r in range(3)])
+        gates = [Gate(kind, (q,), 0.7 + q) for kind in ("rx", "rz") for q in range(n)]
+        gates += [Gate("cnot", (c, t)) for c in range(n) for t in range(n) if c != t]
+        for gate in gates:
+            seq = GateSequence((gate,), n)
+            np.testing.assert_allclose(
+                apply_gate_sequence_batch(states, seq, n),
+                states @ dense_gate_oracle(seq, n).T,
+                rtol=0,
+                atol=1e-12,
+                err_msg=str(gate),
+            )
 
     def test_applying_to_zero_state_matches_first_column(self, rng):
         seq = build_hea(3, sample_hea_params(3, 2, rng))
-        u = gate_sequence_to_unitary(seq, 3)
         out = apply_gate_sequence_batch(zero_batch(3), seq, 3)[0]
-        np.testing.assert_allclose(out, u.entries[:, 0], atol=1e-9)
+        np.testing.assert_allclose(out, dense_gate_oracle(seq, 3)[:, 0], rtol=0, atol=1e-12)
 
-    def test_register_cap(self):
-        with pytest.raises(ConfigurationError):
-            gate_sequence_to_unitary(GateSequence((), 13), 13)
-
-
-class TestSerialization:
-    def test_json_round_trip(self, rng):
-        seq = build_hea(3, sample_hea_params(3, 2, rng))
-        back = GateSequence.from_json(seq.to_json(), 3)
-        assert back == seq
-
-    def test_json_kind_fields(self):
-        seq = GateSequence((Gate("rx", (1,), 0.25), Gate("cnot", (0, 1))), 2)
-        import json
-
-        records = json.loads(seq.to_json())
-        assert records[0] == {"kind": "rx", "qubits": [1], "angle": 0.25}
-        assert records[1] == {"kind": "cnot", "qubits": [0, 1], "angle": None}
+    def test_input_batch_left_unchanged(self, rng):
+        seq = build_hea(3, sample_hea_params(3, 1, rng))
+        states = np.stack([random_state(3, seed=r) for r in range(2)])
+        before = states.copy()
+        apply_gate_sequence_batch(states, seq, 3)
+        np.testing.assert_array_equal(states, before)
 
 
 class TestHaarConvergence:

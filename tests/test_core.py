@@ -1,8 +1,6 @@
-"""Amplitude-batch tests: gate application on (rows, 2^n) batches, Born
+"""Amplitude-batch tests: the step kernel on (rows, 2^n) batches, Born
 probabilities, bath collapse and reset, Pauli strings, and the Haar
 sampler's moment checks."""
-
-import itertools
 
 import numpy as np
 import pytest
@@ -20,10 +18,18 @@ from hrcslab import (
     sample_haar_unitary,
     sample_trajectories,
 )
-from hrcslab.core import PAULI_MATRICES, _apply_unitary_batch
-from hrcslab.engine import _batch_random_paulis, _keep_branch, ideal_probabilities_batch
+from hrcslab.circuits import Gate, GateSequence
+from hrcslab.engine import _batch_random_paulis, _keep_branch, _propagate, ideal_probabilities_batch
 
-from conftest import haar_on, pauli_string_matrix, random_state, zero_batch
+from conftest import (
+    cnot_permutation,
+    haar_on,
+    pauli_string_matrix,
+    random_state,
+    rx_matrix,
+    tensordot_step,
+    zero_batch,
+)
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -71,49 +77,69 @@ def apply_codes(amps, codes, targets, n):
     return _batch_random_paulis(amps, targets, n, 0.0, FixedCodes(codes))
 
 
+def gates(n: int, *specs) -> GateSequence:
+    return GateSequence(tuple(Gate(*spec) for spec in specs), n)
+
+
 class TestApplyUnitary:
+    """The step kernel ``_propagate``: a dense step is one matrix product, a
+    gate sequence runs through ``apply_gate_sequence_batch``."""
+
     def test_identity_leaves_state_unchanged(self):
         states = np.stack([random_state(3, seed=5 + r) for r in range(4)])
-        out = _apply_unitary_batch(states, np.eye(4), (0, 2), 3)
-        np.testing.assert_allclose(out, states, atol=1e-12)
+        np.testing.assert_array_equal(_propagate(states, UnitaryMatrix(np.eye(8)), 3), states)
+        np.testing.assert_array_equal(_propagate(states, gates(3), 3), states)
 
     def test_x_on_qubit0_maps_00_to_01(self):
-        out = _apply_unitary_batch(zero_batch(2), PAULI_MATRICES["X"], (0,), 2)
-        np.testing.assert_allclose(out, [[0, 1, 0, 0]], atol=1e-12)
+        # RX(pi) is X up to the global phase -i
+        out = _propagate(zero_batch(2), gates(2, ("rx", (0,), np.pi)), 2)
+        np.testing.assert_allclose(out, [[0, -1j, 0, 0]], atol=1e-15)
 
     def test_x_on_qubit1_maps_00_to_10(self):
-        out = _apply_unitary_batch(zero_batch(2), PAULI_MATRICES["X"], (1,), 2)
-        np.testing.assert_allclose(out, [[0, 0, 1, 0]], atol=1e-12)
+        out = _propagate(zero_batch(2), gates(2, ("rx", (1,), np.pi)), 2)
+        np.testing.assert_allclose(out, [[0, 0, -1j, 0]], atol=1e-15)
 
     def test_full_register_unitary_extracts_first_column(self):
         u = haar_on(3, seed=11)
-        out = _apply_unitary_batch(zero_batch(3, rows=2), u.entries, (0, 1, 2), 3)
-        np.testing.assert_allclose(out, [u.entries[:, 0]] * 2, atol=1e-12)
+        out = _propagate(zero_batch(3, rows=2), u, 3)
+        np.testing.assert_array_equal(out, [u.entries[:, 0]] * 2)
 
     def test_partial_application_matches_kron_oracle(self):
-        # 2-qubit gate on qubits (0, 2) of 3; dense oracle built by hand
-        u = haar_on(2, seed=3)
+        # a rotation on the middle qubit of 3 and a CNOT on the non-adjacent
+        # pair (0, 2), each against its dense operator built by hand
         states = np.stack([random_state(3, seed=8 + r) for r in range(3)])
-        out = _apply_unitary_batch(states, u.entries, (0, 2), 3)
-        big = np.zeros((8, 8), dtype=complex)
-        for i, j in itertools.product(range(8), range(8)):
-            if (i >> 1) & 1 != (j >> 1) & 1:
-                continue
-            row = ((i >> 2) << 1) | (i & 1)
-            col = ((j >> 2) << 1) | (j & 1)
-            big[i, j] = u.entries[row, col]
-        np.testing.assert_allclose(out, states @ big.T, atol=1e-12)
+        rx = np.kron(np.kron(np.eye(2), rx_matrix(0.9)), np.eye(2))
+        out = _propagate(states, gates(3, ("rx", (1,), 0.9)), 3)
+        np.testing.assert_allclose(out, states @ rx.T, rtol=0, atol=1e-12)
+        for control, target in ((0, 2), (2, 0)):
+            out = _propagate(states, gates(3, ("cnot", (control, target))), 3)
+            perm = cnot_permutation(control, target, 3)
+            np.testing.assert_array_equal(out, states @ perm.T)
+
+    @pytest.mark.parametrize("rows", [1, 7, 16, 257, 1000])
+    @pytest.mark.parametrize("n", [2, 5, 8, 10])
+    def test_dense_step_bitwise_equals_tensordot(self, n, rows):
+        # the shipped configs' output bytes rest on this equality
+        u = haar_on(n, seed=n)
+        states = np.random.default_rng(rows).standard_normal((rows, 2 << n)).view(complex)
+        np.testing.assert_array_equal(_propagate(states, u, n), tensordot_step(states, u.entries, n))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 2**31 - 1), st.integers(1, 3), st.data())
     def test_norm_preserved(self, n, seed, rows, data):
         states = np.stack([random_state(n, seed + r) for r in range(rows)])
-        k = data.draw(st.integers(1, n))
-        targets = tuple(sorted(data.draw(
-            st.sets(st.integers(0, n - 1), min_size=k, max_size=k))))
-        u = haar_on(len(targets), seed ^ 0x5EED)
-        out = _apply_unitary_batch(states, u.entries, targets, n)
-        assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-10)
+        kinds = ["rx", "rz", "cnot"] if n > 1 else ["rx", "rz"]
+        seq = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "cnot":
+                pair = data.draw(st.permutations(range(n)))[:2]
+                seq.append((kind, tuple(pair)))
+            else:
+                seq.append((kind, (data.draw(st.integers(0, n - 1)),), data.draw(st.floats(0, 12))))
+        for step in (gates(n, *seq), haar_on(n, seed ^ 0x5EED)):
+            out = _propagate(states, step, n)
+            assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-10)
 
 
 class TestHaarSampler:

@@ -316,8 +316,8 @@ class TestEnumeration:
 
     def test_peak_memory_is_a_few_frontiers(self):
         # n_eff = 20: the last level holds 2^20 amplitudes of 16 B.  Measured
-        # peak: 3.1 of those (the frontier, the step kernel's transposed copy
-        # and its output).
+        # peak: 3.1 of those (the frontier, the dense step's product and its
+        # contiguous copy).
         cfg = HrcsConfig(n_system=1, n_bath=1, steps=19, master_seed=4)
         steps = instantiate_circuit(cfg, 0)
         tracemalloc.start()

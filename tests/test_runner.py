@@ -2,6 +2,7 @@
 equivalence, record layout, and file formats."""
 
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -135,6 +136,43 @@ class TestCapacity:
         )
         with pytest.raises(CapacityError, match="GB"):
             run_experiment(spec)
+
+    @pytest.mark.parametrize(
+        "kind, n, t, shots",
+        [
+            ("xeb", 6, 33, 200),  # 33 dense 4096^2 steps are 8.9 GB; the batch is 78 MB
+            ("xeb", 8, 2, 10),  # one dense 2^16 x 2^16 step is 69 GB
+            ("cp_sweep", 11, 1, 1000),  # n_eff = 22 is enumerable; its one step is 281 TB
+        ],
+    )
+    def test_dense_haar_steps_beyond_memory_refused_before_work(
+        self, kind, n, t, shots, monkeypatch
+    ):
+        def no_work(*args):
+            raise AssertionError("an instance ran")
+
+        # report 7 GiB of physical memory, so the outcome does not depend on
+        # the machine running the test
+        real_sysconf = os.sysconf
+        pages = 7 * 2**30 // real_sysconf("SC_PAGE_SIZE")
+        monkeypatch.setattr(
+            os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else real_sysconf(name)
+        )
+        monkeypatch.setattr(runner_mod, "_instance", no_work)
+        spec = ExperimentSpec(
+            kind=kind, n_system=n, n_bath=n, steps=(t,), instances=1, shots=shots
+        )
+        with pytest.raises(CapacityError, match="step unitaries"):
+            run_experiment(spec)
+
+    def test_hea_steps_not_counted_as_dense(self):
+        # gate sequences hold no 4^n matrix: the 6+6, t = 33 spec that a
+        # Haar source cannot afford passes with an HEA source
+        spec = ExperimentSpec(
+            kind="xeb", n_system=6, n_bath=6, steps=(33,), instances=1, shots=200,
+            unitary_source="hea", hea_layers=1,
+        )
+        runner_mod._check_capacity(spec)
 
     @pytest.mark.parametrize("kind", ["xeb", "noisy_xeb"])
     @pytest.mark.parametrize("source", ["haar", "hea"])

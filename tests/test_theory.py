@@ -9,7 +9,6 @@ from scipy import integrate
 
 from hrcslab import ConfigurationError
 from hrcslab.theory import (
-    DimensionPair,
     NoisyTransferMatrix,
     critical_steps,
     haar_power_sum,
@@ -17,27 +16,12 @@ from hrcslab.theory import (
     hrcs_power_sum,
     ideal_xeb,
     marginal_cp,
-    noiseless_transition_matrix,
     noisy_xeb,
     pop_density,
     porter_thomas_cdf,
     step_collision_probability,
     tvd_upper_bound,
 )
-
-
-class TestDimensionPair:
-    def test_from_qubits(self):
-        pair = DimensionPair.from_qubits(3, 2)
-        assert (pair.d_system, pair.d_bath) == (8, 4)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ConfigurationError):
-            DimensionPair(6, 4)
-
-    def test_rejects_trivial_register(self):
-        with pytest.raises(ConfigurationError):
-            DimensionPair.from_qubits(0, 2)
 
 
 class TestHaarPowerSum:
@@ -279,17 +263,17 @@ class TestIdealXeb:
 
 class TestNoisyXeb:
     def test_transfer_matrix_reduces_to_noiseless(self):
+        # without noise the identity and swap coefficients play symmetric
+        # roles, and the boundary vectors are (1, 1)
         for n_a, n_b in ((1, 1), (2, 3), (5, 5)):
             tm = NoisyTransferMatrix.build(n_a, n_b, 1.0, 1.0)
-            np.testing.assert_allclose(
-                tm.as_array(), noiseless_transition_matrix(n_a, n_b), atol=1e-15
-            )
+            assert (tm.m01, tm.m11, tm.g_system, tm.g_bath) == (tm.m10, tm.m00, 1.0, 1.0)
 
     def test_noiseless_matrix_recursion_matches_closed_form(self):
         # dual route for the collision probability itself
         for n_a, n_b in ((1, 1), (2, 1), (3, 2)):
             d = 2.0 ** (n_a + n_b)
-            m = noiseless_transition_matrix(n_a, n_b)
+            m = NoisyTransferMatrix.build(n_a, n_b, 1.0, 1.0).as_array()
             for t in range(1, 7):
                 vec = np.array([1.0, 1.0])
                 for _ in range(t - 1):
