@@ -1,8 +1,11 @@
-"""Dense unitaries and Haar sampling.
+"""Dense unitaries and isometries, and Haar sampling.
 
-Every pure state in this package is a row of a (rows, 2^n) complex batch;
-``engine._propagate`` advances such a batch by a ``UnitaryMatrix`` step and
-``circuits.apply_gate_sequence_batch`` by a gate sequence.
+A dense step is a ``UnitaryMatrix``: a 2^n x 2^n unitary, or, for a circuit
+whose bath is reset before every step, the 2^n x 2^n_A isometry of its first
+2^n_A columns, the only ones a state with the bath at 0 can reach.
+``engine._propagate`` advances a batch of kept system blocks by a dense step
+and ``circuits.apply_gate_sequence_batch`` a (rows, 2^n) batch by a gate
+sequence.
 ``PAULI_MATRICES`` is the dense oracle the tests check the batched Pauli
 unraveling against.
 
@@ -33,34 +36,49 @@ PAULI_MATRICES = {
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """Dense d x d unitary."""
+    """Dense d x c step with c <= d: a unitary (c = d) or an isometry V with
+    V^dag V = I, the first c columns of a unitary."""
 
     entries: np.ndarray
     dim: int = 0
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigurationError(f"unitary must be square, got shape {m.shape}")
+        if m.ndim != 2 or not 1 <= m.shape[1] <= m.shape[0]:
+            raise ConfigurationError(f"step must be d x c with 1 <= c <= d, got shape {m.shape}")
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dim", m.shape[0])
 
+    @property
+    def columns(self) -> int:
+        return self.entries.shape[1]
+
     def unitarity_defect(self) -> float:
-        """Max-abs deviation of U^dag U from the identity."""
-        d = self.dim
-        return float(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))))
+        """Max-abs deviation of V^dag V from the c x c identity."""
+        v = self.entries
+        return float(np.max(np.abs(v.conj().T @ v - np.eye(self.columns))))
 
 
-def sample_haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
-    """Draw a Haar-distributed unitary.
+def sample_haar_unitary(
+    dim: int, rng: np.random.Generator, columns: int | None = None
+) -> UnitaryMatrix:
+    """Draw a Haar-distributed unitary, or its first ``columns`` columns.
 
     Ginibre matrix -> QR, then column j is rescaled by conj(r_jj)/|r_jj| so
     the triangular factor has a positive real diagonal; without that fix the
-    QR output is not uniform.
+    QR output is not uniform.  The whole dim x dim Ginibre matrix is drawn
+    whatever ``columns`` is, so the stream and the generator's end state do
+    not depend on it; only the kept columns of its real and imaginary parts
+    are combined and factored, and the QR of column j sees columns <= j only.
     """
     if dim < 2:
         raise ConfigurationError(f"haar sampling needs dim >= 2, got {dim}")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    cols = dim if columns is None else columns
+    if not 1 <= cols <= dim:
+        raise ConfigurationError(f"haar sampling needs 1 <= columns <= {dim}, got {cols}")
+    # copy the kept columns out, so the full real draw is freed before the next
+    real = np.ascontiguousarray(rng.standard_normal((dim, dim))[:, :cols])
+    z = (real + 1j * rng.standard_normal((dim, dim))[:, :cols]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     q = q * (diag.conj() / np.abs(diag))

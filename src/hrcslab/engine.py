@@ -4,11 +4,14 @@ final system measurement.
 Four modes share one circuit description: batched trajectory sampling,
 forced-outcome replay of recorded paths, exact enumeration of the joint
 outcome distribution (one batch per tree level), and a density-matrix oracle
-for the depolarizing-noise variant.  The three pure-state modes hold their
-states only as rows of a (rows, 2^n) amplitude batch, advanced through one
-step kernel, ``_propagate`` (a dense step is one matrix product, a gate
-sequence runs gate by gate in ``circuits``), and rebuilt after each bath
-outcome (kept at z, or reset to 0) by ``_keep_branch``.
+for the depolarizing-noise variant.  Between steps the three pure-state
+modes hold only each row's kept system block, a (rows, 2^n_A) batch, and the
+bath block it sits in (0 after a reset).  One step kernel, ``_propagate``,
+turns that into the (rows, 2^n) state after the next step: a dense step
+multiplies the blocks by the step's columns of the occupied bath blocks, so
+a reset circuit needs only the 2^n x 2^n_A isometry that ``instantiate_circuit``
+draws for it; a gate sequence runs gate by gate in ``circuits`` on the full
+register that ``_keep_branch`` rebuilds.
 
 A sampled path is a row of ``TrajectoryBatch``.  Outcome indexing: a joint
 outcome (z_1, ..., z_t, x) maps to the integer with z_1 in the most
@@ -139,11 +142,17 @@ def instance_seed(config: HrcsConfig, instance_index: int) -> int:
 
 
 def instantiate_circuit(config: HrcsConfig, instance_index: int) -> list[StepUnitary]:
-    """Deterministically draw the t step unitaries of one circuit instance."""
+    """Deterministically draw the t step unitaries of one circuit instance.
+
+    A reset bath reads 0 before every step, so a Haar step of a reset circuit
+    is drawn as the 2^n x 2^n_A isometry of its first 2^n_A columns.  The
+    draws, and so every kept column, do not depend on ``reset_bath``.
+    """
     rng = np.random.default_rng(instance_seed(config, instance_index))
     n = config.n_qubits
     if config.unitary_source == "haar":
-        return [sample_haar_unitary(1 << n, rng) for _ in range(config.steps)]
+        columns = 1 << (config.n_system if config.reset_bath else n)
+        return [sample_haar_unitary(1 << n, rng, columns) for _ in range(config.steps)]
     return [
         build_hea(n, sample_hea_params(n, config.hea_layers, rng))
         for _ in range(config.steps)
@@ -151,8 +160,9 @@ def instantiate_circuit(config: HrcsConfig, instance_index: int) -> list[StepUni
 
 
 def step_matrices(config: HrcsConfig, unitaries: list[StepUnitary]) -> list[np.ndarray]:
-    """Dense matrices of the step unitaries.  A gate sequence is applied to
-    the identity batch, whose row b is then column b of the matrix."""
+    """Dense matrices of the step unitaries (the drawn columns of an isometry
+    step).  A gate sequence is applied to the identity batch, whose row b is
+    then column b of the matrix."""
     identity = np.eye(1 << config.n_qubits, dtype=complex)
     return [
         step.entries if isinstance(step, UnitaryMatrix)
@@ -161,13 +171,34 @@ def step_matrices(config: HrcsConfig, unitaries: list[StepUnitary]) -> list[np.n
     ]
 
 
-def _propagate(amps: np.ndarray, step: StepUnitary, n: int) -> np.ndarray:
-    """The step kernel: apply one step unitary to every row of a (rows, 2^n)
-    amplitude batch.  A dense step is one matrix product on the transposed
-    view, with no copy of the input."""
-    if isinstance(step, UnitaryMatrix):
-        return np.ascontiguousarray(np.dot(step.entries, amps.T).T)
-    return apply_gate_sequence_batch(amps, step, n)
+def _propagate(
+    picked: np.ndarray, bath: np.ndarray | None, step: StepUnitary, d_bath: int
+) -> np.ndarray:
+    """The step kernel: apply one step to every row's state |bath_r>|picked_r>
+    of a (rows, 2^n_A) batch of system blocks, and return the (rows, 2^n)
+    batch after it.  ``bath`` is None when every bath reads 0 (the first
+    step, or after a reset).
+
+    A dense step multiplies the blocks by the step's columns of each occupied
+    bath block: one product after a reset, one per occupied block without
+    one.  Every product runs over all rows, so each row keeps its place in
+    the BLAS call and the result is bitwise that of the zero-padded
+    full-register product np.dot(U, amps.T).T.  The one exception is a
+    single row at 2^n_A = 2: it goes through BLAS's matrix-vector kernel,
+    whose tail rounds a length-2 and a length-2^n dot product differently.
+    """
+    rows, d_sys = picked.shape
+    if isinstance(step, GateSequence):
+        amps = _keep_branch(picked, bath, d_bath, reset=bath is None)
+        return apply_gate_sequence_batch(amps, step, (d_sys * d_bath).bit_length() - 1)
+    v = step.entries
+    if bath is None:
+        return np.ascontiguousarray(np.dot(v[:, :d_sys], picked.T).T)
+    out = np.empty((rows, v.shape[0]), dtype=complex)
+    for z in np.unique(bath):
+        at_z = bath == z
+        out[at_z] = np.dot(v[:, z * d_sys : (z + 1) * d_sys], picked.T).T[at_z]
+    return out
 
 
 def _keep_branch(picked: np.ndarray, z: np.ndarray, d_bath: int, reset: bool) -> np.ndarray:
@@ -194,6 +225,10 @@ class TrajectoryBatch:
         return self.final_outcomes.size
 
     def joint_indices(self, config: HrcsConfig) -> np.ndarray:
+        if config.n_eff > 63:
+            raise ConfigurationError(
+                f"joint indices of {config.n_eff} effective bits do not fit in int64"
+            )
         idx = np.zeros(len(self), dtype=np.int64)
         for k in range(config.steps):
             idx = (idx << config.n_bath) | self.bath_outcomes[:, k]
@@ -246,14 +281,15 @@ def sample_trajectories(
     d_sys, d_bath = 1 << n_sys, 1 << n_bath
     noisy = noise is not None and not noise.trivial
 
-    amps = np.zeros((n_shots, 1 << n), dtype=complex)
-    amps[:, 0] = 1.0
+    picked = np.zeros((n_shots, d_sys), dtype=complex)
+    picked[:, 0] = 1.0
+    bath = None
     rows = np.arange(n_shots)
     bath_outcomes = np.zeros((n_shots, config.steps), dtype=np.int64)
     model_prob = np.ones(n_shots)
 
     for k, step in enumerate(unitaries):
-        amps = _propagate(amps, step, n)
+        amps = _propagate(picked, bath, step, d_bath)
         if noisy:
             amps = _batch_random_paulis(amps, range(n_sys), n, noise.gamma_system, rng)
             amps = _batch_random_paulis(amps, range(n_sys, n), n, noise.gamma_bath, rng)
@@ -270,9 +306,10 @@ def sample_trajectories(
         picked = blocks[rows, z, :] / np.sqrt(p_z)[:, None]
         model_prob *= p_z
         bath_outcomes[:, k] = z
-        amps = _keep_branch(picked, z, d_bath, config.reset_bath)
+        bath = None if config.reset_bath else z
+        del amps, blocks, probs  # free this step's register before the next is built
 
-    sys_probs = (np.abs(amps) ** 2).reshape(n_shots, d_bath, d_sys).sum(axis=1)
+    sys_probs = np.abs(picked) ** 2
     cum = np.cumsum(sys_probs, axis=1)
     u = rng.random(n_shots) * cum[:, -1]
     x = np.minimum((u[:, None] >= cum).sum(axis=1), d_sys - 1)
@@ -297,8 +334,7 @@ def ideal_probabilities_batch(
     branch yields an exact 0.
     """
     _check_steps(config, unitaries)
-    n, n_sys, n_bath = config.n_qubits, config.n_system, config.n_bath
-    d_sys, d_bath = 1 << n_sys, 1 << n_bath
+    d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
     shots = final_outcomes.shape[0]
     if bath_outcomes.shape != (shots, config.steps) or not (
         np.all((0 <= bath_outcomes) & (bath_outcomes < d_bath))
@@ -307,14 +343,16 @@ def ideal_probabilities_batch(
         raise ConfigurationError(f"outcomes out of shape or range for {config.steps} steps")
     rows = np.arange(shots)
 
-    amps = np.zeros((shots, 1 << n), dtype=complex)
-    amps[:, 0] = 1.0
+    picked = np.zeros((shots, d_sys), dtype=complex)
+    picked[:, 0] = 1.0
+    bath = None
     for k, step in enumerate(unitaries):
-        blocks = _propagate(amps, step, n).reshape(shots, d_bath, d_sys)
+        blocks = _propagate(picked, bath, step, d_bath).reshape(shots, d_bath, d_sys)
         z = bath_outcomes[:, k]
-        amps = _keep_branch(blocks[rows, z, :], z, d_bath, config.reset_bath)
-    final_amp = amps.reshape(shots, d_bath, d_sys).sum(axis=1)[rows, final_outcomes]
-    return np.abs(final_amp) ** 2
+        picked = blocks[rows, z, :]
+        bath = None if config.reset_bath else z
+        del blocks
+    return np.abs(picked[rows, final_outcomes]) ** 2
 
 
 def enumerate_joint_distribution(
@@ -322,9 +360,9 @@ def enumerate_joint_distribution(
 ) -> JointDistribution:
     """Breadth-first exact evaluation of the full joint outcome distribution.
 
-    Step k advances all d_B^k live branches as one (d_B^k, 2^n) batch through
-    the step kernel; each row then splits into d_B children, appended as
-    row * d_B + z, so the leaves come out in joint-outcome order.  States are
+    Step k advances the system blocks of all d_B^k live branches as one batch
+    through the step kernel; each row then splits into d_B children, appended
+    as row * d_B + z, so the leaves come out in joint-outcome order.  States are
     propagated unnormalized: every leaf value is already the product of its
     branch probabilities, and a zero-weight branch yields exact zeros.
     """
@@ -333,18 +371,16 @@ def enumerate_joint_distribution(
             f"enumeration over {config.n_eff} effective bits exceeds {ENUMERATION_MAX_BITS}"
         )
     _check_steps(config, unitaries)
-    n = config.n_qubits
     d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
-    amps = np.zeros((1, 1 << n), dtype=complex)
-    amps[0, 0] = 1.0
-    for k, step in enumerate(unitaries):
-        blocks = _propagate(amps, step, n).reshape(-1, d_sys)
-        del amps  # the last level holds 2^n_eff amplitudes: keep one level live
-        if k + 1 < config.steps:
-            z = np.tile(np.arange(d_bath), blocks.shape[0] // d_bath)
-            amps = _keep_branch(blocks, z, d_bath, config.reset_bath)
-            del blocks
-    return JointDistribution((np.abs(blocks) ** 2).reshape(-1), config.n_eff)
+    picked = np.zeros((1, d_sys), dtype=complex)
+    picked[0, 0] = 1.0
+    bath = None
+    for step in unitaries:
+        # the last level holds 2^n_eff amplitudes: keep one level live
+        picked = _propagate(picked, bath, step, d_bath).reshape(-1, d_sys)
+        if not config.reset_bath:
+            bath = np.tile(np.arange(d_bath), picked.shape[0] // d_bath)
+    return JointDistribution((np.abs(picked) ** 2).reshape(-1), config.n_eff)
 
 
 def marginalize(
@@ -410,18 +446,16 @@ def enumerate_noisy_joint_distribution(
             f"noisy enumeration over {config.n_eff} effective bits exceeds {NOISY_ORACLE_MAX_BITS}"
         )
     _check_steps(config, unitaries)
-    n, n_sys, n_bath = config.n_qubits, config.n_system, config.n_bath
-    d, d_sys, d_bath = 1 << n, 1 << n_sys, 1 << n_bath
+    n_sys, n_bath = config.n_system, config.n_bath
+    d_sys, d_bath = 1 << n_sys, 1 << n_bath
     t = config.steps
     mats = step_matrices(config, unitaries)
     out = np.zeros(1 << config.n_eff)
 
     def walk(rho_sys: np.ndarray, bath_state: int, k: int, prefix: int) -> None:
-        rho = np.zeros((d, d), dtype=complex)
-        lo = bath_state * d_sys
-        rho[lo : lo + d_sys, lo : lo + d_sys] = rho_sys
-        u = mats[k]
-        rho = u @ rho @ u.conj().T
+        # only the step's columns of the occupied bath block act
+        u = mats[k][:, bath_state * d_sys : (bath_state + 1) * d_sys]
+        rho = u @ rho_sys @ u.conj().T
         rho = depolarize_density(rho, d_sys, d_bath, "low", noise.gamma_system)
         rho = depolarize_density(rho, d_sys, d_bath, "high", noise.gamma_bath)
         for z in range(d_bath):
@@ -462,6 +496,16 @@ def replay_no_reset_equivalence(
 def _check_steps(config: HrcsConfig, unitaries: list[StepUnitary]) -> None:
     if len(unitaries) != config.steps:
         raise ConfigurationError(f"{len(unitaries)} step unitaries for {config.steps} steps")
+    # a kept bath can sit in any block, so without a reset every column acts
+    d = 1 << config.n_qubits
+    need = 1 << config.n_system if config.reset_bath else d
+    for step in unitaries:
+        if isinstance(step, UnitaryMatrix) and (step.dim != d or step.columns < need):
+            raise ConfigurationError(
+                f"a {step.dim} x {step.columns} step does not hold the {d} x {need} columns "
+                f"a {'reset' if config.reset_bath else 'no-reset'} circuit on "
+                f"{config.n_qubits} qubits needs"
+            )
 
 
 def _check_trajectory_capacity(config: HrcsConfig) -> None:

@@ -139,7 +139,9 @@ class Kind:
     """How one experiment kind runs.
 
     ``engine`` names the engine limit that applies ("enumerate", "sample", or
-    None for a pure formula sweep).  ``statistics(spec, K)`` lists the
+    None for a pure formula sweep).  ``full_steps`` draws whole Haar unitaries
+    even for a reset spec, for a measure that also runs the circuit without
+    a reset.  ``statistics(spec, K)`` lists the
     (statistic, K, theory formula, theory source) rows reported at each
     parameter point; ``points(spec)`` yields the (t, K, gamma) points in
     output order; ``aggregate(spec, t, rows)`` turns the per-instance rows
@@ -151,6 +153,7 @@ class Kind:
     statistics: Callable
     points: Callable = lambda s: ((t, None, None) for t in s.steps)
     aggregate: Callable = _ensemble
+    full_steps: bool = False
 
 
 KIND_TABLE = {
@@ -182,18 +185,25 @@ KIND_TABLE = {
             ("collision_probability_no_reset", 2),
             ("power_sum_reset", 3),
             ("power_sum_no_reset", 3),
-        ))),
+        )), full_steps=True),
 }
 EXPERIMENT_KINDS = tuple(KIND_TABLE)
 
 # (shots, 2^n) complex arrays an xeb or noisy_xeb instance holds at its peak,
-# replay included: tracemalloc at 4+4 qubits, 2000 shots, t = 3 measures 5.03
-# with Haar steps and 5.18 with a 4-layer HEA
-SAMPLER_LIVE_COPIES = 6
-# 2^n x 2^n complex arrays that drawing one Haar step holds beside its
+# replay included: tracemalloc at 3+5 to 6+2 qubits, 2000 shots, t = 3
+# measures 2.2-2.4 with reset Haar steps (the kept blocks, not a zero-padded
+# register, go into each step), 2.6-3.0 without a reset, and 3.6-3.8 with a
+# 4-layer HEA, whose gates run on the rebuilt register
+SAMPLER_LIVE_COPIES = 4
+# 2^n x 2^n complex arrays that drawing one full Haar step holds beside its
 # output: peak RSS of sample_haar_unitary at 10-11 qubits grows by 4.1-4.3
 # of them (tracemalloc, blind to LAPACK's work buffers, sees 3.06)
 HAAR_QR_TRANSIENT_COPIES = 5
+# 2^n x 2^n_A complex arrays that drawing one reset Haar step holds beside
+# its output and beside the one real 2^n x 2^n half of the Ginibre draw:
+# peak RSS grows by that half plus 0.3-0.9 of them at 5+5, 4+6, 6+5, 5+7 and
+# 6+6 qubits, and plus 2.6-3.8 at 7+3, 8+2, 9+1 and 10+1 (tracemalloc: 0.5-2.0)
+HAAR_ISOMETRY_TRANSIENT_COPIES = 4
 # (instances, 2^n_eff) float arrays a pop_hist point holds at its peak (the
 # kept distributions, their pooled copy, and the KS distance's sorted copy,
 # CDF and ECDF): tracemalloc measures 5.0 at 2+2/t=4, 2+1/t=12 and 3+2/t=6
@@ -420,8 +430,15 @@ def _check_capacity(spec: ExperimentSpec) -> None:
         raise CapacityError(f"{n_phys} physical qubits exceed {TRAJECTORY_MAX_QUBITS}")
     need = spec.shots * (16 << n_phys) * SAMPLER_LIVE_COPIES if engine == "sample" else 0
     if engine is not None and spec.unitary_source == "haar":
-        # an instance holds all t dense steps (instantiate_circuit)
-        need += (max(spec.steps) + HAAR_QR_TRANSIENT_COPIES) * (16 << 2 * n_phys)
+        # an instance holds all t dense steps (instantiate_circuit): 2^n x 2^n_A
+        # isometries under a reset, full unitaries when the circuit also runs
+        # without one
+        if spec.reset_bath and not KIND_TABLE[spec.kind].full_steps:
+            isometry = 16 << (n_phys + spec.n_system)
+            need += (max(spec.steps) + HAAR_ISOMETRY_TRANSIENT_COPIES) * isometry
+            need += 8 << 2 * n_phys  # the real half of the Ginibre draw
+        else:
+            need += (max(spec.steps) + HAAR_QR_TRANSIENT_COPIES) * (16 << 2 * n_phys)
     if need > memory:
         raise CapacityError(
             f"{spec.kind} on {n_phys} qubits at t = {max(spec.steps)} needs about "
@@ -433,9 +450,11 @@ def _check_capacity(spec: ExperimentSpec) -> None:
 def _instance(spec: ExperimentSpec, t: int, gamma: float | None, index: int):
     """Measure ensemble member ``index`` at ``t`` steps as its kind says (top
     level so process pools can pickle it)."""
+    kind = KIND_TABLE[spec.kind]
     config = spec.config_for(t)
-    unitaries = instantiate_circuit(config, index)
-    return KIND_TABLE[spec.kind].measure(spec, config, unitaries, gamma, index)
+    # reset_bath does not enter the instance seed: both draws are the same circuit
+    drawn = dataclasses.replace(config, reset_bath=False) if kind.full_steps else config
+    return kind.measure(spec, config, instantiate_circuit(drawn, index), gamma, index)
 
 
 class InstanceFailure(RuntimeError):

@@ -81,27 +81,33 @@ def gates(n: int, *specs) -> GateSequence:
     return GateSequence(tuple(Gate(*spec) for spec in specs), n)
 
 
+def propagate(states: np.ndarray, step) -> np.ndarray:
+    """The step kernel on full-register rows: a system that spans the
+    register beside a one-block bath at 0."""
+    return _propagate(states, None, step, 1)
+
+
 class TestApplyUnitary:
     """The step kernel ``_propagate``: a dense step is one matrix product, a
     gate sequence runs through ``apply_gate_sequence_batch``."""
 
     def test_identity_leaves_state_unchanged(self):
         states = np.stack([random_state(3, seed=5 + r) for r in range(4)])
-        np.testing.assert_array_equal(_propagate(states, UnitaryMatrix(np.eye(8)), 3), states)
-        np.testing.assert_array_equal(_propagate(states, gates(3), 3), states)
+        np.testing.assert_array_equal(propagate(states, UnitaryMatrix(np.eye(8))), states)
+        np.testing.assert_array_equal(propagate(states, gates(3)), states)
 
     def test_x_on_qubit0_maps_00_to_01(self):
         # RX(pi) is X up to the global phase -i
-        out = _propagate(zero_batch(2), gates(2, ("rx", (0,), np.pi)), 2)
+        out = propagate(zero_batch(2), gates(2, ("rx", (0,), np.pi)))
         np.testing.assert_allclose(out, [[0, -1j, 0, 0]], atol=1e-15)
 
     def test_x_on_qubit1_maps_00_to_10(self):
-        out = _propagate(zero_batch(2), gates(2, ("rx", (1,), np.pi)), 2)
+        out = propagate(zero_batch(2), gates(2, ("rx", (1,), np.pi)))
         np.testing.assert_allclose(out, [[0, 0, -1j, 0]], atol=1e-15)
 
     def test_full_register_unitary_extracts_first_column(self):
         u = haar_on(3, seed=11)
-        out = _propagate(zero_batch(3, rows=2), u, 3)
+        out = propagate(zero_batch(3, rows=2), u)
         np.testing.assert_array_equal(out, [u.entries[:, 0]] * 2)
 
     def test_partial_application_matches_kron_oracle(self):
@@ -109,10 +115,10 @@ class TestApplyUnitary:
         # pair (0, 2), each against its dense operator built by hand
         states = np.stack([random_state(3, seed=8 + r) for r in range(3)])
         rx = np.kron(np.kron(np.eye(2), rx_matrix(0.9)), np.eye(2))
-        out = _propagate(states, gates(3, ("rx", (1,), 0.9)), 3)
+        out = propagate(states, gates(3, ("rx", (1,), 0.9)))
         np.testing.assert_allclose(out, states @ rx.T, rtol=0, atol=1e-12)
         for control, target in ((0, 2), (2, 0)):
-            out = _propagate(states, gates(3, ("cnot", (control, target))), 3)
+            out = propagate(states, gates(3, ("cnot", (control, target))))
             perm = cnot_permutation(control, target, 3)
             np.testing.assert_array_equal(out, states @ perm.T)
 
@@ -122,7 +128,33 @@ class TestApplyUnitary:
         # the shipped configs' output bytes rest on this equality
         u = haar_on(n, seed=n)
         states = np.random.default_rng(rows).standard_normal((rows, 2 << n)).view(complex)
-        np.testing.assert_array_equal(_propagate(states, u, n), tensordot_step(states, u.entries, n))
+        np.testing.assert_array_equal(propagate(states, u), tensordot_step(states, u.entries, n))
+
+    @pytest.mark.parametrize("reset", [True, False])
+    @pytest.mark.parametrize("rows", [1, 7, 257, 1000])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_block_product_bitwise_equals_full_register(self, n, rows, reset):
+        # each row's system block, at bath 0 (after a reset, through the
+        # isometry of the first d_sys columns) or at a random bath block
+        # (through the full unitary), against the zero-padded full-register
+        # product np.dot(U, amps.T).T; the shipped configs' bytes rest on it
+        n_sys = n - n // 2
+        d_sys, d_bath = 1 << n_sys, 1 << (n - n_sys)
+        u = haar_on(n, seed=n)
+        gen = np.random.default_rng(rows)
+        picked = gen.standard_normal((rows, 2 * d_sys)).view(complex)
+        bath = None if reset else gen.integers(d_bath, size=rows)
+        padded = np.zeros((rows, d_bath, d_sys), dtype=complex)
+        padded[np.arange(rows), 0 if reset else bath] = picked
+        expected = np.ascontiguousarray(np.dot(u.entries, padded.reshape(rows, -1).T).T)
+        step = UnitaryMatrix(u.entries[:, :d_sys]) if reset else u
+        got = _propagate(picked, bath, step, d_bath)
+        if rows == 1 and d_sys == 2:
+            # one row goes through BLAS's matrix-vector kernel, whose tail
+            # rounds a length-2 and a length-4 dot product differently
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(got, expected)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 2**31 - 1), st.integers(1, 3), st.data())
@@ -138,7 +170,7 @@ class TestApplyUnitary:
             else:
                 seq.append((kind, (data.draw(st.integers(0, n - 1)),), data.draw(st.floats(0, 12))))
         for step in (gates(n, *seq), haar_on(n, seed ^ 0x5EED)):
-            out = _propagate(states, step, n)
+            out = propagate(states, step)
             assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-10)
 
 
@@ -151,6 +183,34 @@ class TestHaarSampler:
         for dim in (2, 4, 8):
             for _ in range(25):
                 assert sample_haar_unitary(dim, rng).unitarity_defect() < 1e-9
+
+    @pytest.mark.parametrize(
+        "n_sys, n_bath", [(1, 1), (2, 1), (2, 2), (1, 3), (3, 4), (4, 4), (5, 5), (4, 6)]
+    )
+    def test_isometry_is_the_full_draws_first_columns(self, n_sys, n_bath):
+        dim, cols = 1 << (n_sys + n_bath), 1 << n_sys
+        full_rng = np.random.default_rng(10 * n_sys + n_bath)
+        iso_rng = np.random.default_rng(10 * n_sys + n_bath)
+        full = sample_haar_unitary(dim, full_rng).entries[:, :cols]
+        iso = sample_haar_unitary(dim, iso_rng, cols)
+        assert iso.entries.shape == (dim, cols) and iso.dim == dim and iso.columns == cols
+        # the whole Ginibre matrix is drawn either way
+        assert iso_rng.bit_generator.state == full_rng.bit_generator.state
+        assert iso.unitarity_defect() < 1e-12
+        if (n_sys, n_bath) in ((2, 1), (2, 2), (5, 5)):
+            # the shapes of the shipped Haar configs
+            np.testing.assert_array_equal(iso.entries, full)
+        else:
+            np.testing.assert_allclose(iso.entries, full, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("columns", [0, 9])
+    def test_rejects_columns_out_of_range(self, rng, columns):
+        with pytest.raises(ConfigurationError):
+            sample_haar_unitary(8, rng, columns)
+
+    def test_wide_step_rejected(self):
+        with pytest.raises(ConfigurationError):
+            UnitaryMatrix(np.zeros((2, 4)))
 
     def test_first_and_second_moments(self, rng):
         # |<x|U|0>|^2 -> 1/d and |<x|U|0>|^4 -> 2/(d(d+1)) for every fixed x,

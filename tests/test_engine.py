@@ -24,7 +24,9 @@ from hrcslab import (
     sample_trajectories,
     theory,
 )
+from hrcslab import engine as engine_mod
 from hrcslab.engine import (
+    TrajectoryBatch,
     _batch_random_paulis,
     depolarize_density,
     derive_seed,
@@ -115,12 +117,25 @@ class TestInstantiation:
             np.testing.assert_array_equal(u.entries, v.entries)
 
     def test_haar_source_dimensions(self):
+        # a reset bath reads 0 before every step: only the first 2^n_A columns act
         cfg = HrcsConfig(n_system=1, n_bath=1, steps=3, master_seed=1)
         steps = instantiate_circuit(cfg, 0)
         assert len(steps) == 3
         for u in steps:
-            assert u.dim == 4
-            assert u.unitarity_defect() < 1e-9
+            assert u.dim == 4 and u.columns == 2
+            assert u.unitarity_defect() < 1e-12
+
+    def test_no_reset_source_draws_full_unitaries(self):
+        cfg = HrcsConfig(n_system=1, n_bath=1, steps=3, reset_bath=False, master_seed=1)
+        for u in instantiate_circuit(cfg, 0):
+            assert u.dim == 4 and u.columns == 4
+            assert u.unitarity_defect() < 1e-12
+
+    def test_reset_draws_are_the_full_draws_columns(self):
+        cfg = small_config(n_bath=2, steps=3)
+        full = instantiate_circuit(dataclasses.replace(cfg, reset_bath=False), 4)
+        for u, v in zip(instantiate_circuit(cfg, 4), full):
+            np.testing.assert_array_equal(u.entries, v.entries[:, : u.columns])
 
     def test_hea_source_builds_sequences(self):
         cfg = HrcsConfig(
@@ -210,6 +225,20 @@ class TestTrajectories:
         assert np.all(np.abs(freq - oracle_bath) < 4 * np.sqrt(0.25 / len(batch)))
 
 
+    def test_joint_indices_refused_beyond_int64(self):
+        # 5 + 12 * 5 = 65 effective bits would wrap an int64 index
+        cfg = HrcsConfig(n_system=5, n_bath=5, steps=12)
+        batch = TrajectoryBatch(np.zeros((2, 12), dtype=np.int64), np.zeros(2, dtype=np.int64),
+                                np.ones(2))
+        with pytest.raises(ConfigurationError, match="int64"):
+            batch.joint_indices(cfg)
+
+    def test_joint_indices_at_63_bits(self):
+        cfg = HrcsConfig(n_system=3, n_bath=5, steps=12)
+        batch = TrajectoryBatch(np.full((1, 12), 31), np.full(1, 7), np.ones(1))
+        assert batch.joint_indices(cfg).tolist() == [2**63 - 1]
+
+
 class TestIdealProbability:
     def test_identity_circuit_zero_path(self):
         cfg = small_config(steps=2)
@@ -286,12 +315,15 @@ class TestEnumeration:
     def test_matches_depth_first_reference(self, shape, source, reset):
         # batched and per-node products round differently; 1e-12 relative is
         # about 4500 ulp of float64
+        # the reference walks the full register, so it gets the full draws;
+        # a reset circuit enumerates with its isometries
         cfg = enumeration_config(shape, source, reset)
+        full_cfg = dataclasses.replace(cfg, reset_bath=False)
         for instance in range(2):
             steps = instantiate_circuit(cfg, instance)
             np.testing.assert_allclose(
                 enumerate_joint_distribution(cfg, steps).probabilities,
-                depth_first_reference(cfg, steps),
+                depth_first_reference(cfg, instantiate_circuit(full_cfg, instance)),
                 rtol=1e-12,
                 atol=0,
             )
@@ -316,8 +348,8 @@ class TestEnumeration:
 
     def test_peak_memory_is_a_few_frontiers(self):
         # n_eff = 20: the last level holds 2^20 amplitudes of 16 B.  Measured
-        # peak: 3.1 of those (the frontier, the dense step's product and its
-        # contiguous copy).
+        # peak: 2.5 of those (the previous level's system blocks, the dense
+        # step's product and its contiguous copy); 3.2 without a reset.
         cfg = HrcsConfig(n_system=1, n_bath=1, steps=19, master_seed=4)
         steps = instantiate_circuit(cfg, 0)
         tracemalloc.start()
@@ -478,7 +510,8 @@ class TestResetEquivalence:
         cfg = small_config(steps=3)
         cp_r, cp_n, ps_r, ps_n = [], [], [], []
         for b in range(120):
-            steps = instantiate_circuit(cfg, b)
+            # both modes run one circuit: draw its full steps
+            steps = instantiate_circuit(dataclasses.replace(cfg, reset_bath=False), b)
             dr, dn = replay_no_reset_equivalence(cfg, steps)
             cp_r.append(power_sum_exact(dr, 2))
             cp_n.append(power_sum_exact(dn, 2))
@@ -529,6 +562,20 @@ class TestStepCount:
         steps = instantiate_circuit(dataclasses.replace(cfg, steps=count), 0)
         with pytest.raises(ConfigurationError):
             self.MODES[mode](cfg, steps)
+
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_short_step_refused_without_reset(self, mode, monkeypatch):
+        # a reset circuit's isometries lack the columns a kept bath reaches
+        def no_work(*args):
+            raise AssertionError("a step ran")
+
+        cfg = small_config(steps=3)
+        steps = instantiate_circuit(cfg, 0)
+        monkeypatch.setattr(engine_mod, "_propagate", no_work)
+        monkeypatch.setattr(engine_mod, "step_matrices", no_work)
+        with pytest.raises(ConfigurationError, match="no-reset"):
+            self.MODES[mode](dataclasses.replace(cfg, reset_bath=False), steps)
 
 
 class TestConfigValidation:

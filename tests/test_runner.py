@@ -1,6 +1,7 @@
 """Experiment driver tests: spec validation, determinism, parallel/serial
 equivalence, record layout, and file formats."""
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -137,40 +138,70 @@ class TestCapacity:
         with pytest.raises(CapacityError, match="GB"):
             run_experiment(spec)
 
-    @pytest.mark.parametrize(
-        "kind, n, t, shots",
-        [
-            ("xeb", 6, 33, 200),  # 33 dense 4096^2 steps are 8.9 GB; the batch is 78 MB
-            ("xeb", 8, 2, 10),  # one dense 2^16 x 2^16 step is 69 GB
-            ("cp_sweep", 11, 1, 1000),  # n_eff = 22 is enumerable; its one step is 281 TB
-        ],
-    )
-    def test_dense_haar_steps_beyond_memory_refused_before_work(
-        self, kind, n, t, shots, monkeypatch
-    ):
-        def no_work(*args):
-            raise AssertionError("an instance ran")
-
-        # report 7 GiB of physical memory, so the outcome does not depend on
-        # the machine running the test
+    @pytest.fixture
+    def seven_gib(self, monkeypatch):
+        """Report 7 GiB of physical memory, so the outcome does not depend on
+        the machine running the test."""
         real_sysconf = os.sysconf
         pages = 7 * 2**30 // real_sysconf("SC_PAGE_SIZE")
         monkeypatch.setattr(
             os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else real_sysconf(name)
         )
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("an instance ran")
+
         monkeypatch.setattr(runner_mod, "_instance", no_work)
+
+    @pytest.mark.parametrize(
+        "kind, n, t, shots",
+        [
+            ("xeb", 8, 2, 10),  # the real half of one 2^16 x 2^16 Ginibre draw is 34 GB
+            ("cp_sweep", 11, 1, 1000),  # n_eff = 22 is enumerable; its one draw is 141 TB
+        ],
+    )
+    def test_dense_haar_steps_beyond_memory_refused_before_work(
+        self, kind, n, t, shots, seven_gib, no_work
+    ):
         spec = ExperimentSpec(
             kind=kind, n_system=n, n_bath=n, steps=(t,), instances=1, shots=shots
         )
         with pytest.raises(CapacityError, match="step unitaries"):
             run_experiment(spec)
 
-    def test_hea_steps_not_counted_as_dense(self):
-        # gate sequences hold no 4^n matrix: the 6+6, t = 33 spec that a
-        # Haar source cannot afford passes with an HEA source
+    def test_reset_isometries_within_memory_pass(self, seven_gib):
+        # 33 isometries of 4096 x 64 are 138 MB, the draw's real 4096^2 half
+        # 134 MB and the batch 78 MB
+        spec = ExperimentSpec(
+            kind="xeb", n_system=6, n_bath=6, steps=(33,), instances=1, shots=200
+        )
+        runner_mod._check_capacity(spec)
+
+    def test_full_haar_steps_without_reset_refused_before_work(self, seven_gib, no_work):
+        # the same spec without a reset holds 33 dense 4096^2 steps, 8.9 GB
         spec = ExperimentSpec(
             kind="xeb", n_system=6, n_bath=6, steps=(33,), instances=1, shots=200,
-            unitary_source="hea", hea_layers=1,
+            reset_bath=False,
+        )
+        with pytest.raises(CapacityError, match="step unitaries"):
+            run_experiment(spec)
+
+    def test_reset_check_counts_full_steps(self, seven_gib, no_work):
+        # reset_check runs its circuit without a reset too, so it draws full
+        # 2^14 x 2^14 steps (4.3 GB each) where cp_sweep draws isometries
+        spec = ExperimentSpec(kind="cp_sweep", n_system=7, n_bath=7, steps=(1,), instances=1)
+        runner_mod._check_capacity(spec)
+        with pytest.raises(CapacityError, match="step unitaries"):
+            run_experiment(dataclasses.replace(spec, kind="reset_check"))
+
+    def test_hea_steps_not_counted_as_dense(self):
+        # gate sequences hold no 4^n matrix: the 6+6, t = 33 no-reset spec
+        # that a Haar source cannot afford passes with an HEA source
+        spec = ExperimentSpec(
+            kind="xeb", n_system=6, n_bath=6, steps=(33,), instances=1, shots=200,
+            reset_bath=False, unitary_source="hea", hea_layers=1,
         )
         runner_mod._check_capacity(spec)
 
@@ -178,21 +209,22 @@ class TestCapacity:
     @pytest.mark.parametrize("source", ["haar", "hea"])
     def test_sampler_peak_within_live_copies(self, kind, source):
         # what _check_capacity budgets per shot batch bounds what one instance
-        # of a sampled kind holds, replay included
+        # of a sampled kind holds, replay included, with and without a reset
         gamma = 0.7 if kind == "noisy_xeb" else None
-        spec = ExperimentSpec(
-            kind=kind, n_system=4, n_bath=4, steps=(3,), gammas=(gamma,) if gamma else (),
-            instances=1, shots=2000, unitary_source=source,
-            hea_layers=4 if source == "hea" else None, master_seed=3,
-        )
-        tracemalloc.start()
-        try:
-            runner_mod._instance(spec, 3, gamma, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        batch_bytes = spec.shots * (16 << (spec.n_system + spec.n_bath))
-        assert peak < runner_mod.SAMPLER_LIVE_COPIES * batch_bytes
+        for reset in (True, False):
+            spec = ExperimentSpec(
+                kind=kind, n_system=4, n_bath=4, steps=(3,), gammas=(gamma,) if gamma else (),
+                instances=1, shots=2000, reset_bath=reset, unitary_source=source,
+                hea_layers=4 if source == "hea" else None, master_seed=3,
+            )
+            tracemalloc.start()
+            try:
+                runner_mod._instance(spec, 3, gamma, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            batch_bytes = spec.shots * (16 << (spec.n_system + spec.n_bath))
+            assert peak < runner_mod.SAMPLER_LIVE_COPIES * batch_bytes, reset
 
     def test_pooled_distributions_beyond_memory_refused_before_work(self, monkeypatch):
         # 10^4 instances of 2^22 probabilities are 336 GB per pooled copy
