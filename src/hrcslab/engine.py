@@ -7,11 +7,12 @@ outcome distribution (one batch per tree level), and a density-matrix oracle
 for the depolarizing-noise variant.  Between steps the three pure-state
 modes hold only each row's kept system block, a (rows, 2^n_A) batch, and the
 bath block it sits in (0 after a reset).  One step kernel, ``_propagate``,
-turns that into the (rows, 2^n) state after the next step: a dense step
-multiplies the blocks by the step's columns of the occupied bath blocks, so
-a reset circuit needs only the 2^n x 2^n_A isometry that ``instantiate_circuit``
-draws for it; a gate sequence runs gate by gate in ``circuits`` on the full
-register that ``_keep_branch`` rebuilds.
+turns that into the (rows, 2^n) state after the next step: with every bath
+at 0 a dense step multiplies the blocks by the step's first 2^n_A columns,
+so a reset circuit needs only the 2^n x 2^n_A isometry that
+``instantiate_circuit`` draws for it; a kept bath, and a gate sequence, which
+runs gate by gate in ``circuits``, act on the full register that
+``_keep_branch`` rebuilds.
 
 A sampled path is a row of ``TrajectoryBatch``.  Outcome indexing: a joint
 outcome (z_1, ..., z_t, x) maps to the integer with z_1 in the most
@@ -179,26 +180,22 @@ def _propagate(
     batch after it.  ``bath`` is None when every bath reads 0 (the first
     step, or after a reset).
 
-    A dense step multiplies the blocks by the step's columns of each occupied
-    bath block: one product after a reset, one per occupied block without
-    one.  Every product runs over all rows, so each row keeps its place in
-    the BLAS call and the result is bitwise that of the zero-padded
-    full-register product np.dot(U, amps.T).T.  The one exception is a
-    single row at 2^n_A = 2: it goes through BLAS's matrix-vector kernel,
-    whose tail rounds a length-2 and a length-2^n dot product differently.
+    With every bath at 0 a dense step is one product of the blocks with the
+    step's first 2^n_A columns, bitwise that of the zero-padded full-register
+    product np.dot(U, amps.T).T.  The one exception is a single row at
+    2^n_A = 2: it goes through BLAS's matrix-vector kernel, whose tail rounds
+    a length-2 and a length-2^n dot product differently.  A kept bath, and a
+    gate sequence, act on the full register that ``_keep_branch`` rebuilds.
     """
-    rows, d_sys = picked.shape
+    d_sys = picked.shape[1]
+    if isinstance(step, UnitaryMatrix) and bath is None:
+        return np.ascontiguousarray(np.dot(step.entries[:, :d_sys], picked.T).T)
+    amps = _keep_branch(picked, bath, d_bath, reset=bath is None)
     if isinstance(step, GateSequence):
-        amps = _keep_branch(picked, bath, d_bath, reset=bath is None)
         return apply_gate_sequence_batch(amps, step, (d_sys * d_bath).bit_length() - 1)
-    v = step.entries
-    if bath is None:
-        return np.ascontiguousarray(np.dot(v[:, :d_sys], picked.T).T)
-    out = np.empty((rows, v.shape[0]), dtype=complex)
-    for z in np.unique(bath):
-        at_z = bath == z
-        out[at_z] = np.dot(v[:, z * d_sys : (z + 1) * d_sys], picked.T).T[at_z]
-    return out
+    product = np.dot(step.entries, amps.T)
+    del amps  # free the rebuilt register before the contiguous copy
+    return np.ascontiguousarray(product.T)
 
 
 def _keep_branch(picked: np.ndarray, z: np.ndarray, d_bath: int, reset: bool) -> np.ndarray:
@@ -481,7 +478,8 @@ def replay_no_reset_equivalence(
 ) -> tuple[JointDistribution, JointDistribution]:
     """Exact joint distributions of the same circuit with reset on and off.
 
-    Equality of CP and power sums holds only after ensemble averaging, not
+    The run without a reset needs full steps: draw them with
+    ``instantiate_circuit`` on a config with ``reset_bath=False``.  Equality of CP and power sums holds only after ensemble averaging, not
     per instance; callers compare aggregates.
     """
     with_reset = enumerate_joint_distribution(

@@ -139,9 +139,7 @@ class Kind:
     """How one experiment kind runs.
 
     ``engine`` names the engine limit that applies ("enumerate", "sample", or
-    None for a pure formula sweep).  ``full_steps`` draws whole Haar unitaries
-    even for a reset spec, for a measure that also runs the circuit without
-    a reset.  ``statistics(spec, K)`` lists the
+    None for a pure formula sweep).  ``statistics(spec, K)`` lists the
     (statistic, K, theory formula, theory source) rows reported at each
     parameter point; ``points(spec)`` yields the (t, K, gamma) points in
     output order; ``aggregate(spec, t, rows)`` turns the per-instance rows
@@ -153,7 +151,6 @@ class Kind:
     statistics: Callable
     points: Callable = lambda s: ((t, None, None) for t in s.steps)
     aggregate: Callable = _ensemble
-    full_steps: bool = False
 
 
 KIND_TABLE = {
@@ -185,14 +182,14 @@ KIND_TABLE = {
             ("collision_probability_no_reset", 2),
             ("power_sum_reset", 3),
             ("power_sum_no_reset", 3),
-        )), full_steps=True),
+        ))),
 }
 EXPERIMENT_KINDS = tuple(KIND_TABLE)
 
 # (shots, 2^n) complex arrays an xeb or noisy_xeb instance holds at its peak,
 # replay included: tracemalloc at 3+5 to 6+2 qubits, 2000 shots, t = 3
 # measures 2.2-2.4 with reset Haar steps (the kept blocks, not a zero-padded
-# register, go into each step), 2.6-3.0 without a reset, and 3.6-3.8 with a
+# register, go into each step), 2.5-2.7 without a reset, and 3.6-3.8 with a
 # 4-layer HEA, whose gates run on the rebuilt register
 SAMPLER_LIVE_COPIES = 4
 # 2^n x 2^n complex arrays that drawing one full Haar step holds beside its
@@ -325,7 +322,9 @@ class ExperimentSpec:
             n_system=self.n_system,
             n_bath=self.n_bath,
             steps=t,
-            reset_bath=self.reset_bath,
+            # reset_check runs each circuit with and without a reset
+            # (_reset_pair), so it draws full steps, not reset isometries
+            reset_bath=self.reset_bath and self.kind != "reset_check",
             unitary_source=self.unitary_source,
             hea_layers=self.hea_layers,
             master_seed=self.master_seed,
@@ -431,9 +430,8 @@ def _check_capacity(spec: ExperimentSpec) -> None:
     need = spec.shots * (16 << n_phys) * SAMPLER_LIVE_COPIES if engine == "sample" else 0
     if engine is not None and spec.unitary_source == "haar":
         # an instance holds all t dense steps (instantiate_circuit): 2^n x 2^n_A
-        # isometries under a reset, full unitaries when the circuit also runs
-        # without one
-        if spec.reset_bath and not KIND_TABLE[spec.kind].full_steps:
+        # isometries under a reset, full unitaries without one
+        if spec.config_for(max(spec.steps)).reset_bath:
             isometry = 16 << (n_phys + spec.n_system)
             need += (max(spec.steps) + HAAR_ISOMETRY_TRANSIENT_COPIES) * isometry
             need += 8 << 2 * n_phys  # the real half of the Ginibre draw
@@ -450,11 +448,9 @@ def _check_capacity(spec: ExperimentSpec) -> None:
 def _instance(spec: ExperimentSpec, t: int, gamma: float | None, index: int):
     """Measure ensemble member ``index`` at ``t`` steps as its kind says (top
     level so process pools can pickle it)."""
-    kind = KIND_TABLE[spec.kind]
     config = spec.config_for(t)
-    # reset_bath does not enter the instance seed: both draws are the same circuit
-    drawn = dataclasses.replace(config, reset_bath=False) if kind.full_steps else config
-    return kind.measure(spec, config, instantiate_circuit(drawn, index), gamma, index)
+    unitaries = instantiate_circuit(config, index)
+    return KIND_TABLE[spec.kind].measure(spec, config, unitaries, gamma, index)
 
 
 class InstanceFailure(RuntimeError):

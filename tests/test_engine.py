@@ -348,18 +348,20 @@ class TestEnumeration:
 
     def test_peak_memory_is_a_few_frontiers(self):
         # n_eff = 20: the last level holds 2^20 amplitudes of 16 B.  Measured
-        # peak: 2.5 of those (the previous level's system blocks, the dense
-        # step's product and its contiguous copy); 3.2 without a reset.
-        cfg = HrcsConfig(n_system=1, n_bath=1, steps=19, master_seed=4)
-        steps = instantiate_circuit(cfg, 0)
-        tracemalloc.start()
-        try:
-            dist = enumerate_joint_distribution(cfg, steps)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert dist.total() == pytest.approx(1.0, abs=1e-9)
-        assert peak < 4 * (1 << cfg.n_eff) * 16
+        # peak: 2.5 of those with a reset (the previous level's system blocks,
+        # the dense step's product and its contiguous copy), 2.6 without one
+        # (the rebuilt register is freed before the copy)
+        for reset in (True, False):
+            cfg = HrcsConfig(n_system=1, n_bath=1, steps=19, master_seed=4, reset_bath=reset)
+            steps = instantiate_circuit(cfg, 0)
+            tracemalloc.start()
+            try:
+                dist = enumerate_joint_distribution(cfg, steps)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert dist.total() == pytest.approx(1.0, abs=1e-9), reset
+            assert peak < 3 * (1 << cfg.n_eff) * 16, reset
 
     def test_hea_steps_enumerate_too(self):
         cfg = HrcsConfig(
