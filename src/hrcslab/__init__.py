@@ -2,14 +2,7 @@
 measured statistics against their closed-form values."""
 
 from .core import UnitaryMatrix, sample_haar_state, sample_haar_unitary
-from .circuits import (
-    Gate,
-    GateSequence,
-    HeaParams,
-    build_hea,
-    hea_gate_count,
-    sample_hea_params,
-)
+from .circuits import HeaParams, hea_gate_count, sample_hea_params
 from .engine import (
     HrcsConfig,
     JointDistribution,
@@ -44,8 +37,6 @@ __all__ = [
     "DegenerateBranchError",
     "EnsembleStats",
     "ExperimentSpec",
-    "Gate",
-    "GateSequence",
     "HeaParams",
     "HrcsConfig",
     "JointDistribution",
@@ -54,7 +45,6 @@ __all__ = [
     "ResultRecord",
     "TrajectoryBatch",
     "UnitaryMatrix",
-    "build_hea",
     "ensemble_aggregate",
     "enumerate_joint_distribution",
     "enumerate_noisy_joint_distribution",

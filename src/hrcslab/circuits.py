@@ -1,14 +1,18 @@
-"""Step-unitary generation: Haar matrices live in core; this module builds the
+"""Step-unitary generation: Haar matrices live in core; this module draws the
 one-dimensional hardware-efficient ansatz (HEA) used as a cheap stand-in, and
-applies it gate by gate to an amplitude batch.
+applies it to an amplitude batch.  An HEA step is its drawn ``HeaParams``.
 
 One HEA layer rotates every qubit (RX then RZ) and then entangles with a fixed
 brickwork of CNOTs: pairs (2i, 2i+1) first, pairs (2i+1, 2i+2) second, pairs
 falling off the register dropped.  Angles are drawn uniformly from [0, 4*pi).
+The kernel fuses each qubit's RX and RZ into one 2x2 and applies each layer's
+CNOTs as one precomputed permutation of the amplitude index.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,47 +21,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 TWO_TURNS = 4.0 * math.pi
-
-GATE_KINDS = ("rx", "rz", "cnot")
-
-
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ConfigurationError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "cnot":
-            if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
-                raise ConfigurationError(f"cnot needs two distinct qubits, got {self.qubits}")
-            if self.angle is not None:
-                raise ConfigurationError("cnot takes no angle")
-        else:
-            if len(self.qubits) != 1:
-                raise ConfigurationError(f"{self.kind} acts on one qubit, got {self.qubits}")
-            if self.angle is None:
-                raise ConfigurationError(f"{self.kind} needs an angle")
-
-
-@dataclass(frozen=True)
-class GateSequence:
-    """Ordered gate list; leftmost gate is applied first."""
-
-    gates: tuple[Gate, ...]
-    n_qubits: int
-
-    def __post_init__(self):
-        for g in self.gates:
-            if max(g.qubits) >= self.n_qubits:
-                raise ConfigurationError(
-                    f"gate on qubits {g.qubits} exceeds register of {self.n_qubits}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.gates)
 
 
 @dataclass(frozen=True)
@@ -108,23 +71,6 @@ def brickwork_pairs(n_qubits: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def build_hea(n_qubits: int, params: HeaParams) -> GateSequence:
-    """Lay out the full ansatz as a gate list, layers applied left to right."""
-    if params.n_qubits != n_qubits:
-        raise ConfigurationError(
-            f"params are for {params.n_qubits} qubits, circuit wants {n_qubits}"
-        )
-    gates: list[Gate] = []
-    for layer in range(params.layers):
-        for q in range(n_qubits):
-            gates.append(Gate("rx", (q,), float(params.thetas[layer, q])))
-        for q in range(n_qubits):
-            gates.append(Gate("rz", (q,), float(params.phis[layer, q])))
-        for c, t in brickwork_pairs(n_qubits):
-            gates.append(Gate("cnot", (c, t)))
-    return GateSequence(tuple(gates), n_qubits)
-
-
 def hea_gate_count(n_qubits: int, layers: int) -> int:
     """Gates per step circuit: L * (N rx + N rz + (N-1) brickwork cnots).
 
@@ -136,15 +82,24 @@ def hea_gate_count(n_qubits: int, layers: int) -> int:
     return layers * (2 * n_qubits + len(brickwork_pairs(n_qubits)))
 
 
-def _rx_matrix(theta: float) -> np.ndarray:
+def _rotation(theta: float, phi: float) -> np.ndarray:
+    """RZ(phi) RX(theta), one qubit's rotations of a layer fused into one 2x2."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    down, up = cmath.exp(-0.5j * phi), cmath.exp(0.5j * phi)
+    return np.array([[down * c, -1j * down * s], [-1j * up * s, up * c]])
 
 
-def _rz_matrix(phi: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-1j * phi / 2.0), 0.0], [0.0, np.exp(1j * phi / 2.0)]], dtype=complex
-    )
+@functools.lru_cache(maxsize=None)
+def _brickwork_permutation(n_qubits: int) -> np.ndarray:
+    """One entangling layer as a single gather: entry j of a row takes the
+    amplitude at perm[j].  Each CNOT (c, t) alone is the gather
+    j -> j ^ ((bit c of j) << t); gathers compose as perm = perm[gather]."""
+    idx = np.arange(1 << n_qubits)
+    perm = idx
+    for c, t in brickwork_pairs(n_qubits):
+        perm = perm[idx ^ (((idx >> c) & 1) << t)]
+    perm.flags.writeable = False
+    return perm
 
 
 def _apply_2x2(amps: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
@@ -160,19 +115,16 @@ def _apply_2x2(amps: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
     return out.reshape(amps.shape)
 
 
-def apply_gate_sequence_batch(amps: np.ndarray, seq: GateSequence, n_qubits: int) -> np.ndarray:
-    """Apply the sequence to every row of a (batch, 2^n) amplitude array.
+def apply_hea_batch(amps: np.ndarray, params: HeaParams) -> np.ndarray:
+    """Apply the ansatz to every row of a (batch, 2^N) amplitude array.
 
-    A rotation is one 2x2 product on a strided view; a CNOT is one index
-    gather, entry j of every row taking the amplitude at j ^ ((bit c of j) << t).
-    The input is never written to.
+    Each layer is one fused 2x2 product per qubit on a strided view, then
+    one gather by the brickwork's composed permutation.  The input is never
+    written to.
     """
-    idx = np.arange(1 << n_qubits)
-    for gate in seq.gates:
-        if gate.kind == "cnot":
-            c, t = gate.qubits
-            amps = amps[:, idx ^ (((idx >> c) & 1) << t)]
-        else:
-            rotation = _rx_matrix if gate.kind == "rx" else _rz_matrix
-            amps = _apply_2x2(amps, rotation(gate.angle), gate.qubits[0])
+    perm = _brickwork_permutation(params.n_qubits)
+    for thetas, phis in zip(params.thetas, params.phis):
+        for q, (theta, phi) in enumerate(zip(thetas, phis)):
+            amps = _apply_2x2(amps, _rotation(theta, phi), q)
+        amps = amps[:, perm]
     return amps

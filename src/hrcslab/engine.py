@@ -10,9 +10,9 @@ bath block it sits in (0 after a reset).  One step kernel, ``_propagate``,
 turns that into the (rows, 2^n) state after the next step: with every bath
 at 0 a dense step multiplies the blocks by the step's first 2^n_A columns,
 so a reset circuit needs only the 2^n x 2^n_A isometry that
-``instantiate_circuit`` draws for it; a kept bath, and a gate sequence, which
-runs gate by gate in ``circuits``, act on the full register that
-``_keep_branch`` rebuilds.
+``instantiate_circuit`` draws for it; a kept bath, and an HEA step (its drawn
+``HeaParams``, applied layer by layer in ``circuits``), act on the full
+register that ``_keep_branch`` rebuilds.
 
 A sampled path is a row of ``TrajectoryBatch``.  Outcome indexing: a joint
 outcome (z_1, ..., z_t, x) maps to the integer with z_1 in the most
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import GateSequence, apply_gate_sequence_batch, build_hea, sample_hea_params
+from .circuits import HeaParams, apply_hea_batch, sample_hea_params
 from .core import PROB_FLOOR, UnitaryMatrix, sample_haar_unitary
 from .errors import CapacityError, ConfigurationError, DegenerateBranchError
 
@@ -41,7 +41,7 @@ NOISY_ORACLE_MAX_BITS = 20
 
 UNITARY_SOURCES = ("haar", "hea")
 
-StepUnitary = UnitaryMatrix | GateSequence
+StepUnitary = UnitaryMatrix | HeaParams
 
 
 def derive_seed(*parts) -> int:
@@ -74,6 +74,9 @@ class HrcsConfig:
             )
         if self.unitary_source == "hea" and (self.hea_layers is None or self.hea_layers < 1):
             raise ConfigurationError("hea source needs hea_layers >= 1")
+        if self.unitary_source == "haar" and self.hea_layers is not None:
+            # instance_seed hashes hea_layers: a stray value would redraw every circuit
+            raise ConfigurationError("hea_layers applies only to the hea source")
 
     @property
     def n_qubits(self) -> int:
@@ -154,20 +157,17 @@ def instantiate_circuit(config: HrcsConfig, instance_index: int) -> list[StepUni
     if config.unitary_source == "haar":
         columns = 1 << (config.n_system if config.reset_bath else n)
         return [sample_haar_unitary(1 << n, rng, columns) for _ in range(config.steps)]
-    return [
-        build_hea(n, sample_hea_params(n, config.hea_layers, rng))
-        for _ in range(config.steps)
-    ]
+    return [sample_hea_params(n, config.hea_layers, rng) for _ in range(config.steps)]
 
 
 def step_matrices(config: HrcsConfig, unitaries: list[StepUnitary]) -> list[np.ndarray]:
     """Dense matrices of the step unitaries (the drawn columns of an isometry
-    step).  A gate sequence is applied to the identity batch, whose row b is
+    step).  An HEA step is applied to the identity batch, whose row b is
     then column b of the matrix."""
     identity = np.eye(1 << config.n_qubits, dtype=complex)
     return [
         step.entries if isinstance(step, UnitaryMatrix)
-        else apply_gate_sequence_batch(identity, step, config.n_qubits).T
+        else apply_hea_batch(identity, step).T
         for step in unitaries
     ]
 
@@ -184,15 +184,15 @@ def _propagate(
     step's first 2^n_A columns, bitwise that of the zero-padded full-register
     product np.dot(U, amps.T).T.  The one exception is a single row at
     2^n_A = 2: it goes through BLAS's matrix-vector kernel, whose tail rounds
-    a length-2 and a length-2^n dot product differently.  A kept bath, and a
-    gate sequence, act on the full register that ``_keep_branch`` rebuilds.
+    a length-2 and a length-2^n dot product differently.  A kept bath, and an
+    HEA step, act on the full register that ``_keep_branch`` rebuilds.
     """
     d_sys = picked.shape[1]
     if isinstance(step, UnitaryMatrix) and bath is None:
         return np.ascontiguousarray(np.dot(step.entries[:, :d_sys], picked.T).T)
     amps = _keep_branch(picked, bath, d_bath, reset=bath is None)
-    if isinstance(step, GateSequence):
-        return apply_gate_sequence_batch(amps, step, (d_sys * d_bath).bit_length() - 1)
+    if isinstance(step, HeaParams):
+        return apply_hea_batch(amps, step)
     product = np.dot(step.entries, amps.T)
     del amps  # free the rebuilt register before the contiguous copy
     return np.ascontiguousarray(product.T)
@@ -479,7 +479,9 @@ def replay_no_reset_equivalence(
     """Exact joint distributions of the same circuit with reset on and off.
 
     The run without a reset needs full steps: draw them with
-    ``instantiate_circuit`` on a config with ``reset_bath=False``.  Equality of CP and power sums holds only after ensemble averaging, not
+    ``instantiate_circuit`` on a config with ``reset_bath=False``.
+
+    Equality of CP and power sums holds only after ensemble averaging, not
     per instance; callers compare aggregates.
     """
     with_reset = enumerate_joint_distribution(
@@ -498,7 +500,13 @@ def _check_steps(config: HrcsConfig, unitaries: list[StepUnitary]) -> None:
     d = 1 << config.n_qubits
     need = 1 << config.n_system if config.reset_bath else d
     for step in unitaries:
-        if isinstance(step, UnitaryMatrix) and (step.dim != d or step.columns < need):
+        if isinstance(step, HeaParams):
+            if step.n_qubits != config.n_qubits:
+                raise ConfigurationError(
+                    f"an HEA step on {step.n_qubits} qubits does not fit a circuit on "
+                    f"{config.n_qubits} qubits"
+                )
+        elif step.dim != d or step.columns < need:
             raise ConfigurationError(
                 f"a {step.dim} x {step.columns} step does not hold the {d} x {need} columns "
                 f"a {'reset' if config.reset_bath else 'no-reset'} circuit on "

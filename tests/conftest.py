@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hrcslab import HrcsConfig, sample_haar_unitary
+from hrcslab.circuits import brickwork_pairs
 from hrcslab.core import PAULI_MATRICES
 
 
@@ -78,17 +79,19 @@ def cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
     return out
 
 
-def dense_gate_oracle(seq, n: int) -> np.ndarray:
-    """Dense matrix of a gate sequence from explicit per-gate operators,
-    independent of the batch kernels: the leftmost gate acts first."""
+def dense_hea_oracle(params) -> np.ndarray:
+    """Dense matrix of an HEA step, gate by gate from explicit Kronecker RX and
+    RZ operators and bit-loop CNOTs over the brickwork, independent of the
+    batch kernel: per layer every RX, then every RZ, then the CNOTs in order."""
+    n = params.n_qubits
     out = np.eye(1 << n, dtype=complex)
-    for gate in seq.gates:
-        if gate.kind == "cnot":
-            op = cnot_permutation(*gate.qubits, n)
-        else:
-            rotation = rx_matrix if gate.kind == "rx" else rz_matrix
-            op = single_qubit_matrix(rotation(gate.angle), gate.qubits[0], n)
-        out = op @ out
+    for thetas, phis in zip(params.thetas, params.phis):
+        for q in range(n):
+            out = single_qubit_matrix(rx_matrix(thetas[q]), q, n) @ out
+        for q in range(n):
+            out = single_qubit_matrix(rz_matrix(phis[q]), q, n) @ out
+        for control, target in brickwork_pairs(n):
+            out = cnot_permutation(control, target, n) @ out
     return out
 
 

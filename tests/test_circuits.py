@@ -1,37 +1,34 @@
-"""Ansatz construction tests: parameter sampling, brickwork layout, the
-gate-by-gate batch kernel against an independent dense oracle, and
-convergence of the layered circuit toward Haar statistics."""
+"""Ansatz tests: parameter sampling, brickwork layout, the fused batch kernel
+against an independent dense oracle, and convergence of the layered circuit
+toward Haar statistics."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hrcslab import ConfigurationError, GateSequence, build_hea, hea_gate_count, sample_hea_params
-from hrcslab.circuits import Gate, TWO_TURNS, apply_gate_sequence_batch, brickwork_pairs
+from hrcslab import ConfigurationError, HeaParams, hea_gate_count, sample_hea_params
+from hrcslab.circuits import TWO_TURNS, apply_hea_batch, brickwork_pairs
 from hrcslab.theory import haar_power_sum
 
-from conftest import dense_gate_oracle, random_state, zero_batch
+from conftest import (
+    cnot_permutation,
+    dense_hea_oracle,
+    random_state,
+    rx_matrix,
+    rz_matrix,
+    zero_batch,
+)
 
 
-def compiled(seq: GateSequence, n: int) -> np.ndarray:
-    """Dense matrix of ``seq`` through the batch kernel: row b of the output
+def compiled(params: HeaParams) -> np.ndarray:
+    """Dense matrix of ``params`` through the batch kernel: row b of the output
     batch is the image of |b>, so the matrix is its transpose."""
-    return apply_gate_sequence_batch(np.eye(1 << n, dtype=complex), seq, n).T
+    return apply_hea_batch(np.eye(1 << params.n_qubits, dtype=complex), params).T
 
 
-def random_sequence(n: int, count: int, rng) -> GateSequence:
-    """Rotations on random qubits and CNOTs on random ordered pairs, adjacent
-    or not, in both directions."""
-    gates = []
-    for _ in range(count):
-        kind = rng.choice(["rx", "rz", "cnot"])
-        if kind == "cnot":
-            pair = rng.choice(n, size=2, replace=False)
-            gates.append(Gate("cnot", (int(pair[0]), int(pair[1]))))
-        else:
-            gates.append(Gate(kind, (int(rng.integers(n)),), float(rng.uniform(0, TWO_TURNS))))
-    return GateSequence(tuple(gates), n)
+def zero_angles(n: int, layers: int) -> HeaParams:
+    return HeaParams(layers, np.zeros((layers, n)), np.zeros((layers, n)))
 
 
 class TestParamSampling:
@@ -72,10 +69,16 @@ class TestBrickwork:
 
 
 class TestBuildHea:
+    """The ansatz as its angles lay it out."""
+
     def test_minimal_circuit_structure(self, rng):
-        seq = build_hea(2, sample_hea_params(2, 1, rng))
-        kinds = [g.kind for g in seq.gates]
-        assert kinds == ["rx", "rx", "rz", "rz", "cnot"]
+        # one layer on two qubits: RX then RZ on each qubit, then CNOT(0 -> 1),
+        # written out by hand (qubit 1 is the left Kronecker factor)
+        params = sample_hea_params(2, 1, rng)
+        (t0, t1), (p0, p1) = params.thetas[0], params.phis[0]
+        rotations = np.kron(rz_matrix(p1) @ rx_matrix(t1), rz_matrix(p0) @ rx_matrix(t0))
+        expected = cnot_permutation(0, 1, 2) @ rotations
+        np.testing.assert_allclose(compiled(params), expected, rtol=0, atol=1e-12)
 
     def test_gate_count_accounting(self, rng):
         # L * (2N + N-1); the 10-qubit 8-layer step circuit lands on 232,
@@ -83,87 +86,85 @@ class TestBuildHea:
         assert hea_gate_count(2, 1) == 5
         assert hea_gate_count(5, 8) == 112
         assert hea_gate_count(10, 8) == 232
-        assert len(build_hea(5, sample_hea_params(5, 8, rng))) == 112
+        params = sample_hea_params(5, 8, rng)
+        assert params.count + params.layers * len(brickwork_pairs(5)) == 112
 
     def test_zero_angles_reduce_to_entangler_power(self):
         layers = 3
-        params_zero = sample_hea_params(3, layers, np.random.default_rng(0))
-        params_zero = type(params_zero)(layers, np.zeros((layers, 3)), np.zeros((layers, 3)))
-        u = compiled(build_hea(3, params_zero), 3)
-        w_gates = tuple(Gate("cnot", pair) for pair in brickwork_pairs(3))
-        w = compiled(GateSequence(w_gates, 3), 3)
-        np.testing.assert_allclose(u, np.linalg.matrix_power(w, layers), atol=1e-12)
+        w = np.eye(8)
+        for control, target in brickwork_pairs(3):
+            w = cnot_permutation(control, target, 3) @ w
+        np.testing.assert_allclose(
+            compiled(zero_angles(3, layers)), np.linalg.matrix_power(w, layers), atol=1e-12
+        )
 
-    def test_shape_mismatch_raises(self, rng):
-        params = sample_hea_params(3, 2, rng)
+    def test_shape_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
-            build_hea(4, params)
+            HeaParams(2, np.zeros((2, 3)), np.zeros((2, 4)))
+        with pytest.raises(ConfigurationError):
+            HeaParams(3, np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestDenseCompilation:
     def test_empty_sequence_is_identity(self):
-        np.testing.assert_array_equal(compiled(GateSequence((), 3), 3), np.eye(8))
+        # an ansatz of zero layers
+        np.testing.assert_array_equal(compiled(zero_angles(3, 0)), np.eye(8))
 
     def test_cnot_permutation_matrix(self):
-        u = compiled(GateSequence((Gate("cnot", (0, 1)),), 2), 2)
-        # control is qubit 0 (the low bit): |q1 q0> flips q1 when q0 = 1
+        # at zero angles one layer on two qubits is the lone CNOT; control is
+        # qubit 0 (the low bit): |q1 q0> flips q1 when q0 = 1
+        u = compiled(zero_angles(2, 1))
         expected = np.zeros((4, 4))
         for i in range(4):
             j = i ^ 0b10 if i & 1 else i
             expected[j, i] = 1
         np.testing.assert_array_equal(u, expected)
 
-    def test_cnot_reversed_control(self):
-        u = compiled(GateSequence((Gate("cnot", (1, 0)),), 2), 2)
-        expected = np.zeros((4, 4))
-        for i in range(4):
-            j = i ^ 0b01 if i & 2 else i
-            expected[j, i] = 1
-        np.testing.assert_array_equal(u, expected)
-
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_gate_by_gate_matches_dense(self, n, rng):
-        seq = build_hea(n, sample_hea_params(n, 2, rng))
-        u = dense_gate_oracle(seq, n)
+        params = sample_hea_params(n, 2, rng)
         state = random_state(n, seed=41 + n)
-        stepped = apply_gate_sequence_batch(state[None, :], seq, n)[0]
-        np.testing.assert_allclose(stepped, u @ state, rtol=0, atol=1e-12)
+        stepped = apply_hea_batch(state[None, :], params)[0]
+        np.testing.assert_allclose(stepped, dense_hea_oracle(params) @ state, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_random_gates_match_oracle(self, n, rng):
-        # every (control, target) ordered pair, so both CNOT directions and,
-        # from n = 3 on, non-adjacent pairs
-        cnots = [Gate("cnot", (c, t)) for c in range(n) for t in range(n) if c != t]
-        seq = GateSequence(tuple(cnots) + random_sequence(n, 40, rng).gates, n)
+        # random angles at 1 to 3 layers, a batch of random states
         states = np.stack([random_state(n, seed=100 * n + r) for r in range(5)])
-        out = apply_gate_sequence_batch(states, seq, n)
-        np.testing.assert_allclose(out, states @ dense_gate_oracle(seq, n).T, rtol=0, atol=1e-12)
+        for layers in (1, 2, 3):
+            params = sample_hea_params(n, layers, rng)
+            out = apply_hea_batch(states, params)
+            expected = states @ dense_hea_oracle(params).T
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=str(layers))
 
     def test_single_gates_match_oracle(self):
+        # one nonzero angle per single-layer ansatz: each rotation lands on
+        # its own qubit, the thetas as RX and the phis as RZ
         n = 4
         states = np.stack([random_state(n, seed=7 + r) for r in range(3)])
-        gates = [Gate(kind, (q,), 0.7 + q) for kind in ("rx", "rz") for q in range(n)]
-        gates += [Gate("cnot", (c, t)) for c in range(n) for t in range(n) if c != t]
-        for gate in gates:
-            seq = GateSequence((gate,), n)
-            np.testing.assert_allclose(
-                apply_gate_sequence_batch(states, seq, n),
-                states @ dense_gate_oracle(seq, n).T,
-                rtol=0,
-                atol=1e-12,
-                err_msg=str(gate),
-            )
+        for which in ("thetas", "phis"):
+            for q in range(n):
+                angles = {"thetas": np.zeros((1, n)), "phis": np.zeros((1, n))}
+                angles[which][0, q] = 0.7 + q
+                params = HeaParams(1, **angles)
+                np.testing.assert_allclose(
+                    apply_hea_batch(states, params),
+                    states @ dense_hea_oracle(params).T,
+                    rtol=0,
+                    atol=1e-12,
+                    err_msg=f"{which}[{q}]",
+                )
 
     def test_applying_to_zero_state_matches_first_column(self, rng):
-        seq = build_hea(3, sample_hea_params(3, 2, rng))
-        out = apply_gate_sequence_batch(zero_batch(3), seq, 3)[0]
-        np.testing.assert_allclose(out, dense_gate_oracle(seq, 3)[:, 0], rtol=0, atol=1e-12)
+        params = sample_hea_params(3, 2, rng)
+        out = apply_hea_batch(zero_batch(3), params)[0]
+        np.testing.assert_allclose(out, dense_hea_oracle(params)[:, 0], rtol=0, atol=1e-12)
 
     def test_input_batch_left_unchanged(self, rng):
-        seq = build_hea(3, sample_hea_params(3, 1, rng))
+        params = sample_hea_params(3, 1, rng)
         states = np.stack([random_state(3, seed=r) for r in range(2)])
         before = states.copy()
-        apply_gate_sequence_batch(states, seq, 3)
+        apply_hea_batch(states, params)
         np.testing.assert_array_equal(states, before)
 
 
@@ -179,8 +180,7 @@ class TestHaarConvergence:
             vals = []
             for b in range(instances):
                 gen = np.random.default_rng(1_000_000 + 977 * layers + b)
-                seq = build_hea(n, sample_hea_params(n, layers, gen))
-                amps = apply_gate_sequence_batch(zero_batch(n), seq, n)[0]
+                amps = apply_hea_batch(zero_batch(n), sample_hea_params(n, layers, gen))[0]
                 vals.append(float(np.sum(np.abs(amps) ** 4)))
             arr = np.asarray(vals)
             means.append(arr.mean())

@@ -18,7 +18,7 @@ from hrcslab import (
     sample_haar_unitary,
     sample_trajectories,
 )
-from hrcslab.circuits import Gate, GateSequence
+from hrcslab.circuits import HeaParams
 from hrcslab.engine import _batch_random_paulis, _keep_branch, _propagate, ideal_probabilities_batch
 
 from conftest import (
@@ -27,6 +27,7 @@ from conftest import (
     pauli_string_matrix,
     random_state,
     rx_matrix,
+    rz_matrix,
     tensordot_step,
     zero_batch,
 )
@@ -77,8 +78,10 @@ def apply_codes(amps, codes, targets, n):
     return _batch_random_paulis(amps, targets, n, 0.0, FixedCodes(codes))
 
 
-def gates(n: int, *specs) -> GateSequence:
-    return GateSequence(tuple(Gate(*spec) for spec in specs), n)
+def hea(thetas, phis=None) -> HeaParams:
+    """An HEA step with the given (L, N) angles; phis default to zero."""
+    thetas = np.asarray(thetas, dtype=float)
+    return HeaParams(len(thetas), thetas, np.zeros_like(thetas) if phis is None else phis)
 
 
 def propagate(states: np.ndarray, step) -> np.ndarray:
@@ -88,21 +91,25 @@ def propagate(states: np.ndarray, step) -> np.ndarray:
 
 
 class TestApplyUnitary:
-    """The step kernel ``_propagate``: a dense step is one matrix product, a
-    gate sequence runs through ``apply_gate_sequence_batch``."""
+    """The step kernel ``_propagate``: a dense step is one matrix product, an
+    HEA step runs through ``apply_hea_batch``."""
 
     def test_identity_leaves_state_unchanged(self):
         states = np.stack([random_state(3, seed=5 + r) for r in range(4)])
         np.testing.assert_array_equal(propagate(states, UnitaryMatrix(np.eye(8))), states)
-        np.testing.assert_array_equal(propagate(states, gates(3)), states)
+        # two zero-angle layers on two qubits are CNOT(0 -> 1) squared
+        states = np.stack([random_state(2, seed=5 + r) for r in range(4)])
+        np.testing.assert_array_equal(propagate(states, hea(np.zeros((2, 2)))), states)
 
     def test_x_on_qubit0_maps_00_to_01(self):
-        # RX(pi) is X up to the global phase -i
-        out = propagate(zero_batch(2), gates(2, ("rx", (0,), np.pi)))
+        # RX(pi) is X up to the global phase -i; the first layer's CNOT then
+        # flips qubit 1 and the second layer's flips it back
+        out = propagate(zero_batch(2), hea([[np.pi, 0], [0, 0]]))
         np.testing.assert_allclose(out, [[0, -1j, 0, 0]], atol=1e-15)
 
     def test_x_on_qubit1_maps_00_to_10(self):
-        out = propagate(zero_batch(2), gates(2, ("rx", (1,), np.pi)))
+        # the CNOTs' control, qubit 0, stays at 0
+        out = propagate(zero_batch(2), hea([[0, np.pi], [0, 0]]))
         np.testing.assert_allclose(out, [[0, 0, -1j, 0]], atol=1e-15)
 
     def test_full_register_unitary_extracts_first_column(self):
@@ -111,16 +118,15 @@ class TestApplyUnitary:
         np.testing.assert_array_equal(out, [u.entries[:, 0]] * 2)
 
     def test_partial_application_matches_kron_oracle(self):
-        # a rotation on the middle qubit of 3 and a CNOT on the non-adjacent
-        # pair (0, 2), each against its dense operator built by hand
+        # one layer on 3 qubits with an RX on the middle qubit and an RZ on
+        # the top one, then CNOT(0 -> 1) and CNOT(1 -> 2), against the dense
+        # operators built by hand (qubit 2 is the left Kronecker factor)
         states = np.stack([random_state(3, seed=8 + r) for r in range(3)])
-        rx = np.kron(np.kron(np.eye(2), rx_matrix(0.9)), np.eye(2))
-        out = propagate(states, gates(3, ("rx", (1,), 0.9)))
-        np.testing.assert_allclose(out, states @ rx.T, rtol=0, atol=1e-12)
-        for control, target in ((0, 2), (2, 0)):
-            out = propagate(states, gates(3, ("cnot", (control, target))))
-            perm = cnot_permutation(control, target, 3)
-            np.testing.assert_array_equal(out, states @ perm.T)
+        step = hea([[0, 0.9, 0]], [[0, 0, 0.4]])
+        rotations = np.kron(np.kron(rz_matrix(0.4), rx_matrix(0.9)), np.eye(2))
+        layer = cnot_permutation(1, 2, 3) @ cnot_permutation(0, 1, 3) @ rotations
+        out = propagate(states, step)
+        np.testing.assert_allclose(out, states @ layer.T, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("rows", [1, 7, 16, 257, 1000])
     @pytest.mark.parametrize("n", [2, 5, 8, 10])
@@ -157,19 +163,11 @@ class TestApplyUnitary:
             np.testing.assert_array_equal(got, expected)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 5), st.integers(0, 2**31 - 1), st.integers(1, 3), st.data())
-    def test_norm_preserved(self, n, seed, rows, data):
+    @given(st.integers(1, 5), st.integers(0, 2**31 - 1), st.integers(1, 3), st.integers(1, 4))
+    def test_norm_preserved(self, n, seed, rows, layers):
         states = np.stack([random_state(n, seed + r) for r in range(rows)])
-        kinds = ["rx", "rz", "cnot"] if n > 1 else ["rx", "rz"]
-        seq = []
-        for _ in range(data.draw(st.integers(1, 12))):
-            kind = data.draw(st.sampled_from(kinds))
-            if kind == "cnot":
-                pair = data.draw(st.permutations(range(n)))[:2]
-                seq.append((kind, tuple(pair)))
-            else:
-                seq.append((kind, (data.draw(st.integers(0, n - 1)),), data.draw(st.floats(0, 12))))
-        for step in (gates(n, *seq), haar_on(n, seed ^ 0x5EED)):
+        angles = np.random.default_rng(seed).uniform(0, 12, size=(2, layers, n))
+        for step in (hea(*angles), haar_on(n, seed ^ 0x5EED)):
             out = propagate(states, step)
             assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-10)
 

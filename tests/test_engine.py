@@ -30,11 +30,12 @@ from hrcslab.engine import (
     _batch_random_paulis,
     depolarize_density,
     derive_seed,
+    instance_seed,
     step_matrices,
 )
-from hrcslab.circuits import GateSequence
+from hrcslab.circuits import HeaParams, sample_hea_params
 
-from conftest import pauli_string_matrix, small_config
+from conftest import dense_hea_oracle, pauli_string_matrix, small_config
 
 
 def one_shot(config, unitaries, rng):
@@ -142,7 +143,13 @@ class TestInstantiation:
             n_system=1, n_bath=1, steps=2, unitary_source="hea", hea_layers=3, master_seed=1
         )
         steps = instantiate_circuit(cfg, 0)
-        assert all(isinstance(s, GateSequence) for s in steps)
+        # each step is its drawn angles, in the order of the instance's stream
+        rng = np.random.default_rng(instance_seed(cfg, 0))
+        for step in steps:
+            assert isinstance(step, HeaParams)
+            drawn = sample_hea_params(2, 3, rng)
+            np.testing.assert_array_equal(step.thetas, drawn.thetas)
+            np.testing.assert_array_equal(step.phis, drawn.phis)
 
     def test_hea_needs_layers(self):
         with pytest.raises(ConfigurationError):
@@ -532,8 +539,8 @@ class TestStepMatrices:
             n_system=1, n_bath=1, steps=2, unitary_source="hea", hea_layers=2, master_seed=5
         )
         steps = instantiate_circuit(cfg, 0)
-        mats = step_matrices(cfg, steps)
-        assert all(m.shape == (4, 4) for m in mats)
+        for m, step in zip(step_matrices(cfg, steps), steps):
+            np.testing.assert_allclose(m, dense_hea_oracle(step), rtol=0, atol=1e-12)
         dense_cfg = small_config(n_system=1, steps=2)
         dense = instantiate_circuit(dense_cfg, 0)
         for m, u in zip(step_matrices(dense_cfg, dense), dense):
@@ -578,6 +585,21 @@ class TestStepCount:
         monkeypatch.setattr(engine_mod, "step_matrices", no_work)
         with pytest.raises(ConfigurationError, match="no-reset"):
             self.MODES[mode](dataclasses.replace(cfg, reset_bath=False), steps)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("n_qubits", [2, 4])
+    def test_hea_step_on_wrong_register_refused(self, mode, n_qubits, monkeypatch):
+        # an HEA step drawn for another register size is refused before any
+        # step runs, not applied to the low qubits or failed mid-walk
+        def no_work(*args):
+            raise AssertionError("a step ran")
+
+        cfg = HrcsConfig(n_system=2, n_bath=1, steps=2, unitary_source="hea", hea_layers=2)
+        steps = [sample_hea_params(n_qubits, 2, np.random.default_rng(k)) for k in range(2)]
+        monkeypatch.setattr(engine_mod, "_propagate", no_work)
+        monkeypatch.setattr(engine_mod, "step_matrices", no_work)
+        with pytest.raises(ConfigurationError, match="HEA step on"):
+            self.MODES[mode](cfg, steps)
 
 
 class TestConfigValidation:

@@ -85,6 +85,7 @@ class TestSpecParsing:
             {"n_system": True},
             {"master_seed": "7"},
             {"hea_layers": False},
+            {"hea_layers": 3},
             {"reset_bath": 1},
             {"steps": (1.5,)},
             {"steps": (True,)},
@@ -197,7 +198,7 @@ class TestCapacity:
             run_experiment(dataclasses.replace(spec, kind="reset_check"))
 
     def test_hea_steps_not_counted_as_dense(self):
-        # gate sequences hold no 4^n matrix: the 6+6, t = 33 no-reset spec
+        # HEA steps hold no 4^n matrix: the 6+6, t = 33 no-reset spec
         # that a Haar source cannot afford passes with an HEA source
         spec = ExperimentSpec(
             kind="xeb", n_system=6, n_bath=6, steps=(33,), instances=1, shots=200,
