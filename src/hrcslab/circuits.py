@@ -27,22 +27,23 @@ TWO_TURNS = 4.0 * math.pi
 class HeaParams:
     """Rotation angles of an L-layer ansatz on N qubits; arrays are (L, N)."""
 
-    layers: int
     thetas: np.ndarray
     phis: np.ndarray
 
     def __post_init__(self):
         th = np.asarray(self.thetas, dtype=float)
         ph = np.asarray(self.phis, dtype=float)
-        if th.shape != ph.shape or th.ndim != 2 or th.shape[0] != self.layers:
-            raise ConfigurationError(
-                f"angle arrays must both be ({self.layers}, N), got {th.shape} and {ph.shape}"
-            )
+        if th.shape != ph.shape or th.ndim != 2:
+            raise ConfigurationError(f"angle arrays must both be (L, N), got {th.shape} and {ph.shape}")
         for name, arr in (("thetas", th), ("phis", ph)):
             if np.any(arr < 0) or np.any(arr >= TWO_TURNS):
                 raise ConfigurationError(f"{name} outside [0, 4*pi)")
         object.__setattr__(self, "thetas", th)
         object.__setattr__(self, "phis", ph)
+
+    @property
+    def layers(self) -> int:
+        return self.thetas.shape[0]
 
     @property
     def n_qubits(self) -> int:
@@ -61,7 +62,7 @@ def sample_hea_params(n_qubits: int, layers: int, rng: np.random.Generator) -> H
         raise ConfigurationError(f"ansatz needs at least 1 layer, got {layers}")
     thetas = rng.uniform(0.0, TWO_TURNS, size=(layers, n_qubits))
     phis = rng.uniform(0.0, TWO_TURNS, size=(layers, n_qubits))
-    return HeaParams(layers, thetas, phis)
+    return HeaParams(thetas, phis)
 
 
 def brickwork_pairs(n_qubits: int) -> list[tuple[int, int]]:

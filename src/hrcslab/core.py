@@ -39,14 +39,16 @@ class UnitaryMatrix:
     V^dag V = I, the first c columns of a unitary."""
 
     entries: np.ndarray
-    dim: int = 0
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or not 1 <= m.shape[1] <= m.shape[0]:
             raise ConfigurationError(f"step must be d x c with 1 <= c <= d, got shape {m.shape}")
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "dim", m.shape[0])
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
     @property
     def columns(self) -> int:

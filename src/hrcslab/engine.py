@@ -260,6 +260,20 @@ def _batch_random_paulis(
     return amps
 
 
+def _draw(
+    probs: np.ndarray, rng: np.random.Generator, branch: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """One inverse-CDF outcome per row of (rows, outcomes) weights that need
+    not sum to 1: the outcome indices and their weights."""
+    cum = np.cumsum(probs, axis=1)
+    u = rng.random(len(probs)) * cum[:, -1]
+    idx = np.minimum((u[:, None] >= cum).sum(axis=1), probs.shape[1] - 1)
+    p = probs[np.arange(len(probs)), idx]
+    if np.any(p < PROB_FLOOR):
+        raise DegenerateBranchError(f"sampled {branch} branch below underflow floor")
+    return idx, p
+
+
 def sample_trajectories(
     config: HrcsConfig,
     unitaries: list[StepUnitary],
@@ -292,27 +306,14 @@ def sample_trajectories(
             amps = _batch_random_paulis(amps, range(n_sys, n), n, noise.gamma_bath, rng)
         # bath qubits are the high bits: axis 1 of (shots, d_bath, d_sys)
         blocks = amps.reshape(n_shots, d_bath, d_sys)
-        probs = np.abs(blocks) ** 2
-        bath_probs = probs.sum(axis=2)
-        cum = np.cumsum(bath_probs, axis=1)
-        u = rng.random(n_shots) * cum[:, -1]
-        z = np.minimum((u[:, None] >= cum).sum(axis=1), d_bath - 1)
-        p_z = bath_probs[rows, z]
-        if np.any(p_z < PROB_FLOOR):
-            raise DegenerateBranchError("sampled bath branch below underflow floor")
+        z, p_z = _draw((np.abs(blocks) ** 2).sum(axis=2), rng, "bath")
         picked = blocks[rows, z, :] / np.sqrt(p_z)[:, None]
         model_prob *= p_z
         bath_outcomes[:, k] = z
         bath = None if config.reset_bath else z
-        del amps, blocks, probs  # free this step's register before the next is built
+        del amps, blocks  # free this step's register before the next is built
 
-    sys_probs = np.abs(picked) ** 2
-    cum = np.cumsum(sys_probs, axis=1)
-    u = rng.random(n_shots) * cum[:, -1]
-    x = np.minimum((u[:, None] >= cum).sum(axis=1), d_sys - 1)
-    p_x = sys_probs[rows, x]
-    if np.any(p_x < PROB_FLOOR):
-        raise DegenerateBranchError("sampled final branch below underflow floor")
+    x, p_x = _draw(np.abs(picked) ** 2, rng, "final")
     model_prob *= p_x
     return TrajectoryBatch(bath_outcomes, x, model_prob)
 

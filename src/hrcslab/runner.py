@@ -368,14 +368,10 @@ def _format_float(x: float) -> str:
 
 
 def _json_line(doc: dict) -> str:
-    parts = []
-    for key in sorted(doc):
-        value = doc[key]
-        if isinstance(value, float):
-            encoded = _format_float(value)
-        else:
-            encoded = json.dumps(value)
-        parts.append(f"{json.dumps(key)}: {encoded}")
+    parts = (
+        f"{json.dumps(k)}: {_format_float(v) if isinstance(v, float) else json.dumps(v)}"
+        for k, v in sorted(doc.items())
+    )
     return "{" + ", ".join(parts) + "}"
 
 
@@ -391,19 +387,11 @@ def write_records(records, path: str, format: str = "jsonl") -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for rec in records:
-                doc = rec.to_json_dict()
-                row = [
-                    str(doc["n_A"]),
-                    str(doc["n_B"]),
-                    str(doc["t"]),
-                    "" if doc["K"] is None else str(doc["K"]),
-                    "" if doc["gamma"] is None else _format_float(doc["gamma"]),
-                    doc["statistic"],
-                    _format_float(doc["mean"]),
-                    _format_float(doc["std_error"]),
-                    _format_float(doc["theory_value"]),
-                ]
-                fh.write(",".join(row) + "\n")
+                row = map(rec.to_json_dict().get, CSV_COLUMNS)
+                fh.write(",".join(
+                    "" if v is None else _format_float(v) if isinstance(v, float) else str(v)
+                    for v in row
+                ) + "\n")
         return
     raise ConfigurationError(f"format must be jsonl or csv, got {format!r}")
 
@@ -486,6 +474,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     _check_capacity(spec)
+    # freeing one 16 MB block raises glibc's mmap threshold: later arrays up to
+    # that size are reused from its heap, not mapped and page-faulted afresh
+    np.empty(16 << 20, np.uint8)
     kind = KIND_TABLE[spec.kind]
     spec_hash = spec.hash()
     records: list[ResultRecord] = []

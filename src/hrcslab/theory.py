@@ -1,9 +1,10 @@
 """Closed-form reference values for the sampling statistics.
 
-All ratios of factorials that appear here differ by at most K terms, so they
-are evaluated as K-term sums of logs rather than through lgamma differences;
-at dimensions around 2^20 the lgamma route loses ~1e-9 of relative precision,
-the product route stays near machine epsilon.  Exponentiation happens last.
+All ratios of factorials that appear here differ by at most K terms (a terms
+in the Beta normalizer B(a, b)), so they are evaluated as K-term sums of logs
+rather than through lgamma differences; at dimensions around 2^20 the lgamma
+route loses ~1e-9 of relative precision, the product route stays near machine
+epsilon.  Exponentiation happens last.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigurationError
 
@@ -166,10 +166,15 @@ def pop_density(kind: str, params, p) -> np.ndarray | float:
             out = np.where(p_arr == 1.0, 1.0, out)
         return out if out.shape else float(out)
     if kind == "beta_marginal":
-        d_t, d_m = (float(v) for v in params)
-        a = d_t
-        b = (d_m - 1.0) * d_t
-        out = np.exp(stats.beta.logpdf(p_arr, a, b))
+        d_t, d_m = params
+        if d_t < 1 or d_m < 2 or d_t != int(d_t) or d_m != int(d_m):
+            raise ConfigurationError(f"beta_marginal needs integer d_t >= 1, d_m >= 2, got {params}")
+        a, b = int(d_t), (int(d_m) - 1) * int(d_t)
+        # a term with a zero exponent is left out, so p = 0 and p = 1 come out exact
+        with np.errstate(divide="ignore"):
+            log_p = (a - 1) * np.log(p_arr) if a != 1 else np.zeros_like(p_arr)
+            log_q = (b - 1) * np.log1p(-p_arr) if b != 1 else np.zeros_like(p_arr)
+        out = np.exp(log_p + log_q - (_log_rising(1, a - 1) - _log_rising(b, a)))
         return out if out.shape else float(out)
     raise ConfigurationError(f"kind must be one of {POP_KINDS}, got {kind!r}")
 

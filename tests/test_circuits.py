@@ -28,7 +28,7 @@ def compiled(params: HeaParams) -> np.ndarray:
 
 
 def zero_angles(n: int, layers: int) -> HeaParams:
-    return HeaParams(layers, np.zeros((layers, n)), np.zeros((layers, n)))
+    return HeaParams(np.zeros((layers, n)), np.zeros((layers, n)))
 
 
 class TestParamSampling:
@@ -100,9 +100,7 @@ class TestBuildHea:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
-            HeaParams(2, np.zeros((2, 3)), np.zeros((2, 4)))
-        with pytest.raises(ConfigurationError):
-            HeaParams(3, np.zeros((2, 3)), np.zeros((2, 3)))
+            HeaParams(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 class TestDenseCompilation:
@@ -146,7 +144,7 @@ class TestDenseCompilation:
             for q in range(n):
                 angles = {"thetas": np.zeros((1, n)), "phis": np.zeros((1, n))}
                 angles[which][0, q] = 0.7 + q
-                params = HeaParams(1, **angles)
+                params = HeaParams(**angles)
                 np.testing.assert_allclose(
                     apply_hea_batch(states, params),
                     states @ dense_hea_oracle(params).T,

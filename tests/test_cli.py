@@ -1,9 +1,14 @@
 """CLI surface tests: subcommands, overrides, exit codes, diagnostics."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import hrcslab
 from hrcslab.cli import main
 
 
@@ -102,3 +107,32 @@ def test_capacity_error_reported(tmp_path, capsys):
     config = write_config(tmp_path, steps=[30])
     assert main(["cp-sweep", "--config", str(config), "--out", "x.jsonl"]) == 1
     assert "effective bits" in capsys.readouterr().err
+
+
+NO_SCIPY_RUN = """
+import json, sys
+from hrcslab.cli import main
+
+specs = {
+    "theory": {"kind": "theory_table", "theory_family": "hrcs_power_sum", "steps": [1, 2]},
+    "cp-sweep": {"kind": "cp_sweep", "steps": [1, 2], "instances": 2},
+}
+for command, spec in specs.items():
+    doc = {"schema_version": 1, "n_system": 1, "n_bath": 1, "master_seed": 3, **spec}
+    config = f"{sys.argv[1]}/{command}.json"
+    with open(config, "w") as fh:
+        json.dump(doc, fh)
+    assert main([command, "--config", config, "--out", f"{sys.argv[1]}/{command}.jsonl"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_runs_without_loading_scipy(tmp_path):
+    # the package needs numpy alone: a fresh interpreter that imports it and
+    # runs two CLI commands never loads a scipy module
+    src = str(pathlib.Path(hrcslab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

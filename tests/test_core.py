@@ -81,7 +81,7 @@ def apply_codes(amps, codes, targets, n):
 def hea(thetas, phis=None) -> HeaParams:
     """An HEA step with the given (L, N) angles; phis default to zero."""
     thetas = np.asarray(thetas, dtype=float)
-    return HeaParams(len(thetas), thetas, np.zeros_like(thetas) if phis is None else phis)
+    return HeaParams(thetas, np.zeros_like(thetas) if phis is None else phis)
 
 
 def propagate(states: np.ndarray, step) -> np.ndarray:

@@ -4,11 +4,15 @@ equivalence, record layout, and file formats."""
 import dataclasses
 import json
 import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import hrcslab
 import hrcslab.runner as runner_mod
 from hrcslab import CapacityError, ConfigurationError
 from hrcslab.engine import instance_seed
@@ -445,3 +449,28 @@ class TestWriteRecords:
             write_records(run_experiment(cp_spec(), workers=workers), str(path), "jsonl")
             paths.append(path.read_bytes())
         assert paths[0] == paths[1] == paths[2]
+
+
+FAULT_PROBE = """
+import resource
+from hrcslab.runner import ExperimentSpec, run_experiment
+
+spec = ExperimentSpec(kind="noisy_xeb", n_system=2, n_bath=2, steps=(1, 2, 3), gammas=(0.7,),
+                      instances=20, shots=1000, master_seed=21)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(spec)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap policy")
+def test_same_size_arrays_reuse_the_heap():
+    # every (shots, 2^n) array of a small register has one size; in a fresh
+    # interpreter glibc would map each one anew and fault in its 64 pages
+    # (about 24k faults here) unless run_experiment has raised its threshold
+    src = str(Path(hrcslab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert int(proc.stdout.splitlines()[-1]) < 2000

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from hrcslab import ConfigurationError
 from hrcslab.theory import (
@@ -216,6 +216,25 @@ class TestPopDensities:
         beta_vals = pop_density("beta_marginal", (1, 64), ps)
         pt_vals = pop_density("porter_thomas", 64, ps)
         np.testing.assert_allclose(beta_vals, pt_vals, atol=1e-9)
+
+    @pytest.mark.parametrize("d_t, d_m", [(1, 2), (1, 64), (2, 2), (8, 4), (64, 16)])
+    def test_beta_marginal_matches_scipy(self, d_t, d_m):
+        # scipy.stats is an independent oracle; (1, 2), (1, 64) and (2, 2)
+        # are the a = 1 and b = 1 corners, where p = 0 or p = 1 is finite
+        ps = np.concatenate([np.linspace(0.0, 1.0, 201), [1e-12, 1e-6, 1 - 1e-6, 1 - 1e-12]])
+        got = pop_density("beta_marginal", (d_t, d_m), ps)
+        want = stats.beta.pdf(ps, d_t, (d_m - 1) * d_t)
+        above = want > 1e-300
+        np.testing.assert_allclose(got[above], want[above], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[~above], want[~above], rtol=0, atol=1e-300)
+        for p in (0.0, 1.0):  # the scalar path, at the endpoints
+            want = stats.beta.pdf(p, d_t, (d_m - 1) * d_t)
+            assert pop_density("beta_marginal", (d_t, d_m), p) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("params", [(0, 4), (2, 1), (1.5, 4), (2, 2.5)])
+    def test_beta_marginal_rejects_non_dimensions(self, params):
+        with pytest.raises(ConfigurationError):
+            pop_density("beta_marginal", params, 0.5)
 
     def test_beta_marginal_mean_is_uniform_probability(self):
         d_t, d_m = 8, 4
