@@ -2,17 +2,19 @@
 final system measurement.
 
 Four modes share one circuit description: batched trajectory sampling,
-forced-outcome replay of recorded paths, exact enumeration of the joint
-outcome distribution (one batch per tree level), and a density-matrix oracle
-for the depolarizing-noise variant.  Between steps the three pure-state
-modes hold only each row's kept system block, a (rows, 2^n_A) batch, and the
-bath block it sits in (0 after a reset).  One step kernel, ``_propagate``,
-turns that into the (rows, 2^n) state after the next step: with every bath
-at 0 a dense step multiplies the blocks by the step's first 2^n_A columns,
-so a reset circuit needs only the 2^n x 2^n_A isometry that
-``instantiate_circuit`` draws for it; a kept bath, and an HEA step (its drawn
-``HeaParams``, applied layer by layer in ``circuits``), act on the full
-register that ``_keep_branch`` rebuilds.
+forced-outcome replay, exact enumeration of the joint outcome distribution,
+and a density-matrix oracle for the noisy variant, kept a separate recursion
+so that it checks the others.  The first three run one step loop, ``_walk``:
+the sampler draws one bath block per row, replay keeps the recorded one, and
+enumeration keeps all of them as the next tree level.  Between steps the walk
+holds each row's kept system block, a (rows, 2^n_A) batch, and the bath
+block it sits in (0 after a reset).  Its kernel ``_propagate`` turns that
+into the (rows, 2^n) state after the next step: with every bath at 0 a dense
+step multiplies the blocks by the step's first 2^n_A columns, so a reset
+circuit needs only the 2^n x 2^n_A isometry that ``instantiate_circuit``
+draws for it; a kept bath, and an HEA step (its drawn ``HeaParams``, applied
+layer by layer in ``circuits``), act on the full register that
+``_keep_branch`` rebuilds.
 
 A sampled path is a row of ``TrajectoryBatch``.  Outcome indexing: a joint
 outcome (z_1, ..., z_t, x) maps to the integer with z_1 in the most
@@ -103,10 +105,6 @@ class NoiseModel:
             if not 0.0 <= g <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {g}")
 
-    @property
-    def trivial(self) -> bool:
-        return self.gamma_system == 1.0 and self.gamma_bath == 1.0
-
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -190,7 +188,7 @@ def _propagate(
     d_sys = picked.shape[1]
     if isinstance(step, UnitaryMatrix) and bath is None:
         return np.ascontiguousarray(np.dot(step.entries[:, :d_sys], picked.T).T)
-    amps = _keep_branch(picked, bath, d_bath, reset=bath is None)
+    amps = _keep_branch(picked, bath, d_bath)
     if isinstance(step, HeaParams):
         return apply_hea_batch(amps, step)
     product = np.dot(step.entries, amps.T)
@@ -198,12 +196,12 @@ def _propagate(
     return np.ascontiguousarray(product.T)
 
 
-def _keep_branch(picked: np.ndarray, z: np.ndarray, d_bath: int, reset: bool) -> np.ndarray:
+def _keep_branch(picked: np.ndarray, z: np.ndarray | None, d_bath: int) -> np.ndarray:
     """Rebuild a (rows, 2^n) batch from each row's kept (rows, d_sys) system
-    block after bath outcome z: the bath reads z, or 0 after a reset."""
+    block after bath outcome z: the bath reads z, or 0 after a reset (z None)."""
     rows, d_sys = picked.shape
     amps = np.zeros((rows, d_bath, d_sys), dtype=picked.dtype)
-    if reset:
+    if z is None:
         amps[:, 0, :] = picked
     else:
         amps[np.arange(rows), z, :] = picked
@@ -235,11 +233,11 @@ class TrajectoryBatch:
 def _batch_random_paulis(
     amps: np.ndarray, targets: Sequence[int], n: int, gamma: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Trajectory unraveling of the depolarizing channel across a (shots, 2^n)
-    batch: with probability 1-gamma a row gets a Pauli string drawn uniformly
-    from all 4^m (identity included).  Code digit i (0 I, 1 X, 2 Y, 3 Z) acts
-    on targets[i]; the string sets new[j] = i^(n_Y + 2 popcount(src & zy_mask))
-    old[src] with src = j ^ flip_mask (X, Y flip; Y, Z carry a sign)."""
+    """Trajectory unraveling of the depolarizing channel on a (shots, 2^n)
+    batch, in place: with probability 1-gamma a row gets a Pauli string drawn
+    uniformly from all 4^m (identity included).  Code digit i (0 I, 1 X, 2 Y,
+    3 Z) acts on targets[i]; the string sets new[j] = i^(n_Y + 2 popcount(src
+    & zy_mask)) old[src] with src = j ^ flip_mask (X, Y flip; Y, Z carry a sign)."""
     if gamma >= 1.0:
         return amps
     shots = amps.shape[0]
@@ -274,6 +272,29 @@ def _draw(
     return idx, p
 
 
+def _walk(config: HrcsConfig, unitaries: list[StepUnitary], rows: int, keep) -> np.ndarray:
+    """The step loop of every pure-state mode.  From rows of |0>, each step
+    gives a (rows, d_B, d_A) register, bath outcome on axis 1, and
+    ``keep(k, blocks)`` returns the system blocks that survive the bath
+    measurement and the outcome each sits in; the bath is carried to the
+    next step or reset to 0.  Returns the system blocks after the last step."""
+    if config.n_qubits > TRAJECTORY_MAX_QUBITS:
+        raise CapacityError(
+            f"trajectory register of {config.n_qubits} qubits exceeds {TRAJECTORY_MAX_QUBITS}"
+        )
+    _check_steps(config, unitaries)
+    d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
+    picked = np.zeros((rows, d_sys), dtype=complex)
+    picked[:, 0] = 1.0
+    z = None
+    for k, step in enumerate(unitaries):
+        blocks = _propagate(picked, z, step, d_bath).reshape(len(picked), d_bath, d_sys)
+        picked, z = keep(k, blocks)
+        z = None if config.reset_bath else z
+        del blocks  # free this step's register before the next is built
+    return picked
+
+
 def sample_trajectories(
     config: HrcsConfig,
     unitaries: list[StepUnitary],
@@ -286,33 +307,22 @@ def sample_trajectories(
     A noiseless run's model probabilities are its ideal probabilities; a
     noisy run's paths are replayed by ``ideal_probabilities_batch``.
     """
-    _check_trajectory_capacity(config)
-    _check_steps(config, unitaries)
-    n, n_sys, n_bath = config.n_qubits, config.n_system, config.n_bath
-    d_sys, d_bath = 1 << n_sys, 1 << n_bath
-    noisy = noise is not None and not noise.trivial
-
-    picked = np.zeros((n_shots, d_sys), dtype=complex)
-    picked[:, 0] = 1.0
-    bath = None
+    n, n_sys = config.n_qubits, config.n_system
     rows = np.arange(n_shots)
     bath_outcomes = np.zeros((n_shots, config.steps), dtype=np.int64)
     model_prob = np.ones(n_shots)
 
-    for k, step in enumerate(unitaries):
-        amps = _propagate(picked, bath, step, d_bath)
-        if noisy:
-            amps = _batch_random_paulis(amps, range(n_sys), n, noise.gamma_system, rng)
-            amps = _batch_random_paulis(amps, range(n_sys, n), n, noise.gamma_bath, rng)
-        # bath qubits are the high bits: axis 1 of (shots, d_bath, d_sys)
-        blocks = amps.reshape(n_shots, d_bath, d_sys)
+    def draw(k: int, blocks: np.ndarray):
+        if noise is not None:
+            amps = blocks.reshape(n_shots, -1)  # a view: the Pauli strings act in place
+            _batch_random_paulis(amps, range(n_sys), n, noise.gamma_system, rng)
+            _batch_random_paulis(amps, range(n_sys, n), n, noise.gamma_bath, rng)
         z, p_z = _draw((np.abs(blocks) ** 2).sum(axis=2), rng, "bath")
-        picked = blocks[rows, z, :] / np.sqrt(p_z)[:, None]
-        model_prob *= p_z
+        model_prob[:] *= p_z
         bath_outcomes[:, k] = z
-        bath = None if config.reset_bath else z
-        del amps, blocks  # free this step's register before the next is built
+        return blocks[rows, z, :] / np.sqrt(p_z)[:, None], z
 
+    picked = _walk(config, unitaries, n_shots, draw)
     x, p_x = _draw(np.abs(picked) ** 2, rng, "final")
     model_prob *= p_x
     return TrajectoryBatch(bath_outcomes, x, model_prob)
@@ -331,25 +341,15 @@ def ideal_probabilities_batch(
     amplitude is the full product of branch probabilities; an impossible
     branch yields an exact 0.
     """
-    _check_steps(config, unitaries)
-    d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
     shots = final_outcomes.shape[0]
     if bath_outcomes.shape != (shots, config.steps) or not (
-        np.all((0 <= bath_outcomes) & (bath_outcomes < d_bath))
-        and np.all((0 <= final_outcomes) & (final_outcomes < d_sys))
+        np.all((0 <= bath_outcomes) & (bath_outcomes < 1 << config.n_bath))
+        and np.all((0 <= final_outcomes) & (final_outcomes < 1 << config.n_system))
     ):
         raise ConfigurationError(f"outcomes out of shape or range for {config.steps} steps")
     rows = np.arange(shots)
-
-    picked = np.zeros((shots, d_sys), dtype=complex)
-    picked[:, 0] = 1.0
-    bath = None
-    for k, step in enumerate(unitaries):
-        blocks = _propagate(picked, bath, step, d_bath).reshape(shots, d_bath, d_sys)
-        z = bath_outcomes[:, k]
-        picked = blocks[rows, z, :]
-        bath = None if config.reset_bath else z
-        del blocks
+    picked = _walk(config, unitaries, shots, lambda k, blocks: (
+        blocks[rows, bath_outcomes[:, k], :], bath_outcomes[:, k]))
     return np.abs(picked[rows, final_outcomes]) ** 2
 
 
@@ -368,16 +368,8 @@ def enumerate_joint_distribution(
         raise CapacityError(
             f"enumeration over {config.n_eff} effective bits exceeds {ENUMERATION_MAX_BITS}"
         )
-    _check_steps(config, unitaries)
-    d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
-    picked = np.zeros((1, d_sys), dtype=complex)
-    picked[0, 0] = 1.0
-    bath = None
-    for step in unitaries:
-        # the last level holds 2^n_eff amplitudes: keep one level live
-        picked = _propagate(picked, bath, step, d_bath).reshape(-1, d_sys)
-        if not config.reset_bath:
-            bath = np.tile(np.arange(d_bath), picked.shape[0] // d_bath)
+    picked = _walk(config, unitaries, 1, lambda k, blocks: (
+        blocks.reshape(-1, blocks.shape[2]), np.tile(np.arange(blocks.shape[1]), len(blocks))))
     return JointDistribution((np.abs(picked) ** 2).reshape(-1), config.n_eff)
 
 
@@ -513,10 +505,3 @@ def _check_steps(config: HrcsConfig, unitaries: list[StepUnitary]) -> None:
                 f"a {'reset' if config.reset_bath else 'no-reset'} circuit on "
                 f"{config.n_qubits} qubits needs"
             )
-
-
-def _check_trajectory_capacity(config: HrcsConfig) -> None:
-    if config.n_qubits > TRAJECTORY_MAX_QUBITS:
-        raise CapacityError(
-            f"trajectory register of {config.n_qubits} qubits exceeds {TRAJECTORY_MAX_QUBITS}"
-        )

@@ -396,8 +396,10 @@ def write_records(records, path: str, format: str = "jsonl") -> None:
     raise ConfigurationError(f"format must be jsonl or csv, got {format!r}")
 
 
-def _check_capacity(spec: ExperimentSpec) -> None:
-    """Refuse specs that would exceed an engine mode before any work starts."""
+def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
+    """Refuse specs that would exceed an engine mode before any work starts.
+    Up to ``workers`` instances run at once, each with its own shot batch and
+    steps."""
     engine = KIND_TABLE[spec.kind].engine
     n_eff_max = spec.n_system + max(spec.steps) * spec.n_bath
     n_phys = spec.n_system + spec.n_bath
@@ -425,10 +427,11 @@ def _check_capacity(spec: ExperimentSpec) -> None:
             need += 8 << 2 * n_phys  # the real half of the Ginibre draw
         else:
             need += (max(spec.steps) + HAAR_QR_TRANSIENT_COPIES) * (16 << 2 * n_phys)
+    need *= min(workers, spec.instances)
     if need > memory:
         raise CapacityError(
-            f"{spec.kind} on {n_phys} qubits at t = {max(spec.steps)} needs about "
-            f"{need / 1e9:.3g} GB of amplitudes and step unitaries, more than the "
+            f"{spec.kind} on {n_phys} qubits at t = {max(spec.steps)} with {workers} worker(s) "
+            f"needs about {need / 1e9:.3g} GB of amplitudes and step unitaries, more than the "
             f"{memory / 1e9:.3g} GB of physical memory"
         )
 
@@ -473,7 +476,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]
     """Execute one experiment spec and return records in parameter order."""
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    _check_capacity(spec)
+    _check_capacity(spec, workers)
     # freeing one 16 MB block raises glibc's mmap threshold: later arrays up to
     # that size are reused from its heap, not mapped and page-faulted afresh
     np.empty(16 << 20, np.uint8)

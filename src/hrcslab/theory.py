@@ -290,7 +290,6 @@ def noisy_xeb(
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    g_sys = gamma
     g_bath_val = gamma if gamma_bath is None else gamma_bath
     if mode == "asymptotic":
         if gamma_bath is not None and gamma_bath != gamma:
@@ -304,11 +303,8 @@ def noisy_xeb(
             (1.0 - gamma) * d_a
         )
     elif mode == "exact":
-        for name, g in (("gamma", g_sys), ("gamma_bath", g_bath_val)):
-            if not 0.0 <= g <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1], got {g}")
         d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
-        tm = NoisyTransferMatrix.build(n_system, n_bath, g_sys, g_bath_val)
+        tm = NoisyTransferMatrix.build(n_system, n_bath, gamma, g_bath_val)
         # fold the 4^N_B per-step outcome count into the matrix so the
         # iteration stays O(1) in magnitude
         scaled = (4.0 ** n_bath) * tm.as_array()

@@ -290,7 +290,7 @@ class TestCollapse:
         batch = sample_trajectories(config, steps, 50, None, np.random.default_rng(6))
         assert np.all(batch.bath_outcomes == 0b10) and np.all(batch.final_outcomes == 1)
         np.testing.assert_allclose(batch.model_probabilities, 1.0, atol=1e-12)
-        kept = _keep_branch(np.array([[0, 1]], dtype=complex), np.array([0b10]), 4, reset=False)
+        kept = _keep_branch(np.array([[0, 1]], dtype=complex), np.array([0b10]), 4)
         np.testing.assert_array_equal(kept, psi[None, :])
 
     def test_probability_matches_measure_entry(self):
@@ -321,18 +321,19 @@ class TestCollapse:
 
 class TestReset:
     """``_keep_branch`` puts each row's kept system block at bath 0 after a
-    reset and at bath z without one; every other entry is zero."""
+    reset (z None) and at bath z without one; every other entry is zero."""
 
     def test_full_flip(self):
         # |11> on 1 system + 1 bath qubit, bath read 1: the reset bath reads 0
-        kept = _keep_branch(np.array([[0, 1]], dtype=complex), np.array([1]), 2, reset=True)
-        np.testing.assert_array_equal(kept, [[0, 1, 0, 0]])
+        picked = np.array([[0, 1]], dtype=complex)
+        np.testing.assert_array_equal(_keep_branch(picked, None, 2), [[0, 1, 0, 0]])
+        np.testing.assert_array_equal(_keep_branch(picked, np.array([1]), 2), [[0, 0, 0, 1]])
 
     def test_zero_outcome_is_identity(self):
         picked = np.stack([random_state(2, seed=9 + r) for r in range(3)])
         zeros = np.zeros(3, dtype=np.int64)
-        with_reset = _keep_branch(picked, zeros, 4, reset=True)
-        np.testing.assert_array_equal(with_reset, _keep_branch(picked, zeros, 4, reset=False))
+        with_reset = _keep_branch(picked, None, 4)
+        np.testing.assert_array_equal(with_reset, _keep_branch(picked, zeros, 4))
         np.testing.assert_array_equal(with_reset[:, :4], picked)
         assert not np.any(with_reset[:, 4:])
 
@@ -341,7 +342,8 @@ class TestReset:
         picked = np.stack([random_state(1, seed=12 + r) for r in range(8)])
         z = np.arange(8) % d_bath
         for reset in (True, False):
-            blocks = _keep_branch(picked, z, d_bath, reset).reshape(-1, d_bath, d_sys)
+            kept = _keep_branch(picked, None if reset else z, d_bath)
+            blocks = kept.reshape(-1, d_bath, d_sys)
             for row, block in enumerate(blocks):
                 at = 0 if reset else z[row]
                 np.testing.assert_array_equal(block[at], picked[row])

@@ -286,6 +286,20 @@ class TestIdealProbability:
                 cfg, identity_steps(cfg), np.array([bath]), np.array([final])
             )
 
+    def test_oversized_register_refused(self, monkeypatch):
+        # a 25-qubit register holds 512 MiB per replayed path: refused before
+        # any step runs, as the sampler refuses it
+        def no_work(*args):
+            raise AssertionError("a step ran")
+
+        cfg = HrcsConfig(n_system=13, n_bath=12, steps=2, unitary_source="hea", hea_layers=1)
+        steps = [sample_hea_params(cfg.n_qubits, 1, np.random.default_rng(k)) for k in range(2)]
+        monkeypatch.setattr(engine_mod, "_propagate", no_work)
+        with pytest.raises(CapacityError, match="25 qubits"):
+            ideal_probabilities_batch(
+                cfg, steps, np.zeros((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64)
+            )
+
 
 class TestEnumeration:
     def test_identity_circuit_is_delta(self):
@@ -612,6 +626,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             dataclasses.replace(cfg, steps=0)
 
-    def test_noise_model_trivial(self):
-        assert not NoiseModel(0.8, 0.9).trivial
-        assert NoiseModel(1.0, 1.0).trivial
+    @pytest.mark.parametrize("source", ["haar", "hea"])
+    def test_unit_gamma_samples_as_noiseless(self, source):
+        # gamma = 1 draws no Pauli string: the batch and the stream after it
+        # are those of a run without a noise model
+        layers = 2 if source == "hea" else None
+        cfg = small_config(steps=3, unitary_source=source, hea_layers=layers)
+        steps = instantiate_circuit(cfg, 0)
+        runs = []
+        for noise in (None, NoiseModel(1.0, 1.0)):
+            rng = np.random.default_rng(8)
+            batch = sample_trajectories(cfg, steps, 300, noise, rng)
+            runs.append((batch, rng.random(4)))
+        (plain, plain_next), (unit, unit_next) = runs
+        for field in ("bath_outcomes", "final_outcomes", "model_probabilities"):
+            np.testing.assert_array_equal(getattr(unit, field), getattr(plain, field))
+        np.testing.assert_array_equal(unit_next, plain_next)

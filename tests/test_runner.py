@@ -184,6 +184,17 @@ class TestCapacity:
         )
         runner_mod._check_capacity(spec)
 
+    def test_concurrent_workers_counted(self, seven_gib, no_work):
+        # one instance's 16000 shots of 2^12 amplitudes budget 4.2 GB: that
+        # fits 7 GiB alone, but two workers hold two such batches at once
+        spec = ExperimentSpec(
+            kind="xeb", n_system=6, n_bath=6, steps=(1,), instances=2, shots=16_000
+        )
+        runner_mod._check_capacity(spec)
+        runner_mod._check_capacity(dataclasses.replace(spec, instances=1), workers=2)
+        with pytest.raises(CapacityError, match="2 worker"):
+            run_experiment(spec, workers=2)
+
     def test_full_haar_steps_without_reset_refused_before_work(self, seven_gib, no_work):
         # the same spec without a reset holds 33 dense 4096^2 steps, 8.9 GB
         spec = ExperimentSpec(

@@ -342,6 +342,11 @@ class TestNoisyXeb:
         patched = noisy_xeb(2, 2, 3, 0.8, "exact", patched=True)
         assert patched == pytest.approx((1 + single) ** 2 - 1, rel=1e-12)
 
+    @pytest.mark.parametrize("gamma, gamma_bath", [(1.5, None), (0.7, -0.1)])
+    def test_exact_rejects_gamma_outside_unit_interval(self, gamma, gamma_bath):
+        with pytest.raises(ConfigurationError, match="must lie in"):
+            noisy_xeb(2, 1, 3, gamma, gamma_bath=gamma_bath)
+
     def test_mixed_gamma_reduces_to_shared(self):
         a = noisy_xeb(2, 1, 3, 0.7, "exact")
         b = noisy_xeb(2, 1, 3, 0.7, "exact", gamma_bath=0.7)
