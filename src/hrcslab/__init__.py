@@ -21,7 +21,6 @@ from .estimators import (
     EnsembleStats,
     PopHistogram,
     ensemble_aggregate,
-    merge_stats,
     pop_histogram,
     power_sum_exact,
     power_sum_mc,
@@ -52,7 +51,6 @@ __all__ = [
     "ideal_probabilities_batch",
     "instantiate_circuit",
     "marginalize",
-    "merge_stats",
     "pop_histogram",
     "power_sum_exact",
     "power_sum_mc",

@@ -6,7 +6,9 @@ One HEA layer rotates every qubit (RX then RZ) and then entangles with a fixed
 brickwork of CNOTs: pairs (2i, 2i+1) first, pairs (2i+1, 2i+2) second, pairs
 falling off the register dropped.  Angles are drawn uniformly from [0, 4*pi).
 The kernel fuses each qubit's RX and RZ into one 2x2 and applies each layer's
-CNOTs as one precomputed permutation of the amplitude index.
+CNOTs as one precomputed permutation of the amplitude index.  The engine
+runs it on a batch of states, or on the basis rows of the columns a step can
+reach, to compile the step into a dense matrix (``engine.step_matrices``).
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 A dense step is a ``UnitaryMatrix``: a 2^n x 2^n unitary, or, for a circuit
 whose bath is reset before every step, the 2^n x 2^n_A isometry of its first
 2^n_A columns, the only ones a state with the bath at 0 can reach.
-``engine._propagate`` advances a batch of kept system blocks by a dense step
-and ``circuits.apply_hea_batch`` a (rows, 2^n) batch by an HEA step.
+``engine._propagate`` advances a batch of kept system blocks by a dense step,
+and by an HEA step compiled to one, and ``circuits.apply_hea_batch`` runs an
+HEA step gate by gate on a (rows, 2^n) batch.
 ``PAULI_MATRICES`` is the dense oracle the tests check the batched Pauli
 unraveling against.
 

@@ -12,9 +12,14 @@ block it sits in (0 after a reset).  Its kernel ``_propagate`` turns that
 into the (rows, 2^n) state after the next step: with every bath at 0 a dense
 step multiplies the blocks by the step's first 2^n_A columns, so a reset
 circuit needs only the 2^n x 2^n_A isometry that ``instantiate_circuit``
-draws for it; a kept bath, and an HEA step (its drawn ``HeaParams``, applied
-layer by layer in ``circuits``), act on the full register that
-``_keep_branch`` rebuilds.
+draws for it; with a kept bath it multiplies the full register that
+``_keep_branch`` rebuilds.  An HEA step (its drawn ``HeaParams``) reaches
+2^n_A columns with every bath at 0 and all 2^n with a kept bath.  When those
+number no more than the rows, ``step_matrices`` compiles them through the
+gate kernel of ``circuits`` and the step is applied as a dense one;
+otherwise its gates run layer by layer on the rebuilt register.  This is
+decided at every step, so enumeration compiles once its tree level has as
+many rows as the step has columns.
 
 A sampled path is a row of ``TrajectoryBatch``.  Outcome indexing: a joint
 outcome (z_1, ..., z_t, x) maps to the integer with z_1 in the most
@@ -123,9 +128,6 @@ class JointDistribution:
             raise ConfigurationError("negative probability entry")
         object.__setattr__(self, "probabilities", p)
 
-    def total(self) -> float:
-        return float(self.probabilities.sum())
-
 
 def instance_seed(config: HrcsConfig, instance_index: int) -> int:
     """Stream seed of one ensemble member; depends only on the master seed,
@@ -158,14 +160,14 @@ def instantiate_circuit(config: HrcsConfig, instance_index: int) -> list[StepUni
     return [sample_hea_params(n, config.hea_layers, rng) for _ in range(config.steps)]
 
 
-def step_matrices(config: HrcsConfig, unitaries: list[StepUnitary]) -> list[np.ndarray]:
-    """Dense matrices of the step unitaries (the drawn columns of an isometry
-    step).  An HEA step is applied to the identity batch, whose row b is
-    then column b of the matrix."""
-    identity = np.eye(1 << config.n_qubits, dtype=complex)
+def step_matrices(unitaries: Sequence[StepUnitary], columns: int) -> list[np.ndarray]:
+    """The first ``columns`` columns of each step as a dense 2^n x columns
+    matrix.  A dense step gives its drawn columns; an HEA step is compiled
+    by running the first ``columns`` basis rows through the gate kernel,
+    whose row b is then column b of the matrix."""
     return [
-        step.entries if isinstance(step, UnitaryMatrix)
-        else apply_hea_batch(identity, step).T
+        step.entries[:, :columns] if isinstance(step, UnitaryMatrix)
+        else apply_hea_batch(np.eye(columns, 1 << step.n_qubits, dtype=complex), step).T
         for step in unitaries
     ]
 
@@ -178,19 +180,29 @@ def _propagate(
     batch after it.  ``bath`` is None when every bath reads 0 (the first
     step, or after a reset).
 
+    The columns a step can reach are its first 2^n_A with every bath at 0,
+    and all 2^n with a kept bath.  An HEA step whose reachable columns number
+    no more than the rows is compiled to those columns (``step_matrices``)
+    and applied as a dense step, so the compiled matrix is at most one batch
+    copy; otherwise its gates run on the full register that ``_keep_branch``
+    rebuilds.
+
     With every bath at 0 a dense step is one product of the blocks with the
     step's first 2^n_A columns, bitwise that of the zero-padded full-register
     product np.dot(U, amps.T).T.  The one exception is a single row at
     2^n_A = 2: it goes through BLAS's matrix-vector kernel, whose tail rounds
-    a length-2 and a length-2^n dot product differently.  A kept bath, and an
-    HEA step, act on the full register that ``_keep_branch`` rebuilds.
+    a length-2 and a length-2^n dot product differently.  A kept bath takes
+    one product with the full register that ``_keep_branch`` rebuilds.
     """
-    d_sys = picked.shape[1]
-    if isinstance(step, UnitaryMatrix) and bath is None:
+    rows, d_sys = picked.shape
+    if isinstance(step, HeaParams):
+        columns = d_sys if bath is None else d_sys * d_bath
+        if columns > rows:
+            return apply_hea_batch(_keep_branch(picked, bath, d_bath), step)
+        step = UnitaryMatrix(step_matrices([step], columns)[0])
+    if bath is None:
         return np.ascontiguousarray(np.dot(step.entries[:, :d_sys], picked.T).T)
     amps = _keep_branch(picked, bath, d_bath)
-    if isinstance(step, HeaParams):
-        return apply_hea_batch(amps, step)
     product = np.dot(step.entries, amps.T)
     del amps  # free the rebuilt register before the contiguous copy
     return np.ascontiguousarray(product.T)
@@ -439,7 +451,7 @@ def enumerate_noisy_joint_distribution(
     n_sys, n_bath = config.n_system, config.n_bath
     d_sys, d_bath = 1 << n_sys, 1 << n_bath
     t = config.steps
-    mats = step_matrices(config, unitaries)
+    mats = step_matrices(unitaries, d_sys if config.reset_bath else d_sys * d_bath)
     out = np.zeros(1 << config.n_eff)
 
     def walk(rho_sys: np.ndarray, bath_state: int, k: int, prefix: int) -> None:

@@ -49,19 +49,6 @@ def ensemble_aggregate(values: Sequence[float] | np.ndarray) -> EnsembleStats:
     return EnsembleStats(int(arr.size), mean, se)
 
 
-def merge_stats(a: EnsembleStats, b: EnsembleStats) -> EnsembleStats:
-    """Exact combination of two aggregates through their sufficient statistics."""
-    n_a, n_b = a.count, b.count
-    n = n_a + n_b
-    delta = b.mean - a.mean
-    mean = a.mean + delta * n_b / n
-    m2_a = a.std_error ** 2 * n_a * (n_a - 1)
-    m2_b = b.std_error ** 2 * n_b * (n_b - 1)
-    m2 = m2_a + m2_b + delta ** 2 * n_a * n_b / n
-    se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return EnsembleStats(n, mean, se)
-
-
 def power_sum_exact(dist: JointDistribution | np.ndarray, order: int) -> float:
     """Sum of p^K over an exact distribution."""
     if order < 1:

@@ -189,8 +189,11 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 # (shots, 2^n) complex arrays an xeb or noisy_xeb instance holds at its peak,
 # replay included: tracemalloc at 3+5 to 6+2 qubits, 2000 shots, t = 3
 # measures 2.2-2.4 with reset Haar steps (the kept blocks, not a zero-padded
-# register, go into each step), 2.5-2.7 without a reset, and 3.6-3.8 with a
-# 4-layer HEA, whose gates run on the rebuilt register
+# register, go into each step) and 2.5-2.7 without a reset.  A 4-layer HEA
+# step compiled to the columns it reaches gives 2.1-2.3 with a reset and
+# 2.2-2.4 without one, and 3.1-3.3 at 256 shots, where those 256 columns
+# are one batch copy; run gate by gate on the rebuilt register, when its
+# columns outnumber the shots, it gives 3.6-3.8
 SAMPLER_LIVE_COPIES = 4
 # 2^n x 2^n complex arrays that drawing one full Haar step holds beside its
 # output: peak RSS of sample_haar_unitary at 10-11 qubits grows by 4.1-4.3

@@ -33,7 +33,7 @@ from hrcslab.engine import (
     instance_seed,
     step_matrices,
 )
-from hrcslab.circuits import HeaParams, sample_hea_params
+from hrcslab.circuits import HeaParams, apply_hea_batch, sample_hea_params
 
 from conftest import dense_hea_oracle, pauli_string_matrix, small_config
 
@@ -61,7 +61,7 @@ def depth_first_reference(config, unitaries):
     """Joint distribution by a depth-first walk, one dense matrix-vector
     product per tree node: the oracle for the breadth-first enumerator."""
     d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
-    mats = step_matrices(config, unitaries)
+    mats = step_matrices(unitaries, 1 << config.n_qubits)
     out = np.zeros(1 << config.n_eff)
 
     def walk(state, k, prefix):
@@ -313,7 +313,7 @@ class TestEnumeration:
         cfg = small_config(n_bath=2, steps=3)
         steps = instantiate_circuit(cfg, 0)
         dist = enumerate_joint_distribution(cfg, steps)
-        assert dist.total() == pytest.approx(1.0, abs=1e-9)
+        assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_ensemble_collision_probability(self):
         cfg = small_config()
@@ -381,7 +381,7 @@ class TestEnumeration:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert dist.total() == pytest.approx(1.0, abs=1e-9), reset
+            assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-9), reset
             assert peak < 3 * (1 << cfg.n_eff) * 16, reset
 
     def test_hea_steps_enumerate_too(self):
@@ -389,7 +389,7 @@ class TestEnumeration:
             n_system=1, n_bath=1, steps=2, unitary_source="hea", hea_layers=4, master_seed=2
         )
         dist = enumerate_joint_distribution(cfg, instantiate_circuit(cfg, 0))
-        assert dist.total() == pytest.approx(1.0, abs=1e-9)
+        assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMarginalize:
@@ -497,7 +497,7 @@ class TestNoisyEnumeration:
         steps = instantiate_circuit(cfg, 0)
         noise = NoiseModel(0.7, 0.7)
         oracle = enumerate_noisy_joint_distribution(cfg, steps, noise)
-        assert oracle.total() == pytest.approx(1.0, abs=1e-8)
+        assert oracle.probabilities.sum() == pytest.approx(1.0, abs=1e-8)
         rng = np.random.default_rng(42)
         batch = sample_trajectories(cfg, steps, 200_000, noise, rng)
         hist = np.bincount(batch.joint_indices(cfg), minlength=8) / len(batch)
@@ -508,7 +508,7 @@ class TestNoisyEnumeration:
             cfg = small_config(n_system=1, steps=2, reset_bath=reset)
             steps = instantiate_circuit(cfg, 3)
             noisy = enumerate_noisy_joint_distribution(cfg, steps, NoiseModel(0.6, 0.9))
-            assert noisy.total() == pytest.approx(1.0, abs=1e-8)
+            assert noisy.probabilities.sum() == pytest.approx(1.0, abs=1e-8)
             rng = np.random.default_rng(17)
             batch = sample_trajectories(cfg, steps, 150_000, NoiseModel(0.6, 0.9), rng)
             hist = np.bincount(batch.joint_indices(cfg), minlength=8) / len(batch)
@@ -549,16 +549,92 @@ class TestResetEquivalence:
 
 class TestStepMatrices:
     def test_dense_and_sequence_sources(self):
-        cfg = HrcsConfig(
-            n_system=1, n_bath=1, steps=2, unitary_source="hea", hea_layers=2, master_seed=5
-        )
-        steps = instantiate_circuit(cfg, 0)
-        for m, step in zip(step_matrices(cfg, steps), steps):
-            np.testing.assert_allclose(m, dense_hea_oracle(step), rtol=0, atol=1e-12)
+        # an HEA step compiles to the 2^n_A columns a reset bath reaches, or
+        # to all 2^n
+        for n_system, n_bath, layers in ((1, 1, 2), (3, 2, 8)):
+            cfg = HrcsConfig(
+                n_system=n_system, n_bath=n_bath, steps=2, unitary_source="hea",
+                hea_layers=layers, master_seed=5,
+            )
+            steps = instantiate_circuit(cfg, 0)
+            for columns in (1 << n_system, 1 << cfg.n_qubits):
+                for m, step in zip(step_matrices(steps, columns), steps):
+                    assert m.shape == (1 << cfg.n_qubits, columns)
+                    np.testing.assert_allclose(
+                        m, dense_hea_oracle(step)[:, :columns], rtol=0, atol=1e-12
+                    )
         dense_cfg = small_config(n_system=1, steps=2)
         dense = instantiate_circuit(dense_cfg, 0)
-        for m, u in zip(step_matrices(dense_cfg, dense), dense):
+        for m, u in zip(step_matrices(dense, dense[0].columns), dense):
             np.testing.assert_array_equal(m, u.entries)
+
+
+def gate_kernel_propagate(picked, bath, step, d_bath, dense=engine_mod._propagate):
+    """The step kernel with every HEA step run gate by gate on the rebuilt
+    register: the reference the compiled HEA steps are checked against."""
+    if isinstance(step, HeaParams):
+        return apply_hea_batch(engine_mod._keep_branch(picked, bath, d_bath), step)
+    return dense(picked, bath, step, d_bath)
+
+
+class TestCompiledHeaSteps:
+    # 32 shots at 3+2 compile every step, with a kept bath at the boundary
+    # of 32 columns; 64 shots at 5+5 compile every reset step, and without a
+    # reset only the first, whose bath is still at 0
+    @pytest.mark.parametrize("shape", [(3, 2, 32), (5, 5, 64)])
+    @pytest.mark.parametrize("reset", [True, False])
+    @pytest.mark.parametrize("gamma", [None, 0.7])
+    def test_outcomes_match_gate_path(self, shape, reset, gamma, monkeypatch):
+        n_system, n_bath, shots = shape
+        cfg = HrcsConfig(
+            n_system=n_system, n_bath=n_bath, steps=3, reset_bath=reset,
+            unitary_source="hea", hea_layers=8, master_seed=7,
+        )
+        noise = None if gamma is None else NoiseModel(gamma, gamma)
+
+        def run(steps):
+            rng = np.random.default_rng(5)
+            batch = sample_trajectories(cfg, steps, shots, noise, rng)
+            replayed = ideal_probabilities_batch(
+                cfg, steps, batch.bath_outcomes, batch.final_outcomes
+            )
+            return batch, replayed, rng.random(4)
+
+        for instance in range(3):
+            steps = instantiate_circuit(cfg, instance)
+            compiled, compiled_replay, compiled_next = run(steps)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine_mod, "_propagate", gate_kernel_propagate)
+                gates, gate_replay, gate_next = run(steps)
+            np.testing.assert_array_equal(compiled.bath_outcomes, gates.bath_outcomes)
+            np.testing.assert_array_equal(compiled.final_outcomes, gates.final_outcomes)
+            np.testing.assert_array_equal(compiled_next, gate_next)
+            np.testing.assert_allclose(
+                compiled.model_probabilities, gates.model_probabilities, rtol=1e-12, atol=0
+            )
+            np.testing.assert_allclose(compiled_replay, gate_replay, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("reset, shots, rows", [
+        (True, 16, [16, 16, 16]),  # 32 columns outnumber 16 shots: gates
+        (True, 64, [32, 32, 32]),  # 32 columns compiled once per step
+        (False, 64, [32, 64, 64]),  # a kept bath reaches all 1024 columns
+    ])
+    def test_kernel_chosen_by_columns_and_rows(self, reset, shots, rows, monkeypatch):
+        # the rows each apply_hea_batch call runs show which form a step took
+        seen = []
+
+        def spy(amps, params):
+            seen.append(amps.shape[0])
+            return apply_hea_batch(amps, params)
+
+        cfg = HrcsConfig(
+            n_system=5, n_bath=5, steps=3, reset_bath=reset,
+            unitary_source="hea", hea_layers=1, master_seed=7,
+        )
+        steps = instantiate_circuit(cfg, 0)
+        monkeypatch.setattr(engine_mod, "apply_hea_batch", spy)
+        sample_trajectories(cfg, steps, shots, None, np.random.default_rng(0))
+        assert seen == rows
 
 
 class TestStepCount:

@@ -1,12 +1,10 @@
 """Estimator tests: power sums, XEB estimator, PoP histograms and KS
-calibration, TVD, and exact aggregation merging."""
+calibration, TVD, and ensemble aggregation."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hrcslab import (
     ConfigurationError,
@@ -14,7 +12,6 @@ from hrcslab import (
     ensemble_aggregate,
     enumerate_joint_distribution,
     instantiate_circuit,
-    merge_stats,
     pop_histogram,
     power_sum_exact,
     power_sum_mc,
@@ -189,41 +186,6 @@ class TestAggregation:
         stats = ensemble_aggregate([1.5] * 20)
         assert stats.mean == pytest.approx(1.5, rel=1e-12)
         assert stats.std_error == pytest.approx(0.0, abs=1e-12)
-
-    def test_merge_halves_equals_whole(self):
-        gen = np.random.default_rng(6)
-        values = gen.random(101)
-        whole = ensemble_aggregate(values)
-        merged = merge_stats(ensemble_aggregate(values[:50]), ensemble_aggregate(values[50:]))
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12, abs=1e-15)
-        assert merged.std_error == pytest.approx(whole.std_error, rel=1e-12, abs=1e-15)
-
-    def test_merge_is_associative(self):
-        parts = [ensemble_aggregate(vals) for vals in ([0.1, 0.9], [0.4, 0.3, 0.8], [0.6])]
-        left = merge_stats(merge_stats(parts[0], parts[1]), parts[2])
-        right = merge_stats(parts[0], merge_stats(parts[1], parts[2]))
-        assert left.count == right.count
-        assert left.mean == pytest.approx(right.mean, rel=1e-12, abs=1e-15)
-        assert left.std_error == pytest.approx(right.std_error, rel=1e-12, abs=1e-15)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=40), st.integers(1, 38))
-    def test_merge_split_invariance(self, values, cut):
-        cut = min(cut, len(values) - 1)
-        whole = ensemble_aggregate(values)
-        merged = merge_stats(
-            ensemble_aggregate(values[:cut]), ensemble_aggregate(values[cut:])
-        )
-        assert merged.mean == pytest.approx(whole.mean, abs=1e-9)
-        assert merged.std_error == pytest.approx(whole.std_error, abs=1e-9)
-
-    def test_merge_is_order_independent(self):
-        a = ensemble_aggregate([1.0, 2.0, 4.0])
-        b = ensemble_aggregate([0.5, 0.25])
-        ab, ba = merge_stats(a, b), merge_stats(b, a)
-        assert ab.mean == pytest.approx(ba.mean, rel=1e-12, abs=1e-15)
-        assert ab.std_error == pytest.approx(ba.std_error, rel=1e-12, abs=1e-15)
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):

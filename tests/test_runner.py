@@ -225,12 +225,17 @@ class TestCapacity:
     @pytest.mark.parametrize("source", ["haar", "hea"])
     def test_sampler_peak_within_live_copies(self, kind, source):
         # what _check_capacity budgets per shot batch bounds what one instance
-        # of a sampled kind holds, replay included, with and without a reset
+        # of a sampled kind holds, replay included, with and without a reset.
+        # Without a reset an HEA step reaches 256 columns: 256 shots compile
+        # it at the one-batch-copy boundary, 200 shots run its gates
         gamma = 0.7 if kind == "noisy_xeb" else None
-        for reset in (True, False):
+        runs = [(True, 2000), (False, 2000)]
+        if source == "hea":
+            runs += [(False, 256), (False, 200)]
+        for reset, shots in runs:
             spec = ExperimentSpec(
                 kind=kind, n_system=4, n_bath=4, steps=(3,), gammas=(gamma,) if gamma else (),
-                instances=1, shots=2000, reset_bath=reset, unitary_source=source,
+                instances=1, shots=shots, reset_bath=reset, unitary_source=source,
                 hea_layers=4 if source == "hea" else None, master_seed=3,
             )
             tracemalloc.start()
@@ -240,7 +245,7 @@ class TestCapacity:
             finally:
                 tracemalloc.stop()
             batch_bytes = spec.shots * (16 << (spec.n_system + spec.n_bath))
-            assert peak < runner_mod.SAMPLER_LIVE_COPIES * batch_bytes, reset
+            assert peak < runner_mod.SAMPLER_LIVE_COPIES * batch_bytes, (reset, shots)
 
     def test_pooled_distributions_beyond_memory_refused_before_work(self, monkeypatch):
         # 10^4 instances of 2^22 probabilities are 336 GB per pooled copy
