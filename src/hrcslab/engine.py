@@ -13,13 +13,13 @@ into the (rows, 2^n) state after the next step: with every bath at 0 a dense
 step multiplies the blocks by the step's first 2^n_A columns, so a reset
 circuit needs only the 2^n x 2^n_A isometry that ``instantiate_circuit``
 draws for it; with a kept bath it multiplies the full register that
-``_keep_branch`` rebuilds.  An HEA step (its drawn ``HeaParams``) reaches
-2^n_A columns with every bath at 0 and all 2^n with a kept bath.  When those
+``_keep_branch`` rebuilds.  An HEA step (its drawn ``HeaParams``) applied
+with every bath at 0 reaches only its first 2^n_A columns.  When those
 number no more than the rows, ``step_matrices`` compiles them through the
 gate kernel of ``circuits`` and the step is applied as a dense one;
-otherwise its gates run layer by layer on the rebuilt register.  This is
-decided at every step, so enumeration compiles once its tree level has as
-many rows as the step has columns.
+otherwise, and always with a kept bath, its gates run layer by layer on the
+rebuilt register.  This is decided at every step, so enumeration compiles
+once its tree level has as many rows as the step has columns.
 
 A sampled path is a row of ``TrajectoryBatch``.  Outcome indexing: a joint
 outcome (z_1, ..., z_t, x) maps to the integer with z_1 in the most
@@ -180,12 +180,13 @@ def _propagate(
     batch after it.  ``bath`` is None when every bath reads 0 (the first
     step, or after a reset).
 
-    The columns a step can reach are its first 2^n_A with every bath at 0,
-    and all 2^n with a kept bath.  An HEA step whose reachable columns number
-    no more than the rows is compiled to those columns (``step_matrices``)
-    and applied as a dense step, so the compiled matrix is at most one batch
-    copy; otherwise its gates run on the full register that ``_keep_branch``
-    rebuilds.
+    With every bath at 0 a step reaches only its first 2^n_A columns.  An
+    HEA step applied there with no more columns than rows is compiled to
+    them (``step_matrices``) and applied as a dense step, so the compiled
+    matrix is at most one batch copy.  Otherwise, and always with a kept
+    bath, its gates run on the full register that ``_keep_branch`` rebuilds:
+    a kept bath reaches all 2^n columns, whose dense product costs 2^n
+    multiply-adds per amplitude against the step's few gate passes.
 
     With every bath at 0 a dense step is one product of the blocks with the
     step's first 2^n_A columns, bitwise that of the zero-padded full-register
@@ -196,10 +197,9 @@ def _propagate(
     """
     rows, d_sys = picked.shape
     if isinstance(step, HeaParams):
-        columns = d_sys if bath is None else d_sys * d_bath
-        if columns > rows:
+        if bath is not None or d_sys > rows:
             return apply_hea_batch(_keep_branch(picked, bath, d_bath), step)
-        step = UnitaryMatrix(step_matrices([step], columns)[0])
+        step = UnitaryMatrix(step_matrices([step], d_sys)[0])
     if bath is None:
         return np.ascontiguousarray(np.dot(step.entries[:, :d_sys], picked.T).T)
     amps = _keep_branch(picked, bath, d_bath)

@@ -190,10 +190,10 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 # replay included: tracemalloc at 3+5 to 6+2 qubits, 2000 shots, t = 3
 # measures 2.2-2.4 with reset Haar steps (the kept blocks, not a zero-padded
 # register, go into each step) and 2.5-2.7 without a reset.  A 4-layer HEA
-# step compiled to the columns it reaches gives 2.1-2.3 with a reset and
-# 2.2-2.4 without one, and 3.1-3.3 at 256 shots, where those 256 columns
-# are one batch copy; run gate by gate on the rebuilt register, when its
-# columns outnumber the shots, it gives 3.6-3.8
+# step compiled to the 2^n_A columns a reset bath reaches gives 2.1-2.3, and
+# 3.1-3.3 at 6+4 to 8+2 with 2^n_A shots, where those columns are one batch
+# copy.  Without a reset the HEA steps after the first run gate by gate on
+# the rebuilt register: 2.6-2.8, and 2.9-3.1 at 200 shots
 SAMPLER_LIVE_COPIES = 4
 # 2^n x 2^n complex arrays that drawing one full Haar step holds beside its
 # output: peak RSS of sample_haar_unitary at 10-11 qubits grows by 4.1-4.3

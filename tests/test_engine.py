@@ -578,8 +578,7 @@ def gate_kernel_propagate(picked, bath, step, d_bath, dense=engine_mod._propagat
 
 
 class TestCompiledHeaSteps:
-    # 32 shots at 3+2 compile every step, with a kept bath at the boundary
-    # of 32 columns; 64 shots at 5+5 compile every reset step, and without a
+    # 32 shots at 3+2 and 64 at 5+5 compile every reset step, and without a
     # reset only the first, whose bath is still at 0
     @pytest.mark.parametrize("shape", [(3, 2, 32), (5, 5, 64)])
     @pytest.mark.parametrize("reset", [True, False])
@@ -614,12 +613,16 @@ class TestCompiledHeaSteps:
             )
             np.testing.assert_allclose(compiled_replay, gate_replay, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("reset, shots, rows", [
-        (True, 16, [16, 16, 16]),  # 32 columns outnumber 16 shots: gates
-        (True, 64, [32, 32, 32]),  # 32 columns compiled once per step
-        (False, 64, [32, 64, 64]),  # a kept bath reaches all 1024 columns
+    @pytest.mark.parametrize("n_system, n_bath, reset, shots, rows", [
+        (5, 5, True, 16, [16, 16, 16]),  # 32 columns outnumber 16 shots: gates
+        (5, 5, True, 64, [32, 32, 32]),  # 32 columns compiled once per step
+        (5, 5, False, 64, [32, 64, 64]),  # a kept bath reaches all 1024 columns
+        # a kept bath runs the gates even where its 32 columns fit the rows
+        (3, 2, False, 64, [8, 64, 64]),
     ])
-    def test_kernel_chosen_by_columns_and_rows(self, reset, shots, rows, monkeypatch):
+    def test_kernel_chosen_by_columns_and_rows(
+        self, n_system, n_bath, reset, shots, rows, monkeypatch
+    ):
         # the rows each apply_hea_batch call runs show which form a step took
         seen = []
 
@@ -628,7 +631,7 @@ class TestCompiledHeaSteps:
             return apply_hea_batch(amps, params)
 
         cfg = HrcsConfig(
-            n_system=5, n_bath=5, steps=3, reset_bath=reset,
+            n_system=n_system, n_bath=n_bath, steps=3, reset_bath=reset,
             unitary_source="hea", hea_layers=1, master_seed=7,
         )
         steps = instantiate_circuit(cfg, 0)

@@ -226,15 +226,17 @@ class TestCapacity:
     def test_sampler_peak_within_live_copies(self, kind, source):
         # what _check_capacity budgets per shot batch bounds what one instance
         # of a sampled kind holds, replay included, with and without a reset.
-        # Without a reset an HEA step reaches 256 columns: 256 shots compile
-        # it at the one-batch-copy boundary, 200 shots run its gates
+        # Without a reset the HEA steps after the first run their gates; at
+        # 8+2 with 256 shots a reset HEA step compiles to 256 columns, the
+        # one-batch-copy boundary
         gamma = 0.7 if kind == "noisy_xeb" else None
-        runs = [(True, 2000), (False, 2000)]
+        runs = [(4, 4, True, 2000), (4, 4, False, 2000)]
         if source == "hea":
-            runs += [(False, 256), (False, 200)]
-        for reset, shots in runs:
+            runs += [(4, 4, False, 200), (8, 2, True, 256)]
+        for n_system, n_bath, reset, shots in runs:
             spec = ExperimentSpec(
-                kind=kind, n_system=4, n_bath=4, steps=(3,), gammas=(gamma,) if gamma else (),
+                kind=kind, n_system=n_system, n_bath=n_bath, steps=(3,),
+                gammas=(gamma,) if gamma else (),
                 instances=1, shots=shots, reset_bath=reset, unitary_source=source,
                 hea_layers=4 if source == "hea" else None, master_seed=3,
             )
