@@ -9,17 +9,16 @@ the sampler draws one bath block per row, replay keeps the recorded one, and
 enumeration keeps all of them as the next tree level.  Between steps the walk
 holds each row's kept system block, a (rows, 2^n_A) batch, and the bath
 block it sits in (0 after a reset).  Its kernel ``_propagate`` turns that
-into the (rows, 2^n) state after the next step: with every bath at 0 a dense
-step multiplies the blocks by the step's first 2^n_A columns, so a reset
-circuit needs only the 2^n x 2^n_A isometry that ``instantiate_circuit``
-draws for it; with a kept bath it multiplies the full register that
-``_keep_branch`` rebuilds.  An HEA step (its drawn ``HeaParams``) applied
-with every bath at 0 reaches only its first 2^n_A columns.  When those
-number no more than the rows, ``step_matrices`` compiles them through the
-gate kernel of ``circuits`` and the step is applied as a dense one;
-otherwise, and always with a kept bath, its gates run layer by layer on the
-rebuilt register.  This is decided at every step, so enumeration compiles
-once its tree level has as many rows as the step has columns.
+into the (rows, 2^n) state after the next step: a dense step, or an HEA step
+compiled to the columns it reaches, is one matrix product; an HEA step with
+a kept bath, or with more columns than rows, runs gate by gate.  This is
+decided at every step, so enumeration compiles once its tree level has as
+many rows as the step has columns.
+
+The sampler unravels depolarizing noise into Pauli strings without touching
+the register: a string's bath part relabels the bath outcome, and its system
+part acts on the kept block.  A noisy batch's model probabilities are those
+of its noisy paths, each under its drawn strings.
 
 A sampled path is a row of ``TrajectoryBatch``.  Outcome indexing: a joint
 outcome (z_1, ..., z_t, x) maps to the integer with z_1 in the most
@@ -242,32 +241,21 @@ class TrajectoryBatch:
         return (idx << config.n_system) | self.final_outcomes
 
 
-def _batch_random_paulis(
-    amps: np.ndarray, targets: Sequence[int], n: int, gamma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Trajectory unraveling of the depolarizing channel on a (shots, 2^n)
-    batch, in place: with probability 1-gamma a row gets a Pauli string drawn
-    uniformly from all 4^m (identity included).  Code digit i (0 I, 1 X, 2 Y,
-    3 Z) acts on targets[i]; the string sets new[j] = i^(n_Y + 2 popcount(src
-    & zy_mask)) old[src] with src = j ^ flip_mask (X, Y flip; Y, Z carry a sign)."""
+def _random_paulis(rows: int, m: int, gamma: float, rng: np.random.Generator):
+    """Trajectory unraveling of the depolarizing channel on an m-qubit field:
+    with probability 1-gamma a row gets a Pauli string drawn uniformly from
+    all 4^m (identity included), code digit i (0 I, 1 X, 2 Y, 3 Z) on bit i,
+    moving old[src] to new[src ^ flip] times phase(src) = i^(n_Y + 2 popcount(src
+    & zy)).  Returns flips and ``phase``; gamma = 1 draws none: 0 flips, no phase."""
     if gamma >= 1.0:
-        return amps
-    shots = amps.shape[0]
-    m = len(targets)
-    hit = rng.random(shots) < 1.0 - gamma
-    codes = np.where(hit, rng.integers(4 ** m, size=shots), 0)
-    rows = np.flatnonzero(codes)  # code 0 is the all-identity string
-    digits = (codes[rows, None] >> (2 * np.arange(m))) & 3
-    bits = 1 << np.asarray(targets)
-    flip_mask = np.where((digits == 1) | (digits == 2), bits, 0).sum(axis=1)
-    zy_mask = np.where(digits >= 2, bits, 0).sum(axis=1)
-    n_y = (digits == 2).sum(axis=1, dtype=np.uint8)
-    src = np.arange(1 << n) ^ flip_mask[:, None]
-    picked = amps[rows[:, None], src]
-    quarter_turns = n_y[:, None] + 2 * np.bitwise_count(src & zy_mask[:, None])
-    picked *= np.array([1, 1j, -1, -1j])[quarter_turns % 4]
-    amps[rows] = picked
-    return amps
+        return np.zeros(rows, dtype=np.int64), None
+    codes = np.where(rng.random(rows) < 1.0 - gamma, rng.integers(4 ** m, size=rows), 0)
+    digits = (codes[:, None] >> (2 * np.arange(m))) & 3
+    bits = 1 << np.arange(m)
+    flip = ((digits == 1) | (digits == 2)) @ bits
+    zy = ((digits >= 2) @ bits)[:, None]
+    n_y = (digits == 2).sum(axis=1, keepdims=True)
+    return flip, lambda src: np.array([1, 1j, -1, -1j])[(n_y + 2 * np.bitwise_count(src & zy)) % 4]
 
 
 def _draw(
@@ -286,10 +274,9 @@ def _draw(
 
 def _walk(config: HrcsConfig, unitaries: list[StepUnitary], rows: int, keep) -> np.ndarray:
     """The step loop of every pure-state mode.  From rows of |0>, each step
-    gives a (rows, d_B, d_A) register, bath outcome on axis 1, and
-    ``keep(k, blocks)`` returns the system blocks that survive the bath
-    measurement and the outcome each sits in; the bath is carried to the
-    next step or reset to 0.  Returns the system blocks after the last step."""
+    gives a (rows, d_B, d_A) register and ``keep(k, blocks, picked)`` returns
+    the system blocks left by the bath measurement, perhaps over the consumed
+    ``picked``, and their outcomes; the bath is carried or reset to 0."""
     if config.n_qubits > TRAJECTORY_MAX_QUBITS:
         raise CapacityError(
             f"trajectory register of {config.n_qubits} qubits exceeds {TRAJECTORY_MAX_QUBITS}"
@@ -301,7 +288,7 @@ def _walk(config: HrcsConfig, unitaries: list[StepUnitary], rows: int, keep) -> 
     z = None
     for k, step in enumerate(unitaries):
         blocks = _propagate(picked, z, step, d_bath).reshape(len(picked), d_bath, d_sys)
-        picked, z = keep(k, blocks)
+        picked, z = keep(k, blocks, picked)
         z = None if config.reset_bath else z
         del blocks  # free this step's register before the next is built
     return picked
@@ -316,23 +303,36 @@ def sample_trajectories(
 ) -> TrajectoryBatch:
     """Sample n_shots protocol runs of the same circuit, all advanced as one batch.
 
-    A noiseless run's model probabilities are its ideal probabilities; a
-    noisy run's paths are replayed by ``ideal_probabilities_batch``.
+    Per step, noise draws a Pauli string per row on the system, then one on
+    the bath, then the bath outcome.  The bath part relabels the outcome: a
+    row draws z with the probability of its block z ^ flip, keeps that block
+    and carries z.  The system part acts on the kept block.  Model
+    probabilities are those of the sampled paths under their drawn strings.
     """
-    n, n_sys = config.n_qubits, config.n_system
+    noise = noise or NoiseModel(1.0, 1.0)
+    d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
     rows = np.arange(n_shots)
     bath_outcomes = np.zeros((n_shots, config.steps), dtype=np.int64)
     model_prob = np.ones(n_shots)
 
-    def draw(k: int, blocks: np.ndarray):
-        if noise is not None:
-            amps = blocks.reshape(n_shots, -1)  # a view: the Pauli strings act in place
-            _batch_random_paulis(amps, range(n_sys), n, noise.gamma_system, rng)
-            _batch_random_paulis(amps, range(n_sys, n), n, noise.gamma_bath, rng)
-        z, p_z = _draw((np.abs(blocks) ** 2).sum(axis=2), rng, "bath")
+    def draw(k: int, blocks: np.ndarray, kept: np.ndarray):
+        flip_sys, phase_sys = _random_paulis(n_shots, config.n_system, noise.gamma_system, rng)
+        flip_bath, phase_bath = _random_paulis(n_shots, config.n_bath, noise.gamma_bath, rng)
+        probs = (np.abs(blocks) ** 2).sum(axis=2)
+        if phase_bath is not None:  # outcome z reads block z ^ flip
+            probs = probs[rows[:, None], np.arange(d_bath) ^ flip_bath[:, None]]
+        z, p_z = _draw(probs, rng, "bath")
         model_prob[:] *= p_z
         bath_outcomes[:, k] = z
-        return blocks[rows, z, :] / np.sqrt(p_z)[:, None], z
+        src_bath = z ^ flip_bath
+        src_sys = np.arange(d_sys) if phase_sys is None else np.arange(d_sys) ^ flip_sys[:, None]
+        np.take(blocks, (rows * d_bath + src_bath)[:, None] * d_sys + src_sys, out=kept,
+                mode="clip")  # "raise" would copy through a buffer
+        for phase, src in ((phase_sys, src_sys), (phase_bath, src_bath[:, None])):
+            if phase is not None:
+                kept *= phase(src)
+        kept /= np.sqrt(p_z)[:, None]
+        return kept, z
 
     picked = _walk(config, unitaries, n_shots, draw)
     x, p_x = _draw(np.abs(picked) ** 2, rng, "final")
@@ -360,7 +360,7 @@ def ideal_probabilities_batch(
     ):
         raise ConfigurationError(f"outcomes out of shape or range for {config.steps} steps")
     rows = np.arange(shots)
-    picked = _walk(config, unitaries, shots, lambda k, blocks: (
+    picked = _walk(config, unitaries, shots, lambda k, blocks, _: (
         blocks[rows, bath_outcomes[:, k], :], bath_outcomes[:, k]))
     return np.abs(picked[rows, final_outcomes]) ** 2
 
@@ -380,7 +380,7 @@ def enumerate_joint_distribution(
         raise CapacityError(
             f"enumeration over {config.n_eff} effective bits exceeds {ENUMERATION_MAX_BITS}"
         )
-    picked = _walk(config, unitaries, 1, lambda k, blocks: (
+    picked = _walk(config, unitaries, 1, lambda k, blocks, _: (
         blocks.reshape(-1, blocks.shape[2]), np.tile(np.arange(blocks.shape[1]), len(blocks))))
     return JointDistribution((np.abs(picked) ** 2).reshape(-1), config.n_eff)
 

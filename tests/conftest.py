@@ -49,6 +49,15 @@ def pauli_string_matrix(code: int, targets, n: int) -> np.ndarray:
     return out
 
 
+def apply_strings(amps: np.ndarray, strings, low: int) -> np.ndarray:
+    """A (rows, 2^n) batch after each row's string, drawn by
+    ``engine._random_paulis`` on the field of qubits low, low + 1, ..., acts
+    on it: new[j] = phase(src) old[src] with src = j ^ flip on the register."""
+    flip, phase = strings
+    src = np.arange(amps.shape[1]) ^ (flip[:, None] << low)
+    return phase(src >> low) * amps[np.arange(len(amps))[:, None], src]
+
+
 def rx_matrix(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([[c, -1j * s], [-1j * s, c]])

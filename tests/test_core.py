@@ -19,9 +19,10 @@ from hrcslab import (
     sample_trajectories,
 )
 from hrcslab.circuits import HeaParams
-from hrcslab.engine import _batch_random_paulis, _keep_branch, _propagate, ideal_probabilities_batch
+from hrcslab.engine import _keep_branch, _propagate, _random_paulis, ideal_probabilities_batch
 
 from conftest import (
+    apply_strings,
     cnot_permutation,
     haar_on,
     pauli_string_matrix,
@@ -60,7 +61,7 @@ def basis_state(n: int, index: int) -> np.ndarray:
 
 
 class FixedCodes:
-    """Stands in for the generator of ``_batch_random_paulis`` at gamma = 0:
+    """Stands in for the generator of ``_random_paulis`` at gamma = 0:
     every row is hit and draws the given Pauli code."""
 
     def __init__(self, codes):
@@ -74,8 +75,11 @@ class FixedCodes:
         return self.codes
 
 
-def apply_codes(amps, codes, targets, n):
-    return _batch_random_paulis(amps, targets, n, 0.0, FixedCodes(codes))
+def apply_codes(amps, codes, targets):
+    """Each row of ``amps`` after the string of its code on the qubit run
+    ``targets``."""
+    strings = _random_paulis(len(codes), len(targets), 0.0, FixedCodes(codes))
+    return apply_strings(amps, strings, targets[0])
 
 
 def hea(thetas, phis=None) -> HeaParams:
@@ -353,17 +357,17 @@ class TestReset:
 class TestPauliStrings:
     def test_identity_string(self):
         states = np.stack([random_state(3, seed=3 + r) for r in range(4)])
-        out = apply_codes(states.copy(), [0, 0, 0, 0], (0, 1, 2), 3)
+        out = apply_codes(states, [0, 0, 0, 0], (0, 1, 2))
         np.testing.assert_array_equal(out, states)
 
     def test_x_on_qubit0(self):
-        out = apply_codes(zero_batch(2), [1], (0,), 2)
+        out = apply_codes(zero_batch(2), [1], (0,))
         np.testing.assert_allclose(out, [[0, 1, 0, 0]], atol=1e-12)
 
     def test_matches_dense_pauli_matrices(self):
         # all 16 two-qubit strings, one per row, against their Kronecker products
         state = random_state(2, seed=6)
-        out = apply_codes(np.tile(state, (16, 1)), np.arange(16), (0, 1), 2)
+        out = apply_codes(np.tile(state, (16, 1)), np.arange(16), (0, 1))
         for code in range(16):
             np.testing.assert_allclose(
                 out[code], pauli_string_matrix(code, (0, 1), 2) @ state, atol=1e-12,
@@ -375,7 +379,7 @@ class TestPauliStrings:
         # output (full depolarization replaces the marginal by uniform)
         draws = 100_000
         amps = np.tile(random_state(3, seed=23), (draws, 1))
-        twirled = _batch_random_paulis(amps, (0, 1), 3, 0.0, rng)
+        twirled = apply_strings(amps, _random_paulis(draws, 2, 0.0, rng), 0)
         # qubits 0, 1 are the low two bits: axis 2 of (draws, 2, 4)
         marginal = (np.abs(twirled) ** 2).reshape(draws, 2, 4).sum(axis=1).mean(axis=0)
         se = np.sqrt(0.25 * 0.75 / draws)  # binomial bound per outcome
@@ -394,7 +398,7 @@ class TestPauliUnraveling:
         draws, chunk = 1_000_000, 100_000
         avg = np.zeros((4, 4), dtype=complex)
         for _ in range(draws // chunk):
-            out = _batch_random_paulis(np.tile(state, (chunk, 1)), (0,), 2, gamma, rng)
+            out = apply_strings(np.tile(state, (chunk, 1)), _random_paulis(chunk, 1, gamma, rng), 0)
             avg += out.T @ out.conj() / draws
 
         shaped = rho.reshape(2, 2, 2, 2)  # (q1_row, q0_row, q1_col, q0_col)

@@ -27,7 +27,7 @@ from hrcslab import (
 from hrcslab import engine as engine_mod
 from hrcslab.engine import (
     TrajectoryBatch,
-    _batch_random_paulis,
+    _random_paulis,
     depolarize_density,
     derive_seed,
     instance_seed,
@@ -35,7 +35,7 @@ from hrcslab.engine import (
 )
 from hrcslab.circuits import HeaParams, apply_hea_batch, sample_hea_params
 
-from conftest import dense_hea_oracle, pauli_string_matrix, small_config
+from conftest import apply_strings, dense_hea_oracle, pauli_string_matrix, small_config
 
 
 def one_shot(config, unitaries, rng):
@@ -437,8 +437,73 @@ class TestPauliUnraveling:
         codes = np.where(hit, draws.integers(4 ** len(targets), size=shots), 0)
         for row, code in enumerate(codes):
             expected[row] = pauli_string_matrix(int(code), targets, n) @ amps[row]
-        got = _batch_random_paulis(amps.copy(), targets, n, gamma, np.random.default_rng(8))
-        np.testing.assert_array_equal(got, expected)
+        strings = _random_paulis(shots, len(targets), gamma, np.random.default_rng(8))
+        np.testing.assert_array_equal(apply_strings(amps, strings, targets[0]), expected)
+
+
+def dense_noisy_sampler(config, unitaries, shots, noise, rng):
+    """The noisy sampler on the full register: each step's dense product,
+    then each row times the dense Pauli string of its code, system codes
+    drawn before bath codes, then the bath draw from the blocks' norms."""
+    n, n_sys = config.n_qubits, config.n_system
+    d_sys, d_bath = 1 << n_sys, 1 << config.n_bath
+    rows = np.arange(shots)
+    mats = step_matrices(unitaries, d_sys if config.reset_bath else 1 << n)
+    state = np.zeros((shots, 1 << n), dtype=complex)
+    state[:, 0] = 1.0
+    bath_outcomes = np.zeros((shots, config.steps), dtype=np.int64)
+    model = np.ones(shots)
+
+    def inverse_cdf(probs):
+        cum = np.cumsum(probs, axis=1)
+        u = rng.random(shots) * cum[:, -1]
+        idx = np.minimum((u[:, None] >= cum).sum(axis=1), probs.shape[1] - 1)
+        return idx, probs[rows, idx]
+
+    for k, mat in enumerate(mats):
+        amps = state[:, : mat.shape[1]] @ mat.T
+        fields = ((range(n_sys), noise.gamma_system), (range(n_sys, n), noise.gamma_bath))
+        for targets, gamma in fields:
+            if gamma < 1.0:
+                hit = rng.random(shots) < 1.0 - gamma
+                codes = np.where(hit, rng.integers(4 ** len(targets), size=shots), 0)
+                dense = {c: pauli_string_matrix(c, targets, n) for c in set(codes.tolist())}
+                amps = np.stack([dense[c] @ a for c, a in zip(codes.tolist(), amps)])
+        blocks = amps.reshape(shots, d_bath, d_sys)
+        z, p_z = inverse_cdf((np.abs(blocks) ** 2).sum(axis=2))
+        bath_outcomes[:, k] = z
+        model *= p_z
+        kept = blocks[rows, z] / np.sqrt(p_z)[:, None]
+        state = np.zeros_like(amps)
+        state.reshape(shots, d_bath, d_sys)[rows, 0 if config.reset_bath else z] = kept
+    x, p_x = inverse_cdf(np.abs(kept) ** 2)
+    return TrajectoryBatch(bath_outcomes, x, model * p_x)
+
+
+class TestNoisySampler:
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 3), (3, 2)])
+    @pytest.mark.parametrize("reset", [True, False])
+    @pytest.mark.parametrize("source", ["haar", "hea"])
+    @pytest.mark.parametrize("gammas", [(0.7, 0.7), (1.0, 0.7), (0.7, 1.0), (0.0, 0.0)])
+    def test_matches_dense_reference(self, shape, reset, source, gammas):
+        # the sampler relabels the bath and acts on the kept system block;
+        # the reference multiplies the whole register by each drawn string
+        cfg = HrcsConfig(
+            n_system=shape[0], n_bath=shape[1], steps=3, reset_bath=reset,
+            unitary_source=source, hea_layers=2 if source == "hea" else None, master_seed=4,
+        )
+        steps = instantiate_circuit(cfg, 0)
+        runs = []
+        for sampler in (sample_trajectories, dense_noisy_sampler):
+            rng = np.random.default_rng(6)
+            runs.append((sampler(cfg, steps, 200, NoiseModel(*gammas), rng), rng.random(4)))
+        (got, got_next), (want, want_next) = runs
+        np.testing.assert_array_equal(got.bath_outcomes, want.bath_outcomes)
+        np.testing.assert_array_equal(got.final_outcomes, want.final_outcomes)
+        np.testing.assert_array_equal(got_next, want_next)
+        np.testing.assert_allclose(
+            got.model_probabilities, want.model_probabilities, rtol=1e-12, atol=0
+        )
 
 
 class TestDepolarizeDensity:
