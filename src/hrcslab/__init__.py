@@ -23,7 +23,6 @@ from .estimators import (
     ensemble_aggregate,
     pop_histogram,
     power_sum_exact,
-    power_sum_mc,
     tvd_exact,
     xeb_estimate,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "marginalize",
     "pop_histogram",
     "power_sum_exact",
-    "power_sum_mc",
     "replay_no_reset_equivalence",
     "run_experiment",
     "sample_haar_state",

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,11 +14,13 @@ import numpy as np
 
 from .engine import JointDistribution
 from .errors import ConfigurationError
-from .theory import pop_density, porter_thomas_cdf
+from .theory import porter_thomas_cdf, porter_thomas_density
 
 DEFAULT_POP_BINS = 50
 POP_RANGE_LOW = 1e-2  # in units of 1/D
 POP_RANGE_HIGH = 50.0
+# the largest n_eff whose XEB scale 2^n_eff is a finite double
+XEB_MAX_BITS = sys.float_info.max_exp - 1
 
 
 @dataclass(frozen=True)
@@ -58,18 +61,6 @@ def power_sum_exact(dist: JointDistribution | np.ndarray, order: int) -> float:
     return math.fsum(powered.tolist())
 
 
-def power_sum_mc(model_probabilities: Sequence[float] | np.ndarray, order: int) -> EnsembleStats:
-    """Monte Carlo power-sum estimate from the model probabilities of
-    noiseless trajectories (``TrajectoryBatch.model_probabilities``).
-
-    E_{y~p}[p(y)^(K-1)] = sum_y p(y)^K, so averaging the (K-1)-th power of
-    the recorded path probability is unbiased.
-    """
-    if order < 2:
-        raise ConfigurationError(f"power-sum order must be >= 2, got {order}")
-    return ensemble_aggregate(np.asarray(model_probabilities, dtype=float) ** (order - 1))
-
-
 def xeb_estimate(ideal_probabilities: Sequence[float] | np.ndarray, n_eff: int) -> EnsembleStats:
     """Cross-entropy benchmark from ideal probabilities of sampled bitstrings:
     mean of 2^n_eff * P - 1 with its standard error.
@@ -100,7 +91,7 @@ class PopHistogram:
 
     def reference_curve(self) -> np.ndarray:
         """Porter-Thomas density evaluated at the bin centers."""
-        return np.asarray(pop_density("porter_thomas", 2.0 ** self.n_eff, self.bin_centers()))
+        return np.asarray(porter_thomas_density(2.0 ** self.n_eff, self.bin_centers()))
 
     def to_json(self) -> str:
         return json.dumps(

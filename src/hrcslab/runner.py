@@ -47,7 +47,7 @@ SCHEMA_VERSION = 1
 # (N_A, N_B, t, K, gamma, epsilon)
 THEORY = {
     "haar_power_sum": lambda a, b, t, k, g, eps: theory.haar_power_sum(a + t * b, k),
-    "hrcs_power_sum": lambda a, b, t, k, g, eps: theory.hrcs_power_sum(a, b, t, k, "exact"),
+    "hrcs_power_sum": lambda a, b, t, k, g, eps: theory.hrcs_power_sum(a, b, t, k),
     "marginal_cp_spatial": lambda a, b, t, k, g, eps: theory.marginal_cp("spatial", a, b, t),
     "marginal_cp_temporal": lambda a, b, t, k, g, eps: theory.marginal_cp("temporal", a, b, t),
     "marginal_cp_per_step": lambda a, b, t, k, g, eps: theory.marginal_cp("per_step", a, b, t),
@@ -56,12 +56,10 @@ THEORY = {
     "noisy_xeb_asymptotic": lambda a, b, t, k, g, eps: theory.noisy_xeb(a, b, t, g, "asymptotic"),
     "tvd_bound_exact": lambda a, b, t, k, g, eps: theory.tvd_upper_bound(a, b, t, "exact"),
     "tvd_bound_asymptotic": lambda a, b, t, k, g, eps: theory.tvd_upper_bound(a, b, t, "asymptotic"),
-    "critical_steps": lambda a, b, t, k, g, eps: theory.critical_steps("joint_ps", a, b, eps, k),
+    "critical_steps": lambda a, b, t, k, g, eps: theory.critical_steps(a, b, eps, k),
 }
 THEORY_FAMILIES = tuple(THEORY)
 GAMMA_FAMILIES = ("noisy_xeb_exact", "noisy_xeb_asymptotic")
-
-MARGINALS = ("spatial", "temporal", "per_step")
 
 
 # per-instance measures: (spec, config, step unitaries, gamma, index) -> one
@@ -78,7 +76,7 @@ def _marginal_cps(spec, config, unitaries, gamma, index) -> list[float]:
     dist = enumerate_joint_distribution(config, unitaries)
     return [
         estimators.power_sum_exact(marginalize(dist, config, m, step=config.steps), 2)
-        for m in MARGINALS
+        for m in theory.MARGINAL_KINDS
     ]
 
 
@@ -160,7 +158,7 @@ KIND_TABLE = {
         ("power_sum", q, _HRCS, "hrcs_power_sum_exact") for q in s.k_orders)),
     "marginal_sweep": Kind("enumerate", _marginal_cps, lambda s, k: tuple(
         (f"marginal_cp_{m}", 2, THEORY[f"marginal_cp_{m}"], f"marginal_cp_{m}")
-        for m in MARGINALS)),
+        for m in theory.MARGINAL_KINDS)),
     "pop_hist": Kind("enumerate", _probabilities, lambda s, k: (
         ("pop_ks_to_porter_thomas", None, _fixed(0.0), "porter_thomas_density"),
         ("pop_density_integral", None, _fixed(1.0), "porter_thomas_density"),
@@ -420,6 +418,11 @@ def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
             )
     if engine == "sample" and n_phys > TRAJECTORY_MAX_QUBITS:
         raise CapacityError(f"{n_phys} physical qubits exceed {TRAJECTORY_MAX_QUBITS}")
+    if engine == "sample" and n_eff_max > estimators.XEB_MAX_BITS:
+        raise CapacityError(
+            f"{spec.kind} scores {n_eff_max} effective bits by 2^n_eff, "
+            f"limit {estimators.XEB_MAX_BITS}"
+        )
     need = spec.shots * (16 << n_phys) * SAMPLER_LIVE_COPIES if engine == "sample" else 0
     if engine is not None and spec.unitary_source == "haar":
         # an instance holds all t dense steps (instantiate_circuit): 2^n x 2^n_A
@@ -475,6 +478,20 @@ def _run_instances(spec: ExperimentSpec, t: int, gamma: float | None, workers: i
         return rows
 
 
+def _theory_value(spec: ExperimentSpec, t, k, gamma, formula, source: str) -> float:
+    """One closed-form value; a formula that overflows or leaves its domain
+    at this point refuses the spec, naming the family and the point."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            value = formula(spec.n_system, spec.n_bath, t, k, gamma, spec.epsilon)
+        if math.isfinite(value):
+            return value
+        reason = f"non-finite value {value}"
+    except (ArithmeticError, ValueError) as exc:
+        reason = exc
+    raise ConfigurationError(f"{source} at (t, K, gamma) = ({t}, {k}, {gamma}): {reason}")
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]:
     """Execute one experiment spec and return records in parameter order."""
     if workers < 1:
@@ -489,8 +506,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]
     for t, k, gamma in kind.points(spec):
         statistics = kind.statistics(spec, k)
         values = [
-            formula(spec.n_system, spec.n_bath, t, order, gamma, spec.epsilon)
-            for _, order, formula, _ in statistics
+            _theory_value(spec, t, order, gamma, formula, source)
+            for _, order, formula, source in statistics
         ]
         if kind.measure is None:
             measured = [EnsembleStats(1, value, 0.0) for value in values]

@@ -1,10 +1,9 @@
 """Closed-form reference values for the sampling statistics.
 
-All ratios of factorials that appear here differ by at most K terms (a terms
-in the Beta normalizer B(a, b)), so they are evaluated as K-term sums of logs
-rather than through lgamma differences; at dimensions around 2^20 the lgamma
-route loses ~1e-9 of relative precision, the product route stays near machine
-epsilon.  Exponentiation happens last.
+All ratios of factorials that appear here differ by at most K terms, so they
+are evaluated as K-term sums of logs rather than through lgamma differences;
+at dimensions around 2^20 the lgamma route loses ~1e-9 of relative precision,
+the product route stays near machine epsilon.  Exponentiation happens last.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 MARGINAL_KINDS = ("spatial", "temporal", "per_step")
-CRITICAL_KINDS = ("joint_cp", "joint_ps", "spatial", "temporal", "per_step")
-POP_KINDS = ("porter_thomas", "beta_marginal")
 XEB_MODES = ("exact", "asymptotic")
 
 
@@ -37,15 +34,6 @@ def haar_power_sum(n_qubits: int, order: int) -> float:
     return math.exp(log_z)
 
 
-def haar_subsystem_cp(n_traced: int, n_measured: int) -> float:
-    """Collision probability when only ``n_measured`` qubits of a Haar state
-    are sampled and the other ``n_traced`` are ignored: (d_t+1)/(d_t d_m+1)."""
-    if n_traced < 0 or n_measured < 0:
-        raise ConfigurationError("qubit counts must be nonnegative")
-    d_t, d_m = 2.0 ** n_traced, 2.0 ** n_measured
-    return (d_t + 1.0) / (d_t * d_m + 1.0)
-
-
 def step_collision_probability(n_system: int, n_bath: int, steps: int) -> float:
     """Exact ensemble CP of the joint spatiotemporal distribution,
     2 (d_A+1)^(t-1) / (1 + d_A d_B)^t, evaluated in log space."""
@@ -56,65 +44,36 @@ def step_collision_probability(n_system: int, n_bath: int, steps: int) -> float:
     return math.exp(log_z)
 
 
-def hrcs_power_sum(n_system: int, n_bath: int, steps: int, order: int, mode: str = "exact") -> float:
-    """Ensemble-averaged K-th power sum of the joint distribution after t steps.
-
-    ``exact`` evaluates
-        K! d_A d_B^t [(d_A+K-1)!/(d_A-1)!]^(t-1) [(d_A d_B-1)!/(d_A d_B+K-1)!]^t
-    and ``asymptotic`` the large-d_A form
-        Z_H(N_eff) * exp[K(K-1)(t(1-1/d_B) + d_B^-t - 1)/(2 d_A)].
+def hrcs_power_sum(n_system: int, n_bath: int, steps: int, order: int) -> float:
+    """Ensemble-averaged K-th power sum of the joint distribution after t steps,
+        K! d_A d_B^t [(d_A+K-1)!/(d_A-1)!]^(t-1) [(d_A d_B-1)!/(d_A d_B+K-1)!]^t.
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     if order < 2:
         raise ConfigurationError(f"power-sum order must be >= 2, got {order}")
     d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
-    if mode == "exact":
-        log_z = (
-            math.log(math.factorial(order))
-            + math.log(d_a)
-            + steps * math.log(d_b)
-            + (steps - 1) * _log_rising(d_a, order)
-            - steps * _log_rising(d_a * d_b, order)
-        )
-        return math.exp(log_z)
-    if mode == "asymptotic":
-        n_eff = n_system + steps * n_bath
-        exponent = (
-            order * (order - 1)
-            * (steps * (1.0 - 1.0 / d_b) + d_b ** (-steps) - 1.0)
-            / (2.0 * d_a)
-        )
-        return haar_power_sum(n_eff, order) * math.exp(exponent)
-    raise ConfigurationError(f"mode must be one of {XEB_MODES}, got {mode!r}")
+    log_z = (
+        math.log(math.factorial(order))
+        + math.log(d_a)
+        + steps * math.log(d_b)
+        + (steps - 1) * _log_rising(d_a, order)
+        - steps * _log_rising(d_a * d_b, order)
+    )
+    return math.exp(log_z)
 
 
-def critical_steps(kind: str, n_system: int, n_bath: int, epsilon: float, order: int = 2) -> float:
-    """Step-count thresholds at which the sampled statistics stay within a
-    factor (1+epsilon) of their reference (Haar or uniform) value."""
+def critical_steps(n_system: int, n_bath: int, epsilon: float, order: int) -> float:
+    """Step count at which the joint K-th power sum stays within a factor
+    (1+epsilon) of its Haar value,
+        d_B/(d_B-1) (1/2 + 2 d_A ln(1+epsilon) / (K(K-1))).
+    """
     if epsilon <= 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    if kind not in CRITICAL_KINDS:
-        raise ConfigurationError(f"kind must be one of {CRITICAL_KINDS}, got {kind!r}")
+    if order < 2:
+        raise ConfigurationError(f"power-sum order must be >= 2, got {order}")
     d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
-    if kind == "joint_cp":
-        return d_b / (d_b - 1.0) * (0.5 + d_a * math.log1p(epsilon))
-    if kind == "joint_ps":
-        if order < 2:
-            raise ConfigurationError(f"power-sum order must be >= 2, got {order}")
-        return d_b / (d_b - 1.0) * (0.5 + 2.0 * d_a * math.log1p(epsilon) / (order * (order - 1)))
-    if kind == "temporal":
-        return d_b / (d_b - 1.0) * d_a * math.log1p(epsilon)
-    if kind == "spatial":
-        if d_a * d_b * epsilon <= 1.0:
-            raise ConfigurationError("spatial threshold needs d_A d_B epsilon > 1")
-        return math.log(d_a * d_b / (d_a * d_b * epsilon - 1.0)) / math.log(d_b)
-    # per_step
-    num = (d_b - 1.0) * (d_a * d_b - d_b - 1.0)
-    den = d_a * d_a * d_b * epsilon - d_b + 1.0
-    if num <= 0 or den <= 0:
-        raise ConfigurationError("per-step threshold undefined for these parameters")
-    return math.log(num / den) / math.log(d_b)
+    return d_b / (d_b - 1.0) * (0.5 + 2.0 * d_a * math.log1p(epsilon) / (order * (order - 1)))
 
 
 def _decay_ratio(d_a: float, d_b: float) -> float:
@@ -146,37 +105,18 @@ def marginal_cp(kind: str, n_system: int, n_bath: int, steps: int) -> float:
     raise ConfigurationError(f"kind must be one of {MARGINAL_KINDS}, got {kind!r}")
 
 
-def pop_density(kind: str, params, p) -> np.ndarray | float:
-    """Probability-of-probability densities.
-
-    ``porter_thomas`` takes params = d and returns (d-1)(1-p)^(d-2);
-    ``beta_marginal`` takes params = (d_traced, d_measured) and returns the
-    Beta(d_t, (d_m - 1) d_t) density of subsystem outcome probabilities.
-    """
+def porter_thomas_density(d: float, p) -> np.ndarray | float:
+    """Porter-Thomas probability-of-probability density (d-1)(1-p)^(d-2)."""
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 0) or np.any(p_arr > 1):
         raise ConfigurationError("probabilities must lie in [0, 1]")
-    if kind == "porter_thomas":
-        d = float(params)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_f = math.log(d - 1.0) + (d - 2.0) * np.log1p(-p_arr)
-        out = np.exp(log_f)
-        if d == 2.0:
-            # (d-2) * log(0) is indeterminate; the density is flat at 1 here
-            out = np.where(p_arr == 1.0, 1.0, out)
-        return out if out.shape else float(out)
-    if kind == "beta_marginal":
-        d_t, d_m = params
-        if d_t < 1 or d_m < 2 or d_t != int(d_t) or d_m != int(d_m):
-            raise ConfigurationError(f"beta_marginal needs integer d_t >= 1, d_m >= 2, got {params}")
-        a, b = int(d_t), (int(d_m) - 1) * int(d_t)
-        # a term with a zero exponent is left out, so p = 0 and p = 1 come out exact
-        with np.errstate(divide="ignore"):
-            log_p = (a - 1) * np.log(p_arr) if a != 1 else np.zeros_like(p_arr)
-            log_q = (b - 1) * np.log1p(-p_arr) if b != 1 else np.zeros_like(p_arr)
-        out = np.exp(log_p + log_q - (_log_rising(1, a - 1) - _log_rising(b, a)))
-        return out if out.shape else float(out)
-    raise ConfigurationError(f"kind must be one of {POP_KINDS}, got {kind!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_f = math.log(d - 1.0) + (d - 2.0) * np.log1p(-p_arr)
+    out = np.exp(log_f)
+    if d == 2.0:
+        # (d-2) * log(0) is indeterminate; the density is flat at 1 here
+        out = np.where(p_arr == 1.0, 1.0, out)
+    return out if out.shape else float(out)
 
 
 def porter_thomas_cdf(d: float, p) -> np.ndarray:

@@ -19,7 +19,6 @@ from hrcslab import (
     instantiate_circuit,
     marginalize,
     power_sum_exact,
-    power_sum_mc,
     sample_haar_state,
     sample_trajectories,
     theory,
@@ -61,7 +60,7 @@ def test_criterion_01_collision_probability_vs_step_formula(cp_ps_sweep):
     cp_records = [r for r in cp_ps_sweep if r.order == 2]
     assert len(cp_records) == 5
     for rec in cp_records:
-        target = theory.hrcs_power_sum(2, 1, rec.steps, 2, "exact")
+        target = theory.hrcs_power_sum(2, 1, rec.steps, 2)
         z = (rec.measured.mean - target) / rec.measured.std_error
         if abs(z) > 3:
             failures.append((rec.steps, rec.measured.mean, target, z))
@@ -74,14 +73,14 @@ def test_criterion_01_collision_probability_vs_step_formula(cp_ps_sweep):
 def test_criterion_02_power_sums_vs_step_formula(cp_ps_sweep):
     failures = []
     for rec in (r for r in cp_ps_sweep if r.order in (3, 4)):
-        target = theory.hrcs_power_sum(2, 1, rec.steps, rec.order, "exact")
+        target = theory.hrcs_power_sum(2, 1, rec.steps, rec.order)
         z = (rec.measured.mean - target) / rec.measured.std_error
         if abs(z) > 3:
             failures.append((rec.steps, rec.order, z))
     # analytic route: the K=2 power sum equals the CP closed form to 1e-12
     for n_a, n_b in ((1, 1), (2, 1), (3, 2), (6, 3)):
         for t in range(1, 9):
-            ps = theory.hrcs_power_sum(n_a, n_b, t, 2, "exact")
+            ps = theory.hrcs_power_sum(n_a, n_b, t, 2)
             cp = theory.step_collision_probability(n_a, n_b, t)
             if abs(ps / cp - 1) > 1e-12:
                 failures.append(("k2-analytic", n_a, n_b, t))
@@ -95,7 +94,7 @@ def test_criterion_03_single_step_haar_reduction():
             if n_a + n_b > 20:
                 continue
             for k in range(2, 7):
-                lhs = theory.hrcs_power_sum(n_a, n_b, 1, k, "exact")
+                lhs = theory.hrcs_power_sum(n_a, n_b, 1, k)
                 rhs = theory.haar_power_sum(n_a + n_b, k)
                 if abs(lhs / rhs - 1) > 1e-12:
                     failures.append((n_a, n_b, k, lhs / rhs - 1))
@@ -166,7 +165,8 @@ def test_criterion_06_monte_carlo_vs_enumeration():
         batch = sample_trajectories(cfg, steps, 10_000, None, rng)
         for order in (2, 3):
             exact = power_sum_exact(dist, order)
-            stats = power_sum_mc(batch.model_probabilities, order)
+            # E_{y~p}[p(y)^(K-1)] = sum_y p(y)^K
+            stats = ensemble_aggregate(batch.model_probabilities ** (order - 1))
             if abs(stats.mean - exact) > 4 * stats.std_error:
                 failures.append(("ps", instance, order))
         xeb_target = 2.0 ** cfg.n_eff * power_sum_exact(dist, 2) - 1

@@ -109,6 +109,27 @@ def test_capacity_error_reported(tmp_path, capsys):
     assert "effective bits" in capsys.readouterr().err
 
 
+def test_xeb_beyond_a_double_refused(tmp_path, capsys):
+    config = write_config(tmp_path, kind="xeb", n_system=1, n_bath=1, steps=[1100],
+                          instances=1, shots=2)
+    assert main(["xeb", "--config", str(config), "--out", str(tmp_path / "x.jsonl")]) == 1
+    assert "1101 effective bits by 2^n_eff, limit 1023" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["tvd_bound_asymptotic", "ideal_xeb", "noisy_xeb_exact"])
+def test_overflowing_formula_reported(tmp_path, capsys, family):
+    # a formula that overflows or leaves its domain exits 1 with one line
+    # naming the family and the point, not a traceback
+    gammas = [1.0] if family == "noisy_xeb_exact" else []
+    config = write_config(tmp_path, kind="theory_table", theory_family=family, n_system=1,
+                          n_bath=1, steps=[20000], gammas=gammas)
+    assert main(["theory", "--config", str(config), "--out", str(tmp_path / "x.jsonl")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {family} at (t, K, gamma) = (20000, 2, ")
+
+
 NO_SCIPY_RUN = """
 import json, sys
 from hrcslab.cli import main

@@ -322,7 +322,7 @@ class TestEnumeration:
             for b in range(150)
         ]
         stats = ensemble_aggregate(vals)
-        target = theory.hrcs_power_sum(2, 1, 2, 2, "exact")
+        target = theory.hrcs_power_sum(2, 1, 2, 2)
         assert abs(stats.mean - target) < 3 * stats.std_error
 
     def test_capacity_refused(self):

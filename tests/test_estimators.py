@@ -14,7 +14,6 @@ from hrcslab import (
     instantiate_circuit,
     pop_histogram,
     power_sum_exact,
-    power_sum_mc,
     sample_trajectories,
     tvd_exact,
     xeb_estimate,
@@ -53,24 +52,16 @@ class TestPowerSumExact:
 
 
 class TestPowerSumMc:
-    def test_delta_distribution_records(self):
-        stats = power_sum_mc(np.ones(10), 2)
-        assert stats.mean == pytest.approx(1.0, abs=1e-12)
-        assert stats.std_error == 0.0
-
     @pytest.mark.parametrize("order", [2, 3])
     def test_matches_enumeration(self, order):
+        # E_{y~p}[p(y)^(K-1)] = sum_y p(y)^K over noiseless shots
         cfg = small_config()
         steps = instantiate_circuit(cfg, 0)
         exact = power_sum_exact(enumerate_joint_distribution(cfg, steps), order)
         rng = np.random.default_rng(19)
         batch = sample_trajectories(cfg, steps, 10_000, None, rng)
-        stats = power_sum_mc(batch.model_probabilities, order)
+        stats = ensemble_aggregate(batch.model_probabilities ** (order - 1))
         assert abs(stats.mean - exact) < 4 * stats.std_error
-
-    def test_rejects_order_one(self):
-        with pytest.raises(ConfigurationError):
-            power_sum_mc(np.ones(1), 1)
 
 
 class TestXebEstimate:

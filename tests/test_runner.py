@@ -18,13 +18,32 @@ from hrcslab import CapacityError, ConfigurationError
 from hrcslab.engine import instance_seed
 from hrcslab.runner import (
     CSV_COLUMNS,
+    GAMMA_FAMILIES,
     KIND_TABLE,
+    THEORY_FAMILIES,
     ExperimentSpec,
     run_experiment,
     write_records,
 )
 
 from hrcslab import theory
+
+
+# each THEORY family called directly at N_A = 2, N_B = 1, t = 3, K = 3,
+# gamma = 0.7 and epsilon = 0.5
+DIRECT_THEORY = {
+    "haar_power_sum": lambda: theory.haar_power_sum(5, 3),
+    "hrcs_power_sum": lambda: theory.hrcs_power_sum(2, 1, 3, 3),
+    "marginal_cp_spatial": lambda: theory.marginal_cp("spatial", 2, 1, 3),
+    "marginal_cp_temporal": lambda: theory.marginal_cp("temporal", 2, 1, 3),
+    "marginal_cp_per_step": lambda: theory.marginal_cp("per_step", 2, 1, 3),
+    "ideal_xeb": lambda: theory.ideal_xeb(2, 1, 3),
+    "noisy_xeb_exact": lambda: theory.noisy_xeb(2, 1, 3, 0.7, "exact"),
+    "noisy_xeb_asymptotic": lambda: theory.noisy_xeb(2, 1, 3, 0.7, "asymptotic"),
+    "tvd_bound_exact": lambda: theory.tvd_upper_bound(2, 1, 3, "exact"),
+    "tvd_bound_asymptotic": lambda: theory.tvd_upper_bound(2, 1, 3, "asymptotic"),
+    "critical_steps": lambda: theory.critical_steps(2, 1, 0.5, 3),
+}
 
 
 def cp_spec(**overrides):
@@ -176,6 +195,16 @@ class TestCapacity:
         with pytest.raises(CapacityError, match="step unitaries"):
             run_experiment(spec)
 
+    @pytest.mark.parametrize("kind", ["xeb", "noisy_xeb"])
+    def test_xeb_scale_beyond_a_double_refused_before_work(self, kind, no_work):
+        # 2^1101 overflows a double; 1+1 at t = 1022 scores 2^1023 and passes
+        spec = ExperimentSpec(
+            kind=kind, n_system=1, n_bath=1, steps=(1100,), gammas=(0.7,), instances=1, shots=2
+        )
+        with pytest.raises(CapacityError, match="1101 effective bits.*limit 1023"):
+            run_experiment(spec)
+        runner_mod._check_capacity(dataclasses.replace(spec, steps=(1022,)))
+
     def test_reset_isometries_within_memory_pass(self, seven_gib):
         # 33 isometries of 4096 x 64 are 138 MB, the draw's real 4096^2 half
         # 134 MB and the batch 78 MB
@@ -291,7 +320,7 @@ class TestRunExperiment:
             assert rec.statistic == "collision_probability"
             assert rec.theory_source == "hrcs_power_sum_exact"
             assert rec.measured.count == 25
-            target = theory.hrcs_power_sum(2, 1, rec.steps, 2, "exact")
+            target = theory.hrcs_power_sum(2, 1, rec.steps, 2)
             assert rec.theory_value == pytest.approx(target, rel=1e-12)
             assert abs(rec.measured.mean - target) < 4 * rec.measured.std_error
 
@@ -337,9 +366,39 @@ class TestRunExperiment:
         )
         records = run_experiment(spec)
         assert [r.measured.mean for r in records] == [
-            theory.hrcs_power_sum(2, 1, t, 2, "exact") for t in (1, 2, 3)
+            theory.hrcs_power_sum(2, 1, t, 2) for t in (1, 2, 3)
         ]
         assert all(r.measured.std_error == 0.0 for r in records)
+
+    @pytest.mark.parametrize("family", THEORY_FAMILIES)
+    def test_theory_table_family_matches_direct_call(self, family):
+        spec = ExperimentSpec(
+            kind="theory_table", n_system=2, n_bath=1, steps=(3,), k_orders=(3,),
+            gammas=(0.7,) if family in GAMMA_FAMILIES else (), epsilon=0.5,
+            theory_family=family,
+        )
+        (rec,) = run_experiment(spec)
+        assert rec.theory_source == family
+        assert rec.measured.mean == rec.theory_value == DIRECT_THEORY[family]()
+
+    @pytest.mark.parametrize(
+        "family, gamma, reason",
+        [
+            ("tvd_bound_asymptotic", None, "math range error"),
+            ("ideal_xeb", None, "math domain error"),
+            ("noisy_xeb_exact", 1.0, "overflow encountered in matmul"),
+        ],
+    )
+    def test_formula_out_of_range_names_family_and_point(self, family, gamma, reason):
+        # at 1+1, t = 20000: exp((t-1)/4) overflows, the CP underflows to 0
+        # before its log, and the noiseless transfer matrix outgrows a double
+        spec = ExperimentSpec(
+            kind="theory_table", n_system=1, n_bath=1, steps=(20000,),
+            gammas=(gamma,) if gamma else (), theory_family=family,
+        )
+        point = rf"\(t, K, gamma\) = \(20000, 2, {gamma}\)"
+        with pytest.raises(ConfigurationError, match=rf"{family} at {point}.*{reason}"):
+            run_experiment(spec)
 
     def test_tvd_bounded_by_theory(self):
         spec = cp_spec(kind="tvd", steps=(1, 2), instances=20)

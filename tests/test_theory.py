@@ -1,24 +1,23 @@
 """Closed-form layer tests: frozen reference values, reduction identities,
-monotonicity, asymptotic envelopes, and large-register finiteness."""
+monotonicity, and large-register finiteness."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate
 
 from hrcslab import ConfigurationError
 from hrcslab.theory import (
     NoisyTransferMatrix,
     critical_steps,
     haar_power_sum,
-    haar_subsystem_cp,
     hrcs_power_sum,
     ideal_xeb,
     marginal_cp,
     noisy_xeb,
-    pop_density,
     porter_thomas_cdf,
+    porter_thomas_density,
     step_collision_probability,
     tvd_upper_bound,
 )
@@ -45,16 +44,29 @@ class TestHaarPowerSum:
             haar_power_sum(3, 0)
 
 
+def subsystem_cp(n_traced: int, n_measured: int) -> float:
+    """CP when only n_measured qubits of a Haar state are sampled and the
+    other n_traced are ignored: (d_t+1)/(d_t d_m+1)."""
+    d_t, d_m = 2.0 ** n_traced, 2.0 ** n_measured
+    return (d_t + 1.0) / (d_t * d_m + 1.0)
+
+
 class TestHaarSubsystemCp:
+    # the subsystem CP is the t = 1 value of both marginal CPs and the
+    # late-time limit of the spatial one (TestMarginalCp)
     def test_full_sampling_limit(self):
-        assert haar_subsystem_cp(0, 2) == pytest.approx(0.4, rel=1e-12)
+        for n in (1, 2, 5):
+            assert subsystem_cp(0, n) == pytest.approx(haar_power_sum(n, 2), rel=1e-12)
+        assert subsystem_cp(0, 2) == pytest.approx(0.4, rel=1e-12)
 
     def test_one_one(self):
-        assert haar_subsystem_cp(1, 1) == pytest.approx(0.6, rel=1e-12)
+        assert subsystem_cp(1, 1) == pytest.approx(0.6, rel=1e-12)
+        assert marginal_cp("spatial", 1, 1, 1) == pytest.approx(0.6, rel=1e-12)
 
     def test_large_traced_system_uniformizes(self):
+        # one step of a 40-qubit system sampled through its bath alone
         for n_b in (1, 2, 3):
-            assert haar_subsystem_cp(40, n_b) == pytest.approx(2.0 ** -n_b, rel=1e-9)
+            assert marginal_cp("temporal", 40, n_b, 1) == pytest.approx(2.0 ** -n_b, rel=1e-9)
 
 
 class TestStepPowerSums:
@@ -67,93 +79,55 @@ class TestStepPowerSums:
             for n_b in (1, 2, 4):
                 for t in (1, 2, 3, 5, 8):
                     cp = step_collision_probability(n_a, n_b, t)
-                    ps = hrcs_power_sum(n_a, n_b, t, 2, "exact")
+                    ps = hrcs_power_sum(n_a, n_b, t, 2)
                     assert ps == pytest.approx(cp, rel=1e-12), (n_a, n_b, t)
 
     def test_single_step_reduces_to_haar(self):
         for n_a in (1, 3, 7, 10):
             for n_b in (1, 2, 10):
                 for k in range(2, 7):
-                    lhs = hrcs_power_sum(n_a, n_b, 1, k, "exact")
+                    lhs = hrcs_power_sum(n_a, n_b, 1, k)
                     rhs = haar_power_sum(n_a + n_b, k)
                     assert lhs == pytest.approx(rhs, rel=1e-12), (n_a, n_b, k)
 
     def test_third_moment_single_step(self):
-        assert hrcs_power_sum(1, 1, 1, 3, "exact") == pytest.approx(0.2, rel=1e-12)
+        assert hrcs_power_sum(1, 1, 1, 3) == pytest.approx(0.2, rel=1e-12)
 
     def test_strictly_decreasing_in_steps(self):
         for k in (2, 3, 4):
-            vals = [hrcs_power_sum(3, 2, t, k, "exact") for t in range(1, 12)]
+            vals = [hrcs_power_sum(3, 2, t, k) for t in range(1, 12)]
             assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_asymptotic_envelope(self):
-        # first-order error of the large-dimension form: within K(K-1)t/d_A
-        for n_a in (10, 11, 12):
-            d_a = 2.0 ** n_a
-            for n_b in (1, 2):
-                for k in (2, 3, 4):
-                    for t in range(1, 11):
-                        exact = hrcs_power_sum(n_a, n_b, t, k, "exact")
-                        asym = hrcs_power_sum(n_a, n_b, t, k, "asymptotic")
-                        assert abs(exact / asym - 1) <= k * (k - 1) * t / d_a
 
     def test_finite_and_positive_at_scale(self):
         # up to 64 effective qubits
-        vals = [
-            hrcs_power_sum(32, 2, 16, k, mode)
-            for k in (2, 6)
-            for mode in ("exact", "asymptotic")
-        ]
+        vals = [hrcs_power_sum(32, 2, 16, k) for k in (2, 6)]
         vals += [haar_power_sum(64, 6), step_collision_probability(50, 7, 2)]
         assert all(math.isfinite(v) and v > 0 for v in vals)
 
     def test_rejects_low_order(self):
         with pytest.raises(ConfigurationError):
-            hrcs_power_sum(1, 1, 1, 1, "exact")
+            hrcs_power_sum(1, 1, 1, 1)
 
 
 class TestCriticalSteps:
     def test_joint_cp_value(self):
-        # d_B/(d_B-1) * (1/2 + d_A ln 2) at d_A = 64, d_B = 4
+        # the K = 2 threshold, d_B/(d_B-1) * (1/2 + d_A ln 2) at d_A = 64, d_B = 4
         expect = (4 / 3) * (0.5 + 64 * math.log(2))
-        got = critical_steps("joint_cp", 6, 2, epsilon=1.0)
+        got = critical_steps(6, 2, epsilon=1.0, order=2)
         assert got == pytest.approx(expect, rel=1e-12)
         assert got == pytest.approx(59.815226074448665, rel=1e-9)
 
     def test_joint_ps_order_two_equals_joint_cp(self):
+        # at K = 2 the power-sum threshold is the collision-probability one,
+        # d_B/(d_B-1) * (1/2 + d_A ln(1+eps))
         for n_a, n_b in ((2, 1), (6, 2), (10, 3)):
-            a = critical_steps("joint_cp", n_a, n_b, 0.5)
-            b = critical_steps("joint_ps", n_a, n_b, 0.5, order=2)
-            assert a == pytest.approx(b, rel=1e-12)
-
-    def test_temporal_value(self):
-        got = critical_steps("temporal", 1, 1, epsilon=1.0)
-        assert got == pytest.approx(4 * math.log(2), rel=1e-12)
-        assert got == pytest.approx(2.772588722239781, rel=1e-12)
-
-    def test_spatial_value(self):
-        # log(d_A d_B / (d_A d_B eps - 1)) / log(d_B) at d_A=64, d_B=4
-        got = critical_steps("spatial", 6, 2, 0.1)
-        assert got == pytest.approx(math.log(256 / 24.6) / math.log(4), rel=1e-12)
-
-    def test_per_step_value(self):
-        # small register, modest epsilon: log(9/1.8)/log(4)
-        got = critical_steps("per_step", 1, 2, 0.3)
-        assert got == pytest.approx(math.log(5.0) / math.log(4.0), rel=1e-12)
-        # large systems are per-step uniform from the start: threshold < 1
-        assert critical_steps("per_step", 6, 2, 0.1) < 1.0
-
-    def test_spatial_crossing_matches_formula(self):
-        # the threshold is where the simplified spatial excess equals epsilon
-        n_a, n_b, eps = 6, 2, 0.05
-        tau = critical_steps("spatial", n_a, n_b, eps)
-        d_a, d_b = 2.0 ** n_a, 2.0 ** n_b
-        excess = 1.0 / (d_a * d_b) + d_b ** (-tau)
-        assert excess == pytest.approx(eps, rel=1e-9)
+            d_a, d_b = 2.0 ** n_a, 2.0 ** n_b
+            joint_cp = d_b / (d_b - 1.0) * (0.5 + d_a * math.log1p(0.5))
+            assert critical_steps(n_a, n_b, 0.5, 2) == pytest.approx(joint_cp, rel=1e-12)
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ConfigurationError):
-            critical_steps("joint_cp", 2, 1, 0.0)
+            critical_steps(2, 1, 0.0, 2)
 
 
 class TestMarginalCp:
@@ -174,10 +148,10 @@ class TestMarginalCp:
         # sampling only the system traces the bath and vice versa
         for n_a, n_b in ((1, 1), (2, 1), (2, 2), (3, 1)):
             assert marginal_cp("spatial", n_a, n_b, 1) == pytest.approx(
-                haar_subsystem_cp(n_b, n_a), rel=1e-12
+                subsystem_cp(n_b, n_a), rel=1e-12
             )
             assert marginal_cp("temporal", n_a, n_b, 1) == pytest.approx(
-                haar_subsystem_cp(n_a, n_b), rel=1e-12
+                subsystem_cp(n_a, n_b), rel=1e-12
             )
 
     def test_temporal_strictly_decreasing(self):
@@ -190,14 +164,19 @@ class TestMarginalCp:
         d_a, d_b = 64.0, 4.0
         assert val == pytest.approx((d_a * d_b + 1) / (d_a ** 2 * d_b + 1), rel=1e-9)
 
+    @pytest.mark.parametrize("n_a, n_b", [(2, 1), (2, 2), (5, 5)])
+    def test_spatial_late_time_limit_is_subsystem_cp(self, n_a, n_b):
+        # the system sampled, the whole register's history traced
+        assert marginal_cp("spatial", n_a, n_b, 200) == subsystem_cp(n_a + n_b, n_a)
+
 
 class TestPopDensities:
     def test_porter_thomas_at_zero(self):
-        assert pop_density("porter_thomas", 2, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert porter_thomas_density(2, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_porter_thomas_mean_by_quadrature(self):
         for d in (2, 16, 1024):
-            pdf = lambda p: pop_density("porter_thomas", d, p)  # noqa: E731
+            pdf = lambda p: porter_thomas_density(d, p)  # noqa: E731
             mean, _ = integrate.quad(
                 lambda p: p * pdf(p), 0.0, 1.0, points=[1.0 / d, 10.0 / d], limit=200
             )
@@ -206,47 +185,24 @@ class TestPopDensities:
     def test_porter_thomas_normalized(self):
         for d in (2, 64):
             total, _ = integrate.quad(
-                lambda p: pop_density("porter_thomas", d, p), 0, 1, points=[1.0 / d], limit=200
+                lambda p: porter_thomas_density(d, p), 0, 1, points=[1.0 / d], limit=200
             )
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_beta_marginal_reduces_to_porter_thomas(self):
-        # no traced subsystem: Beta(1, d-1) is the Porter-Thomas law
+        # sampling a subsystem of a Haar state gives Beta(d_t, (d_m-1) d_t)
+        # outcome probabilities; with nothing traced, Beta(1, d-1) is the
+        # Porter-Thomas law
+        d = 64
         ps = np.linspace(0.0, 0.9, 25)
-        beta_vals = pop_density("beta_marginal", (1, 64), ps)
-        pt_vals = pop_density("porter_thomas", 64, ps)
-        np.testing.assert_allclose(beta_vals, pt_vals, atol=1e-9)
-
-    @pytest.mark.parametrize("d_t, d_m", [(1, 2), (1, 64), (2, 2), (8, 4), (64, 16)])
-    def test_beta_marginal_matches_scipy(self, d_t, d_m):
-        # scipy.stats is an independent oracle; (1, 2), (1, 64) and (2, 2)
-        # are the a = 1 and b = 1 corners, where p = 0 or p = 1 is finite
-        ps = np.concatenate([np.linspace(0.0, 1.0, 201), [1e-12, 1e-6, 1 - 1e-6, 1 - 1e-12]])
-        got = pop_density("beta_marginal", (d_t, d_m), ps)
-        want = stats.beta.pdf(ps, d_t, (d_m - 1) * d_t)
-        above = want > 1e-300
-        np.testing.assert_allclose(got[above], want[above], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(got[~above], want[~above], rtol=0, atol=1e-300)
-        for p in (0.0, 1.0):  # the scalar path, at the endpoints
-            want = stats.beta.pdf(p, d_t, (d_m - 1) * d_t)
-            assert pop_density("beta_marginal", (d_t, d_m), p) == pytest.approx(want, rel=1e-12)
-
-    @pytest.mark.parametrize("params", [(0, 4), (2, 1), (1.5, 4), (2, 2.5)])
-    def test_beta_marginal_rejects_non_dimensions(self, params):
-        with pytest.raises(ConfigurationError):
-            pop_density("beta_marginal", params, 0.5)
-
-    def test_beta_marginal_mean_is_uniform_probability(self):
-        d_t, d_m = 8, 4
-        mean, _ = integrate.quad(
-            lambda p: p * pop_density("beta_marginal", (d_t, d_m), p), 0, 1, limit=200
-        )
-        assert mean == pytest.approx(1.0 / d_m, abs=1e-9)
+        log_beta = math.lgamma(1) + math.lgamma(d - 1) - math.lgamma(d)
+        beta_vals = np.exp((d - 2) * np.log1p(-ps) - log_beta)
+        np.testing.assert_allclose(porter_thomas_density(d, ps), beta_vals, rtol=1e-12)
 
     def test_cdf_consistency(self):
         d = 32
         for p in (0.001, 0.01, 0.1):
-            num, _ = integrate.quad(lambda q: pop_density("porter_thomas", d, q), 0, p)
+            num, _ = integrate.quad(lambda q: porter_thomas_density(d, q), 0, p)
             assert porter_thomas_cdf(d, p) == pytest.approx(num, abs=1e-10)
 
 
