@@ -25,7 +25,7 @@ def main() -> None:
         n_system=args.n_system, n_bath=args.n_bath, steps=args.steps, master_seed=args.seed
     )
     pooled = np.concatenate([
-        enumerate_joint_distribution(cfg, instantiate_circuit(cfg, b)).probabilities
+        enumerate_joint_distribution(cfg, instantiate_circuit(cfg, b))
         for b in range(args.instances)
     ])
     hist = pop_histogram(pooled, cfg.n_eff)

@@ -5,8 +5,6 @@ from .core import UnitaryMatrix, sample_haar_state, sample_haar_unitary
 from .circuits import HeaParams, hea_gate_count, sample_hea_params
 from .engine import (
     HrcsConfig,
-    JointDistribution,
-    NoiseModel,
     TrajectoryBatch,
     enumerate_joint_distribution,
     enumerate_noisy_joint_distribution,
@@ -37,8 +35,6 @@ __all__ = [
     "ExperimentSpec",
     "HeaParams",
     "HrcsConfig",
-    "JointDistribution",
-    "NoiseModel",
     "PopHistogram",
     "ResultRecord",
     "TrajectoryBatch",

@@ -15,14 +15,17 @@ a kept bath, or with more columns than rows, runs gate by gate.  This is
 decided at every step, so enumeration compiles once its tree level has as
 many rows as the step has columns.
 
-The sampler unravels depolarizing noise into Pauli strings without touching
-the register: a string's bath part relabels the bath outcome, and its system
-part acts on the kept block.  A noisy batch's model probabilities are those
-of its noisy paths, each under its drawn strings.
+Noise is one depolarizing strength ``gamma`` in [0, 1], applied to system
+and bath after every step; 1 is noiseless.  The sampler unravels it into
+Pauli strings without touching the register: a string's bath part relabels
+the bath outcome, and its system part acts on the kept block.  A noisy
+batch's model probabilities are those of its noisy paths, each under its
+drawn strings.
 
-A sampled path is a row of ``TrajectoryBatch``.  Outcome indexing: a joint
-outcome (z_1, ..., z_t, x) maps to the integer with z_1 in the most
-significant bit block and x in the least significant one (the order of
+A sampled path is a row of ``TrajectoryBatch``; an exact distribution is a
+float64 vector of 2^n_eff probabilities.  Outcome indexing: a joint outcome
+(z_1, ..., z_t, x) maps to the integer with z_1 in the most significant bit
+block and x in the least significant one (the order of
 ``TrajectoryBatch.joint_indices`` and of enumerated leaves).  Within each
 block the register's own low qubit is the low bit.
 """
@@ -91,41 +94,6 @@ class HrcsConfig:
     @property
     def n_eff(self) -> int:
         return self.n_system + self.steps * self.n_bath
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Depolarizing strengths applied to system and bath after each step unitary.
-
-    gamma = 1 means no noise; gamma = 0 replaces the subsystem by the fully
-    mixed state every step.
-    """
-
-    gamma_system: float
-    gamma_bath: float
-
-    def __post_init__(self):
-        for name, g in (("gamma_system", self.gamma_system), ("gamma_bath", self.gamma_bath)):
-            if not 0.0 <= g <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1], got {g}")
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Exact probability vector over all 2^n_eff spatiotemporal outcomes."""
-
-    probabilities: np.ndarray
-    n_eff: int
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.size != 1 << self.n_eff:
-            raise ConfigurationError(
-                f"{p.size} probabilities do not cover {self.n_eff} effective bits"
-            )
-        if np.any(p < 0):
-            raise ConfigurationError("negative probability entry")
-        object.__setattr__(self, "probabilities", p)
 
 
 def instance_seed(config: HrcsConfig, instance_index: int) -> int:
@@ -298,26 +266,27 @@ def sample_trajectories(
     config: HrcsConfig,
     unitaries: list[StepUnitary],
     n_shots: int,
-    noise: NoiseModel | None,
+    gamma: float,
     rng: np.random.Generator,
 ) -> TrajectoryBatch:
     """Sample n_shots protocol runs of the same circuit, all advanced as one batch.
 
-    Per step, noise draws a Pauli string per row on the system, then one on
-    the bath, then the bath outcome.  The bath part relabels the outcome: a
-    row draws z with the probability of its block z ^ flip, keeps that block
-    and carries z.  The system part acts on the kept block.  Model
-    probabilities are those of the sampled paths under their drawn strings.
+    Depolarizing noise of strength ``gamma`` (1 is noiseless) draws, per
+    step, a Pauli string per row on the system, then one on the bath, then
+    the bath outcome.  The bath part relabels the outcome: a row draws z
+    with the probability of its block z ^ flip, keeps that block and carries
+    z.  The system part acts on the kept block.  Model probabilities are
+    those of the sampled paths under their drawn strings.
     """
-    noise = noise or NoiseModel(1.0, 1.0)
+    _check_gamma(gamma)
     d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
     rows = np.arange(n_shots)
     bath_outcomes = np.zeros((n_shots, config.steps), dtype=np.int64)
     model_prob = np.ones(n_shots)
 
     def draw(k: int, blocks: np.ndarray, kept: np.ndarray):
-        flip_sys, phase_sys = _random_paulis(n_shots, config.n_system, noise.gamma_system, rng)
-        flip_bath, phase_bath = _random_paulis(n_shots, config.n_bath, noise.gamma_bath, rng)
+        flip_sys, phase_sys = _random_paulis(n_shots, config.n_system, gamma, rng)
+        flip_bath, phase_bath = _random_paulis(n_shots, config.n_bath, gamma, rng)
         probs = (np.abs(blocks) ** 2).sum(axis=2)
         if phase_bath is not None:  # outcome z reads block z ^ flip
             probs = probs[rows[:, None], np.arange(d_bath) ^ flip_bath[:, None]]
@@ -367,8 +336,9 @@ def ideal_probabilities_batch(
 
 def enumerate_joint_distribution(
     config: HrcsConfig, unitaries: list[StepUnitary]
-) -> JointDistribution:
-    """Breadth-first exact evaluation of the full joint outcome distribution.
+) -> np.ndarray:
+    """Breadth-first exact evaluation of the full joint outcome distribution,
+    a vector of 2^n_eff probabilities.
 
     Step k advances the system blocks of all d_B^k live branches as one batch
     through the step kernel; each row then splits into d_B children, appended
@@ -382,21 +352,23 @@ def enumerate_joint_distribution(
         )
     picked = _walk(config, unitaries, 1, lambda k, blocks, _: (
         blocks.reshape(-1, blocks.shape[2]), np.tile(np.arange(blocks.shape[1]), len(blocks))))
-    return JointDistribution((np.abs(picked) ** 2).reshape(-1), config.n_eff)
+    return (np.abs(picked) ** 2).reshape(-1)
 
 
 def marginalize(
-    dist: JointDistribution, config: HrcsConfig, kind: str, step: int | None = None
+    dist: np.ndarray, config: HrcsConfig, kind: str, step: int | None = None
 ) -> np.ndarray:
-    """Exact marginal of the joint distribution.
+    """Exact marginal of a joint distribution vector.
 
     ``spatial`` keeps the final system outcome, ``temporal`` keeps all bath
     outcomes, ``per_step`` keeps a single 1-based bath step.
     """
-    if dist.n_eff != config.n_eff:
-        raise ConfigurationError("distribution does not match config dimensions")
+    if dist.size != 1 << config.n_eff:
+        raise ConfigurationError(
+            f"{dist.size} probabilities do not cover {config.n_eff} effective bits"
+        )
     t = config.steps
-    shaped = dist.probabilities.reshape((1 << config.n_bath,) * t + (1 << config.n_system,))
+    shaped = dist.reshape((1 << config.n_bath,) * t + (1 << config.n_system,))
     if kind == "spatial":
         return shaped.sum(axis=tuple(range(t)))
     if kind == "temporal":
@@ -431,13 +403,15 @@ def depolarize_density(rho: np.ndarray, d_low: int, d_high: int, which: str, gam
 
 
 def enumerate_noisy_joint_distribution(
-    config: HrcsConfig, unitaries: list[StepUnitary], noise: NoiseModel
-) -> JointDistribution:
-    """Density-matrix oracle for the joint distribution under depolarizing noise.
+    config: HrcsConfig, unitaries: list[StepUnitary], gamma: float
+) -> np.ndarray:
+    """Density-matrix oracle for the joint distribution under depolarizing
+    noise of strength ``gamma`` on system and bath after each step.
 
     Evolution is kept unnormalized: the diagonal entries surviving at the end
     of each forced branch are exactly the joint outcome probabilities.
     """
+    _check_gamma(gamma)
     if config.n_qubits > NOISY_ORACLE_MAX_QUBITS:
         raise CapacityError(
             f"density-matrix oracle limited to {NOISY_ORACLE_MAX_QUBITS} qubits, "
@@ -458,8 +432,8 @@ def enumerate_noisy_joint_distribution(
         # only the step's columns of the occupied bath block act
         u = mats[k][:, bath_state * d_sys : (bath_state + 1) * d_sys]
         rho = u @ rho_sys @ u.conj().T
-        rho = depolarize_density(rho, d_sys, d_bath, "low", noise.gamma_system)
-        rho = depolarize_density(rho, d_sys, d_bath, "high", noise.gamma_bath)
+        rho = depolarize_density(rho, d_sys, d_bath, "low", gamma)
+        rho = depolarize_density(rho, d_sys, d_bath, "high", gamma)
         for z in range(d_bath):
             block = rho[z * d_sys : (z + 1) * d_sys, z * d_sys : (z + 1) * d_sys]
             weight = float(np.trace(block).real)
@@ -475,12 +449,12 @@ def enumerate_noisy_joint_distribution(
     rho0 = np.zeros((d_sys, d_sys), dtype=complex)
     rho0[0, 0] = 1.0
     walk(rho0, 0, 0, 0)
-    return JointDistribution(np.maximum(out, 0.0), config.n_eff)
+    return np.maximum(out, 0.0)
 
 
 def replay_no_reset_equivalence(
     config: HrcsConfig, unitaries: list[StepUnitary]
-) -> tuple[JointDistribution, JointDistribution]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact joint distributions of the same circuit with reset on and off.
 
     The run without a reset needs full steps: draw them with
@@ -496,6 +470,11 @@ def replay_no_reset_equivalence(
         dataclasses.replace(config, reset_bath=False), unitaries
     )
     return with_reset, without_reset
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma <= 1.0:  # false for nan too
+        raise ConfigurationError(f"gamma must lie in [0, 1], got {gamma}")
 
 
 def _check_steps(config: HrcsConfig, unitaries: list[StepUnitary]) -> None:

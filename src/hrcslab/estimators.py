@@ -12,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import JointDistribution
 from .errors import ConfigurationError
 from .theory import porter_thomas_cdf, porter_thomas_density
 
@@ -52,12 +51,11 @@ def ensemble_aggregate(values: Sequence[float] | np.ndarray) -> EnsembleStats:
     return EnsembleStats(int(arr.size), mean, se)
 
 
-def power_sum_exact(dist: JointDistribution | np.ndarray, order: int) -> float:
+def power_sum_exact(dist: np.ndarray, order: int) -> float:
     """Sum of p^K over an exact distribution."""
     if order < 1:
         raise ConfigurationError(f"power-sum order must be >= 1, got {order}")
-    p = dist.probabilities if isinstance(dist, JointDistribution) else np.asarray(dist, dtype=float)
-    powered = np.sort(p.astype(float) ** order)[::-1]
+    powered = np.sort(np.asarray(dist, dtype=float) ** order)[::-1]
     return math.fsum(powered.tolist())
 
 
@@ -144,10 +142,9 @@ def ks_distance_to_porter_thomas(values: Sequence[float] | np.ndarray, n_eff: in
     return float(np.maximum(above, below))
 
 
-def tvd_exact(dist_a: JointDistribution | np.ndarray, dist_b: JointDistribution | np.ndarray) -> float:
+def tvd_exact(dist_a: np.ndarray, dist_b: np.ndarray) -> float:
     """Total variation distance 0.5 * sum |a - b| of two exact distributions."""
-    a = dist_a.probabilities if isinstance(dist_a, JointDistribution) else np.asarray(dist_a, dtype=float)
-    b = dist_b.probabilities if isinstance(dist_b, JointDistribution) else np.asarray(dist_b, dtype=float)
+    a, b = np.asarray(dist_a, dtype=float), np.asarray(dist_b, dtype=float)
     if a.size != b.size:
         raise ConfigurationError(f"length mismatch: {a.size} vs {b.size}")
     return 0.5 * math.fsum(np.abs(a - b).tolist())

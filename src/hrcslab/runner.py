@@ -27,7 +27,6 @@ from .engine import (
     ENUMERATION_MAX_BITS,
     TRAJECTORY_MAX_QUBITS,
     HrcsConfig,
-    NoiseModel,
     derive_seed,
     enumerate_joint_distribution,
     ideal_probabilities_batch,
@@ -81,14 +80,14 @@ def _marginal_cps(spec, config, unitaries, gamma, index) -> list[float]:
 
 
 def _probabilities(spec, config, unitaries, gamma, index) -> np.ndarray:
-    return enumerate_joint_distribution(config, unitaries).probabilities
+    return enumerate_joint_distribution(config, unitaries)
 
 
 def _tvd(spec, config, unitaries, gamma, index) -> list[float]:
     dist = enumerate_joint_distribution(config, unitaries)
     rng = np.random.default_rng(derive_seed(spec.master_seed, "haar-partner", config.steps, index))
     haar = np.abs(sample_haar_state(1 << config.n_eff, rng)) ** 2
-    return [estimators.tvd_exact(dist.probabilities, haar)]
+    return [estimators.tvd_exact(dist, haar)]
 
 
 def _xeb(spec, config, unitaries, gamma, index) -> list[float]:
@@ -96,10 +95,10 @@ def _xeb(spec, config, unitaries, gamma, index) -> list[float]:
     t = config.steps
     if gamma is None:
         rng = np.random.default_rng(derive_seed(spec.master_seed, "shots", t, index))
-        ideal = sample_trajectories(config, unitaries, spec.shots, None, rng).model_probabilities
+        ideal = sample_trajectories(config, unitaries, spec.shots, 1.0, rng).model_probabilities
     else:
         rng = np.random.default_rng(derive_seed(spec.master_seed, "noisy-shots", t, gamma, index))
-        batch = sample_trajectories(config, unitaries, spec.shots, NoiseModel(gamma, gamma), rng)
+        batch = sample_trajectories(config, unitaries, spec.shots, gamma, rng)
         ideal = ideal_probabilities_batch(
             config, unitaries, batch.bath_outcomes, batch.final_outcomes
         )
@@ -206,6 +205,10 @@ HAAR_ISOMETRY_TRANSIENT_COPIES = 4
 # kept distributions, their pooled copy, and the KS distance's sorted copy,
 # CDF and ECDF): tracemalloc measures 5.0 at 2+2/t=4, 2+1/t=12 and 3+2/t=6
 POP_HIST_LIVE_COPIES = 6
+# (pop_bins + 1) float arrays a pop_hist point's histogram holds at its peak
+# beside those (edges, counts, widths, densities): tracemalloc measures
+# 4.0-4.9 at 10^4 to 4 x 10^6 bins
+POP_HIST_BIN_COPIES = 5
 
 CSV_COLUMNS = ("n_A", "n_B", "t", "K", "gamma", "statistic", "mean", "std_error", "theory_value")
 
@@ -397,10 +400,16 @@ def write_records(records, path: str, format: str = "jsonl") -> None:
     raise ConfigurationError(f"format must be jsonl or csv, got {format!r}")
 
 
+def _pool_size(spec: ExperimentSpec, workers: int) -> int:
+    """Instances that run at once: a pool of more workers than instances or
+    CPUs would only start idle processes."""
+    return min(workers, spec.instances, os.cpu_count() or 1)
+
+
 def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
     """Refuse specs that would exceed an engine mode before any work starts.
-    Up to ``workers`` instances run at once, each with its own shot batch and
-    steps."""
+    Up to ``_pool_size`` instances run at once, each with its own shot batch
+    and steps."""
     engine = KIND_TABLE[spec.kind].engine
     n_eff_max = spec.n_system + max(spec.steps) * spec.n_bath
     n_phys = spec.n_system + spec.n_bath
@@ -411,10 +420,12 @@ def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
         )
     if spec.kind == "pop_hist":
         need = spec.instances * (8 << n_eff_max) * POP_HIST_LIVE_COPIES
+        need += 8 * (spec.pop_bins + 1) * POP_HIST_BIN_COPIES
         if need > memory:
             raise CapacityError(
-                f"pooling {spec.instances} instances of {n_eff_max} effective bits needs about "
-                f"{need / 1e9:.3g} GB, more than the {memory / 1e9:.3g} GB of physical memory"
+                f"pooling {spec.instances} instances of {n_eff_max} effective bits into "
+                f"{spec.pop_bins} bins needs about {need / 1e9:.3g} GB, more than the "
+                f"{memory / 1e9:.3g} GB of physical memory"
             )
     if engine == "sample" and n_phys > TRAJECTORY_MAX_QUBITS:
         raise CapacityError(f"{n_phys} physical qubits exceed {TRAJECTORY_MAX_QUBITS}")
@@ -433,10 +444,11 @@ def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
             need += 8 << 2 * n_phys  # the real half of the Ginibre draw
         else:
             need += (max(spec.steps) + HAAR_QR_TRANSIENT_COPIES) * (16 << 2 * n_phys)
-    need *= min(workers, spec.instances)
+    pool = _pool_size(spec, workers)
+    need *= pool
     if need > memory:
         raise CapacityError(
-            f"{spec.kind} on {n_phys} qubits at t = {max(spec.steps)} with {workers} worker(s) "
+            f"{spec.kind} on {n_phys} qubits at t = {max(spec.steps)} with {pool} worker(s) "
             f"needs about {need / 1e9:.3g} GB of amplitudes and step unitaries, more than the "
             f"{memory / 1e9:.3g} GB of physical memory"
         )
@@ -456,10 +468,11 @@ class InstanceFailure(RuntimeError):
 
 def _run_instances(spec: ExperimentSpec, t: int, gamma: float | None, workers: int) -> list:
     """Measure every instance at one point, in index order; a failing instance
-    aborts the whole run with its stream seed reported.  Serial when
-    workers == 1."""
+    aborts the whole run with its stream seed reported.  Serial when the
+    pool would have one worker."""
     indices = range(spec.instances)
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    size = _pool_size(spec, workers)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=size) if size > 1 else None
     with pool or contextlib.nullcontext():
         results = (pool.map if pool else map)(
             _instance, itertools.repeat(spec), itertools.repeat(t), itertools.repeat(gamma), indices

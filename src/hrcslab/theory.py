@@ -4,12 +4,14 @@ All ratios of factorials that appear here differ by at most K terms, so they
 are evaluated as K-term sums of logs rather than through lgamma differences;
 at dimensions around 2^20 the lgamma route loses ~1e-9 of relative precision,
 the product route stays near machine epsilon.  Exponentiation happens last.
+
+The noisy XEB forms take one per-step depolarizing strength gamma, applied
+to system and bath alike; gamma = 1 is noiseless.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,55 +164,6 @@ def ideal_xeb(n_system: int, n_bath: int, steps: int, patched: bool = False) -> 
     return math.expm1(2.0 * math.log1p(single))
 
 
-@dataclass(frozen=True)
-class NoisyTransferMatrix:
-    """2x2 step recursion on the identity/swap coefficient pair under
-    per-step depolarizing noise; at gamma = 1 it is the symmetric noiseless
-    recursion of the joint collision probability.
-
-    One application accounts for one protocol step: the system channel left
-    over from the previous step, the step unitary average, and the noisy
-    bath measurement.  The matrix is [twirl + bath projector] o [system
-    channel]; the final step's own system channel is what the measurement
-    boundary vector (1, g_system) carries, so a t-step run composes as
-        (1, g_system) . M^(t-1) . (1, g_bath)^T.
-    Composing the system channel on the other side instead would apply it
-    t+1 times, which overcounts the noise (checked against a density-matrix
-    ensemble oracle).
-    """
-
-    m00: float
-    m01: float
-    m10: float
-    m11: float
-    g_system: float
-    g_bath: float
-
-    @classmethod
-    def build(cls, n_system: int, n_bath: int, gamma_system: float, gamma_bath: float) -> "NoisyTransferMatrix":
-        for name, g in (("gamma_system", gamma_system), ("gamma_bath", gamma_bath)):
-            if not 0.0 <= g <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1], got {g}")
-        d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
-        g_a = gamma_system + (1.0 - gamma_system) / d_a
-        g_b = gamma_bath + (1.0 - gamma_bath) / d_b
-        c = 1.0 / (d_b * (d_a * d_a * d_b * d_b - 1.0))
-        diag = (d_a * d_a * d_b - 1.0) * c
-        off = d_a * (d_b - 1.0) * c
-        leak = (1.0 - gamma_system) / d_a
-        return cls(
-            m00=diag,
-            m01=diag * leak + off * gamma_system,
-            m10=off * g_b,
-            m11=(off * leak + diag * gamma_system) * g_b,
-            g_system=g_a,
-            g_bath=g_b,
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m00, self.m01], [self.m10, self.m11]])
-
-
 def noisy_xeb(
     n_system: int,
     n_bath: int,
@@ -218,22 +171,20 @@ def noisy_xeb(
     gamma: float,
     mode: str = "exact",
     patched: bool = False,
-    gamma_bath: float | None = None,
 ) -> float:
-    """Cross-entropy fidelity under per-step depolarizing noise.
+    """Cross-entropy fidelity under per-step depolarizing noise of strength
+    ``gamma`` on system and bath.
 
-    ``exact`` runs the 2x2 transfer-matrix recursion; ``gamma_bath`` lets the
-    bath channel differ from the system one (defaults to equal strengths).
-    ``asymptotic`` is the large-dimension form
+    ``exact`` runs the 2x2 transfer-matrix recursion on the identity/swap
+    coefficient pair; at gamma = 1 it is the symmetric noiseless recursion
+    of the joint collision probability.  ``asymptotic`` is the
+    large-dimension form
         gamma^(2t) (1 + (1-gamma) t / (gamma d_B)) + gamma/((1-gamma) d_A),
     which is singular at gamma = 1.
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    g_bath_val = gamma if gamma_bath is None else gamma_bath
     if mode == "asymptotic":
-        if gamma_bath is not None and gamma_bath != gamma:
-            raise ConfigurationError("asymptotic form assumes one shared gamma")
         if not 0.0 < gamma < 1.0:
             raise ConfigurationError(
                 f"asymptotic form is singular at gamma = 1 and needs gamma in (0, 1), got {gamma}"
@@ -243,15 +194,35 @@ def noisy_xeb(
             (1.0 - gamma) * d_a
         )
     elif mode == "exact":
+        if not 0.0 <= gamma <= 1.0:
+            raise ConfigurationError(f"gamma must lie in [0, 1], got {gamma}")
         d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
-        tm = NoisyTransferMatrix.build(n_system, n_bath, gamma, g_bath_val)
+        # One application of the matrix is one protocol step: the system
+        # channel left over from the previous step, the step unitary average,
+        # and the noisy bath measurement, [twirl + bath projector] o [system
+        # channel].  The final step's own system channel is what the
+        # measurement boundary vector (1, g_a) carries, so a t-step run
+        # composes as (1, g_a) . M^(t-1) . (1, g_b)^T.  Composing the system
+        # channel on the other side instead would apply it t+1 times, which
+        # overcounts the noise (checked against a density-matrix ensemble
+        # oracle).
+        g_a = gamma + (1.0 - gamma) / d_a
+        g_b = gamma + (1.0 - gamma) / d_b
+        c = 1.0 / (d_b * (d_a * d_a * d_b * d_b - 1.0))
+        diag = (d_a * d_a * d_b - 1.0) * c
+        off = d_a * (d_b - 1.0) * c
+        leak = (1.0 - gamma) / d_a
+        m = np.array([
+            [diag, diag * leak + off * gamma],
+            [off * g_b, (off * leak + diag * gamma) * g_b],
+        ])
         # fold the 4^N_B per-step outcome count into the matrix so the
         # iteration stays O(1) in magnitude
-        scaled = (4.0 ** n_bath) * tm.as_array()
-        vec = np.array([1.0, tm.g_bath])
+        scaled = (4.0 ** n_bath) * m
+        vec = np.array([1.0, g_b])
         for _ in range(steps - 1):
             vec = scaled @ vec
-        closed = np.array([1.0, tm.g_system]) @ vec
+        closed = np.array([1.0, g_a]) @ vec
         prefactor = (4.0 ** n_system) * (4.0 ** n_bath) / (d_a * d_b * (d_a * d_b + 1.0))
         single = prefactor * closed - 1.0
     else:

@@ -12,7 +12,6 @@ import pytest
 
 from hrcslab import (
     HrcsConfig,
-    NoiseModel,
     ensemble_aggregate,
     enumerate_joint_distribution,
     enumerate_noisy_joint_distribution,
@@ -162,7 +161,7 @@ def test_criterion_06_monte_carlo_vs_enumeration():
         steps = instantiate_circuit(cfg, instance)
         dist = enumerate_joint_distribution(cfg, steps)
         rng = np.random.default_rng(derive_seed(606, "c6", instance))
-        batch = sample_trajectories(cfg, steps, 10_000, None, rng)
+        batch = sample_trajectories(cfg, steps, 10_000, 1.0, rng)
         for order in (2, 3):
             exact = power_sum_exact(dist, order)
             # E_{y~p}[p(y)^(K-1)] = sum_y p(y)^K
@@ -180,13 +179,12 @@ def test_criterion_07_noisy_oracle_chain():
     failures = []
     # (a) Pauli-trajectory histogram vs the density-matrix oracle
     cfg = HrcsConfig(n_system=1, n_bath=1, steps=2, master_seed=707)
-    noise = NoiseModel(0.7, 0.7)
     steps = instantiate_circuit(cfg, 0)
-    oracle = enumerate_noisy_joint_distribution(cfg, steps, noise)
+    oracle = enumerate_noisy_joint_distribution(cfg, steps, 0.7)
     rng = np.random.default_rng(derive_seed(707, "c7a"))
-    batch = sample_trajectories(cfg, steps, 1_000_000, noise, rng)
-    hist = np.bincount(batch.joint_indices(cfg), minlength=oracle.probabilities.size)
-    l1 = float(np.abs(hist / len(batch) - oracle.probabilities).sum())
+    batch = sample_trajectories(cfg, steps, 1_000_000, 0.7, rng)
+    hist = np.bincount(batch.joint_indices(cfg), minlength=oracle.size)
+    l1 = float(np.abs(hist / len(batch) - oracle).sum())
     if l1 > 2e-2:
         failures.append(("l1", l1))
     # (b) sampled noisy XEB vs the exact transfer-matrix value
@@ -233,7 +231,7 @@ def test_criterion_09_porter_thomas_alignment():
     cfg = HrcsConfig(n_system=3, n_bath=2, steps=2, master_seed=99)
     joint_probs = np.concatenate(
         [
-            enumerate_joint_distribution(cfg, instantiate_circuit(cfg, b)).probabilities
+            enumerate_joint_distribution(cfg, instantiate_circuit(cfg, b))
             for b in range(30)
         ]
     )
@@ -262,7 +260,7 @@ def test_criterion_10_tvd_bounds():
             dist = enumerate_joint_distribution(cfg, instantiate_circuit(cfg, b))
             rng = np.random.default_rng(derive_seed(1010, "haar", t, b))
             partner = np.abs(sample_haar_state(1 << cfg.n_eff, rng)) ** 2
-            values.append(tvd_exact(dist.probabilities, partner))
+            values.append(tvd_exact(dist, partner))
         stats = ensemble_aggregate(values)
         if stats.mean + 3 * stats.std_error > bound_exact:
             failures.append(("mean-vs-exact", t, stats.mean, bound_exact))

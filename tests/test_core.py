@@ -266,7 +266,7 @@ class TestMeasureProbabilities:
         psi = random_state(4, seed=2)
         config, steps = one_step(psi, n_system=2)
         dist = enumerate_joint_distribution(config, steps)
-        np.testing.assert_allclose(dist.probabilities, np.abs(psi) ** 2, atol=1e-12)
+        np.testing.assert_allclose(dist, np.abs(psi) ** 2, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 2**31 - 1), st.data())
@@ -282,7 +282,7 @@ class TestCollapse:
     def test_bell_collapse(self):
         # the system reads what the bath read, each with probability 1/2
         config, steps = one_step(BELL, n_system=1)
-        batch = sample_trajectories(config, steps, 200, None, np.random.default_rng(4))
+        batch = sample_trajectories(config, steps, 200, 1.0, np.random.default_rng(4))
         np.testing.assert_array_equal(batch.final_outcomes, batch.bath_outcomes[:, 0])
         assert set(batch.final_outcomes.tolist()) == {0, 1}
         np.testing.assert_allclose(batch.model_probabilities, 0.5, atol=1e-12)
@@ -291,7 +291,7 @@ class TestCollapse:
         # |101> on 1 system + 2 bath qubits: bath 0b10, system 1, with certainty
         psi = basis_state(3, 0b101)
         config, steps = one_step(psi, n_system=1)
-        batch = sample_trajectories(config, steps, 50, None, np.random.default_rng(6))
+        batch = sample_trajectories(config, steps, 50, 1.0, np.random.default_rng(6))
         assert np.all(batch.bath_outcomes == 0b10) and np.all(batch.final_outcomes == 1)
         np.testing.assert_allclose(batch.model_probabilities, 1.0, atol=1e-12)
         kept = _keep_branch(np.array([[0, 1]], dtype=complex), np.array([0b10]), 4)
@@ -300,7 +300,7 @@ class TestCollapse:
     def test_probability_matches_measure_entry(self):
         psi = random_state(3, seed=4)
         config, steps = one_step(psi, n_system=1)
-        batch = sample_trajectories(config, steps, 2000, None, np.random.default_rng(5))
+        batch = sample_trajectories(config, steps, 2000, 1.0, np.random.default_rng(5))
         expected = np.abs(psi[batch.joint_indices(config)]) ** 2
         np.testing.assert_allclose(batch.model_probabilities, expected, rtol=1e-10)
 
@@ -308,7 +308,7 @@ class TestCollapse:
         config = HrcsConfig(n_system=1, n_bath=1, steps=1)
         with pytest.raises(DegenerateBranchError):
             sample_trajectories(
-                config, [UnitaryMatrix(np.zeros((4, 4)))], 3, None, np.random.default_rng(0)
+                config, [UnitaryMatrix(np.zeros((4, 4)))], 3, 1.0, np.random.default_rng(0)
             )
 
     def test_collapse_probabilities_sum_to_one(self):

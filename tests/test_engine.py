@@ -11,7 +11,6 @@ from hrcslab import (
     CapacityError,
     ConfigurationError,
     HrcsConfig,
-    NoiseModel,
     UnitaryMatrix,
     enumerate_joint_distribution,
     enumerate_noisy_joint_distribution,
@@ -40,7 +39,7 @@ from conftest import apply_strings, dense_hea_oracle, pauli_string_matrix, small
 
 def one_shot(config, unitaries, rng):
     """One protocol run: the batched sampler at a single shot (row 0)."""
-    return sample_trajectories(config, unitaries, 1, None, rng)
+    return sample_trajectories(config, unitaries, 1, 1.0, rng)
 
 
 def all_paths(config):
@@ -179,7 +178,7 @@ class TestTrajectories:
         for _ in range(25):
             shot = one_shot(cfg, steps, rng)
             idx = shot.joint_indices(cfg)[0]
-            assert shot.model_probabilities[0] == pytest.approx(dist.probabilities[idx], rel=1e-10)
+            assert shot.model_probabilities[0] == pytest.approx(dist[idx], rel=1e-10)
 
     def test_single_step_haar_cp_estimate(self):
         # ensemble mean of the path probability estimates the two-qubit Haar
@@ -189,7 +188,7 @@ class TestTrajectories:
         for b in range(150):
             steps = instantiate_circuit(cfg, b)
             rng = np.random.default_rng(derive_seed(3, "traj", b))
-            batch = sample_trajectories(cfg, steps, 40, None, rng)
+            batch = sample_trajectories(cfg, steps, 40, 1.0, rng)
             means.append(float(batch.model_probabilities.mean()))
         stats = ensemble_aggregate(means)
         assert abs(stats.mean - 0.4) < 3 * stats.std_error
@@ -199,7 +198,7 @@ class TestTrajectories:
         steps = instantiate_circuit(cfg, 0)
         exact = power_sum_exact(enumerate_joint_distribution(cfg, steps), 2)
         rng = np.random.default_rng(11)
-        batch = sample_trajectories(cfg, steps, 30_000, None, rng)
+        batch = sample_trajectories(cfg, steps, 30_000, 1.0, rng)
         stats = ensemble_aggregate(batch.model_probabilities)
         assert abs(stats.mean - exact) < 4 * stats.std_error
         singles = [one_shot(cfg, steps, rng).model_probabilities[0] for _ in range(3000)]
@@ -211,23 +210,22 @@ class TestTrajectories:
         steps = instantiate_circuit(cfg, 1)
         dist = enumerate_joint_distribution(cfg, steps)
         rng = np.random.default_rng(2)
-        batch = sample_trajectories(cfg, steps, 100_000, None, rng)
-        hist = np.bincount(batch.joint_indices(cfg), minlength=dist.probabilities.size)
+        batch = sample_trajectories(cfg, steps, 100_000, 1.0, rng)
+        hist = np.bincount(batch.joint_indices(cfg), minlength=dist.size)
         freq = hist / len(batch)
-        se = np.sqrt(dist.probabilities * (1 - dist.probabilities) / len(batch))
-        assert np.all(np.abs(freq - dist.probabilities) <= 4 * se + 1e-9)
+        se = np.sqrt(dist * (1 - dist) / len(batch))
+        assert np.all(np.abs(freq - dist) <= 4 * se + 1e-9)
 
     def test_fully_depolarized_bath_outcomes_uniform(self):
         # gamma -> 0 on both registers: bath outcomes uniform, matching the
         # density-matrix oracle marginal
         cfg = HrcsConfig(n_system=1, n_bath=1, steps=1, master_seed=9)
         steps = instantiate_circuit(cfg, 0)
-        noise = NoiseModel(0.0, 0.0)
-        oracle = enumerate_noisy_joint_distribution(cfg, steps, noise)
+        oracle = enumerate_noisy_joint_distribution(cfg, steps, 0.0)
         oracle_bath = marginalize(oracle, cfg, "temporal")
         np.testing.assert_allclose(oracle_bath, [0.5, 0.5], atol=1e-10)
         rng = np.random.default_rng(31)
-        batch = sample_trajectories(cfg, steps, 40_000, noise, rng)
+        batch = sample_trajectories(cfg, steps, 40_000, 0.0, rng)
         freq = np.bincount(batch.bath_outcomes[:, 0], minlength=2) / len(batch)
         assert np.all(np.abs(freq - oracle_bath) < 4 * np.sqrt(0.25 / len(batch)))
 
@@ -269,7 +267,7 @@ class TestIdealProbability:
             steps = instantiate_circuit(cfg, 6)
             dist = enumerate_joint_distribution(cfg, steps)
             ideal = ideal_probabilities_batch(cfg, steps, *all_paths(cfg))
-            assert ideal == pytest.approx(dist.probabilities, abs=1e-12)
+            assert ideal == pytest.approx(dist, abs=1e-12)
 
     def test_outcome_shape_validation(self):
         cfg = small_config(steps=2)
@@ -307,13 +305,13 @@ class TestEnumeration:
         dist = enumerate_joint_distribution(cfg, identity_steps(cfg))
         expected = np.zeros(1 << cfg.n_eff)
         expected[0] = 1.0
-        np.testing.assert_allclose(dist.probabilities, expected, atol=1e-12)
+        np.testing.assert_allclose(dist, expected, atol=1e-12)
 
     def test_normalization(self):
         cfg = small_config(n_bath=2, steps=3)
         steps = instantiate_circuit(cfg, 0)
         dist = enumerate_joint_distribution(cfg, steps)
-        assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_ensemble_collision_probability(self):
         cfg = small_config()
@@ -343,7 +341,7 @@ class TestEnumeration:
         for instance in range(2):
             steps = instantiate_circuit(cfg, instance)
             np.testing.assert_allclose(
-                enumerate_joint_distribution(cfg, steps).probabilities,
+                enumerate_joint_distribution(cfg, steps),
                 depth_first_reference(cfg, instantiate_circuit(full_cfg, instance)),
                 rtol=1e-12,
                 atol=0,
@@ -358,8 +356,8 @@ class TestEnumeration:
         shorter = dataclasses.replace(cfg, steps=cfg.steps - 1)
         steps = instantiate_circuit(cfg, 0)
         prefixes = 1 << (shorter.steps * cfg.n_bath)
-        full = enumerate_joint_distribution(cfg, steps).probabilities
-        head = enumerate_joint_distribution(shorter, steps[:-1]).probabilities
+        full = enumerate_joint_distribution(cfg, steps)
+        head = enumerate_joint_distribution(shorter, steps[:-1])
         np.testing.assert_allclose(
             full.reshape(prefixes, -1).sum(axis=1),
             head.reshape(prefixes, -1).sum(axis=1),
@@ -381,7 +379,7 @@ class TestEnumeration:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-9), reset
+            assert dist.sum() == pytest.approx(1.0, abs=1e-9), reset
             assert peak < 3 * (1 << cfg.n_eff) * 16, reset
 
     def test_hea_steps_enumerate_too(self):
@@ -389,7 +387,7 @@ class TestEnumeration:
             n_system=1, n_bath=1, steps=2, unitary_source="hea", hea_layers=4, master_seed=2
         )
         dist = enumerate_joint_distribution(cfg, instantiate_circuit(cfg, 0))
-        assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMarginalize:
@@ -422,6 +420,14 @@ class TestMarginalize:
         with pytest.raises(ConfigurationError):
             marginalize(dist, cfg, "per_step", step=3)
 
+    def test_wrong_length_refused(self):
+        # a vector of another step count is refused with a ConfigurationError
+        cfg = small_config(steps=2)
+        dist = enumerate_joint_distribution(cfg, instantiate_circuit(cfg, 0))
+        for other in (dataclasses.replace(cfg, steps=1), dataclasses.replace(cfg, steps=3)):
+            with pytest.raises(ConfigurationError, match="do not cover"):
+                marginalize(dist, other, "spatial")
+
 
 class TestPauliUnraveling:
     @pytest.mark.parametrize("targets", [(0, 1), (2, 3, 4), (1,)])
@@ -441,7 +447,7 @@ class TestPauliUnraveling:
         np.testing.assert_array_equal(apply_strings(amps, strings, targets[0]), expected)
 
 
-def dense_noisy_sampler(config, unitaries, shots, noise, rng):
+def dense_noisy_sampler(config, unitaries, shots, gamma, rng):
     """The noisy sampler on the full register: each step's dense product,
     then each row times the dense Pauli string of its code, system codes
     drawn before bath codes, then the bath draw from the blocks' norms."""
@@ -462,8 +468,7 @@ def dense_noisy_sampler(config, unitaries, shots, noise, rng):
 
     for k, mat in enumerate(mats):
         amps = state[:, : mat.shape[1]] @ mat.T
-        fields = ((range(n_sys), noise.gamma_system), (range(n_sys, n), noise.gamma_bath))
-        for targets, gamma in fields:
+        for targets in (range(n_sys), range(n_sys, n)):
             if gamma < 1.0:
                 hit = rng.random(shots) < 1.0 - gamma
                 codes = np.where(hit, rng.integers(4 ** len(targets), size=shots), 0)
@@ -484,10 +489,12 @@ class TestNoisySampler:
     @pytest.mark.parametrize("shape", [(2, 1), (1, 3), (3, 2)])
     @pytest.mark.parametrize("reset", [True, False])
     @pytest.mark.parametrize("source", ["haar", "hea"])
-    @pytest.mark.parametrize("gammas", [(0.7, 0.7), (1.0, 0.7), (0.7, 1.0), (0.0, 0.0)])
-    def test_matches_dense_reference(self, shape, reset, source, gammas):
+    @pytest.mark.parametrize("gamma", [0.7, 1.0, 0.3, 0.0], ids=[f"gammas{i}" for i in range(4)])
+    def test_matches_dense_reference(self, shape, reset, source, gamma):
         # the sampler relabels the bath and acts on the kept system block;
-        # the reference multiplies the whole register by each drawn string
+        # the reference multiplies the whole register by each drawn string.
+        # At gamma = 1 neither draws a string, so the sampler consumes the
+        # stream as a noiseless sampler does, draw for draw
         cfg = HrcsConfig(
             n_system=shape[0], n_bath=shape[1], steps=3, reset_bath=reset,
             unitary_source=source, hea_layers=2 if source == "hea" else None, master_seed=4,
@@ -496,7 +503,7 @@ class TestNoisySampler:
         runs = []
         for sampler in (sample_trajectories, dense_noisy_sampler):
             rng = np.random.default_rng(6)
-            runs.append((sampler(cfg, steps, 200, NoiseModel(*gammas), rng), rng.random(4)))
+            runs.append((sampler(cfg, steps, 200, gamma, rng), rng.random(4)))
         (got, got_next), (want, want_next) = runs
         np.testing.assert_array_equal(got.bath_outcomes, want.bath_outcomes)
         np.testing.assert_array_equal(got.final_outcomes, want.final_outcomes)
@@ -542,14 +549,14 @@ class TestNoisyEnumeration:
     def test_noiseless_reduction(self):
         cfg = small_config(n_system=1, steps=2)
         steps = instantiate_circuit(cfg, 0)
-        noisy = enumerate_noisy_joint_distribution(cfg, steps, NoiseModel(1.0, 1.0))
+        noisy = enumerate_noisy_joint_distribution(cfg, steps, 1.0)
         clean = enumerate_joint_distribution(cfg, steps)
-        np.testing.assert_allclose(noisy.probabilities, clean.probabilities, atol=1e-10)
+        np.testing.assert_allclose(noisy, clean, atol=1e-10)
 
     def test_fully_mixed_marginals(self):
         cfg = HrcsConfig(n_system=2, n_bath=1, steps=1, master_seed=4)
         steps = instantiate_circuit(cfg, 0)
-        dist = enumerate_noisy_joint_distribution(cfg, steps, NoiseModel(0.0, 0.0))
+        dist = enumerate_noisy_joint_distribution(cfg, steps, 0.0)
         np.testing.assert_allclose(
             marginalize(dist, cfg, "spatial"), np.full(4, 0.25), atol=1e-10
         )
@@ -560,38 +567,37 @@ class TestNoisyEnumeration:
     def test_normalized_and_matches_pauli_trajectories(self):
         cfg = HrcsConfig(n_system=1, n_bath=1, steps=2, master_seed=21)
         steps = instantiate_circuit(cfg, 0)
-        noise = NoiseModel(0.7, 0.7)
-        oracle = enumerate_noisy_joint_distribution(cfg, steps, noise)
-        assert oracle.probabilities.sum() == pytest.approx(1.0, abs=1e-8)
+        oracle = enumerate_noisy_joint_distribution(cfg, steps, 0.7)
+        assert oracle.sum() == pytest.approx(1.0, abs=1e-8)
         rng = np.random.default_rng(42)
-        batch = sample_trajectories(cfg, steps, 200_000, noise, rng)
+        batch = sample_trajectories(cfg, steps, 200_000, 0.7, rng)
         hist = np.bincount(batch.joint_indices(cfg), minlength=8) / len(batch)
-        assert np.abs(hist - oracle.probabilities).sum() < 2e-2
+        assert np.abs(hist - oracle).sum() < 2e-2
 
     def test_reset_and_no_reset_oracles(self):
         for reset in (True, False):
             cfg = small_config(n_system=1, steps=2, reset_bath=reset)
             steps = instantiate_circuit(cfg, 3)
-            noisy = enumerate_noisy_joint_distribution(cfg, steps, NoiseModel(0.6, 0.9))
-            assert noisy.probabilities.sum() == pytest.approx(1.0, abs=1e-8)
+            noisy = enumerate_noisy_joint_distribution(cfg, steps, 0.6)
+            assert noisy.sum() == pytest.approx(1.0, abs=1e-8)
             rng = np.random.default_rng(17)
-            batch = sample_trajectories(cfg, steps, 150_000, NoiseModel(0.6, 0.9), rng)
+            batch = sample_trajectories(cfg, steps, 150_000, 0.6, rng)
             hist = np.bincount(batch.joint_indices(cfg), minlength=8) / len(batch)
-            assert np.abs(hist - noisy.probabilities).sum() < 2e-2
+            assert np.abs(hist - noisy).sum() < 2e-2
 
     def test_capacity_refused(self):
         cfg = HrcsConfig(n_system=5, n_bath=4, steps=1, master_seed=0)
         with pytest.raises(CapacityError):
-            enumerate_noisy_joint_distribution(cfg, [], NoiseModel(0.5, 0.5))
+            enumerate_noisy_joint_distribution(cfg, [], 0.5)
 
 
 class TestResetEquivalence:
     def test_identity_circuit_both_delta(self):
         cfg = small_config(steps=2)
         with_reset, without_reset = replay_no_reset_equivalence(cfg, identity_steps(cfg))
-        assert with_reset.probabilities[0] == pytest.approx(1.0, abs=1e-12)
+        assert with_reset[0] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
-            with_reset.probabilities, without_reset.probabilities, atol=1e-12
+            with_reset, without_reset, atol=1e-12
         )
 
     def test_ensemble_cp_and_ps_match(self):
@@ -654,7 +660,7 @@ class TestCompiledHeaSteps:
             n_system=n_system, n_bath=n_bath, steps=3, reset_bath=reset,
             unitary_source="hea", hea_layers=8, master_seed=7,
         )
-        noise = None if gamma is None else NoiseModel(gamma, gamma)
+        noise = 1.0 if gamma is None else gamma  # None: noiseless
 
         def run(steps):
             rng = np.random.default_rng(5)
@@ -701,14 +707,14 @@ class TestCompiledHeaSteps:
         )
         steps = instantiate_circuit(cfg, 0)
         monkeypatch.setattr(engine_mod, "apply_hea_batch", spy)
-        sample_trajectories(cfg, steps, shots, None, np.random.default_rng(0))
+        sample_trajectories(cfg, steps, shots, 1.0, np.random.default_rng(0))
         assert seen == rows
 
 
 class TestStepCount:
     MODES = {
         "sample": lambda cfg, steps: sample_trajectories(
-            cfg, steps, 4, None, np.random.default_rng(0)
+            cfg, steps, 4, 1.0, np.random.default_rng(0)
         ),
         "replay": lambda cfg, steps: ideal_probabilities_batch(
             cfg,
@@ -718,7 +724,7 @@ class TestStepCount:
         ),
         "enumerate": enumerate_joint_distribution,
         "noisy_oracle": lambda cfg, steps: enumerate_noisy_joint_distribution(
-            cfg, steps, NoiseModel(0.9, 0.9)
+            cfg, steps, 0.9
         ),
     }
 
@@ -761,28 +767,23 @@ class TestStepCount:
 
 
 class TestConfigValidation:
-    def test_gamma_range(self):
-        with pytest.raises(ConfigurationError):
-            NoiseModel(1.5, 1.0)
+    def test_gamma_range(self, monkeypatch):
+        # both noisy entry points refuse a strength outside [0, 1], nan
+        # included, before any step runs
+        def no_work(*args):
+            raise AssertionError("a step ran")
+
+        cfg = small_config(steps=3)
+        steps = instantiate_circuit(cfg, 0)
+        monkeypatch.setattr(engine_mod, "_propagate", no_work)
+        monkeypatch.setattr(engine_mod, "step_matrices", no_work)
+        for gamma in (1.5, -0.1, float("nan")):
+            with pytest.raises(ConfigurationError, match="gamma must lie in"):
+                sample_trajectories(cfg, steps, 4, gamma, np.random.default_rng(0))
+            with pytest.raises(ConfigurationError, match="gamma must lie in"):
+                enumerate_noisy_joint_distribution(cfg, steps, gamma)
 
     def test_replace_keeps_validation(self):
         cfg = small_config()
         with pytest.raises(ConfigurationError):
             dataclasses.replace(cfg, steps=0)
-
-    @pytest.mark.parametrize("source", ["haar", "hea"])
-    def test_unit_gamma_samples_as_noiseless(self, source):
-        # gamma = 1 draws no Pauli string: the batch and the stream after it
-        # are those of a run without a noise model
-        layers = 2 if source == "hea" else None
-        cfg = small_config(steps=3, unitary_source=source, hea_layers=layers)
-        steps = instantiate_circuit(cfg, 0)
-        runs = []
-        for noise in (None, NoiseModel(1.0, 1.0)):
-            rng = np.random.default_rng(8)
-            batch = sample_trajectories(cfg, steps, 300, noise, rng)
-            runs.append((batch, rng.random(4)))
-        (plain, plain_next), (unit, unit_next) = runs
-        for field in ("bath_outcomes", "final_outcomes", "model_probabilities"):
-            np.testing.assert_array_equal(getattr(unit, field), getattr(plain, field))
-        np.testing.assert_array_equal(unit_next, plain_next)

@@ -47,7 +47,7 @@ class TestPowerSumExact:
     def test_accepts_joint_distribution(self):
         cfg = small_config()
         dist = enumerate_joint_distribution(cfg, instantiate_circuit(cfg, 0))
-        direct = power_sum_exact(dist.probabilities, 2)
+        direct = power_sum_exact(dist, 2)
         assert power_sum_exact(dist, 2) == direct
 
 
@@ -59,7 +59,7 @@ class TestPowerSumMc:
         steps = instantiate_circuit(cfg, 0)
         exact = power_sum_exact(enumerate_joint_distribution(cfg, steps), order)
         rng = np.random.default_rng(19)
-        batch = sample_trajectories(cfg, steps, 10_000, None, rng)
+        batch = sample_trajectories(cfg, steps, 10_000, 1.0, rng)
         stats = ensemble_aggregate(batch.model_probabilities ** (order - 1))
         assert abs(stats.mean - exact) < 4 * stats.std_error
 
@@ -86,7 +86,7 @@ class TestXebEstimate:
         exact = power_sum_exact(enumerate_joint_distribution(cfg, steps), 2)
         target = 2.0 ** cfg.n_eff * exact - 1
         rng = np.random.default_rng(23)
-        batch = sample_trajectories(cfg, steps, 20_000, None, rng)
+        batch = sample_trajectories(cfg, steps, 20_000, 1.0, rng)
         stats = xeb_estimate(batch.model_probabilities, cfg.n_eff)
         assert abs(stats.mean - target) < 4 * stats.std_error
 
@@ -101,7 +101,7 @@ class TestXebEstimate:
         for b in range(150):
             steps = instantiate_circuit(cfg, b)
             rng = np.random.default_rng(derive_seed(92, "xeb92", b))
-            batch = sample_trajectories(cfg, steps, 300, None, rng)
+            batch = sample_trajectories(cfg, steps, 300, 1.0, rng)
             means.append(xeb_estimate(batch.model_probabilities, cfg.n_eff).mean)
         stats = ensemble_aggregate(means)
         assert abs(stats.mean - 0.92) < 4 * stats.std_error

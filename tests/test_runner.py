@@ -213,9 +213,15 @@ class TestCapacity:
         )
         runner_mod._check_capacity(spec)
 
-    def test_concurrent_workers_counted(self, seven_gib, no_work):
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Report the given CPU count to the runner's pool sizing."""
+        return lambda count: monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+    def test_concurrent_workers_counted(self, seven_gib, no_work, cpus):
         # one instance's 16000 shots of 2^12 amplitudes budget 4.2 GB: that
         # fits 7 GiB alone, but two workers hold two such batches at once
+        cpus(2)
         spec = ExperimentSpec(
             kind="xeb", n_system=6, n_bath=6, steps=(1,), instances=2, shots=16_000
         )
@@ -223,6 +229,42 @@ class TestCapacity:
         runner_mod._check_capacity(dataclasses.replace(spec, instances=1), workers=2)
         with pytest.raises(CapacityError, match="2 worker"):
             run_experiment(spec, workers=2)
+
+    def test_pool_bounded_by_instances_and_cpus(self, seven_gib, cpus, monkeypatch):
+        # the pool is sized once, for the capacity check and the executor
+        # alike: 500 workers on 3 instances start 3 processes, or one per CPU
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and runs the instances in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(runner_mod.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        serial = run_experiment(cp_spec(steps=(1,), instances=3))
+        for count, pool in ((64, [3]), (2, [2]), (1, [])):
+            cpus(count)
+            sizes.clear()
+            assert run_experiment(cp_spec(steps=(1,), instances=3), workers=500) == serial
+            assert sizes == pool
+        # one xeb instance's 4.2 GB fits 7 GiB and two do not: with one CPU,
+        # 500 workers still run one instance at a time
+        spec = ExperimentSpec(
+            kind="xeb", n_system=6, n_bath=6, steps=(1,), instances=2, shots=16_000
+        )
+        runner_mod._check_capacity(spec, workers=500)
+        cpus(2)
+        with pytest.raises(CapacityError, match="2 worker"):
+            runner_mod._check_capacity(spec, workers=500)
 
     def test_full_haar_steps_without_reset_refused_before_work(self, seven_gib, no_work):
         # the same spec without a reset holds 33 dense 4096^2 steps, 8.9 GB
@@ -287,6 +329,33 @@ class TestCapacity:
         spec = ExperimentSpec(kind="pop_hist", n_system=2, n_bath=2, steps=(10,), instances=10_000)
         with pytest.raises(CapacityError, match="GB"):
             run_experiment(spec)
+
+    def test_pop_bins_beyond_memory_refused_before_work(self, seven_gib, no_work):
+        # 10^12 bins are 8 TB per bin array, against 64 probabilities pooled
+        spec = ExperimentSpec(
+            kind="pop_hist", n_system=1, n_bath=1, steps=(1,), instances=3, pop_bins=10**12
+        )
+        with pytest.raises(CapacityError, match="1000000000000 bins"):
+            run_experiment(spec)
+        runner_mod._check_capacity(dataclasses.replace(spec, pop_bins=10**7))
+
+    def test_pop_hist_bins_peak_within_bin_copies(self):
+        # what _check_capacity budgets per bin array bounds a pop_hist point
+        # whose bins far outnumber its pooled probabilities
+        spec = ExperimentSpec(
+            kind="pop_hist", n_system=1, n_bath=1, steps=(1,), instances=3, pop_bins=10**6,
+            master_seed=1,
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pooled_bytes = spec.instances * (8 << 2)
+        bin_bytes = 8 * (spec.pop_bins + 1)
+        assert peak < (runner_mod.POP_HIST_LIVE_COPIES * pooled_bytes
+                       + runner_mod.POP_HIST_BIN_COPIES * bin_bytes)
 
     def test_pop_hist_peak_within_live_copies(self):
         # what _check_capacity budgets per pooled copy bounds a pop_hist point
@@ -551,3 +620,8 @@ def test_same_size_arrays_reuse_the_heap():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
     )
     assert int(proc.stdout.splitlines()[-1]) < 2000
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in hrcslab.__all__ if not hasattr(hrcslab, name)]
+    assert missing == []

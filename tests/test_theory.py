@@ -9,7 +9,6 @@ from scipy import integrate
 
 from hrcslab import ConfigurationError
 from hrcslab.theory import (
-    NoisyTransferMatrix,
     critical_steps,
     haar_power_sum,
     hrcs_power_sum,
@@ -237,34 +236,14 @@ class TestIdealXeb:
 
 
 class TestNoisyXeb:
-    def test_transfer_matrix_reduces_to_noiseless(self):
-        # without noise the identity and swap coefficients play symmetric
-        # roles, and the boundary vectors are (1, 1)
-        for n_a, n_b in ((1, 1), (2, 3), (5, 5)):
-            tm = NoisyTransferMatrix.build(n_a, n_b, 1.0, 1.0)
-            assert (tm.m01, tm.m11, tm.g_system, tm.g_bath) == (tm.m10, tm.m00, 1.0, 1.0)
-
-    def test_noiseless_matrix_recursion_matches_closed_form(self):
-        # dual route for the collision probability itself
-        for n_a, n_b in ((1, 1), (2, 1), (3, 2)):
-            d = 2.0 ** (n_a + n_b)
-            m = NoisyTransferMatrix.build(n_a, n_b, 1.0, 1.0).as_array()
-            for t in range(1, 7):
-                vec = np.array([1.0, 1.0])
-                for _ in range(t - 1):
-                    vec = m @ vec
-                val = (np.array([1.0, 1.0]) @ vec) / (d * (d + 1))
-                total = 2.0 ** n_a * (2.0 ** n_b) ** t * val
-                assert total == pytest.approx(
-                    step_collision_probability(n_a, n_b, t), rel=1e-12
-                )
-
     def test_exact_at_gamma_one_equals_ideal(self):
-        for n in (1, 2, 3):
-            for t in range(1, 6):
-                exact = noisy_xeb(n, n, t, 1.0, "exact")
-                ideal = ideal_xeb(n, n, t)
-                assert abs(exact - ideal) <= 1e-12 * max(1.0, abs(ideal))
+        # without noise the transfer-matrix recursion is that of the joint
+        # collision probability
+        for n_a, n_b in ((1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (2, 3), (5, 5)):
+            for t in range(1, 7):
+                exact = noisy_xeb(n_a, n_b, t, 1.0, "exact")
+                ideal = ideal_xeb(n_a, n_b, t)
+                assert abs(exact - ideal) <= 1e-12 * max(1.0, abs(ideal)), (n_a, n_b, t)
 
     def test_asymptotic_anchor_value(self):
         got = noisy_xeb(5, 5, 10, 0.69, "asymptotic")
@@ -298,26 +277,19 @@ class TestNoisyXeb:
         patched = noisy_xeb(2, 2, 3, 0.8, "exact", patched=True)
         assert patched == pytest.approx((1 + single) ** 2 - 1, rel=1e-12)
 
-    @pytest.mark.parametrize("gamma, gamma_bath", [(1.5, None), (0.7, -0.1)])
-    def test_exact_rejects_gamma_outside_unit_interval(self, gamma, gamma_bath):
+    @pytest.mark.parametrize("gamma", [1.5, -0.1, float("nan")])
+    def test_exact_rejects_gamma_outside_unit_interval(self, gamma):
         with pytest.raises(ConfigurationError, match="must lie in"):
-            noisy_xeb(2, 1, 3, gamma, gamma_bath=gamma_bath)
-
-    def test_mixed_gamma_reduces_to_shared(self):
-        a = noisy_xeb(2, 1, 3, 0.7, "exact")
-        b = noisy_xeb(2, 1, 3, 0.7, "exact", gamma_bath=0.7)
-        assert a == pytest.approx(b, rel=1e-15)
+            noisy_xeb(2, 1, 3, gamma)
 
     @pytest.mark.parametrize(
-        "n_a,n_b,t,g_sys,g_bath,instances",
-        [(1, 1, 2, 0.7, 0.7, 1200), (1, 2, 2, 0.9, 0.6, 700)],
+        "n_a,n_b,t,gamma,instances", [(1, 1, 2, 0.7, 1200), (1, 2, 2, 0.6, 700)]
     )
-    def test_exact_form_matches_density_oracle_ensemble(self, n_a, n_b, t, g_sys, g_bath, instances):
+    def test_exact_form_matches_density_oracle_ensemble(self, n_a, n_b, t, gamma, instances):
         # ensemble of exact per-instance overlaps sum_y P(y) Ptilde(y), no
         # sampling noise; pins the transfer-matrix composition to the channel
         from hrcslab import (
             HrcsConfig,
-            NoiseModel,
             enumerate_joint_distribution,
             enumerate_noisy_joint_distribution,
             ensemble_aggregate,
@@ -325,13 +297,12 @@ class TestNoisyXeb:
         )
 
         cfg = HrcsConfig(n_system=n_a, n_bath=n_b, steps=t, master_seed=4242)
-        noise = NoiseModel(g_sys, g_bath)
         vals = []
         for b in range(instances):
             steps = instantiate_circuit(cfg, b)
-            clean = enumerate_joint_distribution(cfg, steps).probabilities
-            dirty = enumerate_noisy_joint_distribution(cfg, steps, noise).probabilities
+            clean = enumerate_joint_distribution(cfg, steps)
+            dirty = enumerate_noisy_joint_distribution(cfg, steps, gamma)
             vals.append(2.0 ** cfg.n_eff * float(np.dot(clean, dirty)) - 1.0)
         stats = ensemble_aggregate(vals)
-        target = noisy_xeb(n_a, n_b, t, g_sys, "exact", gamma_bath=g_bath)
+        target = noisy_xeb(n_a, n_b, t, gamma, "exact")
         assert abs(stats.mean - target) < 4 * stats.std_error
