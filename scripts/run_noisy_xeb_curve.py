@@ -36,7 +36,7 @@ def main() -> None:
 
     print(f"{'t':>3} {'sampled':>10} {'std err':>9} {'exact':>9} {'asymptotic':>11} {'ideal':>9}")
     for rec in records:
-        asym = theory.noisy_xeb(args.n_system, args.n_bath, rec.steps, args.gamma, "asymptotic")
+        asym = theory.noisy_xeb_asymptotic(args.n_system, args.n_bath, rec.steps, args.gamma)
         ideal = theory.ideal_xeb(args.n_system, args.n_bath, rec.steps)
         m = rec.measured
         print(f"{rec.steps:>3} {m.mean:>10.4f} {m.std_error:>9.4f} "

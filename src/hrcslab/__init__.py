@@ -1,7 +1,7 @@
 """hrcslab: simulate holographic random circuit sampling and check the
 measured statistics against their closed-form values."""
 
-from .core import UnitaryMatrix, sample_haar_state, sample_haar_unitary
+from .core import sample_haar_state, sample_haar_unitary
 from .circuits import HeaParams, hea_gate_count, sample_hea_params
 from .engine import (
     HrcsConfig,
@@ -38,7 +38,6 @@ __all__ = [
     "PopHistogram",
     "ResultRecord",
     "TrajectoryBatch",
-    "UnitaryMatrix",
     "ensemble_aggregate",
     "enumerate_joint_distribution",
     "enumerate_noisy_joint_distribution",

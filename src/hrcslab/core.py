@@ -1,8 +1,8 @@
 """Dense unitaries and isometries, and Haar sampling.
 
-A dense step is a ``UnitaryMatrix``: a 2^n x 2^n unitary, or, for a circuit
-whose bath is reset before every step, the 2^n x 2^n_A isometry of its first
-2^n_A columns, the only ones a state with the bath at 0 can reach.
+A dense step is a complex 2^n x c array: a 2^n x 2^n unitary, or, for a
+circuit whose bath is reset before every step, the 2^n x 2^n_A isometry of
+its first 2^n_A columns, the only ones a state with the bath at 0 can reach.
 ``engine._propagate`` advances a batch of kept system blocks by a dense step,
 and by an HEA step compiled to one, and ``circuits.apply_hea_batch`` runs an
 HEA step gate by gate on a (rows, 2^n) batch.
@@ -18,8 +18,6 @@ on axis 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -34,37 +32,11 @@ PAULI_MATRICES = {
 }
 
 
-@dataclass(frozen=True)
-class UnitaryMatrix:
-    """Dense d x c step with c <= d: a unitary (c = d) or an isometry V with
-    V^dag V = I, the first c columns of a unitary."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or not 1 <= m.shape[1] <= m.shape[0]:
-            raise ConfigurationError(f"step must be d x c with 1 <= c <= d, got shape {m.shape}")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def columns(self) -> int:
-        return self.entries.shape[1]
-
-    def unitarity_defect(self) -> float:
-        """Max-abs deviation of V^dag V from the c x c identity."""
-        v = self.entries
-        return float(np.max(np.abs(v.conj().T @ v - np.eye(self.columns))))
-
-
 def sample_haar_unitary(
     dim: int, rng: np.random.Generator, columns: int | None = None
-) -> UnitaryMatrix:
-    """Draw a Haar-distributed unitary, or its first ``columns`` columns.
+) -> np.ndarray:
+    """Draw a Haar-distributed unitary, or the isometry of its first
+    ``columns`` columns, as a complex dim x columns array.
 
     Ginibre matrix -> QR, then column j is rescaled by conj(r_jj)/|r_jj| so
     the triangular factor has a positive real diagonal; without that fix the
@@ -83,8 +55,7 @@ def sample_haar_unitary(
     z = (real + 1j * rng.standard_normal((dim, dim))[:, :cols]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
-    q = q * (diag.conj() / np.abs(diag))
-    return UnitaryMatrix(q)
+    return q * (diag.conj() / np.abs(diag))
 
 
 def sample_haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,7 +13,10 @@ into the (rows, 2^n) state after the next step: a dense step, or an HEA step
 compiled to the columns it reaches, is one matrix product; an HEA step with
 a kept bath, or with more columns than rows, runs gate by gate.  This is
 decided at every step, so enumeration compiles once its tree level has as
-many rows as the step has columns.
+many rows as the step has columns.  A step is either a complex 2^n x c
+array, the first c columns of a unitary, or the ``HeaParams`` of an HEA
+step; ``_check_steps`` refuses an array of any other shape, and an HEA step
+on another register, before a step runs.
 
 Noise is one depolarizing strength ``gamma`` in [0, 1], applied to system
 and bath after every step; 1 is noiseless.  The sampler unravels it into
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import HeaParams, apply_hea_batch, sample_hea_params
-from .core import PROB_FLOOR, UnitaryMatrix, sample_haar_unitary
+from .core import PROB_FLOOR, sample_haar_unitary
 from .errors import CapacityError, ConfigurationError, DegenerateBranchError
 
 TRAJECTORY_MAX_QUBITS = 24
@@ -50,7 +53,7 @@ NOISY_ORACLE_MAX_BITS = 20
 
 UNITARY_SOURCES = ("haar", "hea")
 
-StepUnitary = UnitaryMatrix | HeaParams
+StepUnitary = np.ndarray | HeaParams
 
 
 def derive_seed(*parts) -> int:
@@ -133,8 +136,8 @@ def step_matrices(unitaries: Sequence[StepUnitary], columns: int) -> list[np.nda
     by running the first ``columns`` basis rows through the gate kernel,
     whose row b is then column b of the matrix."""
     return [
-        step.entries[:, :columns] if isinstance(step, UnitaryMatrix)
-        else apply_hea_batch(np.eye(columns, 1 << step.n_qubits, dtype=complex), step).T
+        apply_hea_batch(np.eye(columns, 1 << step.n_qubits, dtype=complex), step).T
+        if isinstance(step, HeaParams) else step[:, :columns]
         for step in unitaries
     ]
 
@@ -166,11 +169,11 @@ def _propagate(
     if isinstance(step, HeaParams):
         if bath is not None or d_sys > rows:
             return apply_hea_batch(_keep_branch(picked, bath, d_bath), step)
-        step = UnitaryMatrix(step_matrices([step], d_sys)[0])
+        step = step_matrices([step], d_sys)[0]
     if bath is None:
-        return np.ascontiguousarray(np.dot(step.entries[:, :d_sys], picked.T).T)
+        return np.ascontiguousarray(np.dot(step[:, :d_sys], picked.T).T)
     amps = _keep_branch(picked, bath, d_bath)
-    product = np.dot(step.entries, amps.T)
+    product = np.dot(step, amps.T)
     del amps  # free the rebuilt register before the contiguous copy
     return np.ascontiguousarray(product.T)
 
@@ -490,9 +493,10 @@ def _check_steps(config: HrcsConfig, unitaries: list[StepUnitary]) -> None:
                     f"an HEA step on {step.n_qubits} qubits does not fit a circuit on "
                     f"{config.n_qubits} qubits"
                 )
-        elif step.dim != d or step.columns < need:
+        elif not (isinstance(step, np.ndarray) and step.ndim == 2 and step.shape[0] == d
+                  and need <= step.shape[1] <= d):
             raise ConfigurationError(
-                f"a {step.dim} x {step.columns} step does not hold the {d} x {need} columns "
-                f"a {'reset' if config.reset_bath else 'no-reset'} circuit on "
+                f"a step of shape {np.shape(step)} is not the {d} x c array, {need} <= c <= {d}, "
+                f"that a {'reset' if config.reset_bath else 'no-reset'} circuit on "
                 f"{config.n_qubits} qubits needs"
             )

@@ -51,10 +51,10 @@ THEORY = {
     "marginal_cp_temporal": lambda a, b, t, k, g, eps: theory.marginal_cp("temporal", a, b, t),
     "marginal_cp_per_step": lambda a, b, t, k, g, eps: theory.marginal_cp("per_step", a, b, t),
     "ideal_xeb": lambda a, b, t, k, g, eps: theory.ideal_xeb(a, b, t),
-    "noisy_xeb_exact": lambda a, b, t, k, g, eps: theory.noisy_xeb(a, b, t, g, "exact"),
-    "noisy_xeb_asymptotic": lambda a, b, t, k, g, eps: theory.noisy_xeb(a, b, t, g, "asymptotic"),
-    "tvd_bound_exact": lambda a, b, t, k, g, eps: theory.tvd_upper_bound(a, b, t, "exact"),
-    "tvd_bound_asymptotic": lambda a, b, t, k, g, eps: theory.tvd_upper_bound(a, b, t, "asymptotic"),
+    "noisy_xeb_exact": lambda a, b, t, k, g, eps: theory.noisy_xeb(a, b, t, g),
+    "noisy_xeb_asymptotic": lambda a, b, t, k, g, eps: theory.noisy_xeb_asymptotic(a, b, t, g),
+    "tvd_bound_exact": lambda a, b, t, k, g, eps: theory.tvd_upper_bound(a, b, t),
+    "tvd_bound_asymptotic": lambda a, b, t, k, g, eps: theory.tvd_upper_bound_asymptotic(a, b, t),
     "critical_steps": lambda a, b, t, k, g, eps: theory.critical_steps(a, b, eps, k),
 }
 THEORY_FAMILIES = tuple(THEORY)
@@ -128,6 +128,17 @@ def _fixed(value: float) -> Callable[..., float]:
     return lambda *point: value
 
 
+def _pop_range_mass(a, b, t, k, g, eps) -> float:
+    """Porter-Thomas mass on the histogram's range [1e-2/D, 50/D], clipped at
+    p = 1: (1 - 1e-2/D)^(D-1) - (1 - min(50/D, 1))^(D-1), the value the
+    density integral of Porter-Thomas probabilities converges to."""
+    d = 2.0 ** (a + t * b)
+    low, high = theory.porter_thomas_cdf(
+        d, [estimators.POP_RANGE_LOW / d, estimators.POP_RANGE_HIGH / d]
+    )
+    return float(high - low)
+
+
 _HRCS = THEORY["hrcs_power_sum"]
 
 
@@ -160,7 +171,7 @@ KIND_TABLE = {
         for m in theory.MARGINAL_KINDS)),
     "pop_hist": Kind("enumerate", _probabilities, lambda s, k: (
         ("pop_ks_to_porter_thomas", None, _fixed(0.0), "porter_thomas_density"),
-        ("pop_density_integral", None, _fixed(1.0), "porter_thomas_density"),
+        ("pop_density_integral", None, _pop_range_mass, "porter_thomas_density"),
     ), aggregate=_porter_thomas),
     "tvd": Kind("enumerate", _tvd, lambda s, k: (
         ("tvd_to_haar", None, THEORY["tvd_bound_exact"], "tvd_bound_exact"),)),
@@ -201,6 +212,10 @@ HAAR_QR_TRANSIENT_COPIES = 5
 # peak RSS grows by that half plus 0.3-0.9 of them at 5+5, 4+6, 6+5, 5+7 and
 # 6+6 qubits, and plus 2.6-3.8 at 7+3, 8+2, 9+1 and 10+1 (tracemalloc: 0.5-2.0)
 HAAR_ISOMETRY_TRANSIENT_COPIES = 4
+# (L, N) float arrays that drawing one HEA step holds beside the 2t angle
+# arrays of an instance's t steps: tracemalloc measures 0.125 of one (its
+# boolean range mask) at 1+1 to 5+5 with 10^5 to 10^6 layers
+HEA_ANGLE_TRANSIENT_COPIES = 1
 # (instances, 2^n_eff) float arrays a pop_hist point holds at its peak (the
 # kept distributions, their pooled copy, and the KS distance's sorted copy,
 # CDF and ECDF): tracemalloc measures 5.0 at 2+2/t=4, 2+1/t=12 and 3+2/t=6
@@ -444,6 +459,10 @@ def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
             need += 8 << 2 * n_phys  # the real half of the Ginibre draw
         else:
             need += (max(spec.steps) + HAAR_QR_TRANSIENT_COPIES) * (16 << 2 * n_phys)
+    elif engine is not None:
+        # an HEA instance holds the (L, N) thetas and phis of all t steps
+        angles = 8 * spec.hea_layers * n_phys
+        need += (2 * max(spec.steps) + HEA_ANGLE_TRANSIENT_COPIES) * angles
     pool = _pool_size(spec, workers)
     need *= pool
     if need > memory:

@@ -5,8 +5,10 @@ are evaluated as K-term sums of logs rather than through lgamma differences;
 at dimensions around 2^20 the lgamma route loses ~1e-9 of relative precision,
 the product route stays near machine epsilon.  Exponentiation happens last.
 
-The noisy XEB forms take one per-step depolarizing strength gamma, applied
-to system and bath alike; gamma = 1 is noiseless.
+Each closed form is its own function.  Where a large-dimension form sits
+beside an exact one, it is the exact one's name with ``_asymptotic``
+appended.  The noisy XEB forms take one per-step depolarizing strength
+gamma, applied to system and bath alike; gamma = 1 is noiseless.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 MARGINAL_KINDS = ("spatial", "temporal", "per_step")
-XEB_MODES = ("exact", "asymptotic")
 
 
 def _log_rising(x: float, k: int) -> float:
@@ -36,14 +37,19 @@ def haar_power_sum(n_qubits: int, order: int) -> float:
     return math.exp(log_z)
 
 
-def step_collision_probability(n_system: int, n_bath: int, steps: int) -> float:
-    """Exact ensemble CP of the joint spatiotemporal distribution,
-    2 (d_A+1)^(t-1) / (1 + d_A d_B)^t, evaluated in log space."""
+def _log_step_cp(n_system: int, n_bath: int, steps: int) -> float:
+    """log of the exact ensemble CP of the joint spatiotemporal distribution,
+    2 (d_A+1)^(t-1) / (1 + d_A d_B)^t."""
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
-    log_z = math.log(2.0) + (steps - 1) * math.log(d_a + 1.0) - steps * math.log(1.0 + d_a * d_b)
-    return math.exp(log_z)
+    return math.log(2.0) + (steps - 1) * math.log(d_a + 1.0) - steps * math.log(1.0 + d_a * d_b)
+
+
+def step_collision_probability(n_system: int, n_bath: int, steps: int) -> float:
+    """Exact ensemble CP of the joint spatiotemporal distribution,
+    2 (d_A+1)^(t-1) / (1 + d_A d_B)^t, evaluated in log space."""
+    return math.exp(_log_step_cp(n_system, n_bath, steps))
 
 
 def hrcs_power_sum(n_system: int, n_bath: int, steps: int, order: int) -> float:
@@ -127,106 +133,101 @@ def porter_thomas_cdf(d: float, p) -> np.ndarray:
     cdf = np.array(p, dtype=float)
     np.clip(cdf, 0.0, 1.0, out=cdf)
     np.negative(cdf, out=cdf)
-    np.log1p(cdf, out=cdf)
+    with np.errstate(divide="ignore"):  # p = 1 gives log(0) = -inf, and a CDF of 1
+        np.log1p(cdf, out=cdf)
     cdf *= d - 1.0
     np.expm1(cdf, out=cdf)
     return np.negative(cdf, out=cdf)[()]  # [()] turns a 0-d result into a scalar
 
 
-def tvd_upper_bound(n_system: int, n_bath: int, steps: int, which: str = "exact") -> float:
+def tvd_upper_bound(n_system: int, n_bath: int, steps: int) -> float:
     """Bound on the total variation distance between the joint distribution
-    and full sampling of an independent Haar state of matching dimension."""
+    and full sampling of an independent Haar state of matching dimension,
+    (1/2) sqrt(2^N_eff Z) with Z the joint collision probability."""
+    n_eff = n_system + steps * n_bath
+    return 0.5 * math.exp(0.5 * (n_eff * math.log(2.0) + _log_step_cp(n_system, n_bath, steps)))
+
+
+def tvd_upper_bound_asymptotic(n_system: int, n_bath: int, steps: int) -> float:
+    """Large-dimension form of ``tvd_upper_bound``, exp((t-1)/(2 d_A)) / sqrt(2)."""
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    n_eff = n_system + steps * n_bath
-    if which == "exact":
-        log_z = math.log(step_collision_probability(n_system, n_bath, steps))
-        return 0.5 * math.exp(0.5 * (n_eff * math.log(2.0) + log_z))
-    if which == "asymptotic":
-        d_a = 2.0 ** n_system
-        return math.exp((steps - 1) / (2.0 * d_a)) / math.sqrt(2.0)
-    raise ConfigurationError(f"which must be one of {XEB_MODES}, got {which!r}")
+    d_a = 2.0 ** n_system
+    return math.exp((steps - 1) / (2.0 * d_a)) / math.sqrt(2.0)
 
 
 def ideal_xeb(n_system: int, n_bath: int, steps: int, patched: bool = False) -> float:
-    """Noiseless cross-entropy benchmark fidelity, 2^N_eff * Z - 1.
+    """Noiseless cross-entropy benchmark fidelity, 2^N_eff * Z - 1, summed in
+    log space so that it stays finite where Z alone underflows.
 
     For two disjoint patches run side by side the score composes as
     (1 + F_single)^2 - 1, with per-patch qubit counts passed in.
     """
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
     n_eff = n_system + steps * n_bath
-    log_z = math.log(step_collision_probability(n_system, n_bath, steps))
-    single = math.expm1(n_eff * math.log(2.0) + log_z)
+    single = math.expm1(n_eff * math.log(2.0) + _log_step_cp(n_system, n_bath, steps))
     if not patched:
         return single
     return math.expm1(2.0 * math.log1p(single))
 
 
 def noisy_xeb(
-    n_system: int,
-    n_bath: int,
-    steps: int,
-    gamma: float,
-    mode: str = "exact",
-    patched: bool = False,
+    n_system: int, n_bath: int, steps: int, gamma: float, patched: bool = False
 ) -> float:
     """Cross-entropy fidelity under per-step depolarizing noise of strength
-    ``gamma`` on system and bath.
+    ``gamma`` on system and bath, by the 2x2 transfer-matrix recursion on the
+    identity/swap coefficient pair; at gamma = 1 it is the symmetric
+    noiseless recursion of the joint collision probability.
+    """
+    if steps < 1:
+        raise ConfigurationError(f"steps must be >= 1, got {steps}")
+    if not 0.0 <= gamma <= 1.0:
+        raise ConfigurationError(f"gamma must lie in [0, 1], got {gamma}")
+    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
+    # One application of the matrix is one protocol step: the system
+    # channel left over from the previous step, the step unitary average,
+    # and the noisy bath measurement, [twirl + bath projector] o [system
+    # channel].  The final step's own system channel is what the
+    # measurement boundary vector (1, g_a) carries, so a t-step run
+    # composes as (1, g_a) . M^(t-1) . (1, g_b)^T.  Composing the system
+    # channel on the other side instead would apply it t+1 times, which
+    # overcounts the noise (checked against a density-matrix ensemble
+    # oracle).
+    g_a = gamma + (1.0 - gamma) / d_a
+    g_b = gamma + (1.0 - gamma) / d_b
+    c = 1.0 / (d_b * (d_a * d_a * d_b * d_b - 1.0))
+    diag = (d_a * d_a * d_b - 1.0) * c
+    off = d_a * (d_b - 1.0) * c
+    leak = (1.0 - gamma) / d_a
+    m = np.array([
+        [diag, diag * leak + off * gamma],
+        [off * g_b, (off * leak + diag * gamma) * g_b],
+    ])
+    # fold the 4^N_B per-step outcome count into the matrix so the
+    # iteration stays O(1) in magnitude
+    scaled = (4.0 ** n_bath) * m
+    vec = np.array([1.0, g_b])
+    for _ in range(steps - 1):
+        vec = scaled @ vec
+    closed = np.array([1.0, g_a]) @ vec
+    prefactor = (4.0 ** n_system) * (4.0 ** n_bath) / (d_a * d_b * (d_a * d_b + 1.0))
+    single = prefactor * closed - 1.0
+    if not patched:
+        return single
+    return (1.0 + single) ** 2 - 1.0
 
-    ``exact`` runs the 2x2 transfer-matrix recursion on the identity/swap
-    coefficient pair; at gamma = 1 it is the symmetric noiseless recursion
-    of the joint collision probability.  ``asymptotic`` is the
-    large-dimension form
+
+def noisy_xeb_asymptotic(n_system: int, n_bath: int, steps: int, gamma: float) -> float:
+    """Large-dimension form of ``noisy_xeb``,
         gamma^(2t) (1 + (1-gamma) t / (gamma d_B)) + gamma/((1-gamma) d_A),
     which is singular at gamma = 1.
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    if mode == "asymptotic":
-        if not 0.0 < gamma < 1.0:
-            raise ConfigurationError(
-                f"asymptotic form is singular at gamma = 1 and needs gamma in (0, 1), got {gamma}"
-            )
-        d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
-        single = gamma ** (2 * steps) * (1.0 + (1.0 - gamma) * steps / (gamma * d_b)) + gamma / (
-            (1.0 - gamma) * d_a
+    if not 0.0 < gamma < 1.0:
+        raise ConfigurationError(
+            f"asymptotic form is singular at gamma = 1 and needs gamma in (0, 1), got {gamma}"
         )
-    elif mode == "exact":
-        if not 0.0 <= gamma <= 1.0:
-            raise ConfigurationError(f"gamma must lie in [0, 1], got {gamma}")
-        d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
-        # One application of the matrix is one protocol step: the system
-        # channel left over from the previous step, the step unitary average,
-        # and the noisy bath measurement, [twirl + bath projector] o [system
-        # channel].  The final step's own system channel is what the
-        # measurement boundary vector (1, g_a) carries, so a t-step run
-        # composes as (1, g_a) . M^(t-1) . (1, g_b)^T.  Composing the system
-        # channel on the other side instead would apply it t+1 times, which
-        # overcounts the noise (checked against a density-matrix ensemble
-        # oracle).
-        g_a = gamma + (1.0 - gamma) / d_a
-        g_b = gamma + (1.0 - gamma) / d_b
-        c = 1.0 / (d_b * (d_a * d_a * d_b * d_b - 1.0))
-        diag = (d_a * d_a * d_b - 1.0) * c
-        off = d_a * (d_b - 1.0) * c
-        leak = (1.0 - gamma) / d_a
-        m = np.array([
-            [diag, diag * leak + off * gamma],
-            [off * g_b, (off * leak + diag * gamma) * g_b],
-        ])
-        # fold the 4^N_B per-step outcome count into the matrix so the
-        # iteration stays O(1) in magnitude
-        scaled = (4.0 ** n_bath) * m
-        vec = np.array([1.0, g_b])
-        for _ in range(steps - 1):
-            vec = scaled @ vec
-        closed = np.array([1.0, g_a]) @ vec
-        prefactor = (4.0 ** n_system) * (4.0 ** n_bath) / (d_a * d_b * (d_a * d_b + 1.0))
-        single = prefactor * closed - 1.0
-    else:
-        raise ConfigurationError(f"mode must be one of {XEB_MODES}, got {mode!r}")
-    if not patched:
-        return single
-    return (1.0 + single) ** 2 - 1.0
+    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
+    return gamma ** (2 * steps) * (1.0 + (1.0 - gamma) * steps / (gamma * d_b)) + gamma / (
+        (1.0 - gamma) * d_a
+    )

@@ -35,8 +35,13 @@ def small_config(**overrides) -> HrcsConfig:
     return HrcsConfig(**base)
 
 
-def haar_on(n_qubits: int, seed: int):
+def haar_on(n_qubits: int, seed: int) -> np.ndarray:
     return sample_haar_unitary(1 << n_qubits, np.random.default_rng(seed))
+
+
+def unitarity_defect(v: np.ndarray) -> float:
+    """Max-abs deviation of V^dag V from the c x c identity, for a d x c step."""
+    return float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
 
 
 def pauli_string_matrix(code: int, targets, n: int) -> np.ndarray:

@@ -209,11 +209,11 @@ def test_criterion_08_noisy_theory_self_consistency():
     failures = []
     for n in (1, 2, 3):
         for t in range(1, 6):
-            exact = theory.noisy_xeb(n, n, t, 1.0, "exact")
+            exact = theory.noisy_xeb(n, n, t, 1.0)
             ideal = theory.ideal_xeb(n, n, t)
             if abs(exact - ideal) > 1e-12 * max(1.0, abs(ideal)):
                 failures.append(("reduction", n, t))
-    asym = theory.noisy_xeb(5, 5, 10, 0.69, "asymptotic")
+    asym = theory.noisy_xeb_asymptotic(5, 5, 10, 0.69)
     if abs(asym - 0.0703) > 5e-4:
         failures.append(("asymptotic", asym))
     report(8, "noiseless reduction to 1e-12; asymptotic value 0.0703(5)", failures)
@@ -253,8 +253,8 @@ def test_criterion_10_tvd_bounds():
     failures = []
     for t in (1, 2, 3):
         cfg = HrcsConfig(n_system=2, n_bath=1, steps=t, master_seed=1010)
-        bound_exact = theory.tvd_upper_bound(2, 1, t, "exact")
-        bound_asym = theory.tvd_upper_bound(2, 1, t, "asymptotic")
+        bound_exact = theory.tvd_upper_bound(2, 1, t)
+        bound_asym = theory.tvd_upper_bound_asymptotic(2, 1, t)
         values = []
         for b in range(100):
             dist = enumerate_joint_distribution(cfg, instantiate_circuit(cfg, b))

@@ -11,7 +11,6 @@ from hrcslab import (
     CapacityError,
     ConfigurationError,
     HrcsConfig,
-    UnitaryMatrix,
     enumerate_joint_distribution,
     enumerate_noisy_joint_distribution,
     ensemble_aggregate,
@@ -34,7 +33,13 @@ from hrcslab.engine import (
 )
 from hrcslab.circuits import HeaParams, apply_hea_batch, sample_hea_params
 
-from conftest import apply_strings, dense_hea_oracle, pauli_string_matrix, small_config
+from conftest import (
+    apply_strings,
+    dense_hea_oracle,
+    pauli_string_matrix,
+    small_config,
+    unitarity_defect,
+)
 
 
 def one_shot(config, unitaries, rng):
@@ -53,7 +58,7 @@ def all_paths(config):
 
 def identity_steps(config):
     dim = 1 << config.n_qubits
-    return [UnitaryMatrix(np.eye(dim)) for _ in range(config.steps)]
+    return [np.eye(dim, dtype=complex) for _ in range(config.steps)]
 
 
 def depth_first_reference(config, unitaries):
@@ -100,13 +105,13 @@ class TestInstantiation:
         a = instantiate_circuit(cfg, 3)
         b = instantiate_circuit(cfg, 3)
         for u, v in zip(a, b):
-            np.testing.assert_array_equal(u.entries, v.entries)
+            np.testing.assert_array_equal(u, v)
 
     def test_different_indices_differ(self):
         cfg = small_config()
         a = instantiate_circuit(cfg, 0)
         b = instantiate_circuit(cfg, 1)
-        assert not np.allclose(a[0].entries, b[0].entries)
+        assert not np.allclose(a[0], b[0])
 
     def test_instances_independent_of_enumeration_order(self):
         cfg = small_config()
@@ -114,7 +119,7 @@ class TestInstantiation:
         _ = [instantiate_circuit(cfg, i) for i in range(5)]
         again = instantiate_circuit(cfg, 5)
         for u, v in zip(direct, again):
-            np.testing.assert_array_equal(u.entries, v.entries)
+            np.testing.assert_array_equal(u, v)
 
     def test_haar_source_dimensions(self):
         # a reset bath reads 0 before every step: only the first 2^n_A columns act
@@ -122,20 +127,20 @@ class TestInstantiation:
         steps = instantiate_circuit(cfg, 0)
         assert len(steps) == 3
         for u in steps:
-            assert u.dim == 4 and u.columns == 2
-            assert u.unitarity_defect() < 1e-12
+            assert u.shape == (4, 2)
+            assert unitarity_defect(u) < 1e-12
 
     def test_no_reset_source_draws_full_unitaries(self):
         cfg = HrcsConfig(n_system=1, n_bath=1, steps=3, reset_bath=False, master_seed=1)
         for u in instantiate_circuit(cfg, 0):
-            assert u.dim == 4 and u.columns == 4
-            assert u.unitarity_defect() < 1e-12
+            assert u.shape == (4, 4)
+            assert unitarity_defect(u) < 1e-12
 
     def test_reset_draws_are_the_full_draws_columns(self):
         cfg = small_config(n_bath=2, steps=3)
         full = instantiate_circuit(dataclasses.replace(cfg, reset_bath=False), 4)
         for u, v in zip(instantiate_circuit(cfg, 4), full):
-            np.testing.assert_array_equal(u.entries, v.entries[:, : u.columns])
+            np.testing.assert_array_equal(u, v[:, : u.shape[1]])
 
     def test_hea_source_builds_sequences(self):
         cfg = HrcsConfig(
@@ -636,8 +641,8 @@ class TestStepMatrices:
                     )
         dense_cfg = small_config(n_system=1, steps=2)
         dense = instantiate_circuit(dense_cfg, 0)
-        for m, u in zip(step_matrices(dense, dense[0].columns), dense):
-            np.testing.assert_array_equal(m, u.entries)
+        for m, u in zip(step_matrices(dense, dense[0].shape[1]), dense):
+            np.testing.assert_array_equal(m, u)
 
 
 def gate_kernel_propagate(picked, bath, step, d_bath, dense=engine_mod._propagate):
@@ -749,6 +754,25 @@ class TestStepCount:
         monkeypatch.setattr(engine_mod, "step_matrices", no_work)
         with pytest.raises(ConfigurationError, match="no-reset"):
             self.MODES[mode](dataclasses.replace(cfg, reset_bath=False), steps)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("step", [
+        np.zeros((4, 8), dtype=complex),  # more columns than rows
+        np.zeros((8, 2), dtype=complex),  # a step of a 3-qubit register
+        np.zeros(4, dtype=complex),
+        np.eye(4, 2).tolist(),  # not an array
+    ], ids=["4x8", "8x2", "1d", "list"])
+    def test_malformed_dense_step_refused(self, mode, step, monkeypatch):
+        # a dense step is a plain 2^n x c array with 2^n_A <= c <= 2^n under
+        # a reset; anything else is refused before any step runs
+        def no_work(*args):
+            raise AssertionError("a step ran")
+
+        cfg = HrcsConfig(n_system=1, n_bath=1, steps=1)
+        monkeypatch.setattr(engine_mod, "_propagate", no_work)
+        monkeypatch.setattr(engine_mod, "step_matrices", no_work)
+        with pytest.raises(ConfigurationError, match="is not the 4 x c array, 2 <= c <= 4"):
+            self.MODES[mode](cfg, [step])
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     @pytest.mark.parametrize("n_qubits", [2, 4])

@@ -38,10 +38,10 @@ DIRECT_THEORY = {
     "marginal_cp_temporal": lambda: theory.marginal_cp("temporal", 2, 1, 3),
     "marginal_cp_per_step": lambda: theory.marginal_cp("per_step", 2, 1, 3),
     "ideal_xeb": lambda: theory.ideal_xeb(2, 1, 3),
-    "noisy_xeb_exact": lambda: theory.noisy_xeb(2, 1, 3, 0.7, "exact"),
-    "noisy_xeb_asymptotic": lambda: theory.noisy_xeb(2, 1, 3, 0.7, "asymptotic"),
-    "tvd_bound_exact": lambda: theory.tvd_upper_bound(2, 1, 3, "exact"),
-    "tvd_bound_asymptotic": lambda: theory.tvd_upper_bound(2, 1, 3, "asymptotic"),
+    "noisy_xeb_exact": lambda: theory.noisy_xeb(2, 1, 3, 0.7),
+    "noisy_xeb_asymptotic": lambda: theory.noisy_xeb_asymptotic(2, 1, 3, 0.7),
+    "tvd_bound_exact": lambda: theory.tvd_upper_bound(2, 1, 3),
+    "tvd_bound_asymptotic": lambda: theory.tvd_upper_bound_asymptotic(2, 1, 3),
     "critical_steps": lambda: theory.critical_steps(2, 1, 0.5, 3),
 }
 
@@ -320,6 +320,33 @@ class TestCapacity:
             batch_bytes = spec.shots * (16 << (spec.n_system + spec.n_bath))
             assert peak < runner_mod.SAMPLER_LIVE_COPIES * batch_bytes, (reset, shots)
 
+    def test_hea_angles_beyond_memory_refused_before_work(self, seven_gib, no_work):
+        # 10^9 layers on 2 qubits: three steps hold 96 GB of angles
+        spec = ExperimentSpec(
+            kind="cp_sweep", n_system=1, n_bath=1, steps=(3,), instances=1,
+            unitary_source="hea", hea_layers=10**9,
+        )
+        with pytest.raises(CapacityError, match="step unitaries"):
+            run_experiment(spec)
+        runner_mod._check_capacity(dataclasses.replace(spec, hea_layers=10**7))
+
+    def test_hea_angles_peak_within_budget(self):
+        # what _check_capacity budgets for an HEA instance's angles bounds
+        # what drawing its steps holds at the peak
+        n_system, n_bath, t, layers = 1, 2, 3, 100_000
+        config = hrcslab.HrcsConfig(
+            n_system=n_system, n_bath=n_bath, steps=t, unitary_source="hea", hea_layers=layers
+        )
+        tracemalloc.start()
+        try:
+            hrcslab.instantiate_circuit(config, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        angle_array = 8 * layers * (n_system + n_bath)
+        assert 2 * t * angle_array < peak
+        assert peak < (2 * t + runner_mod.HEA_ANGLE_TRANSIENT_COPIES) * angle_array
+
     def test_pooled_distributions_beyond_memory_refused_before_work(self, monkeypatch):
         # 10^4 instances of 2^22 probabilities are 336 GB per pooled copy
         def no_work(*args):
@@ -454,13 +481,13 @@ class TestRunExperiment:
         "family, gamma, reason",
         [
             ("tvd_bound_asymptotic", None, "math range error"),
-            ("ideal_xeb", None, "math domain error"),
+            ("ideal_xeb", None, "math range error"),
             ("noisy_xeb_exact", 1.0, "overflow encountered in matmul"),
         ],
     )
     def test_formula_out_of_range_names_family_and_point(self, family, gamma, reason):
-        # at 1+1, t = 20000: exp((t-1)/4) overflows, the CP underflows to 0
-        # before its log, and the noiseless transfer matrix outgrows a double
+        # at 1+1, t = 20000: exp((t-1)/4) overflows, so does 2^N_eff Z (about
+        # e^3646), and the noiseless transfer matrix outgrows a double
         spec = ExperimentSpec(
             kind="theory_table", n_system=1, n_bath=1, steps=(20000,),
             gammas=(gamma,) if gamma else (), theory_family=family,
@@ -499,6 +526,19 @@ class TestRunExperiment:
         assert 0.0 <= ks_rec.measured.mean < 0.2
         assert int_rec.statistic == "pop_density_integral"
         assert int_rec.measured.mean == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("n_system, n_bath, t", [(1, 1, 2), (2, 1, 2), (4, 5, 2)])
+    def test_pop_density_integral_theory_is_porter_thomas_range_mass(self, n_system, n_bath, t):
+        # the histogram spans [1e-2/D, 50/D], clipped at p = 1 below D = 50
+        spec = ExperimentSpec(
+            kind="pop_hist", n_system=n_system, n_bath=n_bath, steps=(t,), instances=2,
+            master_seed=1,
+        )
+        _, int_rec = run_experiment(spec)
+        d = 2.0 ** (n_system + t * n_bath)
+        mass = (1 - 1e-2 / d) ** (d - 1) - (1 - min(50 / d, 1)) ** (d - 1)
+        assert int_rec.theory_source == "porter_thomas_density"
+        assert int_rec.theory_value == pytest.approx(mass, rel=1e-12)
 
     @pytest.mark.parametrize(
         "kind", [kind for kind, entry in KIND_TABLE.items() if entry.measure is not None]

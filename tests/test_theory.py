@@ -2,12 +2,15 @@
 monotonicity, and large-register finiteness."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from hrcslab import ConfigurationError
+from hrcslab.estimators import ks_distance_to_porter_thomas
 from hrcslab.theory import (
     critical_steps,
     haar_power_sum,
@@ -15,10 +18,12 @@ from hrcslab.theory import (
     ideal_xeb,
     marginal_cp,
     noisy_xeb,
+    noisy_xeb_asymptotic,
     porter_thomas_cdf,
     porter_thomas_density,
     step_collision_probability,
     tvd_upper_bound,
+    tvd_upper_bound_asymptotic,
 )
 
 
@@ -204,16 +209,28 @@ class TestPopDensities:
             num, _ = integrate.quad(lambda q: porter_thomas_density(d, q), 0, p)
             assert porter_thomas_cdf(d, p) == pytest.approx(num, abs=1e-10)
 
+    @pytest.mark.parametrize("d", [2.0, 8.0, 2.0 ** 20])
+    def test_cdf_at_one_is_one_without_a_warning(self, d):
+        # (1 - p)^(d-1) is taken through log1p(-p), which is -inf at p = 1;
+        # a distribution with a certain outcome reaches that point
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert porter_thomas_cdf(d, 1.0) == 1.0
+            np.testing.assert_array_equal(porter_thomas_cdf(d, [0.0, 1.0]), [0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ks_distance_to_porter_thomas([1.0, 0.0, 0.0, 0.0], 2) == pytest.approx(0.75)
+
 
 class TestTvdBound:
     def test_exact_value(self):
-        got = tvd_upper_bound(1, 1, 2, "exact")
+        got = tvd_upper_bound(1, 1, 2)
         assert got == pytest.approx(0.5 * math.sqrt(8 * 0.24), rel=1e-12)
         assert got == pytest.approx(0.6928203230275509, rel=1e-12)
 
     def test_asymptotic_at_one_step(self):
         for n_a in (1, 4, 9):
-            assert tvd_upper_bound(n_a, 2, 1, "asymptotic") == pytest.approx(
+            assert tvd_upper_bound_asymptotic(n_a, 2, 1) == pytest.approx(
                 1 / math.sqrt(2), rel=1e-12
             )
 
@@ -228,6 +245,18 @@ class TestIdealXeb:
     def test_two_step_value(self):
         assert ideal_xeb(1, 1, 2) == pytest.approx(0.92, rel=1e-12)
 
+    def test_finite_where_the_collision_probability_underflows(self):
+        # at 1+10, t = 120 the CP is about e^-784, below the smallest double,
+        # while 2^N_eff Z is about 1.7e21; exact rationals are the oracle
+        n_a, n_b, t = 1, 10, 120
+        n_eff = n_a + t * n_b
+        scaled = Fraction(2 ** n_eff * 2 * 3 ** (t - 1), 2049 ** t)
+        assert step_collision_probability(n_a, n_b, t) == 0.0
+        assert ideal_xeb(n_a, n_b, t) == pytest.approx(float(scaled - 1), rel=1e-10)
+        assert tvd_upper_bound(n_a, n_b, t) == pytest.approx(
+            0.5 * math.sqrt(float(scaled)), rel=1e-10
+        )
+
     def test_patched_composition(self):
         for n_a, n_b, t in ((1, 1, 2), (2, 2, 3), (5, 5, 10)):
             single = ideal_xeb(n_a, n_b, t)
@@ -241,21 +270,21 @@ class TestNoisyXeb:
         # collision probability
         for n_a, n_b in ((1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (2, 3), (5, 5)):
             for t in range(1, 7):
-                exact = noisy_xeb(n_a, n_b, t, 1.0, "exact")
+                exact = noisy_xeb(n_a, n_b, t, 1.0)
                 ideal = ideal_xeb(n_a, n_b, t)
                 assert abs(exact - ideal) <= 1e-12 * max(1.0, abs(ideal)), (n_a, n_b, t)
 
     def test_asymptotic_anchor_value(self):
-        got = noisy_xeb(5, 5, 10, 0.69, "asymptotic")
+        got = noisy_xeb_asymptotic(5, 5, 10, 0.69)
         assert got == pytest.approx(0.0703, abs=5e-4)
         assert got == pytest.approx(0.07023885075388325, rel=1e-12)
 
     def test_asymptotic_rejects_noiseless_gamma(self):
         with pytest.raises(ConfigurationError):
-            noisy_xeb(2, 2, 3, 1.0, "asymptotic")
+            noisy_xeb_asymptotic(2, 2, 3, 1.0)
 
     def test_decays_to_positive_plateau(self):
-        vals = [noisy_xeb(10, 10, t, 0.7, "exact") for t in range(1, 31)]
+        vals = [noisy_xeb(10, 10, t, 0.7) for t in range(1, 31)]
         knee = int(np.argmin(vals))
         assert knee >= 10
         assert all(b < a for a, b in zip(vals[: knee + 1], vals[1 : knee + 1]))
@@ -266,15 +295,15 @@ class TestNoisyXeb:
     def test_exact_asymptotic_gap_shrinks_with_size(self):
         def worst_gap(n):
             return max(
-                abs(noisy_xeb(n, n, t, 0.7, "exact") / noisy_xeb(n, n, t, 0.7, "asymptotic") - 1)
+                abs(noisy_xeb(n, n, t, 0.7) / noisy_xeb_asymptotic(n, n, t, 0.7) - 1)
                 for t in range(1, 11)
             )
 
         assert worst_gap(10) < worst_gap(5)
 
     def test_patched_composition(self):
-        single = noisy_xeb(2, 2, 3, 0.8, "exact")
-        patched = noisy_xeb(2, 2, 3, 0.8, "exact", patched=True)
+        single = noisy_xeb(2, 2, 3, 0.8)
+        patched = noisy_xeb(2, 2, 3, 0.8, patched=True)
         assert patched == pytest.approx((1 + single) ** 2 - 1, rel=1e-12)
 
     @pytest.mark.parametrize("gamma", [1.5, -0.1, float("nan")])
@@ -304,5 +333,5 @@ class TestNoisyXeb:
             dirty = enumerate_noisy_joint_distribution(cfg, steps, gamma)
             vals.append(2.0 ** cfg.n_eff * float(np.dot(clean, dirty)) - 1.0)
         stats = ensemble_aggregate(vals)
-        target = noisy_xeb(n_a, n_b, t, gamma, "exact")
+        target = noisy_xeb(n_a, n_b, t, gamma)
         assert abs(stats.mean - target) < 4 * stats.std_error
