@@ -5,15 +5,17 @@ applies it to an amplitude batch.  An HEA step is its drawn ``HeaParams``.
 One HEA layer rotates every qubit (RX then RZ) and then entangles with a fixed
 brickwork of CNOTs: pairs (2i, 2i+1) first, pairs (2i+1, 2i+2) second, pairs
 falling off the register dropped.  Angles are drawn uniformly from [0, 4*pi).
-The kernel fuses each qubit's RX and RZ into one 2x2 and applies each layer's
-CNOTs as one precomputed permutation of the amplitude index.  The engine
-runs it on a batch of states, or on the basis rows of the columns a step can
-reach, to compile the step into a dense matrix (``engine.step_matrices``).
+The kernel fuses each qubit's RX and RZ into one 2x2, and applies a layer's
+rotations as two dense products on each row viewed as a 2^(N - N//2) x
+2^(N//2) matrix: the Kronecker product of the low N//2 qubits' 2x2s from the
+right, that of the high qubits from the left.  Each layer's CNOTs follow as
+one precomputed permutation of the amplitude index.  The engine runs this
+one kernel on a batch of states, and on the basis rows of the columns a step
+can reach to compile the step into a dense matrix (``engine.step_matrices``).
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -51,10 +53,6 @@ class HeaParams:
     def n_qubits(self) -> int:
         return self.thetas.shape[1]
 
-    @property
-    def count(self) -> int:
-        return 2 * self.layers * self.n_qubits
-
 
 def sample_hea_params(n_qubits: int, layers: int, rng: np.random.Generator) -> HeaParams:
     """Draw 2*L*N independent angles uniform on [0, 4*pi)."""
@@ -85,13 +83,6 @@ def hea_gate_count(n_qubits: int, layers: int) -> int:
     return layers * (2 * n_qubits + len(brickwork_pairs(n_qubits)))
 
 
-def _rotation(theta: float, phi: float) -> np.ndarray:
-    """RZ(phi) RX(theta), one qubit's rotations of a layer fused into one 2x2."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    down, up = cmath.exp(-0.5j * phi), cmath.exp(0.5j * phi)
-    return np.array([[down * c, -1j * down * s], [-1j * up * s, up * c]])
-
-
 @functools.lru_cache(maxsize=None)
 def _brickwork_permutation(n_qubits: int) -> np.ndarray:
     """One entangling layer as a single gather: entry j of a row takes the
@@ -105,29 +96,48 @@ def _brickwork_permutation(n_qubits: int) -> np.ndarray:
     return perm
 
 
-def _apply_2x2(amps: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
-    """Apply a 2x2 matrix on qubit q of every row, through the strided view
-    (rows, 2^(n-q-1), 2, 2^q) whose axis 2 is qubit q."""
-    view = amps.reshape(amps.shape[0], -1, 2, 1 << q)
-    lo, hi = view[:, :, 0], view[:, :, 1]
-    out = np.empty_like(view)
-    np.multiply(matrix[0, 0], lo, out=out[:, :, 0])
-    out[:, :, 0] += matrix[0, 1] * hi
-    np.multiply(matrix[1, 1], hi, out=out[:, :, 1])
-    out[:, :, 1] += matrix[1, 0] * lo
-    return out.reshape(amps.shape)
+def _half_register_products(params: HeaParams, n_low: int) -> list[np.ndarray]:
+    """Each layer's rotations as two (L, d, d) Kronecker products, built for
+    all L layers at once: the transposed one of qubits 0..n_low-1, then the
+    one of the rest, a higher qubit being a more left factor.  A qubit's
+    fused RZ(phi) RX(theta), with c, s = cos, sin(theta/2), is
+    [[e^(-i phi/2) c, -i e^(-i phi/2) s], [-i e^(i phi/2) s, e^(i phi/2) c]]."""
+    c, s = np.cos(params.thetas / 2.0), np.sin(params.thetas / 2.0)
+    down, up = np.exp(-0.5j * params.phis), np.exp(0.5j * params.phis)
+    rotations = np.stack([down * c, -1j * down * s, -1j * up * s, up * c], axis=-1)
+    rotations = rotations.reshape(*c.shape, 2, 2)
+    products = []
+    for qubits in (rotations[:, :n_low].swapaxes(2, 3), rotations[:, n_low:]):
+        product = np.ones((params.layers, 1, 1), dtype=complex)
+        for q in reversed(range(qubits.shape[1])):
+            d = 2 * product.shape[1]
+            product = product[:, :, None, :, None] * qubits[:, q, None, :, None, :]
+            product = product.reshape(-1, d, d)
+        products.append(product)
+    return products
 
 
 def apply_hea_batch(amps: np.ndarray, params: HeaParams) -> np.ndarray:
     """Apply the ansatz to every row of a (batch, 2^N) amplitude array.
 
-    Each layer is one fused 2x2 product per qubit on a strided view, then
-    one gather by the brickwork's composed permutation.  The input is never
-    written to.
+    Per layer, the two half-register products and the gather write into two
+    buffers in turn.  The input is never written to, and it is dropped after
+    the first product, so a temporary input is freed before the second
+    buffer exists.
     """
-    perm = _brickwork_permutation(params.n_qubits)
-    for thetas, phis in zip(params.thetas, params.phis):
-        for q, (theta, phi) in enumerate(zip(thetas, phis)):
-            amps = _apply_2x2(amps, _rotation(theta, phi), q)
-        amps = amps[:, perm]
-    return amps
+    n, n_low, rows = params.n_qubits, params.n_qubits // 2, len(amps)
+    lows, highs = _half_register_products(params, n_low)
+    perm = _brickwork_permutation(n)
+    shape = (rows, 1 << (n - n_low), 1 << n_low)
+    state, spare = amps.reshape(shape), None
+    del amps
+    for low, high in zip(lows, highs):
+        rotated = np.matmul(state, low, out=spare)
+        if spare is None:
+            del state  # the input batch
+            state = np.empty(shape, dtype=complex)
+        np.matmul(high, rotated, out=state)
+        np.take(state.reshape(rows, -1), perm, axis=1, out=rotated.reshape(rows, -1),
+                mode="clip")  # "raise" would copy through a buffer
+        state, spare = rotated, state
+    return state.reshape(rows, -1)

@@ -5,15 +5,13 @@ circuit whose bath is reset before every step, the 2^n x 2^n_A isometry of
 its first 2^n_A columns, the only ones a state with the bath at 0 can reach.
 ``engine._propagate`` advances a batch of kept system blocks by a dense step,
 and by an HEA step compiled to one, and ``circuits.apply_hea_batch`` runs an
-HEA step gate by gate on a (rows, 2^n) batch.
-``PAULI_MATRICES`` is the dense oracle the tests check the batched Pauli
-unraveling against.
+HEA step layer by layer on a (rows, 2^n) batch.
 
 Bit convention used everywhere in this package: qubit 0 is the least
 significant bit of the amplitude index, so the basis state
 |q_{n-1} ... q_1 q_0> lives at index sum_i q_i 2^i.  The view
-``amps.reshape(rows, 2^(n-q-1), 2, 2^q)`` of a batch therefore has qubit ``q``
-on axis 2.
+``amps.reshape(rows, 2^(n-k), 2^k)`` of a batch therefore has qubits 0..k-1
+on its last axis.
 """
 
 from __future__ import annotations
@@ -23,13 +21,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 PROB_FLOOR = 1e-300
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def sample_haar_unitary(

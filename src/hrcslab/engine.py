@@ -11,7 +11,7 @@ holds each row's kept system block, a (rows, 2^n_A) batch, and the bath
 block it sits in (0 after a reset).  Its kernel ``_propagate`` turns that
 into the (rows, 2^n) state after the next step: a dense step, or an HEA step
 compiled to the columns it reaches, is one matrix product; an HEA step with
-a kept bath, or with more columns than rows, runs gate by gate.  This is
+a kept bath, or with more columns than rows, runs layer by layer.  This is
 decided at every step, so enumeration compiles once its tree level has as
 many rows as the step has columns.  A step is either a complex 2^n x c
 array, the first c columns of a unitary, or the ``HeaParams`` of an HEA
@@ -28,9 +28,8 @@ drawn strings.
 A sampled path is a row of ``TrajectoryBatch``; an exact distribution is a
 float64 vector of 2^n_eff probabilities.  Outcome indexing: a joint outcome
 (z_1, ..., z_t, x) maps to the integer with z_1 in the most significant bit
-block and x in the least significant one (the order of
-``TrajectoryBatch.joint_indices`` and of enumerated leaves).  Within each
-block the register's own low qubit is the low bit.
+block and x in the least significant one (the order of enumerated leaves).
+Within each block the register's own low qubit is the low bit.
 """
 
 from __future__ import annotations
@@ -154,9 +153,11 @@ def _propagate(
     HEA step applied there with no more columns than rows is compiled to
     them (``step_matrices``) and applied as a dense step, so the compiled
     matrix is at most one batch copy.  Otherwise, and always with a kept
-    bath, its gates run on the full register that ``_keep_branch`` rebuilds:
+    bath, its layers run on the full register that ``_keep_branch`` rebuilds:
     a kept bath reaches all 2^n columns, whose dense product costs 2^n
-    multiply-adds per amplitude against the step's few gate passes.
+    multiply-adds per amplitude, and compiling them runs 2^n basis rows
+    through the kernel; the kernel costs 2^(n - n//2) + 2^(n//2) per
+    amplitude and layer (64 at n = 10).
 
     With every bath at 0 a dense step is one product of the blocks with the
     step's first 2^n_A columns, bitwise that of the zero-padded full-register
@@ -200,16 +201,6 @@ class TrajectoryBatch:
 
     def __len__(self) -> int:
         return self.final_outcomes.size
-
-    def joint_indices(self, config: HrcsConfig) -> np.ndarray:
-        if config.n_eff > 63:
-            raise ConfigurationError(
-                f"joint indices of {config.n_eff} effective bits do not fit in int64"
-            )
-        idx = np.zeros(len(self), dtype=np.int64)
-        for k in range(config.steps):
-            idx = (idx << config.n_bath) | self.bath_outcomes[:, k]
-        return (idx << config.n_system) | self.final_outcomes
 
 
 def _random_paulis(rows: int, m: int, gamma: float, rng: np.random.Generator):

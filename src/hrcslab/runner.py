@@ -201,7 +201,8 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 # HEA compiled to the 2^n_A columns a reset bath reaches gives 2.1-2.3, and
 # 3.1-3.3 at 7+3 to 8+4 and 3.5 at 9+1 with 2^n_A shots, where those columns
 # are one batch copy.  Without a reset, the HEA steps after the first run
-# gate by gate on the rebuilt register: 2.6-2.8, and 2.9-3.1 at 200 shots
+# their layers on the rebuilt register at 3+5 to 6+2: 2.1-2.3, and 2.1-2.6 at
+# 200 shots
 SAMPLER_LIVE_COPIES = 4
 # 2^n x 2^n complex arrays that drawing one full Haar step holds beside its
 # output: peak RSS of sample_haar_unitary at 10-11 qubits grows by 4.1-4.3

@@ -5,9 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from hrcslab import HrcsConfig, sample_haar_unitary
+from hrcslab import ConfigurationError, HrcsConfig, sample_haar_unitary
 from hrcslab.circuits import brickwork_pairs
-from hrcslab.core import PAULI_MATRICES
+
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 @pytest.fixture
@@ -27,6 +33,19 @@ def zero_batch(n_qubits: int, rows: int = 1) -> np.ndarray:
     amps = np.zeros((rows, 1 << n_qubits), dtype=complex)
     amps[:, 0] = 1.0
     return amps
+
+
+def joint_indices(batch, config: HrcsConfig) -> np.ndarray:
+    """Each sampled path of a ``TrajectoryBatch`` as its joint outcome index:
+    z_1 in the most significant bit block, the final x in the least."""
+    if config.n_eff > 63:
+        raise ConfigurationError(
+            f"joint indices of {config.n_eff} effective bits do not fit in int64"
+        )
+    idx = np.zeros(len(batch), dtype=np.int64)
+    for k in range(config.steps):
+        idx = (idx << config.n_bath) | batch.bath_outcomes[:, k]
+    return (idx << config.n_system) | batch.final_outcomes
 
 
 def small_config(**overrides) -> HrcsConfig:
@@ -93,12 +112,14 @@ def cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
     return out
 
 
-def dense_hea_oracle(params) -> np.ndarray:
+def dense_hea_oracle(params, columns=None) -> np.ndarray:
     """Dense matrix of an HEA step, gate by gate from explicit Kronecker RX and
     RZ operators and bit-loop CNOTs over the brickwork, independent of the
-    batch kernel: per layer every RX, then every RZ, then the CNOTs in order."""
+    batch kernel: per layer every RX, then every RZ, then the CNOTs in order.
+    Given 2^n x c ``columns``, the step's product with them instead, which
+    spares the 2^n x 2^n products at large n."""
     n = params.n_qubits
-    out = np.eye(1 << n, dtype=complex)
+    out = np.eye(1 << n, dtype=complex) if columns is None else columns
     for thetas, phis in zip(params.thetas, params.phis):
         for q in range(n):
             out = single_qubit_matrix(rx_matrix(thetas[q]), q, n) @ out

@@ -28,6 +28,8 @@ from hrcslab.engine import derive_seed
 from hrcslab.estimators import ks_distance_to_porter_thomas
 from hrcslab.runner import ExperimentSpec, run_experiment, write_records
 
+from conftest import joint_indices
+
 
 def report(num: int, description: str, failures: list) -> None:
     status = "PASS" if not failures else "FAIL"
@@ -183,7 +185,7 @@ def test_criterion_07_noisy_oracle_chain():
     oracle = enumerate_noisy_joint_distribution(cfg, steps, 0.7)
     rng = np.random.default_rng(derive_seed(707, "c7a"))
     batch = sample_trajectories(cfg, steps, 1_000_000, 0.7, rng)
-    hist = np.bincount(batch.joint_indices(cfg), minlength=oracle.size)
+    hist = np.bincount(joint_indices(batch, cfg), minlength=oracle.size)
     l1 = float(np.abs(hist / len(batch) - oracle).sum())
     if l1 > 2e-2:
         failures.append(("l1", l1))

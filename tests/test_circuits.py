@@ -1,5 +1,5 @@
-"""Ansatz tests: parameter sampling, brickwork layout, the fused batch kernel
-against an independent dense oracle, and convergence of the layered circuit
+"""Ansatz tests: parameter sampling, brickwork layout, the half-register
+batch kernel against an independent dense oracle, and convergence of the layered circuit
 toward Haar statistics."""
 
 import math
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hrcslab import ConfigurationError, HeaParams, hea_gate_count, sample_hea_params
-from hrcslab.circuits import TWO_TURNS, apply_hea_batch, brickwork_pairs
+from hrcslab.circuits import TWO_TURNS, _brickwork_permutation, apply_hea_batch, brickwork_pairs
 from hrcslab.theory import haar_power_sum
 
 from conftest import (
@@ -27,6 +27,11 @@ def compiled(params: HeaParams) -> np.ndarray:
     return apply_hea_batch(np.eye(1 << params.n_qubits, dtype=complex), params).T
 
 
+def angle_count(params: HeaParams) -> int:
+    """Free angles of an ansatz: one theta and one phi per qubit and layer."""
+    return 2 * params.layers * params.n_qubits
+
+
 def zero_angles(n: int, layers: int) -> HeaParams:
     return HeaParams(np.zeros((layers, n)), np.zeros((layers, n)))
 
@@ -37,8 +42,8 @@ class TestParamSampling:
         # 80 + 80 = 160 free angles; a lone 5-qubit register carries 80
         params = sample_hea_params(10, 8, rng)
         assert params.thetas.size == 80 and params.phis.size == 80
-        assert params.count == 160
-        assert sample_hea_params(5, 8, rng).count == 80
+        assert angle_count(params) == 160
+        assert angle_count(sample_hea_params(5, 8, rng)) == 80
 
     def test_angles_in_range(self, rng):
         params = sample_hea_params(4, 6, rng)
@@ -87,7 +92,7 @@ class TestBuildHea:
         assert hea_gate_count(5, 8) == 112
         assert hea_gate_count(10, 8) == 232
         params = sample_hea_params(5, 8, rng)
-        assert params.count + params.layers * len(brickwork_pairs(5)) == 112
+        assert angle_count(params) + params.layers * len(brickwork_pairs(5)) == 112
 
     def test_zero_angles_reduce_to_entangler_power(self):
         layers = 3
@@ -164,6 +169,53 @@ class TestDenseCompilation:
         before = states.copy()
         apply_hea_batch(states, params)
         np.testing.assert_array_equal(states, before)
+
+
+def random_batch(n: int, rows: int, seed: int) -> np.ndarray:
+    gen = np.random.default_rng(seed)
+    states = gen.standard_normal((rows, 1 << n)) + 1j * gen.standard_normal((rows, 1 << n))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+class TestHalfRegisterKernel:
+    """A layer's rotations as a low-half product from the right and a
+    high-half product from the left, at every split and batch size."""
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_matches_oracle_beyond_six_qubits(self, n, rng):
+        params = sample_hea_params(n, 2, rng)
+        states = random_batch(n, 4, seed=n)
+        expected = dense_hea_oracle(params, states.T).T
+        np.testing.assert_allclose(apply_hea_batch(states, params), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 9])
+    def test_unequal_halves_compile_to_oracle(self, n, rng):
+        # n = 2 splits 1 + 1; odd n puts one qubit more in the high half
+        params = sample_hea_params(n, 2, rng)
+        np.testing.assert_allclose(compiled(params), dense_hea_oracle(params), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 16, 1000])
+    def test_batch_sizes(self, rows, rng):
+        # one row, the 2^n_A rows a reset step compiles at 4 + 3, and a
+        # kept-bath batch of shots
+        params = sample_hea_params(7, 3, rng)
+        states = random_batch(7, rows, seed=rows)
+        expected = states @ dense_hea_oracle(params).T
+        np.testing.assert_allclose(apply_hea_batch(states, params), expected, rtol=0, atol=1e-12)
+
+    def test_zero_angle_layer_is_the_bare_gather(self):
+        states = random_batch(10, 3, seed=10)
+        out = apply_hea_batch(states, zero_angles(10, 1))
+        np.testing.assert_array_equal(out, states[:, _brickwork_permutation(10)])
+
+    def test_kept_bath_batch_left_unchanged(self, rng):
+        # more rows than the 32 columns of a reset 5 + 5 step, as the
+        # register _keep_branch rebuilds for a kept bath
+        states = random_batch(10, 100, seed=3)
+        before = states.copy()
+        out = apply_hea_batch(states, sample_hea_params(10, 2, rng))
+        np.testing.assert_array_equal(states, before)
+        assert not np.shares_memory(out, states)
 
 
 class TestHaarConvergence:

@@ -24,6 +24,7 @@ from conftest import (
     apply_strings,
     cnot_permutation,
     haar_on,
+    joint_indices,
     pauli_string_matrix,
     random_state,
     rx_matrix,
@@ -297,7 +298,7 @@ class TestCollapse:
         psi = random_state(3, seed=4)
         config, steps = one_step(psi, n_system=1)
         batch = sample_trajectories(config, steps, 2000, 1.0, np.random.default_rng(5))
-        expected = np.abs(psi[batch.joint_indices(config)]) ** 2
+        expected = np.abs(psi[joint_indices(batch, config)]) ** 2
         np.testing.assert_allclose(batch.model_probabilities, expected, rtol=1e-10)
 
     def test_zero_probability_branch_raises(self):

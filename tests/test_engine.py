@@ -36,6 +36,7 @@ from hrcslab.circuits import HeaParams, apply_hea_batch, sample_hea_params
 from conftest import (
     apply_strings,
     dense_hea_oracle,
+    joint_indices,
     pauli_string_matrix,
     small_config,
     unitarity_defect,
@@ -182,7 +183,7 @@ class TestTrajectories:
         rng = np.random.default_rng(5)
         for _ in range(25):
             shot = one_shot(cfg, steps, rng)
-            idx = shot.joint_indices(cfg)[0]
+            idx = joint_indices(shot, cfg)[0]
             assert shot.model_probabilities[0] == pytest.approx(dist[idx], rel=1e-10)
 
     def test_single_step_haar_cp_estimate(self):
@@ -216,7 +217,7 @@ class TestTrajectories:
         dist = enumerate_joint_distribution(cfg, steps)
         rng = np.random.default_rng(2)
         batch = sample_trajectories(cfg, steps, 100_000, 1.0, rng)
-        hist = np.bincount(batch.joint_indices(cfg), minlength=dist.size)
+        hist = np.bincount(joint_indices(batch, cfg), minlength=dist.size)
         freq = hist / len(batch)
         se = np.sqrt(dist * (1 - dist) / len(batch))
         assert np.all(np.abs(freq - dist) <= 4 * se + 1e-9)
@@ -241,12 +242,12 @@ class TestTrajectories:
         batch = TrajectoryBatch(np.zeros((2, 12), dtype=np.int64), np.zeros(2, dtype=np.int64),
                                 np.ones(2))
         with pytest.raises(ConfigurationError, match="int64"):
-            batch.joint_indices(cfg)
+            joint_indices(batch, cfg)
 
     def test_joint_indices_at_63_bits(self):
         cfg = HrcsConfig(n_system=3, n_bath=5, steps=12)
         batch = TrajectoryBatch(np.full((1, 12), 31), np.full(1, 7), np.ones(1))
-        assert batch.joint_indices(cfg).tolist() == [2**63 - 1]
+        assert joint_indices(batch, cfg).tolist() == [2**63 - 1]
 
 
 class TestIdealProbability:
@@ -576,7 +577,7 @@ class TestNoisyEnumeration:
         assert oracle.sum() == pytest.approx(1.0, abs=1e-8)
         rng = np.random.default_rng(42)
         batch = sample_trajectories(cfg, steps, 200_000, 0.7, rng)
-        hist = np.bincount(batch.joint_indices(cfg), minlength=8) / len(batch)
+        hist = np.bincount(joint_indices(batch, cfg), minlength=8) / len(batch)
         assert np.abs(hist - oracle).sum() < 2e-2
 
     def test_reset_and_no_reset_oracles(self):
@@ -587,7 +588,7 @@ class TestNoisyEnumeration:
             assert noisy.sum() == pytest.approx(1.0, abs=1e-8)
             rng = np.random.default_rng(17)
             batch = sample_trajectories(cfg, steps, 150_000, 0.6, rng)
-            hist = np.bincount(batch.joint_indices(cfg), minlength=8) / len(batch)
+            hist = np.bincount(joint_indices(batch, cfg), minlength=8) / len(batch)
             assert np.abs(hist - noisy).sum() < 2e-2
 
     def test_capacity_refused(self):
