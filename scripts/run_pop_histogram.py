@@ -7,7 +7,13 @@ import json
 
 import numpy as np
 
-from hrcslab import HrcsConfig, enumerate_joint_distribution, instantiate_circuit, pop_histogram
+from hrcslab import (
+    HrcsConfig,
+    enumerate_joint_distribution,
+    instantiate_circuit,
+    pop_histogram,
+    theory,
+)
 from hrcslab.estimators import ks_distance_to_porter_thomas
 
 
@@ -28,12 +34,18 @@ def main() -> None:
         enumerate_joint_distribution(cfg, instantiate_circuit(cfg, b))
         for b in range(args.instances)
     ])
-    hist = pop_histogram(pooled, cfg.n_eff)
+    edges, densities = pop_histogram(pooled, cfg.n_eff)
     ks = ks_distance_to_porter_thomas(pooled, cfg.n_eff)
+    reference = theory.porter_thomas_density(2.0 ** cfg.n_eff, np.sqrt(edges[:-1] * edges[1:]))
 
-    doc = json.loads(hist.to_json())
-    doc["porter_thomas_reference"] = hist.reference_curve().tolist()
-    doc["ks_distance"] = ks
+    doc = {
+        "bin_edges": edges.tolist(),
+        "densities": densities.tolist(),
+        "n_eff": cfg.n_eff,
+        "sample_count": pooled.size,
+        "porter_thomas_reference": reference.tolist(),
+        "ks_distance": ks,
+    }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
     print(f"n_eff={cfg.n_eff}, pooled {pooled.size} outcome probabilities, "

@@ -17,7 +17,6 @@ from .engine import (
 from .errors import CapacityError, ConfigurationError, DegenerateBranchError
 from .estimators import (
     EnsembleStats,
-    PopHistogram,
     ensemble_aggregate,
     pop_histogram,
     power_sum_exact,
@@ -35,7 +34,6 @@ __all__ = [
     "ExperimentSpec",
     "HeaParams",
     "HrcsConfig",
-    "PopHistogram",
     "ResultRecord",
     "TrajectoryBatch",
     "ensemble_aggregate",

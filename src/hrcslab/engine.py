@@ -159,23 +159,20 @@ def _propagate(
     through the kernel; the kernel costs 2^(n - n//2) + 2^(n//2) per
     amplitude and layer (64 at n = 10).
 
-    With every bath at 0 a dense step is one product of the blocks with the
-    step's first 2^n_A columns, bitwise that of the zero-padded full-register
-    product np.dot(U, amps.T).T.  The one exception is a single row at
-    2^n_A = 2: it goes through BLAS's matrix-vector kernel, whose tail rounds
-    a length-2 and a length-2^n dot product differently.  A kept bath takes
-    one product with the full register that ``_keep_branch`` rebuilds.
+    A dense step is one product: of its first 2^n_A columns with the blocks
+    when every bath is at 0, else of all its columns with the register that
+    ``_keep_branch`` rebuilds.  The first is bitwise the zero-padded product,
+    except for a single row at 2^n_A = 2: BLAS's matrix-vector kernel rounds
+    a length-2 and a length-2^n dot product differently in its tail.
     """
     rows, d_sys = picked.shape
     if isinstance(step, HeaParams):
         if bath is not None or d_sys > rows:
             return apply_hea_batch(_keep_branch(picked, bath, d_bath), step)
         step = step_matrices([step], d_sys)[0]
-    if bath is None:
-        return np.ascontiguousarray(np.dot(step[:, :d_sys], picked.T).T)
-    amps = _keep_branch(picked, bath, d_bath)
-    product = np.dot(step, amps.T)
-    del amps  # free the rebuilt register before the contiguous copy
+    amps = picked if bath is None else _keep_branch(picked, bath, d_bath)
+    product = np.dot(step[:, :amps.shape[1]], amps.T)
+    del amps  # free a rebuilt register before the contiguous copy
     return np.ascontiguousarray(product.T)
 
 
@@ -375,24 +372,23 @@ def marginalize(
     raise ConfigurationError(f"unknown marginal kind {kind!r}")
 
 
-def depolarize_density(rho: np.ndarray, d_low: int, d_high: int, which: str, gamma: float) -> np.ndarray:
-    """Exact depolarizing channel on one factor of a (high (x) low) bipartite
-    density matrix: rho -> gamma rho + (1-gamma) (I/d_sub) (x) tr_sub(rho).
-
-    ``which`` names the depolarized factor; "low" is the low-bit register
-    (the system in this package's layout), "high" the high-bit one (the bath).
-    """
+def depolarize_system(rho: np.ndarray, d_sys: int, d_bath: int, gamma: float) -> np.ndarray:
+    """Exact depolarizing channel on the system, the low-bit factor of a
+    (bath (x) system) density matrix: rho -> gamma rho + (1-gamma) tr_sys(rho) (x) I/d_sys."""
     if gamma == 1.0:
         return rho
-    shaped = rho.reshape(d_high, d_low, d_high, d_low)
-    if which == "low":
-        traced = np.einsum("iaja->ij", shaped)
-        replacement = np.einsum("ij,ab->iajb", traced, np.eye(d_low) / d_low)
-    elif which == "high":
-        traced = np.einsum("iaib->ab", shaped)
-        replacement = np.einsum("ij,ab->iajb", np.eye(d_high) / d_high, traced)
-    else:
-        raise ConfigurationError(f"which must be 'low' or 'high', got {which!r}")
+    traced = np.einsum("iaja->ij", rho.reshape(d_bath, d_sys, d_bath, d_sys))
+    replacement = np.einsum("ij,ab->iajb", traced, np.eye(d_sys) / d_sys)
+    return gamma * rho + (1.0 - gamma) * replacement.reshape(rho.shape)
+
+
+def depolarize_bath(rho: np.ndarray, d_sys: int, d_bath: int, gamma: float) -> np.ndarray:
+    """Exact depolarizing channel on the bath, the high-bit factor of a
+    (bath (x) system) density matrix: rho -> gamma rho + (1-gamma) I/d_bath (x) tr_bath(rho)."""
+    if gamma == 1.0:
+        return rho
+    traced = np.einsum("iaib->ab", rho.reshape(d_bath, d_sys, d_bath, d_sys))
+    replacement = np.einsum("ij,ab->iajb", np.eye(d_bath) / d_bath, traced)
     return gamma * rho + (1.0 - gamma) * replacement.reshape(rho.shape)
 
 
@@ -426,8 +422,7 @@ def enumerate_noisy_joint_distribution(
         # only the step's columns of the occupied bath block act
         u = mats[k][:, bath_state * d_sys : (bath_state + 1) * d_sys]
         rho = u @ rho_sys @ u.conj().T
-        rho = depolarize_density(rho, d_sys, d_bath, "low", gamma)
-        rho = depolarize_density(rho, d_sys, d_bath, "high", gamma)
+        rho = depolarize_bath(depolarize_system(rho, d_sys, d_bath, gamma), d_sys, d_bath, gamma)
         for z in range(d_bath):
             block = rho[z * d_sys : (z + 1) * d_sys, z * d_sys : (z + 1) * d_sys]
             weight = float(np.trace(block).real)

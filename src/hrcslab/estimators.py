@@ -1,10 +1,10 @@
 """Statistics over distributions and sampled trajectories: power sums, the
-cross-entropy benchmark estimator, probability-of-probability histograms,
-total variation distance, and exact-merging ensemble aggregation."""
+cross-entropy benchmark estimator, the probability-of-probability histogram
+and the KS distance to Porter-Thomas, total variation distance, and
+exact-merging ensemble aggregation."""
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -13,9 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .theory import porter_thomas_cdf, porter_thomas_density
+from .theory import porter_thomas_cdf
 
-DEFAULT_POP_BINS = 50
+POP_BINS = 50
 POP_RANGE_LOW = 1e-2  # in units of 1/D
 POP_RANGE_HIGH = 50.0
 # the largest n_eff whose XEB scale 2^n_eff is a finite double
@@ -72,41 +72,11 @@ def xeb_estimate(ideal_probabilities: Sequence[float] | np.ndarray, n_eff: int) 
     return ensemble_aggregate((2.0 ** n_eff) * p - 1.0)
 
 
-@dataclass(frozen=True)
-class PopHistogram:
-    """Probability-of-probability density on logarithmic bins."""
-
-    bin_edges: np.ndarray
-    densities: np.ndarray
-    n_eff: int
-    sample_count: int
-
-    def integral(self) -> float:
-        return float(np.sum(self.densities * np.diff(self.bin_edges)))
-
-    def bin_centers(self) -> np.ndarray:
-        return np.sqrt(self.bin_edges[:-1] * self.bin_edges[1:])
-
-    def reference_curve(self) -> np.ndarray:
-        """Porter-Thomas density evaluated at the bin centers."""
-        return np.asarray(porter_thomas_density(2.0 ** self.n_eff, self.bin_centers()))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bin_edges": self.bin_edges.tolist(),
-                "densities": self.densities.tolist(),
-                "n_eff": self.n_eff,
-                "sample_count": self.sample_count,
-            },
-            sort_keys=True,
-        )
-
-
 def pop_histogram(
-    values: Sequence[float] | np.ndarray, n_eff: int, bins: int = DEFAULT_POP_BINS
-) -> PopHistogram:
-    """Histogram outcome probabilities on log bins spanning [1e-2/D, 50/D].
+    values: Sequence[float] | np.ndarray, n_eff: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram outcome probabilities on POP_BINS log bins spanning
+    [1e-2/D, 50/D]; returns the bin edges and the densities.
 
     The density is over p itself (not log p); each input value carries equal
     weight, so an exact distribution vector is binned outcome by outcome.
@@ -115,10 +85,9 @@ def pop_histogram(
     if vals.size == 0:
         raise ConfigurationError("cannot histogram zero values")
     dim = 2.0 ** n_eff
-    edges = np.geomspace(POP_RANGE_LOW / dim, POP_RANGE_HIGH / dim, bins + 1)
+    edges = np.geomspace(POP_RANGE_LOW / dim, POP_RANGE_HIGH / dim, POP_BINS + 1)
     counts, _ = np.histogram(vals, bins=edges)
-    densities = counts / (vals.size * np.diff(edges))
-    return PopHistogram(edges, densities, n_eff, int(vals.size))
+    return edges, counts / (vals.size * np.diff(edges))
 
 
 def ks_distance_to_porter_thomas(values: Sequence[float] | np.ndarray, n_eff: int) -> float:

@@ -116,12 +116,15 @@ def _ensemble(spec, t, rows) -> list[EnsembleStats]:
 
 
 def _porter_thomas(spec, t, rows) -> list[EnsembleStats]:
-    """KS distance and density integral of all instances' probabilities pooled."""
+    """KS distance of all instances' probabilities pooled, and their density
+    integral: the fraction of them in [1e-2/D, 50/D]."""
     pooled = np.concatenate(rows)
     n_eff = spec.n_system + t * spec.n_bath
     ks = estimators.ks_distance_to_porter_thomas(pooled, n_eff)
-    hist = estimators.pop_histogram(pooled, n_eff, bins=spec.pop_bins)
-    return [EnsembleStats(spec.instances, v, 0.0) for v in (ks, hist.integral())]
+    d = 2.0 ** n_eff
+    low, high = estimators.POP_RANGE_LOW / d, estimators.POP_RANGE_HIGH / d
+    inside = np.count_nonzero((pooled >= low) & (pooled <= high)) / pooled.size
+    return [EnsembleStats(spec.instances, v, 0.0) for v in (ks, inside)]
 
 
 def _fixed(value: float) -> Callable[..., float]:
@@ -219,12 +222,9 @@ HAAR_ISOMETRY_TRANSIENT_COPIES = 4
 HEA_ANGLE_TRANSIENT_COPIES = 1
 # (instances, 2^n_eff) float arrays a pop_hist point holds at its peak (the
 # kept distributions, their pooled copy, and the KS distance's sorted copy,
-# CDF and ECDF): tracemalloc measures 5.0 at 2+2/t=4, 2+1/t=12 and 3+2/t=6
+# CDF and ECDF; the range masks that follow hold 3/8 of one): tracemalloc
+# measures 5.0 at 2+1/t=12 and 3+2/t=6
 POP_HIST_LIVE_COPIES = 6
-# (pop_bins + 1) float arrays a pop_hist point's histogram holds at its peak
-# beside those (edges, counts, widths, densities): tracemalloc measures
-# 4.0-4.9 at 10^4 to 4 x 10^6 bins
-POP_HIST_BIN_COPIES = 5
 
 CSV_COLUMNS = ("n_A", "n_B", "t", "K", "gamma", "statistic", "mean", "std_error", "theory_value")
 
@@ -257,12 +257,11 @@ class ExperimentSpec:
     format: str = "jsonl"
     theory_family: str | None = None
     epsilon: float = 1.0
-    pop_bins: int = estimators.DEFAULT_POP_BINS
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigurationError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        for name in ("n_system", "n_bath", "instances", "shots", "master_seed", "pop_bins"):
+        for name in ("n_system", "n_bath", "instances", "shots", "master_seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (self.hea_layers is None or _is_int(self.hea_layers)):
@@ -278,8 +277,8 @@ class ExperimentSpec:
             if not isinstance(values, (list, tuple)) or not all(ok(v) for v in values):
                 raise ConfigurationError(f"{name} must be a list of {what}, got {values!r}")
             object.__setattr__(self, name, tuple(values))
-        if self.instances < 1 or self.shots < 1 or self.pop_bins < 1:
-            raise ConfigurationError("instances, shots and pop_bins must be >= 1")
+        if self.instances < 1 or self.shots < 1:
+            raise ConfigurationError("instances and shots must be >= 1")
         if not self.steps:
             raise ConfigurationError("steps list is empty")
         self.config_for(min(self.steps))  # register sizes, steps >= 1, unitary source
@@ -291,6 +290,16 @@ class ExperimentSpec:
             raise ConfigurationError(f"out must be a non-empty path string, got {self.out!r}")
         if self.format not in ("jsonl", "csv"):
             raise ConfigurationError(f"format must be jsonl or csv, got {self.format!r}")
+        for name, unread, readers in (
+            ("gammas", (), ("noisy_xeb", "theory_table")),
+            ("theory_family", None, ("theory_table",)),
+            ("k_orders", (2,), ("ps_sweep", "theory_table")),
+        ):
+            if self.kind not in readers and getattr(self, name) != unread:
+                raise ConfigurationError(
+                    f"{self.kind} does not read {name} (only {', '.join(readers)} do), "
+                    f"got {getattr(self, name)!r}"
+                )
         if self.kind == "theory_table":
             if self.theory_family not in THEORY_FAMILIES:
                 raise ConfigurationError(
@@ -334,6 +343,7 @@ class ExperimentSpec:
         doc = dataclasses.asdict(self)
         doc.pop("out")
         doc.pop("format")
+        doc["pop_bins"] = 50  # a field once, kept so that existing records keep their hash
         payload = json.dumps(doc, sort_keys=True)
         return hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
 
@@ -436,12 +446,11 @@ def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
         )
     if spec.kind == "pop_hist":
         need = spec.instances * (8 << n_eff_max) * POP_HIST_LIVE_COPIES
-        need += 8 * (spec.pop_bins + 1) * POP_HIST_BIN_COPIES
         if need > memory:
             raise CapacityError(
-                f"pooling {spec.instances} instances of {n_eff_max} effective bits into "
-                f"{spec.pop_bins} bins needs about {need / 1e9:.3g} GB, more than the "
-                f"{memory / 1e9:.3g} GB of physical memory"
+                f"pooling {spec.instances} instances of {n_eff_max} effective bits needs "
+                f"about {need / 1e9:.3g} GB, more than the {memory / 1e9:.3g} GB of "
+                f"physical memory"
             )
     if engine == "sample" and n_phys > TRAJECTORY_MAX_QUBITS:
         raise CapacityError(f"{n_phys} physical qubits exceed {TRAJECTORY_MAX_QUBITS}")

@@ -140,3 +140,43 @@ def tensordot_step(amps: np.ndarray, entries: np.ndarray, n: int) -> np.ndarray:
     gate = entries.reshape((2,) * (2 * n))
     out = np.tensordot(gate, tensor, axes=(list(range(n, 2 * n)), list(range(1, n + 1))))
     return np.ascontiguousarray(np.moveaxis(out, range(n), range(1, n + 1))).reshape(rows, -1)
+
+
+def noisy_xeb_oracle(n_system: int, n_bath: int, steps: int, gamma: float) -> float:
+    """Ensemble noisy XEB 2^N_eff E[sum_s q(s) p(s)] - 1 over Haar reset steps,
+    exact and with no instances drawn.
+
+    A two-copy operator on (register) (x) (register) carries the noisy run q
+    in copy 1 and the ideal run p in copy 2, summed over the bath outcomes so
+    far.  Each step embeds the bath |0> in both copies, applies the two-copy
+    Haar twirl E[U (x) U Y U^dag (x) U^dag] = alpha I + beta S, depolarizes
+    copy 1's system and then its bath, and projects both copies on the same
+    bath outcome.  The final system outcomes are the diagonal of what is left.
+    Register index is bath * d_sys + system; the operator is held as the
+    tensor [b1, s1, b2, s2, c1, r1, c2, r2] of rows (b, s) and columns (c, r).
+    """
+    d_sys, d_bath = 1 << n_system, 1 << n_bath
+    d = d_sys * d_bath
+    eye = np.eye(d * d)
+    swap = eye.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    shape = (d_bath, d_sys, d_bath, d_sys) * 2
+    system = np.zeros((d_sys,) * 4)  # [s1, s2, r1, r2], both copies in |0>
+    system[0, 0, 0, 0] = 1.0
+    for _ in range(steps):
+        full = np.zeros(shape)
+        full[0, :, 0, :, 0, :, 0, :] = system
+        full = full.reshape(d * d, d * d)
+        tr_y, tr_sy = np.trace(full), np.trace(swap @ full)
+        alpha = (tr_y - tr_sy / d) / (d * d - 1)
+        beta = (tr_sy - tr_y / d) / (d * d - 1)
+        full = (alpha * eye + beta * swap).reshape(shape)
+        traced = np.einsum("iajbkalc->ijbklc", full)
+        full = gamma * full + (1 - gamma) * np.einsum(
+            "ijbklc,ae->iajbkelc", traced, np.eye(d_sys) / d_sys
+        )
+        traced = np.einsum("iajbicke->ajbcke", full)
+        full = gamma * full + (1 - gamma) * np.einsum(
+            "ajbcke,il->iajblcke", traced, np.eye(d_bath) / d_bath
+        )
+        system = np.einsum("zazbzczd->abcd", full)
+    return 2.0 ** (n_system + steps * n_bath) * np.einsum("xxxx->", system) - 1.0

@@ -26,7 +26,8 @@ from hrcslab import engine as engine_mod
 from hrcslab.engine import (
     TrajectoryBatch,
     _random_paulis,
-    depolarize_density,
+    depolarize_bath,
+    depolarize_system,
     derive_seed,
     instance_seed,
     step_matrices,
@@ -522,7 +523,7 @@ class TestNoisySampler:
 class TestDepolarizeDensity:
     def test_identity_at_gamma_one(self):
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        out = depolarize_density(rho, 2, 2, "low", 1.0)
+        out = depolarize_system(rho, 2, 2, 1.0)
         np.testing.assert_array_equal(out, rho)
 
     def test_trace_preserved(self):
@@ -530,24 +531,22 @@ class TestDepolarizeDensity:
         a = gen.standard_normal((8, 8)) + 1j * gen.standard_normal((8, 8))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        for which in ("low", "high"):
-            out = depolarize_density(rho, 4, 2, which, 0.3)
+        for channel in (depolarize_system, depolarize_bath):
+            out = channel(rho, 4, 2, 0.3)
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
     def test_full_strength_mixes_subsystem(self):
         state = np.zeros(4, dtype=complex)
         state[0] = 1.0
         rho = np.outer(state, state.conj())
-        # index layout is high*2 + low; the untouched factor stays pure |0>
+        # index layout is bath*2 + system; the untouched factor stays pure |0>
         np.testing.assert_allclose(
-            depolarize_density(rho, 2, 2, "low", 0.0), np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-12
+            depolarize_system(rho, 2, 2, 0.0), np.diag([0.5, 0.5, 0.0, 0.0]), atol=1e-12
         )
         np.testing.assert_allclose(
-            depolarize_density(rho, 2, 2, "high", 0.0), np.diag([0.5, 0.0, 0.5, 0.0]), atol=1e-12
+            depolarize_bath(rho, 2, 2, 0.0), np.diag([0.5, 0.0, 0.5, 0.0]), atol=1e-12
         )
-        both = depolarize_density(
-            depolarize_density(rho, 2, 2, "low", 0.0), 2, 2, "high", 0.0
-        )
+        both = depolarize_bath(depolarize_system(rho, 2, 2, 0.0), 2, 2, 0.0)
         np.testing.assert_allclose(both, np.eye(4) / 4, atol=1e-12)
 
 

@@ -96,6 +96,24 @@ class TestSpecParsing:
         with pytest.raises(ConfigurationError):
             ExperimentSpec.from_json_dict(spec_doc(kind="mystery"))
 
+    @pytest.mark.parametrize("name, spec_hash", [
+        ("cp_sweep", "cd60b790da1827a3"),
+        ("marginal_sweep", "bb3048194bf2d3a7"),
+        ("neff200_xeb", "ffda67657e1bfa41"),
+        ("noisy_xeb", "30096e432e19a464"),
+        ("reset_check", "da69a155b9f467dc"),
+        ("theory_noisy_xeb", "93a3958255cdea96"),
+    ])
+    def test_shipped_config_hash_pinned(self, name, spec_hash):
+        # every record carries this hash: a new or dropped field must not
+        # re-identify an existing experiment
+        path = Path(__file__).parent.parent / "scripts" / "configs" / f"{name}.json"
+        assert ExperimentSpec.from_json_file(str(path)).hash() == spec_hash
+
+    def test_pop_bins_refused(self):
+        with pytest.raises(ConfigurationError, match="unknown config keys"):
+            ExperimentSpec.from_json_dict(spec_doc(kind="pop_hist", pop_bins=50))
+
     def test_theory_table_needs_family(self):
         with pytest.raises(ConfigurationError, match="theory_family"):
             ExperimentSpec.from_json_dict(spec_doc(kind="theory_table"))
@@ -115,7 +133,6 @@ class TestSpecParsing:
             {"steps": (0,)},
             {"steps": 3},
             {"k_orders": (2.0,)},
-            {"pop_bins": 0},
             {"gammas": (1.5,)},
             {"gammas": (-0.1,)},
             {"gammas": (True,)},
@@ -128,6 +145,10 @@ class TestSpecParsing:
             {"kind": "theory_table", "theory_family": "noisy_xeb_exact"},
             {"kind": "ps_sweep", "k_orders": ()},
             {"kind": "theory_table", "theory_family": "hrcs_power_sum", "k_orders": ()},
+            # fields the kind does not read
+            {"kind": "xeb", "gammas": (0.5,)},
+            {"k_orders": (3,)},
+            {"theory_family": "ideal_xeb"},
         ],
         ids=str,
     )
@@ -157,7 +178,8 @@ class TestCapacity:
 
         monkeypatch.setattr(runner_mod, "_instance", no_work)
         spec = ExperimentSpec(
-            kind=kind, n_system=12, n_bath=12, steps=(1,), gammas=(0.7,), instances=1, shots=1000
+            kind=kind, n_system=12, n_bath=12, steps=(1,),
+            gammas=(0.7,) if kind == "noisy_xeb" else (), instances=1, shots=1000,
         )
         with pytest.raises(CapacityError, match="GB"):
             run_experiment(spec)
@@ -199,7 +221,8 @@ class TestCapacity:
     def test_xeb_scale_beyond_a_double_refused_before_work(self, kind, no_work):
         # 2^1101 overflows a double; 1+1 at t = 1022 scores 2^1023 and passes
         spec = ExperimentSpec(
-            kind=kind, n_system=1, n_bath=1, steps=(1100,), gammas=(0.7,), instances=1, shots=2
+            kind=kind, n_system=1, n_bath=1, steps=(1100,),
+            gammas=(0.7,) if kind == "noisy_xeb" else (), instances=1, shots=2,
         )
         with pytest.raises(CapacityError, match="1101 effective bits.*limit 1023"):
             run_experiment(spec)
@@ -356,33 +379,6 @@ class TestCapacity:
         spec = ExperimentSpec(kind="pop_hist", n_system=2, n_bath=2, steps=(10,), instances=10_000)
         with pytest.raises(CapacityError, match="GB"):
             run_experiment(spec)
-
-    def test_pop_bins_beyond_memory_refused_before_work(self, seven_gib, no_work):
-        # 10^12 bins are 8 TB per bin array, against 64 probabilities pooled
-        spec = ExperimentSpec(
-            kind="pop_hist", n_system=1, n_bath=1, steps=(1,), instances=3, pop_bins=10**12
-        )
-        with pytest.raises(CapacityError, match="1000000000000 bins"):
-            run_experiment(spec)
-        runner_mod._check_capacity(dataclasses.replace(spec, pop_bins=10**7))
-
-    def test_pop_hist_bins_peak_within_bin_copies(self):
-        # what _check_capacity budgets per bin array bounds a pop_hist point
-        # whose bins far outnumber its pooled probabilities
-        spec = ExperimentSpec(
-            kind="pop_hist", n_system=1, n_bath=1, steps=(1,), instances=3, pop_bins=10**6,
-            master_seed=1,
-        )
-        tracemalloc.start()
-        try:
-            run_experiment(spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        pooled_bytes = spec.instances * (8 << 2)
-        bin_bytes = 8 * (spec.pop_bins + 1)
-        assert peak < (runner_mod.POP_HIST_LIVE_COPIES * pooled_bytes
-                       + runner_mod.POP_HIST_BIN_COPIES * bin_bytes)
 
     def test_pop_hist_peak_within_live_copies(self):
         # what _check_capacity budgets per pooled copy bounds a pop_hist point
@@ -552,7 +548,8 @@ class TestRunExperiment:
             return real(config, index)
 
         monkeypatch.setattr(runner_mod, "instantiate_circuit", faulty)
-        spec = cp_spec(kind=kind, steps=(1,), instances=5, shots=20, gammas=(0.7,))
+        spec = cp_spec(kind=kind, steps=(1,), instances=5, shots=20,
+                       gammas=(0.7,) if kind == "noisy_xeb" else ())
         seed = instance_seed(spec.config_for(1), 3)
         with pytest.raises(runner_mod.InstanceFailure, match=rf"instance 3 .*stream seed {seed:#x}"):
             run_experiment(spec)

@@ -26,6 +26,8 @@ from hrcslab.theory import (
     tvd_upper_bound_asymptotic,
 )
 
+from conftest import noisy_xeb_oracle
+
 
 class TestHaarPowerSum:
     def test_single_qubit_collision_probability(self):
@@ -310,6 +312,21 @@ class TestNoisyXeb:
     def test_exact_rejects_gamma_outside_unit_interval(self, gamma):
         with pytest.raises(ConfigurationError, match="must lie in"):
             noisy_xeb(2, 1, 3, gamma)
+
+    @pytest.mark.parametrize(
+        "n_a,n_b,t,gamma", [(1, 2, 2, 0.6), (1, 1, 3, 0.9), (2, 1, 4, 0.7), (1, 2, 6, 0.6)]
+    )
+    def test_exact_form_matches_two_copy_oracle(self, n_a, n_b, t, gamma):
+        # the ensemble with no instances: an exact two-copy Haar twirl
+        assert noisy_xeb(n_a, n_b, t, gamma) == pytest.approx(
+            noisy_xeb_oracle(n_a, n_b, t, gamma), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("n_a,n_b,t", [(1, 2, 2), (1, 1, 3), (2, 1, 4), (1, 2, 6)])
+    def test_two_copy_oracle_noiseless_is_ideal_xeb(self, n_a, n_b, t):
+        assert noisy_xeb_oracle(n_a, n_b, t, 1.0) == pytest.approx(
+            ideal_xeb(n_a, n_b, t), rel=1e-12
+        )
 
     @pytest.mark.parametrize(
         "n_a,n_b,t,gamma,instances", [(1, 1, 2, 0.7, 1200), (1, 2, 2, 0.6, 700)]
