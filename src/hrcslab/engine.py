@@ -4,19 +4,22 @@ final system measurement.
 Four modes share one circuit description: batched trajectory sampling,
 forced-outcome replay, exact enumeration of the joint outcome distribution,
 and a density-matrix oracle for the noisy variant, kept a separate recursion
-so that it checks the others.  The first three run one step loop, ``_walk``:
-the sampler draws one bath block per row, replay keeps the recorded one, and
-enumeration keeps all of them as the next tree level.  Between steps the walk
-holds each row's kept system block, a (rows, 2^n_A) batch, and the bath
-block it sits in (0 after a reset).  Its kernel ``_propagate`` turns that
-into the (rows, 2^n) state after the next step: a dense step, or an HEA step
-compiled to the columns it reaches, is one matrix product; an HEA step with
-a kept bath, or with more columns than rows, runs layer by layer.  This is
-decided at every step, so enumeration compiles once its tree level has as
-many rows as the step has columns.  A step is either a complex 2^n x c
-array, the first c columns of a unitary, or the ``HeaParams`` of an HEA
-step; ``_check_steps`` refuses an array of any other shape, and an HEA step
-on another register, before a step runs.
+so that it checks the others.  The first three run one step loop, ``_walk``,
+from the one |0> row that every shot and branch shares: the sampler draws one
+bath block per row, replay keeps the recorded one, and enumeration keeps all
+of them as the next tree level, so at the first bath measurement the one row
+fans out to the shots, or to d_B branches.  Between steps the walk holds each
+row's kept system block, a (rows, 2^n_A) batch, and the bath block it sits
+in (0 after a reset).  Its kernel ``_propagate`` turns that into the
+(rows, 2^n) state after the next step: a dense step, or an HEA step compiled
+to the columns it reaches, is one matrix product; an HEA step with a kept
+bath, or with more columns than rows, runs layer by layer.  This is decided
+at every step, so an HEA first step runs its gates on the one row, and a
+later step compiles once the shots, or the tree level, number at least its
+columns.  A step is either a complex 2^n x c array, the first c columns of a
+unitary, or the ``HeaParams`` of an HEA step; ``_check_steps`` refuses an
+array of any other shape, and an HEA step on another register, before a step
+runs.
 
 Noise is one depolarizing strength ``gamma`` in [0, 1], applied to system
 and bath after every step; 1 is noiseless.  The sampler unravels it into
@@ -157,7 +160,8 @@ def _propagate(
     a kept bath reaches all 2^n columns, whose dense product costs 2^n
     multiply-adds per amplitude, and compiling them runs 2^n basis rows
     through the kernel; the kernel costs 2^(n - n//2) + 2^(n//2) per
-    amplitude and layer (64 at n = 10).
+    amplitude and layer (64 at n = 10).  The walk's first step has one row,
+    so an HEA first step runs its gates on that row.
 
     A dense step is one product: of its first 2^n_A columns with the blocks
     when every bath is at 0, else of all its columns with the register that
@@ -231,19 +235,20 @@ def _draw(
     return idx, p
 
 
-def _walk(config: HrcsConfig, unitaries: list[StepUnitary], rows: int, keep) -> np.ndarray:
-    """The step loop of every pure-state mode.  From rows of |0>, each step
+def _walk(config: HrcsConfig, unitaries: list[StepUnitary], keep) -> np.ndarray:
+    """The step loop of every pure-state mode.  From one row of |0>, each step
     gives a (rows, d_B, d_A) register and ``keep(k, blocks, picked)`` returns
     the system blocks left by the bath measurement, perhaps over the consumed
-    ``picked``, and their outcomes; the bath is carried or reset to 0."""
+    ``picked``, and their outcomes; the bath is carried or reset to 0.  At
+    k = 0 ``keep`` fans the one row out to as many rows as it keeps."""
     if config.n_qubits > TRAJECTORY_MAX_QUBITS:
         raise CapacityError(
             f"trajectory register of {config.n_qubits} qubits exceeds {TRAJECTORY_MAX_QUBITS}"
         )
     _check_steps(config, unitaries)
     d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
-    picked = np.zeros((rows, d_sys), dtype=complex)
-    picked[:, 0] = 1.0
+    picked = np.zeros((1, d_sys), dtype=complex)
+    picked[0, 0] = 1.0
     z = None
     for k, step in enumerate(unitaries):
         blocks = _propagate(picked, z, step, d_bath).reshape(len(picked), d_bath, d_sys)
@@ -261,6 +266,7 @@ def sample_trajectories(
     rng: np.random.Generator,
 ) -> TrajectoryBatch:
     """Sample n_shots protocol runs of the same circuit, all advanced as one batch.
+    They share the first step, which runs once on the one |0> row.
 
     Depolarizing noise of strength ``gamma`` (1 is noiseless) draws, per
     step, a Pauli string per row on the system, then one on the bath, then
@@ -278,15 +284,19 @@ def sample_trajectories(
     def draw(k: int, blocks: np.ndarray, kept: np.ndarray):
         flip_sys, phase_sys = _random_paulis(n_shots, config.n_system, gamma, rng)
         flip_bath, phase_bath = _random_paulis(n_shots, config.n_bath, gamma, rng)
+        # at k = 0 blocks holds the one row every shot starts from: each shot
+        # reads it, and keeps its block in a batch of its own
+        row = rows if k else np.zeros_like(rows)
+        kept = kept if k else np.empty((n_shots, d_sys), dtype=complex)
         probs = (np.abs(blocks) ** 2).sum(axis=2)
-        if phase_bath is not None:  # outcome z reads block z ^ flip
-            probs = probs[rows[:, None], np.arange(d_bath) ^ flip_bath[:, None]]
+        # outcome z reads block z ^ flip of the shot's row
+        probs = probs[row[:, None], np.arange(d_bath) ^ flip_bath[:, None]]
         z, p_z = _draw(probs, rng, "bath")
         model_prob[:] *= p_z
         bath_outcomes[:, k] = z
         src_bath = z ^ flip_bath
         src_sys = np.arange(d_sys) if phase_sys is None else np.arange(d_sys) ^ flip_sys[:, None]
-        np.take(blocks, (rows * d_bath + src_bath)[:, None] * d_sys + src_sys, out=kept,
+        np.take(blocks, (row * d_bath + src_bath)[:, None] * d_sys + src_sys, out=kept,
                 mode="clip")  # "raise" would copy through a buffer
         for phase, src in ((phase_sys, src_sys), (phase_bath, src_bath[:, None])):
             if phase is not None:
@@ -294,7 +304,7 @@ def sample_trajectories(
         kept /= np.sqrt(p_z)[:, None]
         return kept, z
 
-    picked = _walk(config, unitaries, n_shots, draw)
+    picked = _walk(config, unitaries, draw)
     x, p_x = _draw(np.abs(picked) ** 2, rng, "final")
     model_prob *= p_x
     return TrajectoryBatch(bath_outcomes, x, model_prob)
@@ -320,8 +330,8 @@ def ideal_probabilities_batch(
     ):
         raise ConfigurationError(f"outcomes out of shape or range for {config.steps} steps")
     rows = np.arange(shots)
-    picked = _walk(config, unitaries, shots, lambda k, blocks, _: (
-        blocks[rows, bath_outcomes[:, k], :], bath_outcomes[:, k]))
+    picked = _walk(config, unitaries, lambda k, blocks, _: (  # step 0 fans out the one row
+        blocks[rows if k else 0, bath_outcomes[:, k], :], bath_outcomes[:, k]))
     return np.abs(picked[rows, final_outcomes]) ** 2
 
 
@@ -341,7 +351,7 @@ def enumerate_joint_distribution(
         raise CapacityError(
             f"enumeration over {config.n_eff} effective bits exceeds {ENUMERATION_MAX_BITS}"
         )
-    picked = _walk(config, unitaries, 1, lambda k, blocks, _: (
+    picked = _walk(config, unitaries, lambda k, blocks, _: (
         blocks.reshape(-1, blocks.shape[2]), np.tile(np.arange(blocks.shape[1]), len(blocks))))
     return (np.abs(picked) ** 2).reshape(-1)
 

@@ -204,8 +204,9 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 # HEA compiled to the 2^n_A columns a reset bath reaches gives 2.1-2.3, and
 # 3.1-3.3 at 7+3 to 8+4 and 3.5 at 9+1 with 2^n_A shots, where those columns
 # are one batch copy.  Without a reset, the HEA steps after the first run
-# their layers on the rebuilt register at 3+5 to 6+2: 2.1-2.3, and 2.1-2.6 at
-# 200 shots
+# their layers on the rebuilt register at 3+5 to 6+2: 2.1-2.3, at 2000 and at
+# 200 shots.  At t = 1 the walk is the one |0> row fanned out to the shots:
+# 0.1-0.9 at 3+5 to 8+4, and 1.0-1.7 at 7+1 and 9+1
 SAMPLER_LIVE_COPIES = 4
 # 2^n x 2^n complex arrays that drawing one full Haar step holds beside its
 # output: peak RSS of sample_haar_unitary at 10-11 qubits grows by 4.1-4.3
@@ -290,14 +291,20 @@ class ExperimentSpec:
             raise ConfigurationError(f"out must be a non-empty path string, got {self.out!r}")
         if self.format not in ("jsonl", "csv"):
             raise ConfigurationError(f"format must be jsonl or csv, got {self.format!r}")
-        for name, unread, readers in (
-            ("gammas", (), ("noisy_xeb", "theory_table")),
-            ("theory_family", None, ("theory_table",)),
-            ("k_orders", (2,), ("ps_sweep", "theory_table")),
+        for name, unread, reads, readers in (
+            ("gammas", (), self.kind in ("noisy_xeb", "theory_table"),
+             "noisy_xeb and theory_table"),
+            ("theory_family", None, self.kind == "theory_table", "theory_table"),
+            ("k_orders", (2,), self.kind in ("ps_sweep", "theory_table"),
+             "ps_sweep and theory_table"),
+            ("epsilon", 1.0, self.theory_family == "critical_steps",
+             "theory_table with the critical_steps family"),
+            ("reset_bath", True, self.kind != "reset_check",
+             "every kind but reset_check, which runs each circuit both ways"),
         ):
-            if self.kind not in readers and getattr(self, name) != unread:
+            if not reads and getattr(self, name) != unread:
                 raise ConfigurationError(
-                    f"{self.kind} does not read {name} (only {', '.join(readers)} do), "
+                    f"{self.kind} does not read {name} (read by {readers}), "
                     f"got {getattr(self, name)!r}"
                 )
         if self.kind == "theory_table":

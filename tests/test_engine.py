@@ -689,12 +689,13 @@ class TestCompiledHeaSteps:
             )
             np.testing.assert_allclose(compiled_replay, gate_replay, rtol=1e-12, atol=0)
 
+    # the first step runs its gates on the one |0> row every shot shares
     @pytest.mark.parametrize("n_system, n_bath, reset, shots, rows", [
-        (5, 5, True, 16, [16, 16, 16]),  # 32 columns outnumber 16 shots: gates
-        (5, 5, True, 64, [32, 32, 32]),  # 32 columns compiled once per step
-        (5, 5, False, 64, [32, 64, 64]),  # a kept bath reaches all 1024 columns
+        (5, 5, True, 16, [1, 16, 16]),  # 32 columns outnumber 16 shots: gates
+        (5, 5, True, 64, [1, 32, 32]),  # 32 columns compiled once per step
+        (5, 5, False, 64, [1, 64, 64]),  # a kept bath reaches all 1024 columns
         # a kept bath runs the gates even where its 32 columns fit the rows
-        (3, 2, False, 64, [8, 64, 64]),
+        (3, 2, False, 64, [1, 64, 64]),
     ])
     def test_kernel_chosen_by_columns_and_rows(
         self, n_system, n_bath, reset, shots, rows, monkeypatch
@@ -714,6 +715,66 @@ class TestCompiledHeaSteps:
         monkeypatch.setattr(engine_mod, "apply_hea_batch", spy)
         sample_trajectories(cfg, steps, shots, 1.0, np.random.default_rng(0))
         assert seen == rows
+
+
+class TestOneRowStart:
+    """Every shot starts from the same |0> row, so the walk runs the first
+    step on that one row and fans it out at the first bath measurement."""
+
+    @pytest.mark.parametrize("source, reset, rows", [
+        ("haar", True, 40),  # a 2^n x 2^n_A isometry
+        ("haar", False, 40),  # a full unitary
+        ("hea", True, 40),  # 8 columns compiled for 40 rows
+        ("hea", True, 5),  # 8 columns outnumber 5 rows: gates
+    ])
+    def test_identical_rows_match_the_one_row_bitwise(self, source, reset, rows):
+        cfg = HrcsConfig(
+            n_system=3, n_bath=2, steps=1, reset_bath=reset, unitary_source=source,
+            hea_layers=8 if source == "hea" else None, master_seed=5,
+        )
+        (step,) = instantiate_circuit(cfg, 0)
+        zeros = np.zeros((rows, 1 << cfg.n_system), dtype=complex)
+        zeros[:, 0] = 1.0
+        one = engine_mod._propagate(zeros[:1], None, step, 1 << cfg.n_bath)
+        assert one.shape == (1, 1 << cfg.n_qubits)
+        np.testing.assert_array_equal(
+            engine_mod._propagate(zeros, None, step, 1 << cfg.n_bath),
+            np.broadcast_to(one, (rows, one.shape[1])),
+        )
+
+    @pytest.mark.parametrize("mode", ["sample", "noisy_sample", "replay", "enumerate"])
+    @pytest.mark.parametrize("reset", [True, False])
+    @pytest.mark.parametrize("source", ["haar", "hea"])
+    def test_first_step_sees_one_row(self, mode, reset, source, monkeypatch):
+        seen = []
+
+        def spy(picked, bath, step, d_bath, propagate=engine_mod._propagate):
+            seen.append(len(picked))
+            return propagate(picked, bath, step, d_bath)
+
+        cfg = HrcsConfig(
+            n_system=2, n_bath=1, steps=3, reset_bath=reset, unitary_source=source,
+            hea_layers=2 if source == "hea" else None, master_seed=5,
+        )
+        steps = instantiate_circuit(cfg, 0)
+        shots = 6
+        run = {
+            "sample": lambda: sample_trajectories(
+                cfg, steps, shots, 1.0, np.random.default_rng(0)
+            ),
+            "noisy_sample": lambda: sample_trajectories(
+                cfg, steps, shots, 0.7, np.random.default_rng(0)
+            ),
+            "replay": lambda: ideal_probabilities_batch(
+                cfg, steps, np.ones((shots, cfg.steps), dtype=np.int64),
+                np.arange(shots) % (1 << cfg.n_system),
+            ),
+            "enumerate": lambda: enumerate_joint_distribution(cfg, steps),
+        }[mode]
+        monkeypatch.setattr(engine_mod, "_propagate", spy)
+        run()
+        # enumeration fans out to d_B = 2 branches per row, the others to the shots
+        assert seen == ([1, 2, 4] if mode == "enumerate" else [1, shots, shots])
 
 
 class TestStepCount:

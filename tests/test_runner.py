@@ -2,6 +2,7 @@
 equivalence, record layout, and file formats."""
 
 import dataclasses
+import itertools
 import json
 import os
 import platform
@@ -30,7 +31,7 @@ from hrcslab import theory
 
 
 # each THEORY family called directly at N_A = 2, N_B = 1, t = 3, K = 3,
-# gamma = 0.7 and epsilon = 0.5
+# gamma = 0.7 and, for critical_steps, epsilon = 0.5
 DIRECT_THEORY = {
     "haar_power_sum": lambda: theory.haar_power_sum(5, 3),
     "hrcs_power_sum": lambda: theory.hrcs_power_sum(2, 1, 3, 3),
@@ -149,12 +150,21 @@ class TestSpecParsing:
             {"kind": "xeb", "gammas": (0.5,)},
             {"k_orders": (3,)},
             {"theory_family": "ideal_xeb"},
+            {"epsilon": 0.5},
+            {"kind": "theory_table", "theory_family": "hrcs_power_sum", "epsilon": 0.5},
+            {"kind": "reset_check", "reset_bath": False},
         ],
         ids=str,
     )
     def test_bad_field_rejected_up_front(self, overrides):
         with pytest.raises(ConfigurationError):
             cp_spec(**overrides)
+
+    @pytest.mark.parametrize("kind", ["cp_sweep", "marginal_sweep", "reset_check"])
+    def test_shots_accepted_on_enumeration_kinds(self, kind):
+        # perfbench's tiny mode writes shots into every shrunk config that
+        # has instances, whatever its kind
+        assert cp_spec(kind=kind, shots=100).shots == 100
 
 
 class TestCapacity:
@@ -322,26 +332,27 @@ class TestCapacity:
         # of a sampled kind holds, replay included, with and without a reset.
         # Without a reset the HEA steps after the first run their gates; at
         # 8+2 with 256 shots a reset HEA step compiles to 256 columns, the
-        # one-batch-copy boundary
+        # one-batch-copy boundary.  At t = 1 the whole walk is the fan-out
+        # of the one |0> row to the shots
         gamma = 0.7 if kind == "noisy_xeb" else None
         runs = [(4, 4, True, 2000), (4, 4, False, 2000)]
         if source == "hea":
             runs += [(4, 4, False, 200), (8, 2, True, 256)]
-        for n_system, n_bath, reset, shots in runs:
+        for (n_system, n_bath, reset, shots), t in itertools.product(runs, (1, 3)):
             spec = ExperimentSpec(
-                kind=kind, n_system=n_system, n_bath=n_bath, steps=(3,),
+                kind=kind, n_system=n_system, n_bath=n_bath, steps=(t,),
                 gammas=(gamma,) if gamma else (),
                 instances=1, shots=shots, reset_bath=reset, unitary_source=source,
                 hea_layers=4 if source == "hea" else None, master_seed=3,
             )
             tracemalloc.start()
             try:
-                runner_mod._instance(spec, 3, gamma, 0)
+                runner_mod._instance(spec, t, gamma, 0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             batch_bytes = spec.shots * (16 << (spec.n_system + spec.n_bath))
-            assert peak < runner_mod.SAMPLER_LIVE_COPIES * batch_bytes, (reset, shots)
+            assert peak < runner_mod.SAMPLER_LIVE_COPIES * batch_bytes, (reset, shots, t)
 
     def test_hea_angles_beyond_memory_refused_before_work(self, seven_gib, no_work):
         # 10^9 layers on 2 qubits: three steps hold 96 GB of angles
@@ -466,8 +477,8 @@ class TestRunExperiment:
     def test_theory_table_family_matches_direct_call(self, family):
         spec = ExperimentSpec(
             kind="theory_table", n_system=2, n_bath=1, steps=(3,), k_orders=(3,),
-            gammas=(0.7,) if family in GAMMA_FAMILIES else (), epsilon=0.5,
-            theory_family=family,
+            gammas=(0.7,) if family in GAMMA_FAMILIES else (),
+            epsilon=0.5 if family == "critical_steps" else 1.0, theory_family=family,
         )
         (rec,) = run_experiment(spec)
         assert rec.theory_source == family
