@@ -12,15 +12,51 @@ significant bit of the amplitude index, so the basis state
 |q_{n-1} ... q_1 q_0> lives at index sum_i q_i 2^i.  The view
 ``amps.reshape(rows, 2^(n-k), 2^k)`` of a batch therefore has qubits 0..k-1
 on its last axis.
+
+BLAS runs on one thread in every process that imports this module, so that
+a run's only parallelism is the runner's process pool: at import,
+``pin_blas_threads`` sets the thread count of the OpenBLAS that numpy's
+wheels bundle to 1, whatever ``OPENBLAS_NUM_THREADS`` says and whether or
+not numpy was imported first.  OpenBLAS splits a large product or QR by its
+thread count, and the split changes its rounding, so without the pin the
+records at 5+5 qubits and up would follow the machine's core count.  Pool
+workers inherit the pin under fork and set it again when they import this
+module under spawn.  A numpy built on another BLAS (Accelerate, MKL) has no
+such symbol; then nothing is set, and records at 5+5 and up follow that
+BLAS's thread count.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 PROB_FLOOR = 1e-300
+
+
+def _numpy_blas() -> ctypes.CDLL | None:
+    """numpy's compiled core, whose symbol lookup also searches the BLAS it
+    links; None if it cannot be opened."""
+    try:
+        return ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except OSError:
+        return None
+
+
+def pin_blas_threads() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread in this process.  Returns
+    False, having set nothing, when numpy links another BLAS."""
+    setter = getattr(_numpy_blas(), "scipy_openblas_set_num_threads64_", None)
+    if setter is None:
+        return False
+    setter(1)
+    return True
+
+
+pin_blas_threads()
 
 
 def sample_haar_unitary(

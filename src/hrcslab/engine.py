@@ -168,6 +168,14 @@ def _propagate(
     ``_keep_branch`` rebuilds.  The first is bitwise the zero-padded product,
     except for a single row at 2^n_A = 2: BLAS's matrix-vector kernel rounds
     a length-2 and a length-2^n dot product differently in its tail.
+
+    The product is returned where BLAS wrote it: the (rows, 2^n) transpose
+    of a C-ordered (2^n, rows) array, so a row's amplitudes lie ``rows``
+    apart, and copying it row-major would cost one batch copy per step.  An
+    HEA step run gate by gate returns C order.  A reduction over a row of
+    this view runs in another order than over a C-ordered row, and so rounds
+    differently: the sampler sums its bath probabilities over a C-ordered
+    copy of the squared moduli (``sample_trajectories``).
     """
     rows, d_sys = picked.shape
     if isinstance(step, HeaParams):
@@ -175,9 +183,7 @@ def _propagate(
             return apply_hea_batch(_keep_branch(picked, bath, d_bath), step)
         step = step_matrices([step], d_sys)[0]
     amps = picked if bath is None else _keep_branch(picked, bath, d_bath)
-    product = np.dot(step[:, :amps.shape[1]], amps.T)
-    del amps  # free a rebuilt register before the contiguous copy
-    return np.ascontiguousarray(product.T)
+    return np.dot(step[:, :amps.shape[1]], amps.T).T
 
 
 def _keep_branch(picked: np.ndarray, z: np.ndarray | None, d_bath: int) -> np.ndarray:
@@ -237,9 +243,9 @@ def _draw(
 
 def _walk(config: HrcsConfig, unitaries: list[StepUnitary], keep) -> np.ndarray:
     """The step loop of every pure-state mode.  From one row of |0>, each step
-    gives a (rows, d_B, d_A) register and ``keep(k, blocks, picked)`` returns
-    the system blocks left by the bath measurement, perhaps over the consumed
-    ``picked``, and their outcomes; the bath is carried or reset to 0.  At
+    gives a (rows, d_B, d_A) register, in the step kernel's layout, and
+    ``keep(k, blocks)`` returns the system blocks left by the bath
+    measurement and their outcomes; the bath is carried or reset to 0.  At
     k = 0 ``keep`` fans the one row out to as many rows as it keeps."""
     if config.n_qubits > TRAJECTORY_MAX_QUBITS:
         raise CapacityError(
@@ -251,8 +257,9 @@ def _walk(config: HrcsConfig, unitaries: list[StepUnitary], keep) -> np.ndarray:
     picked[0, 0] = 1.0
     z = None
     for k, step in enumerate(unitaries):
-        blocks = _propagate(picked, z, step, d_bath).reshape(len(picked), d_bath, d_sys)
-        picked, z = keep(k, blocks, picked)
+        blocks = _propagate(picked, z, step, d_bath).reshape(-1, d_bath, d_sys)
+        del picked  # free the consumed blocks before keep gathers the next
+        picked, z = keep(k, blocks)
         z = None if config.reset_bath else z
         del blocks  # free this step's register before the next is built
     return picked
@@ -281,14 +288,14 @@ def sample_trajectories(
     bath_outcomes = np.zeros((n_shots, config.steps), dtype=np.int64)
     model_prob = np.ones(n_shots)
 
-    def draw(k: int, blocks: np.ndarray, kept: np.ndarray):
+    def draw(k: int, blocks: np.ndarray):
         flip_sys, phase_sys = _random_paulis(n_shots, config.n_system, gamma, rng)
         flip_bath, phase_bath = _random_paulis(n_shots, config.n_bath, gamma, rng)
-        # at k = 0 blocks holds the one row every shot starts from: each shot
-        # reads it, and keeps its block in a batch of its own
+        # at k = 0 blocks holds the one row every shot starts from
         row = rows if k else np.zeros_like(rows)
-        kept = kept if k else np.empty((n_shots, d_sys), dtype=complex)
-        probs = (np.abs(blocks) ** 2).sum(axis=2)
+        # a C-ordered copy, so each block sums in numpy's pairwise order
+        # whatever the step kernel's layout (see _propagate)
+        probs = (np.abs(blocks, order="C") ** 2).sum(axis=2)
         # outcome z reads block z ^ flip of the shot's row
         probs = probs[row[:, None], np.arange(d_bath) ^ flip_bath[:, None]]
         z, p_z = _draw(probs, rng, "bath")
@@ -296,8 +303,7 @@ def sample_trajectories(
         bath_outcomes[:, k] = z
         src_bath = z ^ flip_bath
         src_sys = np.arange(d_sys) if phase_sys is None else np.arange(d_sys) ^ flip_sys[:, None]
-        np.take(blocks, (row * d_bath + src_bath)[:, None] * d_sys + src_sys, out=kept,
-                mode="clip")  # "raise" would copy through a buffer
+        kept = blocks[row[:, None], src_bath[:, None], src_sys]
         for phase, src in ((phase_sys, src_sys), (phase_bath, src_bath[:, None])):
             if phase is not None:
                 kept *= phase(src)
@@ -330,7 +336,7 @@ def ideal_probabilities_batch(
     ):
         raise ConfigurationError(f"outcomes out of shape or range for {config.steps} steps")
     rows = np.arange(shots)
-    picked = _walk(config, unitaries, lambda k, blocks, _: (  # step 0 fans out the one row
+    picked = _walk(config, unitaries, lambda k, blocks: (  # step 0 fans out the one row
         blocks[rows if k else 0, bath_outcomes[:, k], :], bath_outcomes[:, k]))
     return np.abs(picked[rows, final_outcomes]) ** 2
 
@@ -351,7 +357,7 @@ def enumerate_joint_distribution(
         raise CapacityError(
             f"enumeration over {config.n_eff} effective bits exceeds {ENUMERATION_MAX_BITS}"
         )
-    picked = _walk(config, unitaries, lambda k, blocks, _: (
+    picked = _walk(config, unitaries, lambda k, blocks: (
         blocks.reshape(-1, blocks.shape[2]), np.tile(np.arange(blocks.shape[1]), len(blocks))))
     return (np.abs(picked) ** 2).reshape(-1)
 

@@ -198,15 +198,17 @@ KIND_TABLE = {
 EXPERIMENT_KINDS = tuple(KIND_TABLE)
 
 # (shots, 2^n) complex arrays an xeb or noisy_xeb instance holds at its peak,
-# replay included.  tracemalloc at t = 3 with 2000 shots, noisy_xeb at gamma =
-# 0.7 within 0.08 of xeb: reset Haar steps 2.1-2.4 at 3+5 to 6+2 and 2.7 at
-# 7+1, whose kept blocks are half a copy; 2.4-2.7 without a reset.  A 4-layer
-# HEA compiled to the 2^n_A columns a reset bath reaches gives 2.1-2.3, and
-# 3.1-3.3 at 7+3 to 8+4 and 3.5 at 9+1 with 2^n_A shots, where those columns
-# are one batch copy.  Without a reset, the HEA steps after the first run
-# their layers on the rebuilt register at 3+5 to 6+2: 2.1-2.3, at 2000 and at
-# 200 shots.  At t = 1 the walk is the one |0> row fanned out to the shots:
-# 0.1-0.9 at 3+5 to 8+4, and 1.0-1.7 at 7+1 and 9+1
+# replay included.  tracemalloc at t = 3 with 2000 shots (1000 at 5+5), xeb
+# and noisy_xeb at gamma = 0.7: reset Haar steps 1.6 at 3+5 to 5+5, and at
+# 6+2 and 7+1, whose kept blocks are a quarter and half a copy, 1.6-1.9 and
+# 1.7-2.7 (the noisy sampler's Pauli phases); 2.4-2.7 without a reset.  A
+# 4-layer HEA compiled to the 2^n_A columns a reset bath reaches gives
+# 1.5-1.6 (1.8 noisy at 6+2), and 2.1-2.3 at 7+3 to 8+4 and 2.5 at 9+1 with
+# 2^n_A shots, where those columns are one batch copy.  Without a reset, the
+# HEA steps after the first run their layers on the rebuilt register at 3+5
+# to 6+2: 2.1-2.3, at 2000 and at 200 shots.  At t = 1 the walk is the one
+# |0> row fanned out to the shots: 0.1-0.9 at 3+5 to 8+4, and 1.0-1.6 at 7+1
+# and 9+1
 SAMPLER_LIVE_COPIES = 4
 # 2^n x 2^n complex arrays that drawing one full Haar step holds beside its
 # output: peak RSS of sample_haar_unitary at 10-11 qubits grows by 4.1-4.3
@@ -291,16 +293,20 @@ class ExperimentSpec:
             raise ConfigurationError(f"out must be a non-empty path string, got {self.out!r}")
         if self.format not in ("jsonl", "csv"):
             raise ConfigurationError(f"format must be jsonl or csv, got {self.format!r}")
+        formula = self.kind == "theory_table"
         for name, unread, reads, readers in (
-            ("gammas", (), self.kind in ("noisy_xeb", "theory_table"),
-             "noisy_xeb and theory_table"),
-            ("theory_family", None, self.kind == "theory_table", "theory_table"),
+            ("gammas", (), self.kind == "noisy_xeb" or (
+                formula and self.theory_family in GAMMA_FAMILIES),
+             f"noisy_xeb, and theory_table with the {' or '.join(GAMMA_FAMILIES)} family"),
+            ("theory_family", None, formula, "theory_table"),
             ("k_orders", (2,), self.kind in ("ps_sweep", "theory_table"),
              "ps_sweep and theory_table"),
             ("epsilon", 1.0, self.theory_family == "critical_steps",
              "theory_table with the critical_steps family"),
-            ("reset_bath", True, self.kind != "reset_check",
-             "every kind but reset_check, which runs each circuit both ways"),
+            ("reset_bath", True, self.kind not in ("reset_check", "theory_table"),
+             "the circuit kinds but reset_check, which runs each circuit both ways"),
+            # a haar source's hea_layers is refused with every kind (HrcsConfig)
+            ("unitary_source", "haar", not formula, "the circuit kinds"),
         ):
             if not reads and getattr(self, name) != unread:
                 raise ConfigurationError(

@@ -1,12 +1,19 @@
 """Amplitude-batch tests: the step kernel on (rows, 2^n) batches, Born
 probabilities, bath collapse and reset, Pauli strings, and the Haar
-sampler's moment checks."""
+sampler's moment checks, and the BLAS thread pin."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hrcslab
 from hrcslab import (
     ConfigurationError,
     DegenerateBranchError,
@@ -17,7 +24,9 @@ from hrcslab import (
     sample_haar_unitary,
     sample_trajectories,
 )
+from hrcslab import core
 from hrcslab.circuits import HeaParams
+from hrcslab.runner import ExperimentSpec, run_experiment
 from hrcslab.engine import _keep_branch, _propagate, _random_paulis, ideal_probabilities_batch
 
 from conftest import (
@@ -406,3 +415,77 @@ class TestPauliUnraveling:
         diff = avg - expected
         trace_distance = 0.5 * np.sum(np.linalg.svd(diff, compute_uv=False))
         assert trace_distance < 5e-3
+
+
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+BUNDLED_OPENBLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] == (
+    "scipy-openblas"
+)
+# the CI's inline noisy_xeb_5_5 spec: its Haar draws and products at 5+5 are
+# large enough for OpenBLAS to split them by its thread count
+NOISY_XEB_5_5 = {
+    "schema_version": 1, "kind": "noisy_xeb", "n_system": 5, "n_bath": 5, "steps": [1, 2],
+    "gammas": [0.7], "instances": 6, "shots": 20, "master_seed": 3,
+}
+# numpy is imported first, as pytest's conftest and many scripts do
+THREADS_AFTER_IMPORT = """
+import ctypes
+import numpy as np
+get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+import hrcslab
+print(get())
+"""
+
+
+def run_python(args, threads: str | None) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this package, with every BLAS thread variable
+    unset or OPENBLAS_NUM_THREADS at ``threads``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(pathlib.Path(hrcslab.__file__).resolve().parents[1])
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=True
+    )
+
+
+class TestBlasPin:
+    """Every process runs BLAS on one thread (``core.pin_blas_threads``), so
+    records do not follow the machine's core count."""
+
+    def test_pin_reports_the_bundled_openblas(self):
+        assert core.pin_blas_threads() is BUNDLED_OPENBLAS
+
+    @pytest.mark.skipif(not BUNDLED_OPENBLAS, reason="numpy links another BLAS")
+    def test_one_thread_after_import_whatever_the_variable(self):
+        assert run_python(["-c", THREADS_AFTER_IMPORT], "2").stdout.split() == ["1"]
+
+    def test_5_5_records_do_not_follow_the_thread_variable(self, tmp_path):
+        config = tmp_path / "noisy_xeb_5_5.json"
+        config.write_text(json.dumps(NOISY_XEB_5_5))
+        outputs = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"threads_{threads}.jsonl"
+            run_python(["-m", "hrcslab", "noisy-xeb", "--config", str(config),
+                        "--out", str(out)], threads)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("lookup", ["unopenable", "another_blas"])
+    def test_run_completes_where_nothing_is_found(self, lookup, monkeypatch):
+        if lookup == "unopenable":
+            def unopenable(*args, **kwargs):
+                raise OSError("cannot open")
+
+            monkeypatch.setattr(core.ctypes, "CDLL", unopenable)
+        else:
+            monkeypatch.setattr(core, "_numpy_blas", lambda: object())  # no such symbol
+        assert core.pin_blas_threads() is False
+        spec = ExperimentSpec(
+            kind="noisy_xeb", n_system=2, n_bath=2, steps=(1, 2), gammas=(0.7,),
+            instances=2, shots=20, master_seed=3,
+        )
+        assert len(run_experiment(spec)) == 2

@@ -777,6 +777,35 @@ class TestOneRowStart:
         assert seen == ([1, 2, 4] if mode == "enumerate" else [1, shots, shots])
 
 
+class TestStepLayout:
+    """A dense step's product is read where BLAS wrote it, and the sampler
+    sums its bath probabilities in C order all the same."""
+
+    def test_bath_probabilities_are_c_order_sums(self, monkeypatch):
+        # the second step of a dense 5+5 circuit runs on 1000 rows; summing
+        # the strided view instead rounds most of its 32 000 sums differently
+        cfg = HrcsConfig(n_system=5, n_bath=5, steps=2, master_seed=1)
+        steps = instantiate_circuit(cfg, 0)
+        products, bath_probs = [], []
+
+        def spy_propagate(picked, bath, step, d_bath, propagate=engine_mod._propagate):
+            products.append(propagate(picked, bath, step, d_bath))
+            return products[-1]
+
+        def spy_draw(probs, rng, branch, draw=engine_mod._draw):
+            if branch == "bath":
+                bath_probs.append(probs.copy())
+            return draw(probs, rng, branch)
+
+        monkeypatch.setattr(engine_mod, "_propagate", spy_propagate)
+        monkeypatch.setattr(engine_mod, "_draw", spy_draw)
+        sample_trajectories(cfg, steps, 1000, 1.0, np.random.default_rng(0))
+        product = products[1]
+        assert product.shape == (1000, 1024) and not product.flags.c_contiguous
+        expected = (np.abs(np.ascontiguousarray(product)) ** 2).reshape(1000, 32, 32).sum(axis=2)
+        np.testing.assert_array_equal(bath_probs[1], expected)
+
+
 class TestStepCount:
     MODES = {
         "sample": lambda cfg, steps: sample_trajectories(

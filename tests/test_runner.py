@@ -153,12 +153,25 @@ class TestSpecParsing:
             {"epsilon": 0.5},
             {"kind": "theory_table", "theory_family": "hrcs_power_sum", "epsilon": 0.5},
             {"kind": "reset_check", "reset_bath": False},
+            # a formula reads no circuit, and a gamma only in a noisy_xeb family
+            {"kind": "theory_table", "theory_family": "hrcs_power_sum", "gammas": (0.5, 0.9)},
+            {"kind": "theory_table", "theory_family": "ideal_xeb", "gammas": (0.5,)},
+            {"kind": "theory_table", "theory_family": "hrcs_power_sum", "reset_bath": False},
+            {"kind": "theory_table", "theory_family": "hrcs_power_sum",
+             "unitary_source": "hea", "hea_layers": 3},
+            {"kind": "theory_table", "theory_family": "hrcs_power_sum", "hea_layers": 3},
         ],
         ids=str,
     )
     def test_bad_field_rejected_up_front(self, overrides):
         with pytest.raises(ConfigurationError):
             cp_spec(**overrides)
+
+    def test_theory_table_accepts_seed_and_counts(self):
+        # hrcs --seed sets master_seed on every kind, and perfbench's tiny
+        # mode writes instances and shots
+        spec = cp_spec(kind="theory_table", theory_family="hrcs_power_sum", shots=100)
+        assert (spec.master_seed, spec.instances, spec.shots) == (99, 25, 100)
 
     @pytest.mark.parametrize("kind", ["cp_sweep", "marginal_sweep", "reset_check"])
     def test_shots_accepted_on_enumeration_kinds(self, kind):
