@@ -23,10 +23,10 @@ runs.
 
 Noise is one depolarizing strength ``gamma`` in [0, 1], applied to system
 and bath after every step; 1 is noiseless.  The sampler unravels it into
-Pauli strings without touching the register: a string's bath part relabels
-the bath outcome, and its system part acts on the kept block.  A noisy
-batch's model probabilities are those of its noisy paths, each under its
-drawn strings.
+Pauli strings, each an X and a Z mask, without touching the register: the
+bath X mask relabels the bath outcome, and the system masks permute and
+negate the kept block.  The i of each Y and the bath Z sign, phases of a
+whole row, are not applied.  Model probabilities are those of noisy paths.
 
 A sampled path is a row of ``TrajectoryBatch``; an exact distribution is a
 float64 vector of 2^n_eff probabilities.  Outcome indexing: a joint outcome
@@ -213,18 +213,15 @@ class TrajectoryBatch:
 def _random_paulis(rows: int, m: int, gamma: float, rng: np.random.Generator):
     """Trajectory unraveling of the depolarizing channel on an m-qubit field:
     with probability 1-gamma a row gets a Pauli string drawn uniformly from
-    all 4^m (identity included), code digit i (0 I, 1 X, 2 Y, 3 Z) on bit i,
-    moving old[src] to new[src ^ flip] times phase(src) = i^(n_Y + 2 popcount(src
-    & zy)).  Returns flips and ``phase``; gamma = 1 draws none: 0 flips, no phase."""
+    all 4^m (identity included), code digit i (0 I, 1 X, 2 Y, 3 Z) on bit i.
+    The string is i^(n_Y) X^flip Z^zmask; returns ``flip, zmask``, not the
+    global phase i^(n_Y).  gamma = 1 draws none: both masks are 0."""
     if gamma >= 1.0:
-        return np.zeros(rows, dtype=np.int64), None
+        return np.zeros((2, rows), dtype=np.int64)
     codes = np.where(rng.random(rows) < 1.0 - gamma, rng.integers(4 ** m, size=rows), 0)
     digits = (codes[:, None] >> (2 * np.arange(m))) & 3
     bits = 1 << np.arange(m)
-    flip = ((digits == 1) | (digits == 2)) @ bits
-    zy = ((digits >= 2) @ bits)[:, None]
-    n_y = (digits == 2).sum(axis=1, keepdims=True)
-    return flip, lambda src: np.array([1, 1j, -1, -1j])[(n_y + 2 * np.bitwise_count(src & zy)) % 4]
+    return ((digits == 1) | (digits == 2)) @ bits, (digits >= 2) @ bits
 
 
 def _draw(
@@ -277,10 +274,10 @@ def sample_trajectories(
 
     Depolarizing noise of strength ``gamma`` (1 is noiseless) draws, per
     step, a Pauli string per row on the system, then one on the bath, then
-    the bath outcome.  The bath part relabels the outcome: a row draws z
-    with the probability of its block z ^ flip, keeps that block and carries
-    z.  The system part acts on the kept block.  Model probabilities are
-    those of the sampled paths under their drawn strings.
+    the bath outcome.  The bath X mask f relabels the outcome: a row draws z
+    with the probability of its block z ^ f, keeps that block and carries z.
+    The system string acts on the kept block as X^flip Z^zmask, without its
+    global phase.  Model probabilities are those of the noisy paths.
     """
     _check_gamma(gamma)
     d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
@@ -289,8 +286,8 @@ def sample_trajectories(
     model_prob = np.ones(n_shots)
 
     def draw(k: int, blocks: np.ndarray):
-        flip_sys, phase_sys = _random_paulis(n_shots, config.n_system, gamma, rng)
-        flip_bath, phase_bath = _random_paulis(n_shots, config.n_bath, gamma, rng)
+        flip_sys, zmask_sys = _random_paulis(n_shots, config.n_system, gamma, rng)
+        flip_bath, _ = _random_paulis(n_shots, config.n_bath, gamma, rng)
         # at k = 0 blocks holds the one row every shot starts from
         row = rows if k else np.zeros_like(rows)
         # a C-ordered copy, so each block sums in numpy's pairwise order
@@ -302,11 +299,11 @@ def sample_trajectories(
         model_prob[:] *= p_z
         bath_outcomes[:, k] = z
         src_bath = z ^ flip_bath
-        src_sys = np.arange(d_sys) if phase_sys is None else np.arange(d_sys) ^ flip_sys[:, None]
+        src_sys = np.arange(d_sys) if gamma == 1.0 else np.arange(d_sys) ^ flip_sys[:, None]
         kept = blocks[row[:, None], src_bath[:, None], src_sys]
-        for phase, src in ((phase_sys, src_sys), (phase_bath, src_bath[:, None])):
-            if phase is not None:
-                kept *= phase(src)
+        if gamma < 1.0:  # Z^zmask: the gather has spent src_sys, which takes the overlap
+            odd = np.bitwise_count(np.bitwise_and(src_sys, zmask_sys[:, None], out=src_sys)) % 2
+            np.negative(kept, out=kept, where=odd == 1)
         kept /= np.sqrt(p_z)[:, None]
         return kept, z
 

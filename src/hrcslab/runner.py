@@ -59,6 +59,7 @@ THEORY = {
 }
 THEORY_FAMILIES = tuple(THEORY)
 GAMMA_FAMILIES = ("noisy_xeb_exact", "noisy_xeb_asymptotic")
+K_FAMILIES = ("haar_power_sum", "hrcs_power_sum", "critical_steps")
 
 
 # per-instance measures: (spec, config, step unitaries, gamma, index) -> one
@@ -199,11 +200,11 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 
 # (shots, 2^n) complex arrays an xeb or noisy_xeb instance holds at its peak,
 # replay included.  tracemalloc at t = 3 with 2000 shots (1000 at 5+5), xeb
-# and noisy_xeb at gamma = 0.7: reset Haar steps 1.6 at 3+5 to 5+5, and at
-# 6+2 and 7+1, whose kept blocks are a quarter and half a copy, 1.6-1.9 and
-# 1.7-2.7 (the noisy sampler's Pauli phases); 2.4-2.7 without a reset.  A
-# 4-layer HEA compiled to the 2^n_A columns a reset bath reaches gives
-# 1.5-1.6 (1.8 noisy at 6+2), and 2.1-2.3 at 7+3 to 8+4 and 2.5 at 9+1 with
+# and noisy_xeb at gamma = 0.7: reset Haar steps 1.6-1.7 at 3+5 to 6+2, and
+# at 7+1, whose kept block is half a copy, 1.7 and 2.0 noisy (the Pauli
+# gather index and signs); 2.4-2.9 without a reset.  A 4-layer HEA compiled
+# to the 2^n_A columns a reset bath reaches gives 1.5-1.6 (1.8 noisy at
+# 7+1), and 2.1-2.3 at 7+3 to 8+4 and 2.5 at 9+1 with
 # 2^n_A shots, where those columns are one batch copy.  Without a reset, the
 # HEA steps after the first run their layers on the rebuilt register at 3+5
 # to 6+2: 2.1-2.3, at 2000 and at 200 shots.  At t = 1 the walk is the one
@@ -279,6 +280,8 @@ class ExperimentSpec:
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)) or not all(ok(v) for v in values):
                 raise ConfigurationError(f"{name} must be a list of {what}, got {values!r}")
+            if len(set(values)) < len(values):  # its records would be written twice
+                raise ConfigurationError(f"{name} repeats an entry: {values!r}")
             object.__setattr__(self, name, tuple(values))
         if self.instances < 1 or self.shots < 1:
             raise ConfigurationError("instances and shots must be >= 1")
@@ -294,13 +297,19 @@ class ExperimentSpec:
         if self.format not in ("jsonl", "csv"):
             raise ConfigurationError(f"format must be jsonl or csv, got {self.format!r}")
         formula = self.kind == "theory_table"
+        if formula and self.theory_family not in THEORY_FAMILIES:
+            raise ConfigurationError(
+                f"theory_table needs theory_family from {THEORY_FAMILIES}, "
+                f"got {self.theory_family!r}"
+            )
         for name, unread, reads, readers in (
             ("gammas", (), self.kind == "noisy_xeb" or (
                 formula and self.theory_family in GAMMA_FAMILIES),
              f"noisy_xeb, and theory_table with the {' or '.join(GAMMA_FAMILIES)} family"),
             ("theory_family", None, formula, "theory_table"),
-            ("k_orders", (2,), self.kind in ("ps_sweep", "theory_table"),
-             "ps_sweep and theory_table"),
+            ("k_orders", (2,), self.kind == "ps_sweep" or (
+                formula and self.theory_family in K_FAMILIES),
+             f"ps_sweep, and theory_table with the {' or '.join(K_FAMILIES)} family"),
             ("epsilon", 1.0, self.theory_family == "critical_steps",
              "theory_table with the critical_steps family"),
             ("reset_bath", True, self.kind not in ("reset_check", "theory_table"),
@@ -308,25 +317,18 @@ class ExperimentSpec:
             # a haar source's hea_layers is refused with every kind (HrcsConfig)
             ("unitary_source", "haar", not formula, "the circuit kinds"),
         ):
-            if not reads and getattr(self, name) != unread:
+            value = getattr(self, name)
+            if not reads and value != unread:
                 raise ConfigurationError(
-                    f"{self.kind} does not read {name} (read by {readers}), "
-                    f"got {getattr(self, name)!r}"
+                    f"{self.kind} does not read {name} (read by {readers}), got {value!r}"
                 )
-        if self.kind == "theory_table":
-            if self.theory_family not in THEORY_FAMILIES:
-                raise ConfigurationError(
-                    f"theory_table needs theory_family from {THEORY_FAMILIES}, "
-                    f"got {self.theory_family!r}"
-                )
-            if self.theory_family in GAMMA_FAMILIES and not self.gammas:
-                raise ConfigurationError(f"{self.theory_family} needs a gammas list")
-        if self.kind in ("ps_sweep", "theory_table") and not self.k_orders:
-            raise ConfigurationError(f"{self.kind} needs at least one k_orders entry")
+            if reads and value == ():
+                raise ConfigurationError(f"{self.kind} needs at least one {name} entry")
+        if self.kind == "marginal_sweep" and not self.reset_bath:
+            raise ConfigurationError("marginal_sweep needs a reset bath: its closed forms "
+                                     "marginal_cp_spatial and marginal_cp_per_step assume one")
         if self.kind == "ps_sweep" and any(k < 2 for k in self.k_orders):
             raise ConfigurationError("power-sum orders must be >= 2")
-        if self.kind == "noisy_xeb" and not self.gammas:
-            raise ConfigurationError("noisy_xeb needs at least one gamma")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentSpec":

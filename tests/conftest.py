@@ -73,13 +73,23 @@ def pauli_string_matrix(code: int, targets, n: int) -> np.ndarray:
     return out
 
 
+def y_factor(code: int) -> complex:
+    """(-i)^(n_Y) for a Pauli code with n_Y digits 2 (Y): the factor that
+    takes the dense string i^(n_Y) X^flip Z^zmask to its phase-free part."""
+    n_y = sum((code >> s) & 3 == 2 for s in range(0, code.bit_length(), 2))
+    return (-1j) ** n_y
+
+
 def apply_strings(amps: np.ndarray, strings, low: int) -> np.ndarray:
     """A (rows, 2^n) batch after each row's string, drawn by
     ``engine._random_paulis`` on the field of qubits low, low + 1, ..., acts
-    on it: new[j] = phase(src) old[src] with src = j ^ flip on the register."""
-    flip, phase = strings
+    on it as X^flip Z^zmask: new[j] = (-1)^popcount(src & zmask) old[src]
+    with src = j ^ flip on the field.  The string's global phase i^(n_Y) is
+    left out, as the sampler leaves it out."""
+    flip, zmask = strings
     src = np.arange(amps.shape[1]) ^ (flip[:, None] << low)
-    return phase(src >> low) * amps[np.arange(len(amps))[:, None], src]
+    odd = np.bitwise_count((src >> low) & zmask[:, None]) % 2 == 1
+    return np.where(odd, -1, 1) * amps[np.arange(len(amps))[:, None], src]
 
 
 def rx_matrix(theta: float) -> np.ndarray:

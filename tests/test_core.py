@@ -40,6 +40,7 @@ from conftest import (
     rz_matrix,
     tensordot_step,
     unitarity_defect,
+    y_factor,
     zero_batch,
 )
 
@@ -371,12 +372,13 @@ class TestPauliStrings:
         np.testing.assert_allclose(out, [[0, 1, 0, 0]], atol=1e-12)
 
     def test_matches_dense_pauli_matrices(self):
-        # all 16 two-qubit strings, one per row, against their Kronecker products
+        # all 16 two-qubit strings, one per row, against their Kronecker
+        # products without the global phase i^(n_Y); every factor is exact
         state = random_state(2, seed=6)
         out = apply_codes(np.tile(state, (16, 1)), np.arange(16), (0, 1))
         for code in range(16):
-            np.testing.assert_allclose(
-                out[code], pauli_string_matrix(code, (0, 1), 2) @ state, atol=1e-12,
+            np.testing.assert_array_equal(
+                out[code], y_factor(code) * (pauli_string_matrix(code, (0, 1), 2) @ state),
                 err_msg=str(code),
             )
 

@@ -41,6 +41,7 @@ from conftest import (
     pauli_string_matrix,
     small_config,
     unitarity_defect,
+    y_factor,
 )
 
 
@@ -439,8 +440,9 @@ class TestMarginalize:
 class TestPauliUnraveling:
     @pytest.mark.parametrize("targets", [(0, 1), (2, 3, 4), (1,)])
     def test_matches_per_string_permutation(self, targets):
-        # each row against the dense Kronecker product of its drawn string;
-        # the oracle's entries are 0, +-1, +-i, so the match is bitwise
+        # each row against the dense Kronecker product of its drawn string,
+        # without the string's global phase i^(n_Y); the oracle's entries
+        # are 0, +-1, +-i, so the match is bitwise
         n, shots, gamma = 5, 300, 0.2
         gen = np.random.default_rng(3)
         amps = gen.standard_normal((shots, 1 << n)) + 1j * gen.standard_normal((shots, 1 << n))
@@ -448,8 +450,8 @@ class TestPauliUnraveling:
         draws = np.random.default_rng(8)
         hit = draws.random(shots) < 1.0 - gamma
         codes = np.where(hit, draws.integers(4 ** len(targets), size=shots), 0)
-        for row, code in enumerate(codes):
-            expected[row] = pauli_string_matrix(int(code), targets, n) @ amps[row]
+        for row, code in enumerate(codes.tolist()):
+            expected[row] = y_factor(code) * (pauli_string_matrix(code, targets, n) @ amps[row])
         strings = _random_paulis(shots, len(targets), gamma, np.random.default_rng(8))
         np.testing.assert_array_equal(apply_strings(amps, strings, targets[0]), expected)
 

@@ -20,6 +20,7 @@ from hrcslab.engine import instance_seed
 from hrcslab.runner import (
     CSV_COLUMNS,
     GAMMA_FAMILIES,
+    K_FAMILIES,
     KIND_TABLE,
     THEORY_FAMILIES,
     ExperimentSpec,
@@ -118,6 +119,9 @@ class TestSpecParsing:
     def test_theory_table_needs_family(self):
         with pytest.raises(ConfigurationError, match="theory_family"):
             ExperimentSpec.from_json_dict(spec_doc(kind="theory_table"))
+        # a misspelt family is named as such, not as one that reads no K
+        with pytest.raises(ConfigurationError, match="needs theory_family"):
+            cp_spec(kind="theory_table", theory_family="hrcs_powersum", k_orders=(2, 3))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -160,12 +164,27 @@ class TestSpecParsing:
             {"kind": "theory_table", "theory_family": "hrcs_power_sum",
              "unitary_source": "hea", "hea_layers": 3},
             {"kind": "theory_table", "theory_family": "hrcs_power_sum", "hea_layers": 3},
+            # a K only in a theory_table family that takes one
+            {"kind": "theory_table", "theory_family": "ideal_xeb", "k_orders": (2, 3)},
+            {"kind": "theory_table", "theory_family": "noisy_xeb_exact", "gammas": (0.5,),
+             "k_orders": (3,)},
+            # a repeated entry would write the same records twice
+            {"steps": (2, 2)},
+            {"kind": "ps_sweep", "k_orders": (3, 3)},
+            {"kind": "noisy_xeb", "gammas": (0.7, 0.7)},
+            {"kind": "theory_table", "theory_family": "hrcs_power_sum", "k_orders": (2, 2)},
         ],
         ids=str,
     )
     def test_bad_field_rejected_up_front(self, overrides):
         with pytest.raises(ConfigurationError):
             cp_spec(**overrides)
+
+    def test_marginal_sweep_without_reset_refused(self):
+        # without a reset the sampled spatial and per-step marginals miss
+        # their closed forms by tens of standard errors
+        with pytest.raises(ConfigurationError, match="marginal_cp_spatial and marginal_cp_per"):
+            cp_spec(kind="marginal_sweep", reset_bath=False)
 
     def test_theory_table_accepts_seed_and_counts(self):
         # hrcs --seed sets master_seed on every kind, and perfbench's tiny
@@ -367,6 +386,26 @@ class TestCapacity:
             batch_bytes = spec.shots * (16 << (spec.n_system + spec.n_bath))
             assert peak < runner_mod.SAMPLER_LIVE_COPIES * batch_bytes, (reset, shots, t)
 
+    def test_noisy_sampler_peak_near_noiseless(self):
+        # a Pauli string is two masks on the kept block, so noise costs less
+        # than half a batch copy beyond the noiseless peak where that block
+        # is half the register (7+1): tracemalloc reads 2.03 copies noisy
+        # against 1.74-1.83; gathering a complex phase array per step reads 2.72
+        peaks = {}
+        for kind, gamma in (("xeb", None), ("noisy_xeb", 0.7)):
+            spec = ExperimentSpec(
+                kind=kind, n_system=7, n_bath=1, steps=(3,), gammas=(gamma,) if gamma else (),
+                instances=1, shots=2000, master_seed=3,
+            )
+            tracemalloc.start()
+            try:
+                runner_mod._instance(spec, 3, gamma, 0)
+                _, peaks[kind] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        batch_bytes = 2000 * (16 << 8)
+        assert peaks["noisy_xeb"] < peaks["xeb"] + 0.5 * batch_bytes, peaks
+
     def test_hea_angles_beyond_memory_refused_before_work(self, seven_gib, no_work):
         # 10^9 layers on 2 qubits: three steps hold 96 GB of angles
         spec = ExperimentSpec(
@@ -489,7 +528,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("family", THEORY_FAMILIES)
     def test_theory_table_family_matches_direct_call(self, family):
         spec = ExperimentSpec(
-            kind="theory_table", n_system=2, n_bath=1, steps=(3,), k_orders=(3,),
+            kind="theory_table", n_system=2, n_bath=1, steps=(3,),
+            k_orders=(3,) if family in K_FAMILIES else (2,),
             gammas=(0.7,) if family in GAMMA_FAMILIES else (),
             epsilon=0.5 if family == "critical_steps" else 1.0, theory_family=family,
         )
