@@ -58,8 +58,10 @@ THEORY = {
     "critical_steps": lambda a, b, t, k, g, eps: theory.critical_steps(a, b, eps, k),
 }
 THEORY_FAMILIES = tuple(THEORY)
-GAMMA_FAMILIES = ("noisy_xeb_exact", "noisy_xeb_asymptotic")
-K_FAMILIES = ("haar_power_sum", "hrcs_power_sum", "critical_steps")
+# theory family -> the spec fields it reads besides theory_family (others: none)
+FAMILY_READS = {"haar_power_sum": ("k_orders",), "hrcs_power_sum": ("k_orders",),
+                "noisy_xeb_exact": ("gammas",), "noisy_xeb_asymptotic": ("gammas",),
+                "critical_steps": ("k_orders", "epsilon")}
 
 
 # per-instance measures: (spec, config, step unitaries, gamma, index) -> one
@@ -128,10 +130,6 @@ def _porter_thomas(spec, t, rows) -> list[EnsembleStats]:
     return [EnsembleStats(spec.instances, v, 0.0) for v in (ks, inside)]
 
 
-def _fixed(value: float) -> Callable[..., float]:
-    return lambda *point: value
-
-
 def _pop_range_mass(a, b, t, k, g, eps) -> float:
     """Porter-Thomas mass on the histogram's range [1e-2/D, 50/D], clipped at
     p = 1: (1 - 1e-2/D)^(D-1) - (1 - min(50/D, 1))^(D-1), the value the
@@ -144,6 +142,7 @@ def _pop_range_mass(a, b, t, k, g, eps) -> float:
 
 
 _HRCS = THEORY["hrcs_power_sum"]
+CIRCUIT_READS = ("instances", "master_seed", "reset_bath", "unitary_source", "hea_layers")
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,8 @@ class Kind:
     (statistic, K, theory formula, theory source) rows reported at each
     parameter point; ``points(spec)`` yields the (t, K, gamma) points in
     output order; ``aggregate(spec, t, rows)`` turns the per-instance rows
-    into one EnsembleStats per statistic.
+    into one EnsembleStats per statistic.  ``reads`` names the optional spec
+    fields its records depend on; a circuit kind reads CIRCUIT_READS.
     """
 
     engine: str | None
@@ -163,38 +163,44 @@ class Kind:
     statistics: Callable
     points: Callable = lambda s: ((t, None, None) for t in s.steps)
     aggregate: Callable = _ensemble
+    reads: tuple[str, ...] = CIRCUIT_READS
 
 
 KIND_TABLE = {
     "cp_sweep": Kind("enumerate", _power_sums, lambda s, k: (
         ("collision_probability", 2, _HRCS, "hrcs_power_sum_exact"),)),
     "ps_sweep": Kind("enumerate", _power_sums, lambda s, k: tuple(
-        ("power_sum", q, _HRCS, "hrcs_power_sum_exact") for q in s.k_orders)),
+        ("power_sum", q, _HRCS, "hrcs_power_sum_exact") for q in s.k_orders),
+        reads=CIRCUIT_READS + ("k_orders",)),
     "marginal_sweep": Kind("enumerate", _marginal_cps, lambda s, k: tuple(
         (f"marginal_cp_{m}", 2, THEORY[f"marginal_cp_{m}"], f"marginal_cp_{m}")
         for m in theory.MARGINAL_KINDS)),
     "pop_hist": Kind("enumerate", _probabilities, lambda s, k: (
-        ("pop_ks_to_porter_thomas", None, _fixed(0.0), "porter_thomas_density"),
+        ("pop_ks_to_porter_thomas", None, lambda *point: 0.0, "porter_thomas_density"),
         ("pop_density_integral", None, _pop_range_mass, "porter_thomas_density"),
     ), aggregate=_porter_thomas),
     "tvd": Kind("enumerate", _tvd, lambda s, k: (
         ("tvd_to_haar", None, THEORY["tvd_bound_exact"], "tvd_bound_exact"),)),
     "xeb": Kind("sample", _xeb, lambda s, k: (
-        ("xeb_fidelity", None, THEORY["ideal_xeb"], "ideal_xeb"),)),
+        ("xeb_fidelity", None, THEORY["ideal_xeb"], "ideal_xeb"),),
+        reads=CIRCUIT_READS + ("shots",)),
     "noisy_xeb": Kind("sample", _xeb, lambda s, k: (
         ("noisy_xeb_fidelity", None, THEORY["noisy_xeb_exact"], "noisy_xeb_exact"),
-    ), points=lambda s: itertools.product(s.steps, (None,), s.gammas)),
+    ), points=lambda s: itertools.product(s.steps, (None,), s.gammas),
+        reads=CIRCUIT_READS + ("shots", "gammas")),
     # the formula is its own measurement, one record per (t, K, gamma)
     "theory_table": Kind(None, None, lambda s, k: (
         (s.theory_family, k, THEORY[s.theory_family], s.theory_family),
-    ), points=lambda s: itertools.product(s.steps, s.k_orders, s.gammas or (None,))),
+    ), points=lambda s: itertools.product(s.steps, s.k_orders, s.gammas or (None,)),
+        reads=("theory_family",)),
     "reset_check": Kind("enumerate", _reset_pair, lambda s, k: tuple(
         (name, q, _HRCS, "hrcs_power_sum_exact") for name, q in (
             ("collision_probability_reset", 2),
             ("collision_probability_no_reset", 2),
             ("power_sum_reset", 3),
             ("power_sum_no_reset", 3),
-        ))),
+        )),
+        reads=("instances", "master_seed", "unitary_source", "hea_layers")),
 }
 EXPERIMENT_KINDS = tuple(KIND_TABLE)
 
@@ -231,6 +237,12 @@ HEA_ANGLE_TRANSIENT_COPIES = 1
 POP_HIST_LIVE_COPIES = 6
 
 CSV_COLUMNS = ("n_A", "n_B", "t", "K", "gamma", "statistic", "mean", "std_error", "theory_value")
+
+# the spec fields every config sets, and every spec_hash covers
+REQUIRED = ("kind", "n_system", "n_bath", "steps")
+# accepted on every kind, read or not: out and format say where records go;
+# perfbench's tiny mode writes shots everywhere, and hrcs --seed sets master_seed
+NEVER_REFUSED = REQUIRED + ("out", "format", "instances", "shots", "master_seed")
 
 
 def _is_int(value) -> bool:
@@ -296,34 +308,23 @@ class ExperimentSpec:
             raise ConfigurationError(f"out must be a non-empty path string, got {self.out!r}")
         if self.format not in ("jsonl", "csv"):
             raise ConfigurationError(f"format must be jsonl or csv, got {self.format!r}")
-        formula = self.kind == "theory_table"
-        if formula and self.theory_family not in THEORY_FAMILIES:
+        if self.kind == "theory_table" and self.theory_family not in THEORY_FAMILIES:
             raise ConfigurationError(
                 f"theory_table needs theory_family from {THEORY_FAMILIES}, "
                 f"got {self.theory_family!r}"
             )
-        for name, unread, reads, readers in (
-            ("gammas", (), self.kind == "noisy_xeb" or (
-                formula and self.theory_family in GAMMA_FAMILIES),
-             f"noisy_xeb, and theory_table with the {' or '.join(GAMMA_FAMILIES)} family"),
-            ("theory_family", None, formula, "theory_table"),
-            ("k_orders", (2,), self.kind == "ps_sweep" or (
-                formula and self.theory_family in K_FAMILIES),
-             f"ps_sweep, and theory_table with the {' or '.join(K_FAMILIES)} family"),
-            ("epsilon", 1.0, self.theory_family == "critical_steps",
-             "theory_table with the critical_steps family"),
-            ("reset_bath", True, self.kind not in ("reset_check", "theory_table"),
-             "the circuit kinds but reset_check, which runs each circuit both ways"),
-            # a haar source's hea_layers is refused with every kind (HrcsConfig)
-            ("unitary_source", "haar", not formula, "the circuit kinds"),
-        ):
-            value = getattr(self, name)
-            if not reads and value != unread:
-                raise ConfigurationError(
-                    f"{self.kind} does not read {name} (read by {readers}), got {value!r}"
-                )
-            if reads and value == ():
+        reads = self.reads
+        for f in dataclasses.fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name in reads and value == ():
                 raise ConfigurationError(f"{self.kind} needs at least one {name} entry")
+            if name not in reads + NEVER_REFUSED and value != f.default:
+                kinds = ", ".join(k for k, entry in KIND_TABLE.items() if name in entry.reads)
+                families = " or ".join(x for x, names in FAMILY_READS.items() if name in names)
+                families = families and f"theory_table with the {families} family"
+                raise ConfigurationError(f"{self.kind} does not read {name} (read by "
+                                         f"{', and '.join(filter(None, (kinds, families)))}), "
+                                         f"got {value!r}")
         if self.kind == "marginal_sweep" and not self.reset_bath:
             raise ConfigurationError("marginal_sweep needs a reset bath: its closed forms "
                                      "marginal_cp_spatial and marginal_cp_per_step assume one")
@@ -341,8 +342,7 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
             )
-        required = {"kind", "n_system", "n_bath", "steps"}
-        missing = required - set(doc)
+        missing = set(REQUIRED) - set(doc)
         if missing:
             raise ConfigurationError(f"missing config keys: {sorted(missing)}")
         return cls(**{k: v for k, v in doc.items() if k != "schema_version"})
@@ -352,13 +352,20 @@ class ExperimentSpec:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
 
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """The optional fields its records depend on: its kind's and family's."""
+        family = FAMILY_READS.get(self.theory_family, ()) if self.kind == "theory_table" else ()
+        return KIND_TABLE[self.kind].reads + family
+
     def hash(self) -> str:
-        """Identity of the experiment itself; output destination and format
-        are presentation choices and stay out of the hash."""
-        doc = dataclasses.asdict(self)
-        doc.pop("out")
-        doc.pop("format")
-        doc["pop_bins"] = 50  # a field once, kept so that existing records keep their hash
+        """Identity of the experiment itself: its kind, register sizes and
+        steps, and each field it reads that is set away from its default.  So
+        a field that is unread, or that a later version adds at its default,
+        moves no hash."""
+        reads = self.reads
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+               if f.name in REQUIRED or f.name in reads and getattr(self, f.name) != f.default}
         payload = json.dumps(doc, sort_keys=True)
         return hashlib.blake2b(payload.encode("utf-8"), digest_size=8).hexdigest()
 
@@ -367,9 +374,9 @@ class ExperimentSpec:
             n_system=self.n_system,
             n_bath=self.n_bath,
             steps=t,
-            # reset_check runs each circuit with and without a reset
-            # (_reset_pair), so it draws full steps, not reset isometries
-            reset_bath=self.reset_bath and self.kind != "reset_check",
+            # a kind that does not read reset_bath draws full steps, not reset
+            # isometries: reset_check runs each circuit both ways
+            reset_bath=self.reset_bath and "reset_bath" in KIND_TABLE[self.kind].reads,
             unitary_source=self.unitary_source,
             hea_layers=self.hea_layers,
             master_seed=self.master_seed,
@@ -423,22 +430,16 @@ def _json_line(doc: dict) -> str:
 def write_records(records, path: str, format: str = "jsonl") -> None:
     """Persist records; JSONL has sorted keys and 17-significant-digit floats,
     CSV uses the fixed column order documented in CSV_COLUMNS."""
-    if format == "jsonl":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for rec in records:
-                fh.write(_json_line(rec.to_json_dict()) + "\n")
-        return
-    if format == "csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    if format not in ("jsonl", "csv"):
+        raise ConfigurationError(f"format must be jsonl or csv, got {format!r}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if format == "csv":
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for rec in records:
-                row = map(rec.to_json_dict().get, CSV_COLUMNS)
-                fh.write(",".join(
-                    "" if v is None else _format_float(v) if isinstance(v, float) else str(v)
-                    for v in row
-                ) + "\n")
-        return
-    raise ConfigurationError(f"format must be jsonl or csv, got {format!r}")
+        for doc in (rec.to_json_dict() for rec in records):
+            fh.write((_json_line(doc) if format == "jsonl" else ",".join(
+                "" if v is None else _format_float(v) if isinstance(v, float) else str(v)
+                for v in map(doc.get, CSV_COLUMNS)
+            )) + "\n")
 
 
 def _pool_size(spec: ExperimentSpec, workers: int) -> int:

@@ -198,17 +198,15 @@ def noisy_xeb(
     diag = (d_a * d_a * d_b - 1.0) * c
     off = d_a * (d_b - 1.0) * c
     leak = (1.0 - gamma) / d_a
-    m = np.array([
-        [diag, diag * leak + off * gamma],
-        [off * g_b, (off * leak + diag * gamma) * g_b],
-    ])
-    # fold the 4^N_B per-step outcome count into the matrix so the
-    # iteration stays O(1) in magnitude
-    scaled = (4.0 ** n_bath) * m
-    vec = np.array([1.0, g_b])
+    # fold the 4^N_B per-step outcome count into the matrix so the iteration
+    # stays O(1) in magnitude; in plain floats, so no BLAS kernel's FMA moves it
+    scale = 4.0 ** n_bath
+    m00, m01 = scale * diag, scale * (diag * leak + off * gamma)
+    m10, m11 = scale * (off * g_b), scale * ((off * leak + diag * gamma) * g_b)
+    x, y = 1.0, g_b
     for _ in range(steps - 1):
-        vec = scaled @ vec
-    closed = np.array([1.0, g_a]) @ vec
+        x, y = m00 * x + m01 * y, m10 * x + m11 * y
+    closed = x + g_a * y
     prefactor = (4.0 ** n_system) * (4.0 ** n_bath) / (d_a * d_b * (d_a * d_b + 1.0))
     single = prefactor * closed - 1.0
     if not patched:
