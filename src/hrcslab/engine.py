@@ -354,8 +354,12 @@ def enumerate_joint_distribution(
         raise CapacityError(
             f"enumeration over {config.n_eff} effective bits exceeds {ENUMERATION_MAX_BITS}"
         )
-    picked = _walk(config, unitaries, lambda k, blocks: (
-        blocks.reshape(-1, blocks.shape[2]), np.tile(np.arange(blocks.shape[1]), len(blocks))))
+    def keep(k, blocks):  # every (row, z) child in row-major order; z only for a kept bath
+        rows, d_bath, d_sys = blocks.shape
+        z = None if config.reset_bath else np.arange(rows * d_bath) & (d_bath - 1)
+        return blocks.reshape(-1, d_sys), z
+
+    picked = _walk(config, unitaries, keep)
     return (np.abs(picked) ** 2).reshape(-1)
 
 

@@ -1,10 +1,18 @@
 """Statistics over distributions and sampled trajectories: power sums, the
 cross-entropy benchmark estimator, the probability-of-probability histogram
 and the KS distance to Porter-Thomas, total variation distance, and
-exact-merging ensemble aggregation."""
+exact-merging ensemble aggregation.
+
+Power sums and the total variation distance are correctly rounded sums
+(`exact_sum`), bitwise equal to `math.fsum` whatever the order of their
+terms.  Above FSUM_MAX_ENTRIES terms the sum is binned by binary exponent:
+each bin's partial sums are exact integers for up to EXACT_SUM_MAX_ENTRIES
+finite terms, and one `math.fsum` rounds their total once.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -20,6 +28,16 @@ POP_RANGE_LOW = 1e-2  # in units of 1/D
 POP_RANGE_HIGH = 50.0
 # the largest n_eff whose XEB scale 2^n_eff is a finite double
 XEB_MAX_BITS = sys.float_info.max_exp - 1
+# at or below this many terms one fsum over a list is faster than binning
+FSUM_MAX_ENTRIES = 512
+# every per-exponent partial sum of the binned sum stays an integer below 2^53
+EXACT_SUM_MAX_ENTRIES = 1 << 26
+_SUM_CHUNK = 1 << 13  # 64 KiB scratch arrays: below malloc's mmap threshold
+# frexp exponents of finite doubles lie in [-1073, 1024]; bin b holds exponent b - 1073
+_EXP_OFFSET = 1073
+_EXP_BINS = _EXP_OFFSET + 1024 + 1
+# the scale of bin b's high (26-bit) and low (27-bit) parts is 2^(b - shift)
+_PART_SHIFTS = np.array([[_EXP_OFFSET + 26], [_EXP_OFFSET + 53]])
 
 
 @dataclass(frozen=True)
@@ -51,12 +69,49 @@ def ensemble_aggregate(values: Sequence[float] | np.ndarray) -> EnsembleStats:
     return EnsembleStats(int(arr.size), mean, se)
 
 
+def exact_sum(values: Sequence[float] | np.ndarray) -> float:
+    """Correctly rounded sum of up to EXACT_SUM_MAX_ENTRIES finite doubles,
+    bitwise equal to `math.fsum(values)`.
+
+    Above FSUM_MAX_ENTRIES values, each value is written by `frexp` as
+    m * 2^e and its mantissa split into a 26-bit high and a 27-bit low
+    integer part, whose per-exponent sums `bincount` accumulates exactly.
+    Every part is a multiple of 2^-1074, subnormals included, so `ldexp`
+    turns each bin's sum into an exact double, and one `fsum` over those few
+    hundred terms rounds the total.  Values that are not all finite, or bins
+    that overflow, are left to `fsum` over the values themselves.
+    """
+    x = np.asarray(values, dtype=float)
+    if x.size > EXACT_SUM_MAX_ENTRIES:
+        raise ConfigurationError(f"exact sum of {x.size} values exceeds {EXACT_SUM_MAX_ENTRIES}")
+    x = x.reshape(-1)
+    if x.size <= FSUM_MAX_ENTRIES:
+        return math.fsum(x.tolist())
+    sums = np.zeros((2, _EXP_BINS))
+    with np.errstate(invalid="ignore"):  # inf - inf makes a non-finite value's low part
+        for start in range(0, x.size, _SUM_CHUNK):
+            mant, exp = np.frexp(x[start:start + _SUM_CHUNK])
+            exp += _EXP_OFFSET
+            mant *= 2.0 ** 26
+            high = np.trunc(mant)
+            mant -= high  # the low part, exact
+            mant *= 2.0 ** 27
+            sums[0] += np.bincount(exp, high, _EXP_BINS)
+            sums[1] += np.bincount(exp, mant, _EXP_BINS)
+    bins = np.flatnonzero(sums.any(axis=0))
+    terms = np.ldexp(sums[:, bins], bins - _PART_SHIFTS)
+    with contextlib.suppress(OverflowError, ValueError):  # a bin or a partial sum overflowed
+        total = math.fsum(terms.ravel().tolist())
+        if math.isfinite(total):
+            return total
+    return math.fsum(x.tolist())
+
+
 def power_sum_exact(dist: np.ndarray, order: int) -> float:
-    """Sum of p^K over an exact distribution."""
+    """Sum of p^K over an exact distribution, correctly rounded."""
     if order < 1:
         raise ConfigurationError(f"power-sum order must be >= 1, got {order}")
-    powered = np.sort(np.asarray(dist, dtype=float) ** order)[::-1]
-    return math.fsum(powered.tolist())
+    return exact_sum(np.asarray(dist, dtype=float) ** order)
 
 
 def xeb_estimate(ideal_probabilities: Sequence[float] | np.ndarray, n_eff: int) -> EnsembleStats:
@@ -116,4 +171,4 @@ def tvd_exact(dist_a: np.ndarray, dist_b: np.ndarray) -> float:
     a, b = np.asarray(dist_a, dtype=float), np.asarray(dist_b, dtype=float)
     if a.size != b.size:
         raise ConfigurationError(f"length mismatch: {a.size} vs {b.size}")
-    return 0.5 * math.fsum(np.abs(a - b).tolist())
+    return 0.5 * exact_sum(np.abs(a - b))

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -302,8 +303,11 @@ class ExperimentSpec:
         self.config_for(min(self.steps))  # register sizes, steps >= 1, unitary source
         if not all(0.0 <= g <= 1.0 for g in self.gammas):
             raise ConfigurationError(f"gammas must lie in [0, 1], got {self.gammas}")
-        if not (_is_real(self.epsilon) and 0 < self.epsilon < math.inf):
+        if not (_is_real(self.epsilon) and 0 < self.epsilon <= sys.float_info.max):
             raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        # a real is its value: 1 and 1.0 seed, label and hash a record alike
+        object.__setattr__(self, "gammas", tuple(map(float, self.gammas)))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         if not (self.out is None or (isinstance(self.out, str) and self.out)):
             raise ConfigurationError(f"out must be a non-empty path string, got {self.out!r}")
         if self.format not in ("jsonl", "csv"):

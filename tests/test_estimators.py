@@ -1,7 +1,8 @@
-"""Estimator tests: power sums, XEB estimator, PoP histograms and KS
-calibration, TVD, and ensemble aggregation."""
+"""Estimator tests: correctly rounded sums, power sums, XEB estimator, PoP
+histograms and KS calibration, TVD, and ensemble aggregation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from hrcslab import (
     ConfigurationError,
     EnsembleStats,
+    HrcsConfig,
     ensemble_aggregate,
     enumerate_joint_distribution,
     instantiate_circuit,
@@ -19,7 +21,13 @@ from hrcslab import (
     tvd_exact,
     xeb_estimate,
 )
-from hrcslab.estimators import POP_BINS, ks_distance_to_porter_thomas
+from hrcslab.estimators import (
+    EXACT_SUM_MAX_ENTRIES,
+    FSUM_MAX_ENTRIES,
+    POP_BINS,
+    exact_sum,
+    ks_distance_to_porter_thomas,
+)
 
 from conftest import small_config
 
@@ -27,6 +35,81 @@ from conftest import small_config
 def porter_thomas_samples(d: int, count: int, rng) -> np.ndarray:
     """True Porter-Thomas draws through the inverse CDF."""
     return 1.0 - (1.0 - rng.random(count)) ** (1.0 / (d - 1.0))
+
+
+def sorted_fsum(values) -> float:
+    """The sum power_sum_exact took before exact_sum: fsum, largest first."""
+    return math.fsum(sorted(np.asarray(values, dtype=float).ravel().tolist(), reverse=True))
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# sizes on both sides of the binned path's threshold and of its 8192-term chunks
+SUM_SIZES = (0, 1, 2, 511, 512, 513, 1000, 8193, 20_000)
+
+
+def sum_inputs(kind: str, size: int, rng) -> np.ndarray:
+    if kind == "zeros":
+        return np.zeros(size) * rng.choice([1.0, -1.0], size)
+    if kind == "subnormal":  # subnormals, the smallest normal and zeros, many of them tied
+        pool = np.array([5e-324, 1e-320, 2.5e-310, 2.2250738585072014e-308, 0.0])
+        return rng.choice(pool, size) * rng.choice([1.0, 3.0, 2.0 ** 40], size)
+    if kind == "ties":  # halfway cases: 1 plus a run of half-ulps
+        values = np.full(size, 2.0 ** -53)
+        values[: size // 3] = 1.0
+        rng.shuffle(values)
+        return values
+    if kind == "signed":  # mixed signs and magnitudes, with pairs that cancel but for low bits
+        values = rng.standard_normal(size) * 2.0 ** rng.integers(-1080, 1000, size)
+        values[: size // 2] = -values[size - size // 2:] * (1 + 2.0 ** -40)
+        rng.shuffle(values)
+        return values
+    return (rng.exponential(size=size) / max(size, 1)) ** rng.integers(1, 17)  # "powers"
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("size", SUM_SIZES)
+    @pytest.mark.parametrize("kind", ["zeros", "subnormal", "ties", "signed", "powers"])
+    def test_bitwise_sorted_fsum(self, kind, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            values = sum_inputs(kind, size, rng)
+            assert same_float(exact_sum(values), sorted_fsum(values)), (kind, size)
+
+    def test_worst_case_for_exactness(self):
+        # 2^20 copies of the double below 1, all 53 of its bits set: one bin
+        # takes every value, and its low-part sum reaches 2^20 (2^27 - 1)
+        values = np.full(1 << 20, np.nextafter(1.0, 0.0))
+        assert exact_sum(values) == 2.0 ** 20 - 2.0 ** -33 == math.fsum(values.tolist())
+
+    def test_non_finite_values_are_left_to_fsum(self):
+        tail = [1.0] * FSUM_MAX_ENTRIES
+        assert exact_sum([math.inf] + tail) == math.inf
+        assert math.isnan(exact_sum([math.nan] + tail))
+        with pytest.raises(ValueError):
+            exact_sum([math.inf, -math.inf] + tail)
+
+    def test_too_many_entries_refused_before_allocating(self):
+        values = np.broadcast_to(0.5, (EXACT_SUM_MAX_ENTRIES + 1,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="exceeds"):
+                exact_sum(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("n_system, n_bath, steps", [(2, 1, 6), (2, 1, 10), (2, 1, 16),
+                                                         (2, 2, 8)])
+    def test_power_sums_and_tvd_match_sorted_fsum(self, n_system, n_bath, steps):
+        cfg = HrcsConfig(n_system, n_bath, steps, master_seed=5)
+        dists = [enumerate_joint_distribution(cfg, instantiate_circuit(cfg, i)) for i in (0, 1)]
+        for order in (1, 2, 3, 4, 7):
+            assert power_sum_exact(dists[0], order) == sorted_fsum(dists[0] ** order), order
+        assert tvd_exact(*dists) == 0.5 * math.fsum(np.abs(dists[0] - dists[1]).tolist())
 
 
 class TestPowerSumExact:

@@ -272,6 +272,30 @@ class TestSpecIdentity:
         payload = json.dumps(identity, sort_keys=True).encode("utf-8")
         assert spec.hash() == hashlib.blake2b(payload, digest_size=8).hexdigest()
 
+    @pytest.mark.parametrize("whole, real", [(1, 1.0), (0, 0.0)])
+    def test_integer_gamma_is_its_float(self, whole, real, tmp_path):
+        # a gamma seeds the noisy shots through its repr, so 1 must read as 1.0
+        runs = []
+        for gamma in (whole, real):
+            spec = ExperimentSpec.from_json_dict({
+                "schema_version": 1, "kind": "noisy_xeb", "n_system": 2, "n_bath": 1,
+                "steps": [2], "gammas": [gamma], "instances": 3, "shots": 50, "master_seed": 1})
+            path = tmp_path / f"{gamma!r}.jsonl"
+            write_records(run_experiment(spec), str(path), "jsonl")
+            runs.append((spec.gammas, spec.hash(), path.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (real,) and type(runs[0][0][0]) is float
+
+    def test_integer_epsilon_is_its_float(self):
+        table = dict(kind="theory_table", theory_family="critical_steps")
+        spec = cp_spec(**table, epsilon=2)
+        assert type(spec.epsilon) is float
+        assert spec.hash() == cp_spec(**table, epsilon=2.0).hash()
+        assert [r.to_json_dict() for r in run_experiment(spec)] == \
+            [r.to_json_dict() for r in run_experiment(cp_spec(**table, epsilon=2.0))]
+        with pytest.raises(ConfigurationError, match="epsilon"):  # no double holds it
+            cp_spec(**table, epsilon=2 ** 1024)
+
     def test_unread_accepted_fields_leave_the_hash(self):
         assert cp_spec(shots=50).hash() == cp_spec().hash()
         table = dict(kind="theory_table", theory_family="ideal_xeb")
