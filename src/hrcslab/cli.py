@@ -24,18 +24,16 @@ from .runner import (
     write_records,
 )
 
-_KIND_TO_COMMAND = {kind: kind.replace("_", "-") for kind in EXPERIMENT_KINDS}
-_COMMAND_TO_KIND = {v: k for k, v in _KIND_TO_COMMAND.items()}
-# the spec kind is "theory_table" but the subcommand reads better bare
-_COMMAND_TO_KIND["theory"] = "theory_table"
+# subcommand -> spec kind; "theory_table" reads better bare
+_COMMANDS = {kind.replace("_", "-"): kind for kind in EXPERIMENT_KINDS if kind != "theory_table"}
+_COMMANDS["theory"] = "theory_table"
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hrcs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = sorted(set(_KIND_TO_COMMAND.values()) - {"theory-table"} | {"theory"})
-    for command in commands:
-        p = sub.add_parser(command, help=f"run a {_COMMAND_TO_KIND[command]} experiment")
+    for command in sorted(_COMMANDS):
+        p = sub.add_parser(command, help=f"run a {_COMMANDS[command]} experiment")
         p.add_argument("--config", required=True, help="path to a JSON experiment spec")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--workers", type=int, default=1,
@@ -50,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = ExperimentSpec.from_json_file(args.config)
-        kind = _COMMAND_TO_KIND[args.command]
+        kind = _COMMANDS[args.command]
         if spec.kind != kind:
             raise ConfigurationError(
                 f"config is a {spec.kind!r} spec but the {args.command!r} command was invoked"

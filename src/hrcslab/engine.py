@@ -326,16 +326,19 @@ def ideal_probabilities_batch(
     amplitude is the full product of branch probabilities; an impossible
     branch yields an exact 0.
     """
-    shots = final_outcomes.shape[0]
-    if bath_outcomes.shape != (shots, config.steps) or not (
-        np.all((0 <= bath_outcomes) & (bath_outcomes < 1 << config.n_bath))
-        and np.all((0 <= final_outcomes) & (final_outcomes < 1 << config.n_system))
-    ):
-        raise ConfigurationError(f"outcomes out of shape or range for {config.steps} steps")
-    rows = np.arange(shots)
+    bath, final = np.asarray(bath_outcomes), np.asarray(final_outcomes)
+    # a (shots, 1) column of finals would index a (shots, shots) square
+    if not (bath.dtype.kind in "iu" and final.dtype.kind in "iu" and final.ndim == 1
+            and bath.shape == (final.size, config.steps)
+            and np.all((0 <= bath) & (bath < 1 << config.n_bath))
+            and np.all((0 <= final) & (final < 1 << config.n_system))):
+        raise ConfigurationError(f"outcomes must be integer (shots, {config.steps}) bath and "
+                                 f"(shots,) final arrays in range, got {bath.shape} {bath.dtype} "
+                                 f"and {final.shape} {final.dtype}")
+    rows = np.arange(final.size)
     picked = _walk(config, unitaries, lambda k, blocks: (  # step 0 fans out the one row
-        blocks[rows if k else 0, bath_outcomes[:, k], :], bath_outcomes[:, k]))
-    return np.abs(picked[rows, final_outcomes]) ** 2
+        blocks[rows if k else 0, bath[:, k], :], bath[:, k]))
+    return np.abs(picked[rows, final]) ** 2
 
 
 def enumerate_joint_distribution(
@@ -382,7 +385,8 @@ def marginalize(
     if kind == "temporal":
         return shaped.sum(axis=t).reshape(-1)
     if kind == "per_step":
-        if step is None or not 1 <= step <= t:
+        # a float step would match no axis and sum them all
+        if not isinstance(step, (int, np.integer)) or isinstance(step, bool) or not 1 <= step <= t:
             raise ConfigurationError(f"per_step needs a step index in [1, {t}], got {step}")
         axes = tuple(a for a in range(t + 1) if a != step - 1)
         return shaped.sum(axis=axes)

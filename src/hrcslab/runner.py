@@ -48,9 +48,9 @@ SCHEMA_VERSION = 1
 THEORY = {
     "haar_power_sum": lambda a, b, t, k, g, eps: theory.haar_power_sum(a + t * b, k),
     "hrcs_power_sum": lambda a, b, t, k, g, eps: theory.hrcs_power_sum(a, b, t, k),
-    "marginal_cp_spatial": lambda a, b, t, k, g, eps: theory.marginal_cp("spatial", a, b, t),
-    "marginal_cp_temporal": lambda a, b, t, k, g, eps: theory.marginal_cp("temporal", a, b, t),
-    "marginal_cp_per_step": lambda a, b, t, k, g, eps: theory.marginal_cp("per_step", a, b, t),
+    "marginal_cp_spatial": lambda a, b, t, k, g, eps: theory.marginal_cp_spatial(a, b, t),
+    "marginal_cp_temporal": lambda a, b, t, k, g, eps: theory.marginal_cp_temporal(a, b, t),
+    "marginal_cp_per_step": lambda a, b, t, k, g, eps: theory.marginal_cp_per_step(a, b, t),
     "ideal_xeb": lambda a, b, t, k, g, eps: theory.ideal_xeb(a, b, t),
     "noisy_xeb_exact": lambda a, b, t, k, g, eps: theory.noisy_xeb(a, b, t, g),
     "noisy_xeb_asymptotic": lambda a, b, t, k, g, eps: theory.noisy_xeb_asymptotic(a, b, t, g),
@@ -63,6 +63,7 @@ THEORY_FAMILIES = tuple(THEORY)
 FAMILY_READS = {"haar_power_sum": ("k_orders",), "hrcs_power_sum": ("k_orders",),
                 "noisy_xeb_exact": ("gammas",), "noisy_xeb_asymptotic": ("gammas",),
                 "critical_steps": ("k_orders", "epsilon")}
+MARGINAL_KINDS = ("spatial", "temporal", "per_step")  # marginal_sweep's, in record order
 
 
 # per-instance measures: (spec, config, step unitaries, gamma, index) -> one
@@ -71,15 +72,14 @@ FAMILY_READS = {"haar_power_sum": ("k_orders",), "hrcs_power_sum": ("k_orders",)
 
 def _power_sums(spec, config, unitaries, gamma, index) -> list[float]:
     dist = enumerate_joint_distribution(config, unitaries)
-    orders = [k for _, k, _, _ in KIND_TABLE[spec.kind].statistics(spec, None)]
-    return [estimators.power_sum_exact(dist, k) for k in orders]
+    return [estimators.power_sum_exact(dist, k) for k in spec.k_orders]
 
 
 def _marginal_cps(spec, config, unitaries, gamma, index) -> list[float]:
     dist = enumerate_joint_distribution(config, unitaries)
     return [
         estimators.power_sum_exact(marginalize(dist, config, m, step=config.steps), 2)
-        for m in theory.MARGINAL_KINDS
+        for m in MARGINAL_KINDS
     ]
 
 
@@ -151,50 +151,47 @@ class Kind:
     """How one experiment kind runs.
 
     ``engine`` names the engine limit that applies ("enumerate", "sample", or
-    None for a pure formula sweep).  ``statistics(spec, K)`` lists the
+    None for a pure formula sweep).  ``statistics(spec)`` lists the
     (statistic, K, theory formula, theory source) rows reported at each
-    parameter point; ``points(spec)`` yields the (t, K, gamma) points in
-    output order; ``aggregate(spec, t, rows)`` turns the per-instance rows
-    into one EnsembleStats per statistic.  ``reads`` names the optional spec
+    (t, gamma) point of ``steps`` x ``gammas`` (gamma None when it has
+    none); ``aggregate(spec, t, rows)`` turns the per-instance rows into
+    one EnsembleStats per statistic.  ``reads`` names the optional spec
     fields its records depend on; a circuit kind reads CIRCUIT_READS.
     """
 
     engine: str | None
     measure: Callable | None
     statistics: Callable
-    points: Callable = lambda s: ((t, None, None) for t in s.steps)
     aggregate: Callable = _ensemble
     reads: tuple[str, ...] = CIRCUIT_READS
 
 
 KIND_TABLE = {
-    "cp_sweep": Kind("enumerate", _power_sums, lambda s, k: (
+    "cp_sweep": Kind("enumerate", _power_sums, lambda s: (
         ("collision_probability", 2, _HRCS, "hrcs_power_sum_exact"),)),
-    "ps_sweep": Kind("enumerate", _power_sums, lambda s, k: tuple(
+    "ps_sweep": Kind("enumerate", _power_sums, lambda s: tuple(
         ("power_sum", q, _HRCS, "hrcs_power_sum_exact") for q in s.k_orders),
         reads=CIRCUIT_READS + ("k_orders",)),
-    "marginal_sweep": Kind("enumerate", _marginal_cps, lambda s, k: tuple(
+    "marginal_sweep": Kind("enumerate", _marginal_cps, lambda s: tuple(
         (f"marginal_cp_{m}", 2, THEORY[f"marginal_cp_{m}"], f"marginal_cp_{m}")
-        for m in theory.MARGINAL_KINDS)),
-    "pop_hist": Kind("enumerate", _probabilities, lambda s, k: (
+        for m in MARGINAL_KINDS)),
+    "pop_hist": Kind("enumerate", _probabilities, lambda s: (
         ("pop_ks_to_porter_thomas", None, lambda *point: 0.0, "porter_thomas_density"),
         ("pop_density_integral", None, _pop_range_mass, "porter_thomas_density"),
     ), aggregate=_porter_thomas),
-    "tvd": Kind("enumerate", _tvd, lambda s, k: (
+    "tvd": Kind("enumerate", _tvd, lambda s: (
         ("tvd_to_haar", None, THEORY["tvd_bound_exact"], "tvd_bound_exact"),)),
-    "xeb": Kind("sample", _xeb, lambda s, k: (
+    "xeb": Kind("sample", _xeb, lambda s: (
         ("xeb_fidelity", None, THEORY["ideal_xeb"], "ideal_xeb"),),
         reads=CIRCUIT_READS + ("shots",)),
-    "noisy_xeb": Kind("sample", _xeb, lambda s, k: (
-        ("noisy_xeb_fidelity", None, THEORY["noisy_xeb_exact"], "noisy_xeb_exact"),
-    ), points=lambda s: itertools.product(s.steps, (None,), s.gammas),
+    "noisy_xeb": Kind("sample", _xeb, lambda s: (
+        ("noisy_xeb_fidelity", None, THEORY["noisy_xeb_exact"], "noisy_xeb_exact"),),
         reads=CIRCUIT_READS + ("shots", "gammas")),
-    # the formula is its own measurement, one record per (t, K, gamma)
-    "theory_table": Kind(None, None, lambda s, k: (
-        (s.theory_family, k, THEORY[s.theory_family], s.theory_family),
-    ), points=lambda s: itertools.product(s.steps, s.k_orders, s.gammas or (None,)),
+    # the formula is its own measurement, one record per (t, gamma) and K
+    "theory_table": Kind(None, None, lambda s: tuple(
+        (s.theory_family, k, THEORY[s.theory_family], s.theory_family) for k in s.k_orders),
         reads=("theory_family",)),
-    "reset_check": Kind("enumerate", _reset_pair, lambda s, k: tuple(
+    "reset_check": Kind("enumerate", _reset_pair, lambda s: tuple(
         (name, q, _HRCS, "hrcs_power_sum_exact") for name, q in (
             ("collision_probability_reset", 2),
             ("collision_probability_no_reset", 2),
@@ -564,9 +561,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]
     np.empty(16 << 20, np.uint8)
     kind = KIND_TABLE[spec.kind]
     spec_hash = spec.hash()
+    statistics = kind.statistics(spec)
     records: list[ResultRecord] = []
-    for t, k, gamma in kind.points(spec):
-        statistics = kind.statistics(spec, k)
+    for t, gamma in itertools.product(spec.steps, spec.gammas or (None,)):
         values = [
             _theory_value(spec, t, order, gamma, formula, source)
             for _, order, formula, source in statistics

@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-MARGINAL_KINDS = ("spatial", "temporal", "per_step")
-
 
 def _log_rising(x: float, k: int) -> float:
     """log of x (x+1) ... (x+k-1); zero terms for k <= 0."""
@@ -88,29 +86,37 @@ def _decay_ratio(d_a: float, d_b: float) -> float:
     return (d_a * d_a - 1.0) * d_b / (d_a * d_a * d_b * d_b - 1.0)
 
 
-def marginal_cp(kind: str, n_system: int, n_bath: int, steps: int) -> float:
-    """Exact ensemble CP of the spatial, temporal, or single-step-temporal
-    marginal of the joint distribution (``steps`` is the step index for
-    ``per_step``)."""
+def marginal_cp_spatial(n_system: int, n_bath: int, steps: int) -> float:
+    """Exact ensemble CP of the spatial marginal of the joint distribution,
+    the final system outcome."""
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
-    if kind == "spatial":
-        r = _decay_ratio(d_a, d_b)
-        base = (d_a * d_b + 1.0) / (d_a * d_a * d_b + 1.0)
-        coeff = (d_a - 1.0) * (d_a * d_b - 1.0) / ((d_a + 1.0) * (d_a * d_a * d_b + 1.0))
-        return base + coeff * r ** steps
-    if kind == "temporal":
-        return math.exp(steps * (math.log(d_a + 1.0) - math.log(d_a * d_b + 1.0)))
-    if kind == "per_step":
-        r = _decay_ratio(d_a, d_b)
-        base = (d_a * d_a + 1.0) / (d_a * d_a * d_b + 1.0)
-        coeff = (
-            d_a * (d_b - 1.0) * (d_a * d_b - 1.0)
-            / ((d_a * d_a * d_b + 1.0) * (d_a + 1.0) * d_b)
-        )
-        return base + coeff * r ** steps
-    raise ConfigurationError(f"kind must be one of {MARGINAL_KINDS}, got {kind!r}")
+    base = (d_a * d_b + 1.0) / (d_a * d_a * d_b + 1.0)
+    coeff = (d_a - 1.0) * (d_a * d_b - 1.0) / ((d_a + 1.0) * (d_a * d_a * d_b + 1.0))
+    return base + coeff * _decay_ratio(d_a, d_b) ** steps
+
+
+def marginal_cp_temporal(n_system: int, n_bath: int, steps: int) -> float:
+    """Exact ensemble CP of the temporal marginal of the joint distribution,
+    all bath outcomes, ((d_A+1)/(d_A d_B+1))^t."""
+    if steps < 1:
+        raise ConfigurationError(f"steps must be >= 1, got {steps}")
+    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
+    return math.exp(steps * (math.log(d_a + 1.0) - math.log(d_a * d_b + 1.0)))
+
+
+def marginal_cp_per_step(n_system: int, n_bath: int, steps: int) -> float:
+    """Exact ensemble CP of the bath outcome of step ``steps`` alone."""
+    if steps < 1:
+        raise ConfigurationError(f"steps must be >= 1, got {steps}")
+    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
+    base = (d_a * d_a + 1.0) / (d_a * d_a * d_b + 1.0)
+    coeff = (
+        d_a * (d_b - 1.0) * (d_a * d_b - 1.0)
+        / ((d_a * d_a * d_b + 1.0) * (d_a + 1.0) * d_b)
+    )
+    return base + coeff * _decay_ratio(d_a, d_b) ** steps
 
 
 def porter_thomas_density(d: float, p) -> np.ndarray | float:
@@ -156,23 +162,14 @@ def tvd_upper_bound_asymptotic(n_system: int, n_bath: int, steps: int) -> float:
     return math.exp((steps - 1) / (2.0 * d_a)) / math.sqrt(2.0)
 
 
-def ideal_xeb(n_system: int, n_bath: int, steps: int, patched: bool = False) -> float:
+def ideal_xeb(n_system: int, n_bath: int, steps: int) -> float:
     """Noiseless cross-entropy benchmark fidelity, 2^N_eff * Z - 1, summed in
-    log space so that it stays finite where Z alone underflows.
-
-    For two disjoint patches run side by side the score composes as
-    (1 + F_single)^2 - 1, with per-patch qubit counts passed in.
-    """
+    log space so that it stays finite where Z alone underflows."""
     n_eff = n_system + steps * n_bath
-    single = math.expm1(n_eff * math.log(2.0) + _log_step_cp(n_system, n_bath, steps))
-    if not patched:
-        return single
-    return math.expm1(2.0 * math.log1p(single))
+    return math.expm1(n_eff * math.log(2.0) + _log_step_cp(n_system, n_bath, steps))
 
 
-def noisy_xeb(
-    n_system: int, n_bath: int, steps: int, gamma: float, patched: bool = False
-) -> float:
+def noisy_xeb(n_system: int, n_bath: int, steps: int, gamma: float) -> float:
     """Cross-entropy fidelity under per-step depolarizing noise of strength
     ``gamma`` on system and bath, by the 2x2 transfer-matrix recursion on the
     identity/swap coefficient pair; at gamma = 1 it is the symmetric
@@ -208,10 +205,7 @@ def noisy_xeb(
         x, y = m00 * x + m01 * y, m10 * x + m11 * y
     closed = x + g_a * y
     prefactor = (4.0 ** n_system) * (4.0 ** n_bath) / (d_a * d_b * (d_a * d_b + 1.0))
-    single = prefactor * closed - 1.0
-    if not patched:
-        return single
-    return (1.0 + single) ** 2 - 1.0
+    return prefactor * closed - 1.0
 
 
 def noisy_xeb_asymptotic(n_system: int, n_bath: int, steps: int, gamma: float) -> float:

@@ -127,7 +127,7 @@ def test_criterion_04_marginal_collision_probabilities():
             per_step_vals[k].append(power_sum_exact(marginalize(dist, cfg, "per_step", step=k), 2))
     for k, vals in per_step_vals.items():
         stats = ensemble_aggregate(vals)
-        target = theory.marginal_cp("per_step", 2, 1, k)
+        target = theory.marginal_cp_per_step(2, 1, k)
         z = (stats.mean - target) / stats.std_error
         if abs(z) > 3:
             failures.append(("per-step-independence", k, z))

@@ -277,12 +277,25 @@ class TestIdealProbability:
             ideal = ideal_probabilities_batch(cfg, steps, *all_paths(cfg))
             assert ideal == pytest.approx(dist, abs=1e-12)
 
-    def test_outcome_shape_validation(self):
+    @pytest.mark.parametrize(
+        "bath, final",
+        [
+            (np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)),
+            # a (shots, 1) column of finals indexed a (3, 3) square of probabilities
+            (np.zeros((3, 2), dtype=np.int64), np.zeros((3, 1), dtype=np.int64)),
+            (np.zeros((3, 2), dtype=np.int64), np.zeros((1, 3), dtype=np.int64)),
+            (np.zeros((3, 2), dtype=np.int64), np.zeros((), dtype=np.int64)),
+            (np.zeros((3, 2)), np.zeros(3, dtype=np.int64)),
+            (np.zeros((3, 2), dtype=np.int64), np.zeros(3)),
+            (np.zeros((3, 2), dtype=bool), np.zeros(3, dtype=np.int64)),
+        ],
+        ids=["bath-steps", "final-column", "final-row", "final-scalar", "float-bath",
+             "float-final", "bool-bath"],
+    )
+    def test_outcome_shape_validation(self, bath, final):
         cfg = small_config(steps=2)
-        with pytest.raises(ConfigurationError):
-            ideal_probabilities_batch(
-                cfg, identity_steps(cfg), np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
-            )
+        with pytest.raises(ConfigurationError, match="integer"):
+            ideal_probabilities_batch(cfg, identity_steps(cfg), bath, final)
 
     @pytest.mark.parametrize("bath, final", [((-1, 0), 0), ((2, 0), 0), ((0, 0), -1), ((0, 0), 4)])
     def test_outcome_range_validation(self, bath, final):
@@ -427,6 +440,22 @@ class TestMarginalize:
         dist = enumerate_joint_distribution(cfg, instantiate_circuit(cfg, 0))
         with pytest.raises(ConfigurationError):
             marginalize(dist, cfg, "per_step", step=3)
+
+    @pytest.mark.parametrize("step", [1.5, 1.0, True, "1"])
+    def test_non_integer_step_refused(self, step):
+        # 1.5 lies in [1, t] but names no axis, so every axis was summed to 1.0
+        cfg = small_config(steps=2)
+        dist = enumerate_joint_distribution(cfg, instantiate_circuit(cfg, 0))
+        with pytest.raises(ConfigurationError, match="step index"):
+            marginalize(dist, cfg, "per_step", step=step)
+
+    def test_numpy_integer_step_accepted(self):
+        cfg = small_config(steps=2)
+        dist = enumerate_joint_distribution(cfg, instantiate_circuit(cfg, 0))
+        np.testing.assert_array_equal(
+            marginalize(dist, cfg, "per_step", step=np.int64(2)),
+            marginalize(dist, cfg, "per_step", step=2),
+        )
 
     def test_wrong_length_refused(self):
         # a vector of another step count is refused with a ConfigurationError

@@ -1,9 +1,11 @@
 """Experiment driver tests: spec validation, determinism, parallel/serial
 equivalence, record layout, and file formats."""
 
+import ast
 import csv
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -13,6 +15,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hrcslab
@@ -37,9 +40,9 @@ from hrcslab import theory
 DIRECT_THEORY = {
     "haar_power_sum": lambda: theory.haar_power_sum(5, 3),
     "hrcs_power_sum": lambda: theory.hrcs_power_sum(2, 1, 3, 3),
-    "marginal_cp_spatial": lambda: theory.marginal_cp("spatial", 2, 1, 3),
-    "marginal_cp_temporal": lambda: theory.marginal_cp("temporal", 2, 1, 3),
-    "marginal_cp_per_step": lambda: theory.marginal_cp("per_step", 2, 1, 3),
+    "marginal_cp_spatial": lambda: theory.marginal_cp_spatial(2, 1, 3),
+    "marginal_cp_temporal": lambda: theory.marginal_cp_temporal(2, 1, 3),
+    "marginal_cp_per_step": lambda: theory.marginal_cp_per_step(2, 1, 3),
     "ideal_xeb": lambda: theory.ideal_xeb(2, 1, 3),
     "noisy_xeb_exact": lambda: theory.noisy_xeb(2, 1, 3, 0.7),
     "noisy_xeb_asymptotic": lambda: theory.noisy_xeb_asymptotic(2, 1, 3, 0.7),
@@ -641,6 +644,26 @@ class TestRunExperiment:
         assert rec.theory_source == family
         assert rec.measured.mean == rec.theory_value == DIRECT_THEORY[family]()
 
+    def test_theory_table_record_order(self):
+        # points run t-major over gammas, and each point lists one row per
+        # k_orders entry; no family reads both, so either order is the list's
+        spec = ExperimentSpec(
+            kind="theory_table", n_system=2, n_bath=1, steps=(3, 1), k_orders=(2, 3, 5),
+            epsilon=0.5, theory_family="critical_steps",
+        )
+        got = [(r.steps, r.order, r.gamma, r.measured.mean, r.theory_value)
+               for r in run_experiment(spec)]
+        assert got == [(t, k, None, v, v) for t in (3, 1) for k in (2, 3, 5)
+                       for v in [theory.critical_steps(2, 1, 0.5, k)]]
+        spec = ExperimentSpec(
+            kind="theory_table", n_system=2, n_bath=1, steps=(3, 1), gammas=(0.7, 0.2),
+            theory_family="noisy_xeb_exact",
+        )
+        got = [(r.steps, r.order, r.gamma, r.measured.mean, r.theory_value)
+               for r in run_experiment(spec)]
+        assert got == [(t, 2, g, v, v) for t in (3, 1) for g in (0.7, 0.2)
+                       for v in [theory.noisy_xeb(2, 1, t, g)]]
+
     @pytest.mark.parametrize(
         "family, gamma, reason",
         [
@@ -864,3 +887,85 @@ def test_same_size_arrays_reuse_the_heap():
 def test_every_exported_name_resolves():
     missing = [name for name in hrcslab.__all__ if not hasattr(hrcslab, name)]
     assert missing == []
+
+
+# two circuits functions that the gate kernel replaced; perfbench still names them
+STALE_SPAN_TARGETS = {"circuits.apply_gate_sequence_batch", "circuits.build_hea"}
+
+
+def test_every_benchmark_span_target_resolves():
+    # the benchmark's tracer reports a target it cannot find and runs on, so a
+    # rename in the package fails here rather than only in the benchmark
+    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "spans.py").read_text())
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    unresolved = {
+        f"{layer}.{name}" for layer, names in targets.items() for name in names or ()
+        if not callable(getattr(importlib.import_module(f"hrcslab.{layer}"), name, None))
+    }
+    assert unresolved <= STALE_SPAN_TARGETS
+
+
+# OpenBLAS kernel -> the CPU flag it needs (Linux names SSE3 "pni")
+BLAS_KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
+KERNEL_PROBE = """
+import json, sys
+from hrcslab.runner import ExperimentSpec, run_experiment
+for doc in json.loads(sys.argv[1]):
+    for rec in run_experiment(ExperimentSpec(**doc)):
+        print(json.dumps(rec.to_json_dict()))
+"""
+
+
+def _openblas_configuration() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["openblas configuration"]
+    except (TypeError, KeyError):  # numpy before 1.26, or another BLAS
+        return ""
+
+
+def _cpu_flags() -> set[str]:
+    with open("/proc/cpuinfo", encoding="utf-8") as fh:
+        line = next((line for line in fh if line.startswith("flags")), "flags :")
+    return set(line.split(":", 1)[1].split())
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or "DYNAMIC_ARCH" not in _openblas_configuration(),
+    reason="OPENBLAS_CORETYPE picks the kernel of a DYNAMIC_ARCH OpenBLAS on Linux",
+)
+def test_records_agree_across_blas_kernels():
+    # each kernel rounds the QR, the step products and the replay its own way,
+    # so the four kernels write four digests: means and standard errors move by
+    # about 1e-15 relative, while counts and theory values stay exactly as they are
+    flags = _cpu_flags()
+    kernels = [name for name, flag in BLAS_KERNELS.items() if flag in flags]
+    if len(kernels) < 2:
+        pytest.skip(f"the CPU runs {kernels or 'none'} of {list(BLAS_KERNELS)}")
+    docs = [
+        dict(kind="noisy_xeb", n_system=4, n_bath=3, steps=[1, 3], gammas=[0.7],
+             instances=4, shots=200, master_seed=11),
+        dict(kind="xeb", n_system=4, n_bath=3, steps=[1, 3], reset_bath=False,
+             unitary_source="hea", hea_layers=2, instances=4, shots=200, master_seed=11),
+    ]
+    src = str(Path(hrcslab.__file__).resolve().parents[1])
+    runs = {}
+    for kernel in kernels:
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel}
+        proc = subprocess.run([sys.executable, "-c", KERNEL_PROBE, json.dumps(docs)],
+                              capture_output=True, text=True, env=env, check=True)
+        runs[kernel] = [json.loads(line) for line in proc.stdout.splitlines()]
+    reference = runs[kernels[0]]
+    assert len(reference) == 4
+    for kernel, records in runs.items():
+        assert len(records) == len(reference), kernel
+        for new, old in zip(records, reference):
+            assert new.keys() == old.keys()
+            for key in old:
+                if key in ("mean", "std_error"):
+                    assert new[key] == pytest.approx(old[key], rel=1e-12, abs=0), (kernel, key)
+                elif key == "theory_value":
+                    assert new[key].hex() == old[key].hex(), kernel
+                else:
+                    assert new[key] == old[key], (kernel, key)

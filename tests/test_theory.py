@@ -16,7 +16,9 @@ from hrcslab.theory import (
     haar_power_sum,
     hrcs_power_sum,
     ideal_xeb,
-    marginal_cp,
+    marginal_cp_per_step,
+    marginal_cp_spatial,
+    marginal_cp_temporal,
     noisy_xeb,
     noisy_xeb_asymptotic,
     porter_thomas_cdf,
@@ -67,12 +69,12 @@ class TestHaarSubsystemCp:
 
     def test_one_one(self):
         assert subsystem_cp(1, 1) == pytest.approx(0.6, rel=1e-12)
-        assert marginal_cp("spatial", 1, 1, 1) == pytest.approx(0.6, rel=1e-12)
+        assert marginal_cp_spatial(1, 1, 1) == pytest.approx(0.6, rel=1e-12)
 
     def test_large_traced_system_uniformizes(self):
         # one step of a 40-qubit system sampled through its bath alone
         for n_b in (1, 2, 3):
-            assert marginal_cp("temporal", 40, n_b, 1) == pytest.approx(2.0 ** -n_b, rel=1e-9)
+            assert marginal_cp_temporal(40, n_b, 1) == pytest.approx(2.0 ** -n_b, rel=1e-9)
 
 
 class TestStepPowerSums:
@@ -137,43 +139,50 @@ class TestCriticalSteps:
 
 
 class TestMarginalCp:
+    @pytest.mark.parametrize(
+        "form", [marginal_cp_spatial, marginal_cp_temporal, marginal_cp_per_step]
+    )
+    def test_zero_steps_refused(self, form):
+        with pytest.raises(ConfigurationError, match="steps must be >= 1"):
+            form(2, 1, 0)
+
     def test_spatial_single_step(self):
-        assert marginal_cp("spatial", 2, 1, 1) == pytest.approx(1 / 3, rel=1e-12)
+        assert marginal_cp_spatial(2, 1, 1) == pytest.approx(1 / 3, rel=1e-12)
 
     def test_temporal_squares(self):
-        assert marginal_cp("temporal", 1, 1, 2) == pytest.approx(0.36, rel=1e-12)
+        assert marginal_cp_temporal(1, 1, 2) == pytest.approx(0.36, rel=1e-12)
 
     def test_per_step_equals_temporal_at_one_step(self):
         for n_a, n_b in ((1, 1), (2, 1), (3, 2)):
-            a = marginal_cp("per_step", n_a, n_b, 1)
-            b = marginal_cp("temporal", n_a, n_b, 1)
+            a = marginal_cp_per_step(n_a, n_b, 1)
+            b = marginal_cp_temporal(n_a, n_b, 1)
             assert a == pytest.approx(b, rel=1e-12)
-            assert marginal_cp("per_step", 1, 1, 1) == pytest.approx(0.6, rel=1e-12)
+            assert marginal_cp_per_step(1, 1, 1) == pytest.approx(0.6, rel=1e-12)
 
     def test_single_step_reduction_to_subsystem_sampling(self):
         # sampling only the system traces the bath and vice versa
         for n_a, n_b in ((1, 1), (2, 1), (2, 2), (3, 1)):
-            assert marginal_cp("spatial", n_a, n_b, 1) == pytest.approx(
+            assert marginal_cp_spatial(n_a, n_b, 1) == pytest.approx(
                 subsystem_cp(n_b, n_a), rel=1e-12
             )
-            assert marginal_cp("temporal", n_a, n_b, 1) == pytest.approx(
+            assert marginal_cp_temporal(n_a, n_b, 1) == pytest.approx(
                 subsystem_cp(n_a, n_b), rel=1e-12
             )
 
     def test_temporal_strictly_decreasing(self):
-        vals = [marginal_cp("temporal", 3, 2, t) for t in range(1, 12)]
+        vals = [marginal_cp_temporal(3, 2, t) for t in range(1, 12)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_spatial_approaches_uniform(self):
         # late-time limit: (d_A d_B + 1)/(d_A^2 d_B + 1), near 1/d_A
-        val = marginal_cp("spatial", 6, 2, 40)
+        val = marginal_cp_spatial(6, 2, 40)
         d_a, d_b = 64.0, 4.0
         assert val == pytest.approx((d_a * d_b + 1) / (d_a ** 2 * d_b + 1), rel=1e-9)
 
     @pytest.mark.parametrize("n_a, n_b", [(2, 1), (2, 2), (5, 5)])
     def test_spatial_late_time_limit_is_subsystem_cp(self, n_a, n_b):
         # the system sampled, the whole register's history traced
-        assert marginal_cp("spatial", n_a, n_b, 200) == subsystem_cp(n_a + n_b, n_a)
+        assert marginal_cp_spatial(n_a, n_b, 200) == subsystem_cp(n_a + n_b, n_a)
 
 
 class TestPopDensities:
@@ -259,12 +268,6 @@ class TestIdealXeb:
             0.5 * math.sqrt(float(scaled)), rel=1e-10
         )
 
-    def test_patched_composition(self):
-        for n_a, n_b, t in ((1, 1, 2), (2, 2, 3), (5, 5, 10)):
-            single = ideal_xeb(n_a, n_b, t)
-            patched = ideal_xeb(n_a, n_b, t, patched=True)
-            assert patched == pytest.approx((1 + single) ** 2 - 1, rel=1e-12)
-
 
 class TestNoisyXeb:
     def test_exact_at_gamma_one_equals_ideal(self):
@@ -302,11 +305,6 @@ class TestNoisyXeb:
             )
 
         assert worst_gap(10) < worst_gap(5)
-
-    def test_patched_composition(self):
-        single = noisy_xeb(2, 2, 3, 0.8)
-        patched = noisy_xeb(2, 2, 3, 0.8, patched=True)
-        assert patched == pytest.approx((1 + single) ** 2 - 1, rel=1e-12)
 
     @pytest.mark.parametrize("gamma", [1.5, -0.1, float("nan")])
     def test_exact_rejects_gamma_outside_unit_interval(self, gamma):
