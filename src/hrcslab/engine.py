@@ -78,6 +78,11 @@ class HrcsConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        # derive_seed hashes repr, so np.int64(3) would seed another circuit than 3
+        for name in ("n_system", "n_bath", "steps", "hea_layers", "master_seed"):
+            value = getattr(self, name)
+            if value is not None or name != "hea_layers":
+                object.__setattr__(self, name, _as_int(name, value))
         if self.n_system < 1 or self.n_bath < 1:
             raise ConfigurationError("system and bath need at least one qubit each")
         if self.steps < 1:
@@ -101,6 +106,14 @@ class HrcsConfig:
         return self.n_system + self.steps * self.n_bath
 
 
+def _as_int(name: str, value) -> int:
+    """A Python int or numpy integer as an int; a bool, float or other type
+    is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def instance_seed(config: HrcsConfig, instance_index: int) -> int:
     """Stream seed of one ensemble member; depends only on the master seed,
     the circuit-defining parameters, and the index, so growing a sweep never
@@ -108,7 +121,7 @@ def instance_seed(config: HrcsConfig, instance_index: int) -> int:
     return derive_seed(
         config.master_seed,
         "instance",
-        instance_index,
+        _as_int("instance index", instance_index),
         config.n_system,
         config.n_bath,
         config.steps,
@@ -128,7 +141,7 @@ def instantiate_circuit(config: HrcsConfig, instance_index: int) -> list[StepUni
     n = config.n_qubits
     if config.unitary_source == "haar":
         columns = 1 << (config.n_system if config.reset_bath else n)
-        return [sample_haar_unitary(1 << n, rng, columns) for _ in range(config.steps)]
+        return list(sample_haar_unitary(1 << n, rng, columns, config.steps))
     return [sample_hea_params(n, config.hea_layers, rng) for _ in range(config.steps)]
 
 
@@ -172,10 +185,12 @@ def _propagate(
     The product is returned where BLAS wrote it: the (rows, 2^n) transpose
     of a C-ordered (2^n, rows) array, so a row's amplitudes lie ``rows``
     apart, and copying it row-major would cost one batch copy per step.  An
-    HEA step run gate by gate returns C order.  A reduction over a row of
-    this view runs in another order than over a C-ordered row, and so rounds
-    differently: the sampler sums its bath probabilities over a C-ordered
-    copy of the squared moduli (``sample_trajectories``).
+    HEA step run gate by gate returns C order.  The sampler reads the
+    (2^n, rows) array as it lies, rows last (``sample_trajectories``): its
+    squared moduli, summed over each bath block's 2^n_A amplitudes by
+    ``_pairwise_sum`` in the order numpy sums a C-ordered row, so every sum
+    has the bits of that row's reduction, and each numpy call runs over all
+    rows.
     """
     rows, d_sys = picked.shape
     if isinstance(step, HeaParams):
@@ -213,26 +228,76 @@ class TrajectoryBatch:
 def _random_paulis(rows: int, m: int, gamma: float, rng: np.random.Generator):
     """Trajectory unraveling of the depolarizing channel on an m-qubit field:
     with probability 1-gamma a row gets a Pauli string drawn uniformly from
-    all 4^m (identity included), code digit i (0 I, 1 X, 2 Y, 3 Z) on bit i.
-    The string is i^(n_Y) X^flip Z^zmask; returns ``flip, zmask``, not the
-    global phase i^(n_Y).  gamma = 1 draws none: both masks are 0."""
+    all 4^m (identity included), code digit i (0 I, 1 X, 2 Y, 3 Z) in bits
+    2i and 2i + 1.  The string is i^(n_Y) X^flip Z^zmask; returns ``flip,
+    zmask``, not the global phase i^(n_Y).  gamma = 1 draws none: both masks
+    are 0."""
     if gamma >= 1.0:
         return np.zeros((2, rows), dtype=np.int64)
     codes = np.where(rng.random(rows) < 1.0 - gamma, rng.integers(4 ** m, size=rows), 0)
-    digits = (codes[:, None] >> (2 * np.arange(m))) & 3
-    bits = 1 << np.arange(m)
-    return ((digits == 1) | (digits == 2)) @ bits, (digits >= 2) @ bits
+    # X where a digit's two bits differ (1, 2), Z where its high bit is set (2, 3)
+    return _even_bits(codes ^ (codes >> 1), m), _even_bits(codes >> 1, m)
+
+
+# (shift, mask) of each step that halves the gaps between the kept bits
+_COMPACT = ((1, 0x3333333333333333), (2, 0x0F0F0F0F0F0F0F0F), (4, 0x00FF00FF00FF00FF),
+            (8, 0x0000FFFF0000FFFF), (16, 0x00000000FFFFFFFF))
+
+
+def _even_bits(x: np.ndarray, m: int) -> np.ndarray:
+    """Bit i of each result is bit 2i of x, for i < m <= 31; x is overwritten."""
+    x &= 0x5555555555555555
+    for shift, mask in _COMPACT:
+        if shift >= m:
+            break
+        x |= x >> shift
+        x &= mask
+    return x
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum a (n, ...) array over its first axis in the order numpy's
+    ``np.add.reduce`` sums a contiguous last axis of length n, so each sum
+    has its bits: sequentially below 8 terms, in 8 accumulators combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) plus a sequential tail
+    up to 128, and as the sum of two halves split at a multiple of 8 above.
+    Every step adds one long (...) slice to another, so a sum over a short
+    axis costs per element, not per call.  The sums accumulate in ``terms``
+    itself, and the result is its first slice."""
+    n = len(terms)
+    if n < 8:
+        for i in range(1, n):
+            terms[0] += terms[i]
+    elif n <= 128:
+        acc, tail = terms[:8], n - n % 8
+        for i in range(8, tail, 8):
+            acc += terms[i:i + 8]
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        acc[0] += acc[4]
+        for i in range(tail, n):
+            acc[0] += terms[i]
+    else:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum(terms[:half])
+        terms[0] += _pairwise_sum(terms[half:])
+    return terms[0]
 
 
 def _draw(
     probs: np.ndarray, rng: np.random.Generator, branch: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One inverse-CDF outcome per row of (rows, outcomes) weights that need
-    not sum to 1: the outcome indices and their weights."""
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(len(probs)) * cum[:, -1]
-    idx = np.minimum((u[:, None] >= cum).sum(axis=1), probs.shape[1] - 1)
-    p = probs[np.arange(len(probs)), idx]
+    """One inverse-CDF outcome per column of (outcomes, rows) weights that
+    need not sum to 1: the outcome indices and their weights.  The CDF is
+    cumulated one outcome at a time, along the rows, in ``np.cumsum``'s
+    order."""
+    cum = np.empty_like(probs)
+    cum[0] = probs[0]
+    for j in range(1, len(probs)):
+        np.add(cum[j - 1], probs[j], out=cum[j])
+    u = rng.random(probs.shape[1]) * cum[-1]
+    idx = np.minimum(np.count_nonzero(u >= cum, axis=0), len(probs) - 1)
+    p = probs[idx, np.arange(probs.shape[1])]
     if np.any(p < PROB_FLOOR):
         raise DegenerateBranchError(f"sampled {branch} branch below underflow floor")
     return idx, p
@@ -290,11 +355,14 @@ def sample_trajectories(
         flip_bath, _ = _random_paulis(n_shots, config.n_bath, gamma, rng)
         # at k = 0 blocks holds the one row every shot starts from
         row = rows if k else np.zeros_like(rows)
-        # a C-ordered copy, so each block sums in numpy's pairwise order
-        # whatever the step kernel's layout (see _propagate)
-        probs = (np.abs(blocks, order="C") ** 2).sum(axis=2)
+        # rows last: a dense step's (2^n, rows) product as BLAS wrote it (see
+        # _propagate), squared in place and summed over the system in
+        # numpy's pairwise order
+        probs = np.abs(blocks.transpose(1, 2, 0), order="C")
+        np.square(probs, out=probs)
+        probs = _pairwise_sum(probs.swapaxes(0, 1))
         # outcome z reads block z ^ flip of the shot's row
-        probs = probs[row[:, None], np.arange(d_bath) ^ flip_bath[:, None]]
+        probs = probs[np.arange(d_bath)[:, None] ^ flip_bath, row]
         z, p_z = _draw(probs, rng, "bath")
         model_prob[:] *= p_z
         bath_outcomes[:, k] = z
@@ -308,7 +376,8 @@ def sample_trajectories(
         return kept, z
 
     picked = _walk(config, unitaries, draw)
-    x, p_x = _draw(np.abs(picked) ** 2, rng, "final")
+    probs = np.abs(picked.T, order="C")
+    x, p_x = _draw(np.square(probs, out=probs), rng, "final")
     model_prob *= p_x
     return TrajectoryBatch(bath_outcomes, x, model_prob)
 

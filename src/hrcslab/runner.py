@@ -37,7 +37,7 @@ from .engine import (
     replay_no_reset_equivalence,
     sample_trajectories,
 )
-from .core import sample_haar_state
+from .core import HAAR_STACK_BYTES, sample_haar_state
 from .errors import CapacityError, ConfigurationError
 from .estimators import EnsembleStats
 
@@ -215,14 +215,16 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 # |0> row fanned out to the shots: 0.1-0.9 at 3+5 to 8+4, and 1.0-1.6 at 7+1
 # and 9+1
 SAMPLER_LIVE_COPIES = 4
-# 2^n x 2^n complex arrays that drawing one full Haar step holds beside its
-# output: peak RSS of sample_haar_unitary at 10-11 qubits grows by 4.1-4.3
-# of them (tracemalloc, blind to LAPACK's work buffers, sees 3.06)
+# copies of one stack of full Haar steps (at most HAAR_STACK_BYTES, or one
+# step from 8 qubits up) that drawing them holds beside the output:
+# peak RSS of sample_haar_unitary at 10-11 qubits grows by 4.1-4.3 (one step;
+# tracemalloc, blind to LAPACK's work buffers, sees 3.06, and 3.06-3.2 of a
+# stack of up to 20 steps at 2+2 to 4+4)
 HAAR_QR_TRANSIENT_COPIES = 5
-# 2^n x 2^n_A complex arrays that drawing one reset Haar step holds beside
-# its output and beside the one real 2^n x 2^n half of the Ginibre draw:
-# peak RSS grows by that half plus 0.3-0.9 of them at 5+5, 4+6, 6+5, 5+7 and
-# 6+6 qubits, and plus 2.6-3.8 at 7+3, 8+2, 9+1 and 10+1 (tracemalloc: 0.5-2.0)
+# the same for reset Haar steps, 2^n x 2^n_A, beside the output and the one
+# real 2^n x 2^n half of the Ginibre draw: peak RSS grows by that half plus
+# 0.3-0.9 of them at 5+5, 4+6, 6+5, 5+7 and 6+6 qubits, and plus 2.6-3.8 at
+# 7+3, 8+2, 9+1 and 10+1 (tracemalloc: 0.5-2.0)
 HAAR_ISOMETRY_TRANSIENT_COPIES = 4
 # (L, N) float arrays that drawing one HEA step holds beside the 2t angle
 # arrays of an instance's t steps: tracemalloc measures 0.125 of one (its
@@ -449,6 +451,24 @@ def _pool_size(spec: ExperimentSpec, workers: int) -> int:
     return min(workers, spec.instances, os.cpu_count() or 1)
 
 
+def _steps_bytes(spec: ExperimentSpec) -> int:
+    """Bytes an instance's steps take at their peak, while they are drawn."""
+    n_phys = spec.n_system + spec.n_bath
+    t = max(spec.steps)
+    if spec.unitary_source == "hea":
+        # the (L, N) thetas and phis of all t steps
+        angles = 8 * spec.hea_layers * n_phys
+        return (2 * t + HEA_ANGLE_TRANSIENT_COPIES) * angles
+    # all t dense steps (instantiate_circuit), 2^n x 2^n_A isometries under
+    # a reset and full unitaries without one, and one stacked QR's transients
+    if spec.config_for(t).reset_bath:
+        isometry = 16 << (n_phys + spec.n_system)
+        transient = HAAR_ISOMETRY_TRANSIENT_COPIES * max(isometry, HAAR_STACK_BYTES)
+        return t * isometry + transient + (8 << 2 * n_phys)  # the real half of a draw
+    full = 16 << 2 * n_phys
+    return t * full + HAAR_QR_TRANSIENT_COPIES * max(full, HAAR_STACK_BYTES)
+
+
 def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
     """Refuse specs that would exceed an engine mode before any work starts.
     Up to ``_pool_size`` instances run at once, each with its own shot batch
@@ -477,19 +497,8 @@ def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
             f"limit {estimators.XEB_MAX_BITS}"
         )
     need = spec.shots * (16 << n_phys) * SAMPLER_LIVE_COPIES if engine == "sample" else 0
-    if engine is not None and spec.unitary_source == "haar":
-        # an instance holds all t dense steps (instantiate_circuit): 2^n x 2^n_A
-        # isometries under a reset, full unitaries without one
-        if spec.config_for(max(spec.steps)).reset_bath:
-            isometry = 16 << (n_phys + spec.n_system)
-            need += (max(spec.steps) + HAAR_ISOMETRY_TRANSIENT_COPIES) * isometry
-            need += 8 << 2 * n_phys  # the real half of the Ginibre draw
-        else:
-            need += (max(spec.steps) + HAAR_QR_TRANSIENT_COPIES) * (16 << 2 * n_phys)
-    elif engine is not None:
-        # an HEA instance holds the (L, N) thetas and phis of all t steps
-        angles = 8 * spec.hea_layers * n_phys
-        need += (2 * max(spec.steps) + HEA_ANGLE_TRANSIENT_COPIES) * angles
+    if engine is not None:
+        need += _steps_bytes(spec)
     pool = _pool_size(spec, workers)
     need *= pool
     if need > memory:

@@ -216,6 +216,25 @@ class TestHaarSampler:
         else:
             np.testing.assert_allclose(iso, full, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("full", [True, False])
+    def test_stack_is_the_per_step_draws(self, dim, full):
+        # one draw and stacked QR per HAAR_STACK_BYTES of normals (64 steps
+        # at dim 16, 4 at dim 64, one at dim 128, and one drawn in halves
+        # from dim 256) gives the bits and leaves the generator where one
+        # 2-D draw and QR per step does
+        cols = dim if full else 1 << (dim.bit_length() - 1) // 2
+        count = 6 if dim <= 128 else 2
+        rng, twin = np.random.default_rng(dim), np.random.default_rng(dim)
+        stack = sample_haar_unitary(dim, rng, cols, count)
+        assert stack.shape == (count, dim, cols) and stack.dtype == complex
+        for u in stack:
+            real = twin.standard_normal((dim, dim))[:, :cols]
+            q, r = np.linalg.qr((real + 1j * twin.standard_normal((dim, dim))[:, :cols]) / np.sqrt(2))
+            diag = np.diagonal(r)
+            np.testing.assert_array_equal(u, q * (diag.conj() / np.abs(diag)))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     @pytest.mark.parametrize("columns", [0, 9])
     def test_rejects_columns_out_of_range(self, rng, columns):
         with pytest.raises(ConfigurationError):

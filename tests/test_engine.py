@@ -484,6 +484,44 @@ class TestPauliUnraveling:
         strings = _random_paulis(shots, len(targets), gamma, np.random.default_rng(8))
         np.testing.assert_array_equal(apply_strings(amps, strings, targets[0]), expected)
 
+    @staticmethod
+    def digit_masks(codes, m):
+        """X and Z masks from the code digits: 1 or 2 is X, 2 or 3 is Z."""
+        digits = (codes[:, None] >> (2 * np.arange(m))) & 3
+        bits = 1 << np.arange(m)
+        return ((digits == 1) | (digits == 2)) @ bits, (digits >= 2) @ bits
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_masks_are_the_digits_of_every_code(self, m):
+        class EveryCode:
+            """Every one of the 4^m codes, each row hit."""
+
+            def random(self, size):
+                return np.zeros(size)
+
+            def integers(self, high, size):
+                assert high == size == 4 ** m
+                return np.arange(size)
+
+        codes = np.arange(4 ** m)
+        flip, zmask = _random_paulis(codes.size, m, 0.0, EveryCode())
+        want_flip, want_zmask = self.digit_masks(codes, m)
+        np.testing.assert_array_equal(flip, want_flip)
+        np.testing.assert_array_equal(zmask, want_zmask)
+
+    @pytest.mark.parametrize("m", [7, 8, 13, 16, 17, 22, 23])
+    def test_masks_of_random_codes_and_the_draws_they_make(self, m):
+        # the two generator calls are the same as ever, so the stream after
+        # them, and every later draw, is unchanged
+        rng, twin = np.random.default_rng(m), np.random.default_rng(m)
+        flip, zmask = _random_paulis(5000, m, 0.4, rng)
+        codes = np.where(twin.random(5000) < 0.6, twin.integers(4 ** m, size=5000), 0)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        want_flip, want_zmask = self.digit_masks(codes, m)
+        assert flip.dtype == zmask.dtype == np.int64
+        np.testing.assert_array_equal(flip, want_flip)
+        np.testing.assert_array_equal(zmask, want_zmask)
+
 
 def dense_noisy_sampler(config, unitaries, shots, gamma, rng):
     """The noisy sampler on the full register: each step's dense product,
@@ -812,10 +850,13 @@ class TestStepLayout:
     """A dense step's product is read where BLAS wrote it, and the sampler
     sums its bath probabilities in C order all the same."""
 
-    def test_bath_probabilities_are_c_order_sums(self, monkeypatch):
-        # the second step of a dense 5+5 circuit runs on 1000 rows; summing
-        # the strided view instead rounds most of its 32 000 sums differently
-        cfg = HrcsConfig(n_system=5, n_bath=5, steps=2, master_seed=1)
+    @pytest.mark.parametrize("n_sys, n_bath", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 5), (8, 2)])
+    def test_bath_probabilities_are_c_order_sums(self, n_sys, n_bath, monkeypatch):
+        # the second step of a dense circuit runs on 1000 rows; summing the
+        # strided view instead rounds most of a 5+5 step's 32 000 sums
+        # differently, and d_A = 2 to 256 takes each branch of the pairwise
+        # order: sequential, one block of 8 plus a tail, and split halves
+        cfg = HrcsConfig(n_system=n_sys, n_bath=n_bath, steps=2, master_seed=1)
         steps = instantiate_circuit(cfg, 0)
         products, bath_probs = [], []
 
@@ -832,9 +873,21 @@ class TestStepLayout:
         monkeypatch.setattr(engine_mod, "_draw", spy_draw)
         sample_trajectories(cfg, steps, 1000, 1.0, np.random.default_rng(0))
         product = products[1]
-        assert product.shape == (1000, 1024) and not product.flags.c_contiguous
-        expected = (np.abs(np.ascontiguousarray(product)) ** 2).reshape(1000, 32, 32).sum(axis=2)
-        np.testing.assert_array_equal(bath_probs[1], expected)
+        d_sys, d_bath = 1 << n_sys, 1 << n_bath
+        assert product.shape == (1000, d_bath * d_sys) and not product.flags.c_contiguous
+        expected = (np.abs(np.ascontiguousarray(product)) ** 2).reshape(1000, d_bath, d_sys)
+        # the draw reads (outcomes, rows) weights
+        np.testing.assert_array_equal(bath_probs[1], expected.sum(axis=2).T)
+
+    @pytest.mark.parametrize("n", [*range(1, 301), 512, 1024, 4096])
+    def test_pairwise_sum_is_numpys_last_axis_reduce(self, n):
+        # the sampler's records rest on this: a numpy that sums in another
+        # order fails here rather than moving them
+        x = np.random.default_rng(n).standard_normal((3, 5, n))
+        terms = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        total = engine_mod._pairwise_sum(terms)
+        assert np.shares_memory(total, terms)  # accumulated in the terms themselves
+        np.testing.assert_array_equal(total, np.add.reduce(x, axis=-1))
 
 
 class TestStepCount:
@@ -932,3 +985,29 @@ class TestConfigValidation:
         cfg = small_config()
         with pytest.raises(ConfigurationError):
             dataclasses.replace(cfg, steps=0)
+
+    INTEGER_FIELDS = ("n_system", "n_bath", "steps", "hea_layers", "master_seed")
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_numpy_integers_draw_the_python_int_circuit(self, field):
+        # instance_seed hashes repr, and repr(np.int64(3)) is not repr(3)
+        cfg = HrcsConfig(2, 1, 3, unitary_source="hea", hea_layers=2, master_seed=5)
+        numpy_cfg = dataclasses.replace(cfg, **{field: np.int64(getattr(cfg, field))})
+        assert type(getattr(numpy_cfg, field)) is int
+        assert numpy_cfg == cfg
+        assert instance_seed(numpy_cfg, 0) == instance_seed(cfg, 0)
+        assert instance_seed(cfg, np.uint8(4)) == instance_seed(cfg, 4)
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    @pytest.mark.parametrize("value", [2.0, True, np.float64(2.0), np.bool_(True), "2"])
+    def test_non_integer_fields_refused(self, field, value):
+        # 2.0 failed with a TypeError inside instantiate_circuit, and True
+        # ran as a 1-qubit register
+        cfg = HrcsConfig(2, 1, 3, unitary_source="hea", hea_layers=2, master_seed=5)
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            dataclasses.replace(cfg, **{field: value})
+
+    @pytest.mark.parametrize("index", [0.0, True, "0"])
+    def test_non_integer_instance_index_refused(self, index):
+        with pytest.raises(ConfigurationError, match="instance index must be an integer"):
+            instance_seed(small_config(), index)

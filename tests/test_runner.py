@@ -21,7 +21,7 @@ import pytest
 import hrcslab
 import hrcslab.runner as runner_mod
 from hrcslab import CapacityError, ConfigurationError
-from hrcslab.engine import instance_seed
+from hrcslab.engine import instance_seed, instantiate_circuit
 from hrcslab.runner import (
     CSV_COLUMNS,
     FAMILY_READS,
@@ -384,6 +384,24 @@ class TestCapacity:
             kind="xeb", n_system=6, n_bath=6, steps=(33,), instances=1, shots=200
         )
         runner_mod._check_capacity(spec)
+
+    @pytest.mark.parametrize("n_sys, n_bath, t", [(2, 2, 20), (3, 3, 8), (4, 4, 3), (5, 5, 2)])
+    @pytest.mark.parametrize("reset", [False, True])
+    def test_haar_instance_within_its_counted_steps(self, n_sys, n_bath, t, reset):
+        # one stack of 20 full steps, stacks of 4, and steps factored alone;
+        # tracemalloc peaks at 3.06-3.08 stacks beside the steps without a
+        # reset, against the 5 the capacity check counts
+        spec = ExperimentSpec(kind="xeb", n_system=n_sys, n_bath=n_bath, steps=(t,),
+                              reset_bath=reset, instances=1, shots=1)
+        config = spec.config_for(t)
+        instantiate_circuit(config, 0)  # numpy's lazy setup, outside the trace
+        tracemalloc.start()
+        try:
+            steps = instantiate_circuit(config, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(step.nbytes for step in steps) < peak <= runner_mod._steps_bytes(spec)
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -757,15 +775,21 @@ def read_records(path: Path) -> list[dict]:
     return [json.loads(line) for line in text.splitlines()]
 
 
+# each config's records sit in expected/ beside it; the CI specs' golden
+# records cover d_A = 32 and 8, where the sampler's pairwise bath sums run
+# blocks of 8 (the shipped configs all have d_A = 4)
+GOLDEN = sorted((CONFIGS / "expected").iterdir()) + sorted((CONFIGS / "ci" / "expected").iterdir())
+
+
 @pytest.mark.parametrize(
-    "expected", sorted((CONFIGS / "expected").iterdir()), ids=lambda path: path.stem
+    "expected", GOLDEN, ids=lambda path: str(path.parent.parent.relative_to(CONFIGS) / path.stem)
 )
 def test_shipped_config_reproduces_golden_records(expected, tmp_path):
     # bytes hold on one BLAS kernel; on another, OpenBLAS's rounding moves
     # sampled means and standard errors by up to 1.0e-15 relative (measured
     # under forced Haswell, Sandybridge, Nehalem and Prescott kernels), so
     # those and the theory value get 1e-12
-    spec = ExperimentSpec.from_json_file(str(CONFIGS / f"{expected.stem}.json"))
+    spec = ExperimentSpec.from_json_file(str(expected.parent.parent / f"{expected.stem}.json"))
     assert expected.suffix == f".{spec.format}"
     out = tmp_path / expected.name
     write_records(run_experiment(spec), str(out), spec.format)
