@@ -12,8 +12,11 @@ each step's Ginibre normals in turn, as t separate draws would, then one
 stacked QR and one phase fix per ``HAAR_STACK_BYTES`` of normals.  The
 stacked QR runs the same LAPACK calls on each step, so the steps have the
 bits of separate draws.  The cap keeps a stack's transients below about 1 MB
-(``runner._check_capacity`` counts them); from 8 qubits up, a 5+5 step for
-one, each step is drawn and factored alone.
+(``runner._check_capacity`` counts them).  From 8 qubits up, a 5+5 step for
+one, each step is drawn and factored alone, and each half of its Ginibre
+matrix passes through one ``HAAR_STACK_BYTES`` buffer, so that beside the
+output the draw holds 256 KiB, not a 2^n x 2^n half (8 MB at 5+5, 134 MB at
+6+6), and the QR's transients follow the kept columns alone.
 
 Bit convention used everywhere in this package: qubit 0 is the least
 significant bit of the amplitude index, so the basis state
@@ -73,7 +76,7 @@ pin_blas_threads()
 # a step's cost at 2+1 and 2+2 qubits.  At dim 128 (256 KiB of normals) one
 # step's draw alone takes about 0.5 ms, so a larger stack would save under
 # 5 % and only add its copies to the peak.  From dim 256 up each step is
-# drawn and factored alone.
+# drawn and factored alone, its halves through a buffer of this many bytes.
 HAAR_STACK_BYTES = 1 << 18
 
 
@@ -93,6 +96,10 @@ def sample_haar_unitary(
     A stack draws each matrix's normals in turn, exactly as ``count`` calls
     would, and factors each ``HAAR_STACK_BYTES`` of normals with one stacked
     QR, which runs the same LAPACK calls on each and so gives the same bits.
+    A larger step draws its real, then its imaginary half, ``HAAR_STACK_BYTES``
+    of rows at a time, into one reused buffer (``standard_normal(out=...)``,
+    the same normals in the same order), and copies each chunk's kept
+    columns into the output's real or imaginary part.
     """
     if dim < 2:
         raise ConfigurationError(f"haar sampling needs dim >= 2, got {dim}")
@@ -112,12 +119,15 @@ def sample_haar_unitary(
             np.add(draws[:, 0], stack, out=stack)
             del draws
         else:
-            # one step; copy the kept columns out, so the full real draw is
-            # freed before the imaginary one
-            real = np.ascontiguousarray(rng.standard_normal((dim, dim))[:, :cols])
-            np.multiply(1j, rng.standard_normal((dim, dim))[:, :cols], out=stack[0])
-            np.add(real, stack[0], out=stack[0])
-            del real
+            # one step: each half's rows in turn through one HAAR_STACK_BYTES
+            # buffer, the same normals in the same order, and its kept
+            # columns straight into the output's real or imaginary part
+            buffer = np.empty((max(1, HAAR_STACK_BYTES // (8 * dim)), dim))
+            for half in (stack[0].real, stack[0].imag):
+                for row in range(0, dim, len(buffer)):
+                    chunk = rng.standard_normal(out=buffer[:dim - row])
+                    half[row:row + len(chunk)] = chunk[:, :cols]
+            del buffer, chunk
         q, r = np.linalg.qr(np.divide(stack, np.sqrt(2), out=stack))
         diag = np.diagonal(r, axis1=-2, axis2=-1)
         np.multiply(q, (diag.conj() / np.abs(diag))[:, None, :], out=stack)

@@ -204,28 +204,28 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 
 # (shots, 2^n) complex arrays an xeb or noisy_xeb instance holds at its peak,
 # replay included.  tracemalloc at t = 3 with 2000 shots (1000 at 5+5), xeb
-# and noisy_xeb at gamma = 0.7: reset Haar steps 1.6-1.7 at 3+5 to 6+2, and
-# at 7+1, whose kept block is half a copy, 1.7 and 2.0 noisy (the Pauli
-# gather index and signs); 2.4-2.9 without a reset.  A 4-layer HEA compiled
-# to the 2^n_A columns a reset bath reaches gives 1.5-1.6 (1.8 noisy at
-# 7+1), and 2.1-2.3 at 7+3 to 8+4 and 2.5 at 9+1 with
-# 2^n_A shots, where those columns are one batch copy.  Without a reset, the
-# HEA steps after the first run their layers on the rebuilt register at 3+5
-# to 6+2: 2.1-2.3, at 2000 and at 200 shots.  At t = 1 the walk is the one
-# |0> row fanned out to the shots: 0.1-0.9 at 3+5 to 8+4, and 1.0-1.6 at 7+1
-# and 9+1
+# and noisy_xeb at gamma = 0.7, steps included.  With a reset the peak is the
+# step's product beside its (d_B, shots) bath weights and one slab of squared
+# moduli: 1.2-1.3 with Haar and 4-layer HEA steps at 3+5 to 5+5, 1.3-1.5 at
+# 6+2, and at 7+1, whose kept block is half a copy, 1.6-1.7 and 1.8-2.0 noisy
+# (the Pauli gather index and signs).  Without a reset it is the rebuilt
+# register, the product and the steps: 2.4-2.9 with Haar steps at 3+5 to 7+1,
+# and 2.1-2.6 where the HEA steps after the first run their layers on the
+# rebuilt register, at 2000 and at 200 shots; so too a reset HEA step
+# compiled to 2^n_A columns with 2^n_A shots, where those columns are one
+# batch copy: 2.1-2.2 at 7+3 and 8+4 and 2.5 at 9+1.  At t = 1 the walk is
+# the one |0> row fanned out to the shots: 0.1-0.7 at 3+5 to 6+2, 1.0-1.2 at
+# 7+1 and 9+1
 SAMPLER_LIVE_COPIES = 4
-# copies of one stack of full Haar steps (at most HAAR_STACK_BYTES, or one
-# step from 8 qubits up) that drawing them holds beside the output:
-# peak RSS of sample_haar_unitary at 10-11 qubits grows by 4.1-4.3 (one step;
-# tracemalloc, blind to LAPACK's work buffers, sees 3.06, and 3.06-3.2 of a
-# stack of up to 20 steps at 2+2 to 4+4)
+# copies of the dense steps being factored, one stack of them (at most
+# HAAR_STACK_BYTES of normals) or one step from 8 qubits up, full or
+# isometries, that drawing them holds beside the output: the QR's copy of its
+# input and its q, and LAPACK's buffers, which tracemalloc does not see.  Each
+# Ginibre half passes through one HAAR_STACK_BYTES buffer.  Peak RSS of one
+# draw grows beyond its output by 4.0-4.1 full steps at 10 and 11 qubits, and
+# by 3.0-4.2 isometries of 16 to 512 columns at 10 to 12 qubits (tracemalloc:
+# 3.06-3.08 full steps at 6 to 11 qubits, 2.0-2.5 isometries)
 HAAR_QR_TRANSIENT_COPIES = 5
-# the same for reset Haar steps, 2^n x 2^n_A, beside the output and the one
-# real 2^n x 2^n half of the Ginibre draw: peak RSS grows by that half plus
-# 0.3-0.9 of them at 5+5, 4+6, 6+5, 5+7 and 6+6 qubits, and plus 2.6-3.8 at
-# 7+3, 8+2, 9+1 and 10+1 (tracemalloc: 0.5-2.0)
-HAAR_ISOMETRY_TRANSIENT_COPIES = 4
 # (L, N) float arrays that drawing one HEA step holds beside the 2t angle
 # arrays of an instance's t steps: tracemalloc measures 0.125 of one (its
 # boolean range mask) at 1+1 to 5+5 with 10^5 to 10^6 layers
@@ -461,12 +461,8 @@ def _steps_bytes(spec: ExperimentSpec) -> int:
         return (2 * t + HEA_ANGLE_TRANSIENT_COPIES) * angles
     # all t dense steps (instantiate_circuit), 2^n x 2^n_A isometries under
     # a reset and full unitaries without one, and one stacked QR's transients
-    if spec.config_for(t).reset_bath:
-        isometry = 16 << (n_phys + spec.n_system)
-        transient = HAAR_ISOMETRY_TRANSIENT_COPIES * max(isometry, HAAR_STACK_BYTES)
-        return t * isometry + transient + (8 << 2 * n_phys)  # the real half of a draw
-    full = 16 << 2 * n_phys
-    return t * full + HAAR_QR_TRANSIENT_COPIES * max(full, HAAR_STACK_BYTES)
+    step = 16 << (n_phys + (spec.n_system if spec.config_for(t).reset_bath else n_phys))
+    return t * step + HAAR_QR_TRANSIENT_COPIES * max(step, HAAR_STACK_BYTES)
 
 
 def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:

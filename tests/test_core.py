@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,20 @@ class TestHaarSampler:
             diag = np.diagonal(r)
             np.testing.assert_array_equal(u, q * (diag.conj() / np.abs(diag)))
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_draw_holds_no_ginibre_half(self):
+        # each half passes through one HAAR_STACK_BYTES buffer, so beyond the
+        # output a dim-1024 isometry holds only the QR's copy of a step and
+        # its q; drawing whole 1024^2 halves would hold 8 MB
+        rng = np.random.default_rng(3)
+        sample_haar_unitary(1024, rng, 32, 2)  # numpy's lazy setup, outside the trace
+        tracemalloc.start()
+        try:
+            out = sample_haar_unitary(1024, rng, 32, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes - 2 * out[0].nbytes < core.HAAR_STACK_BYTES
 
     @pytest.mark.parametrize("columns", [0, 9])
     def test_rejects_columns_out_of_range(self, rng, columns):

@@ -1011,3 +1011,18 @@ class TestConfigValidation:
     def test_non_integer_instance_index_refused(self, index):
         with pytest.raises(ConfigurationError, match="instance index must be an integer"):
             instance_seed(small_config(), index)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, np.int64(0)])
+    def test_non_bool_reset_bath_refused(self, value):
+        # "false" is truthy and drew (8, 4) reset isometries; 0 drew full unitaries
+        with pytest.raises(ConfigurationError, match="reset_bath must be a bool"):
+            HrcsConfig(2, 1, 2, reset_bath=value)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_numpy_bool_reset_bath_draws_the_bool_circuit(self, value):
+        cfg = HrcsConfig(2, 1, 2, reset_bath=value, master_seed=5)
+        numpy_cfg = HrcsConfig(2, 1, 2, reset_bath=np.bool_(value), master_seed=5)
+        assert type(numpy_cfg.reset_bath) is bool and numpy_cfg == cfg
+        for step, numpy_step in zip(instantiate_circuit(cfg, 0), instantiate_circuit(numpy_cfg, 0)):
+            assert step.shape == numpy_step.shape == (8, 4 if value else 8)
+            np.testing.assert_array_equal(numpy_step, step)
