@@ -7,7 +7,6 @@ from .engine import (
     HrcsConfig,
     TrajectoryBatch,
     enumerate_joint_distribution,
-    enumerate_noisy_joint_distribution,
     ideal_probabilities_batch,
     instantiate_circuit,
     marginalize,
@@ -38,7 +37,6 @@ __all__ = [
     "TrajectoryBatch",
     "ensemble_aggregate",
     "enumerate_joint_distribution",
-    "enumerate_noisy_joint_distribution",
     "hea_gate_count",
     "ideal_probabilities_batch",
     "instantiate_circuit",

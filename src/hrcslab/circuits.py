@@ -11,7 +11,7 @@ rotations as two dense products on each row viewed as a 2^(N - N//2) x
 right, that of the high qubits from the left.  Each layer's CNOTs follow as
 one precomputed permutation of the amplitude index.  The engine runs this
 one kernel on a batch of states, and on the basis rows of the columns a step
-can reach to compile the step into a dense matrix (``engine.step_matrices``).
+can reach to compile the step into a dense matrix (``engine.step_matrix``).
 """
 
 from __future__ import annotations

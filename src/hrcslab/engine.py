@@ -1,25 +1,25 @@
 """Protocol execution: per-step unitary, bath measurement, optional reset,
 final system measurement.
 
-Four modes share one circuit description: batched trajectory sampling,
-forced-outcome replay, exact enumeration of the joint outcome distribution,
-and a density-matrix oracle for the noisy variant, kept a separate recursion
-so that it checks the others.  The first three run one step loop, ``_walk``,
-from the one |0> row that every shot and branch shares: the sampler draws one
-bath block per row, replay keeps the recorded one, and enumeration keeps all
-of them as the next tree level, so at the first bath measurement the one row
-fans out to the shots, or to d_B branches.  Between steps the walk holds each
-row's kept system block, a (rows, 2^n_A) batch, and the bath block it sits
-in (0 after a reset).  Its kernel ``_propagate`` turns that into the
-(rows, 2^n) state after the next step: a dense step, or an HEA step compiled
-to the columns it reaches, is one matrix product; an HEA step with a kept
-bath, or with more columns than rows, runs layer by layer.  This is decided
-at every step, so an HEA first step runs its gates on the one row, and a
-later step compiles once the shots, or the tree level, number at least its
-columns.  A step is either a complex 2^n x c array, the first c columns of a
-unitary, or the ``HeaParams`` of an HEA step; ``_check_steps`` refuses an
-array of any other shape, and an HEA step on another register, before a step
-runs.
+Three modes share one circuit description: batched trajectory sampling,
+forced-outcome replay and exact enumeration of the joint outcome
+distribution.  The density-matrix oracle for the noisy variant lives in the
+tests, a separate recursion so that it checks them.  All three run one step
+loop, ``_walk``, from the one |0> row that every shot and branch shares: the
+sampler draws one bath block per row, replay keeps the recorded one, and
+enumeration keeps all of them as the next tree level, so at the first bath
+measurement the one row fans out to the shots, or to d_B branches.  Between
+steps the walk holds each row's kept system block, a (rows, 2^n_A) batch,
+and the bath block it sits in (0 after a reset).  Its kernel ``_propagate``
+turns that into the (rows, 2^n) state after the next step: a dense step, or
+an HEA step compiled to the columns it reaches, is one matrix product; an
+HEA step with a kept bath, or with more columns than rows, runs layer by
+layer.  This is decided at every step, so an HEA first step runs its gates
+on the one row, and a later step compiles once the shots, or the tree level,
+number at least its columns.  A step is either a complex 2^n x c array, the
+first c columns of a unitary, or the ``HeaParams`` of an HEA step;
+``_check_steps`` refuses an array of any other shape, and an HEA step on
+another register, before a step runs.
 
 Noise is one depolarizing strength ``gamma`` in [0, 1], applied to system
 and bath after every step; 1 is noiseless.  The sampler unravels it into
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +49,6 @@ from .errors import CapacityError, ConfigurationError, DegenerateBranchError
 
 TRAJECTORY_MAX_QUBITS = 24
 ENUMERATION_MAX_BITS = 22
-NOISY_ORACLE_MAX_QUBITS = 8
-NOISY_ORACLE_MAX_BITS = 20
 
 UNITARY_SOURCES = ("haar", "hea")
 
@@ -149,16 +146,14 @@ def instantiate_circuit(config: HrcsConfig, instance_index: int) -> list[StepUni
     return [sample_hea_params(n, config.hea_layers, rng) for _ in range(config.steps)]
 
 
-def step_matrices(unitaries: Sequence[StepUnitary], columns: int) -> list[np.ndarray]:
-    """The first ``columns`` columns of each step as a dense 2^n x columns
+def step_matrix(step: StepUnitary, columns: int) -> np.ndarray:
+    """The first ``columns`` columns of a step as a dense 2^n x columns
     matrix.  A dense step gives its drawn columns; an HEA step is compiled
     by running the first ``columns`` basis rows through the gate kernel,
     whose row b is then column b of the matrix."""
-    return [
-        apply_hea_batch(np.eye(columns, 1 << step.n_qubits, dtype=complex), step).T
-        if isinstance(step, HeaParams) else step[:, :columns]
-        for step in unitaries
-    ]
+    if isinstance(step, HeaParams):
+        return apply_hea_batch(np.eye(columns, 1 << step.n_qubits, dtype=complex), step).T
+    return step[:, :columns]
 
 
 def _propagate(
@@ -171,7 +166,7 @@ def _propagate(
 
     With every bath at 0 a step reaches only its first 2^n_A columns.  An
     HEA step applied there with no more columns than rows is compiled to
-    them (``step_matrices``) and applied as a dense step, so the compiled
+    them (``step_matrix``) and applied as a dense step, so the compiled
     matrix is at most one batch copy.  Otherwise, and always with a kept
     bath, its layers run on the full register that ``_keep_branch`` rebuilds:
     a kept bath reaches all 2^n columns, whose dense product costs 2^n
@@ -204,7 +199,7 @@ def _propagate(
     if isinstance(step, HeaParams):
         if bath is not None or d_sys > rows:
             return apply_hea_batch(_keep_branch(picked, bath, d_bath), step)
-        step = step_matrices([step], d_sys)[0]
+        step = step_matrix(step, d_sys)
     amps = picked if bath is None else _keep_branch(picked, bath, d_bath)
     return np.dot(step[:, :amps.shape[1]], amps.T).T
 
@@ -488,75 +483,6 @@ def marginalize(
         axes = tuple(a for a in range(t + 1) if a != step - 1)
         return shaped.sum(axis=axes)
     raise ConfigurationError(f"unknown marginal kind {kind!r}")
-
-
-def depolarize_system(rho: np.ndarray, d_sys: int, d_bath: int, gamma: float) -> np.ndarray:
-    """Exact depolarizing channel on the system, the low-bit factor of a
-    (bath (x) system) density matrix: rho -> gamma rho + (1-gamma) tr_sys(rho) (x) I/d_sys."""
-    if gamma == 1.0:
-        return rho
-    traced = np.einsum("iaja->ij", rho.reshape(d_bath, d_sys, d_bath, d_sys))
-    replacement = np.einsum("ij,ab->iajb", traced, np.eye(d_sys) / d_sys)
-    return gamma * rho + (1.0 - gamma) * replacement.reshape(rho.shape)
-
-
-def depolarize_bath(rho: np.ndarray, d_sys: int, d_bath: int, gamma: float) -> np.ndarray:
-    """Exact depolarizing channel on the bath, the high-bit factor of a
-    (bath (x) system) density matrix: rho -> gamma rho + (1-gamma) I/d_bath (x) tr_bath(rho)."""
-    if gamma == 1.0:
-        return rho
-    traced = np.einsum("iaib->ab", rho.reshape(d_bath, d_sys, d_bath, d_sys))
-    replacement = np.einsum("ij,ab->iajb", np.eye(d_bath) / d_bath, traced)
-    return gamma * rho + (1.0 - gamma) * replacement.reshape(rho.shape)
-
-
-def enumerate_noisy_joint_distribution(
-    config: HrcsConfig, unitaries: list[StepUnitary], gamma: float
-) -> np.ndarray:
-    """Density-matrix oracle for the joint distribution under depolarizing
-    noise of strength ``gamma`` on system and bath after each step.
-
-    Evolution is kept unnormalized: the diagonal entries surviving at the end
-    of each forced branch are exactly the joint outcome probabilities.
-    """
-    _check_gamma(gamma)
-    if config.n_qubits > NOISY_ORACLE_MAX_QUBITS:
-        raise CapacityError(
-            f"density-matrix oracle limited to {NOISY_ORACLE_MAX_QUBITS} qubits, "
-            f"got {config.n_qubits}"
-        )
-    if config.n_eff > NOISY_ORACLE_MAX_BITS:
-        raise CapacityError(
-            f"noisy enumeration over {config.n_eff} effective bits exceeds {NOISY_ORACLE_MAX_BITS}"
-        )
-    _check_steps(config, unitaries)
-    n_sys, n_bath = config.n_system, config.n_bath
-    d_sys, d_bath = 1 << n_sys, 1 << n_bath
-    t = config.steps
-    mats = step_matrices(unitaries, d_sys if config.reset_bath else d_sys * d_bath)
-    out = np.zeros(1 << config.n_eff)
-
-    def walk(rho_sys: np.ndarray, bath_state: int, k: int, prefix: int) -> None:
-        # only the step's columns of the occupied bath block act
-        u = mats[k][:, bath_state * d_sys : (bath_state + 1) * d_sys]
-        rho = u @ rho_sys @ u.conj().T
-        rho = depolarize_bath(depolarize_system(rho, d_sys, d_bath, gamma), d_sys, d_bath, gamma)
-        for z in range(d_bath):
-            block = rho[z * d_sys : (z + 1) * d_sys, z * d_sys : (z + 1) * d_sys]
-            weight = float(np.trace(block).real)
-            child_prefix = (prefix << n_bath) | z
-            if weight == 0.0:
-                continue
-            if k + 1 == t:
-                base = child_prefix << n_sys
-                out[base : base + d_sys] = np.diagonal(block).real
-            else:
-                walk(block, 0 if config.reset_bath else z, k + 1, child_prefix)
-
-    rho0 = np.zeros((d_sys, d_sys), dtype=complex)
-    rho0[0, 0] = 1.0
-    walk(rho0, 0, 0, 0)
-    return np.maximum(out, 0.0)
 
 
 def replay_no_reset_equivalence(

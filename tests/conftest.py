@@ -1,12 +1,22 @@
 """Shared fixtures and helpers for the test suite."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hrcslab import ConfigurationError, HrcsConfig, sample_haar_unitary
+from hrcslab import CapacityError, ConfigurationError, HrcsConfig, engine, sample_haar_unitary
 from hrcslab.circuits import brickwork_pairs
+from hrcslab.engine import StepUnitary
+
+CONFIGS = Path(__file__).parent.parent / "scripts" / "configs"
+# scripts/ is not a package: its record comparison loads from its file
+_compare = importlib.util.spec_from_file_location(
+    "compare_records", CONFIGS.parent / "compare_records.py")
+compare_records = importlib.util.module_from_spec(_compare)
+_compare.loader.exec_module(compare_records)
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -190,3 +200,79 @@ def noisy_xeb_oracle(n_system: int, n_bath: int, steps: int, gamma: float) -> fl
         )
         system = np.einsum("zazbzczd->abcd", full)
     return 2.0 ** (n_system + steps * n_bath) * np.einsum("xxxx->", system) - 1.0
+
+
+# the density-matrix oracle's limits: a 2^n x 2^n density matrix per tree
+# node, and a tree of 2^n_eff leaves
+NOISY_ORACLE_MAX_QUBITS = 8
+NOISY_ORACLE_MAX_BITS = 20
+
+
+def depolarize_system(rho: np.ndarray, d_sys: int, d_bath: int, gamma: float) -> np.ndarray:
+    """Exact depolarizing channel on the system, the low-bit factor of a
+    (bath (x) system) density matrix: rho -> gamma rho + (1-gamma) tr_sys(rho) (x) I/d_sys."""
+    if gamma == 1.0:
+        return rho
+    traced = np.einsum("iaja->ij", rho.reshape(d_bath, d_sys, d_bath, d_sys))
+    replacement = np.einsum("ij,ab->iajb", traced, np.eye(d_sys) / d_sys)
+    return gamma * rho + (1.0 - gamma) * replacement.reshape(rho.shape)
+
+
+def depolarize_bath(rho: np.ndarray, d_sys: int, d_bath: int, gamma: float) -> np.ndarray:
+    """Exact depolarizing channel on the bath, the high-bit factor of a
+    (bath (x) system) density matrix: rho -> gamma rho + (1-gamma) I/d_bath (x) tr_bath(rho)."""
+    if gamma == 1.0:
+        return rho
+    traced = np.einsum("iaib->ab", rho.reshape(d_bath, d_sys, d_bath, d_sys))
+    replacement = np.einsum("ij,ab->iajb", np.eye(d_bath) / d_bath, traced)
+    return gamma * rho + (1.0 - gamma) * replacement.reshape(rho.shape)
+
+
+def enumerate_noisy_joint_distribution(
+    config: HrcsConfig, unitaries: list[StepUnitary], gamma: float
+) -> np.ndarray:
+    """Density-matrix oracle for the joint distribution under depolarizing
+    noise of strength ``gamma`` on system and bath after each step.
+
+    Evolution is kept unnormalized: the diagonal entries surviving at the end
+    of each forced branch are exactly the joint outcome probabilities.
+    """
+    engine._check_gamma(gamma)
+    if config.n_qubits > NOISY_ORACLE_MAX_QUBITS:
+        raise CapacityError(
+            f"density-matrix oracle limited to {NOISY_ORACLE_MAX_QUBITS} qubits, "
+            f"got {config.n_qubits}"
+        )
+    if config.n_eff > NOISY_ORACLE_MAX_BITS:
+        raise CapacityError(
+            f"noisy enumeration over {config.n_eff} effective bits exceeds {NOISY_ORACLE_MAX_BITS}"
+        )
+    engine._check_steps(config, unitaries)
+    n_sys, n_bath = config.n_system, config.n_bath
+    d_sys, d_bath = 1 << n_sys, 1 << n_bath
+    t = config.steps
+    columns = d_sys if config.reset_bath else d_sys * d_bath
+    mats = [engine.step_matrix(step, columns) for step in unitaries]
+    out = np.zeros(1 << config.n_eff)
+
+    def walk(rho_sys: np.ndarray, bath_state: int, k: int, prefix: int) -> None:
+        # only the step's columns of the occupied bath block act
+        u = mats[k][:, bath_state * d_sys : (bath_state + 1) * d_sys]
+        rho = u @ rho_sys @ u.conj().T
+        rho = depolarize_bath(depolarize_system(rho, d_sys, d_bath, gamma), d_sys, d_bath, gamma)
+        for z in range(d_bath):
+            block = rho[z * d_sys : (z + 1) * d_sys, z * d_sys : (z + 1) * d_sys]
+            weight = float(np.trace(block).real)
+            child_prefix = (prefix << n_bath) | z
+            if weight == 0.0:
+                continue
+            if k + 1 == t:
+                base = child_prefix << n_sys
+                out[base : base + d_sys] = np.diagonal(block).real
+            else:
+                walk(block, 0 if config.reset_bath else z, k + 1, child_prefix)
+
+    rho0 = np.zeros((d_sys, d_sys), dtype=complex)
+    rho0[0, 0] = 1.0
+    walk(rho0, 0, 0, 0)
+    return np.maximum(out, 0.0)

@@ -14,7 +14,6 @@ from hrcslab import (
     HrcsConfig,
     ensemble_aggregate,
     enumerate_joint_distribution,
-    enumerate_noisy_joint_distribution,
     instantiate_circuit,
     marginalize,
     power_sum_exact,
@@ -28,7 +27,7 @@ from hrcslab.engine import derive_seed
 from hrcslab.estimators import ks_distance_to_porter_thomas
 from hrcslab.runner import ExperimentSpec, run_experiment, write_records
 
-from conftest import joint_indices
+from conftest import enumerate_noisy_joint_distribution, joint_indices
 
 
 def report(num: int, description: str, failures: list) -> None:

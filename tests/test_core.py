@@ -2,7 +2,6 @@
 probabilities, bath collapse and reset, Pauli strings, and the Haar
 sampler's moment checks, and the BLAS thread pin."""
 
-import json
 import os
 import pathlib
 import subprocess
@@ -31,8 +30,10 @@ from hrcslab.runner import ExperimentSpec, run_experiment
 from hrcslab.engine import _keep_branch, _propagate, _random_paulis, ideal_probabilities_batch
 
 from conftest import (
+    CONFIGS,
     apply_strings,
     cnot_permutation,
+    compare_records,
     haar_on,
     joint_indices,
     pauli_string_matrix,
@@ -460,12 +461,6 @@ BLAS_THREAD_VARS = (
 BUNDLED_OPENBLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] == (
     "scipy-openblas"
 )
-# the CI's inline noisy_xeb_5_5 spec: its Haar draws and products at 5+5 are
-# large enough for OpenBLAS to split them by its thread count
-NOISY_XEB_5_5 = {
-    "schema_version": 1, "kind": "noisy_xeb", "n_system": 5, "n_bath": 5, "steps": [1, 2],
-    "gammas": [0.7], "instances": 6, "shots": 20, "master_seed": 3,
-}
 # numpy is imported first, as pytest's conftest and many scripts do
 THREADS_AFTER_IMPORT = """
 import ctypes
@@ -478,9 +473,11 @@ print(get())
 
 def run_python(args, threads: str | None) -> subprocess.CompletedProcess:
     """A fresh interpreter on this package, with every BLAS thread variable
-    unset or OPENBLAS_NUM_THREADS at ``threads``."""
+    unset or OPENBLAS_NUM_THREADS at ``threads``.  A RuntimeWarning or a
+    DeprecationWarning fails it, as it fails a test here."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = str(pathlib.Path(hrcslab.__file__).resolve().parents[1])
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning,error::DeprecationWarning"
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
     return subprocess.run(
@@ -500,15 +497,20 @@ class TestBlasPin:
         assert run_python(["-c", THREADS_AFTER_IMPORT], "2").stdout.split() == ["1"]
 
     def test_5_5_records_do_not_follow_the_thread_variable(self, tmp_path):
-        config = tmp_path / "noisy_xeb_5_5.json"
-        config.write_text(json.dumps(NOISY_XEB_5_5))
-        outputs = []
-        for threads in (None, "1", "2"):
-            out = tmp_path / f"threads_{threads}.jsonl"
-            run_python(["-m", "hrcslab", "noisy-xeb", "--config", str(config),
-                        "--out", str(out)], threads)
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+        # at 5+5 the Haar draws and the step products are large enough for
+        # OpenBLAS to split them by its thread count.  The variable unset and
+        # at 1 run 1 worker, at 2 run 2 workers
+        ci = CONFIGS / "ci"
+        for name in ("noisy_xeb_5_5", "hea_noisy_xeb_5_5"):
+            config, runs = ci / f"{name}.json", []
+            for threads, workers in ((None, "1"), ("1", "1"), ("2", "2")):
+                out = tmp_path / f"{name}_threads_{threads}.jsonl"
+                run_python(["-m", "hrcslab", "noisy-xeb", "--config", str(config),
+                            "--workers", workers, "--out", str(out)], threads)
+                runs.append(out)
+            assert runs[0].read_bytes() == runs[1].read_bytes() == runs[2].read_bytes(), name
+            golden = compare_records.read_records(ci / "expected" / f"{name}.jsonl")
+            assert compare_records.mismatch(compare_records.read_records(runs[0]), golden) is None
 
     @pytest.mark.parametrize("lookup", ["unopenable", "another_blas"])
     def test_run_completes_where_nothing_is_found(self, lookup, monkeypatch):

@@ -1,5 +1,5 @@
-"""Protocol engine tests: the four execution modes against each other and
-against the closed-form layer."""
+"""Protocol engine tests: the three execution modes and the density-matrix
+oracle against each other and against the closed-form layer."""
 
 import dataclasses
 import tracemalloc
@@ -12,7 +12,6 @@ from hrcslab import (
     ConfigurationError,
     HrcsConfig,
     enumerate_joint_distribution,
-    enumerate_noisy_joint_distribution,
     ensemble_aggregate,
     ideal_probabilities_batch,
     instantiate_circuit,
@@ -26,17 +25,18 @@ from hrcslab import engine as engine_mod
 from hrcslab.engine import (
     TrajectoryBatch,
     _random_paulis,
-    depolarize_bath,
-    depolarize_system,
     derive_seed,
     instance_seed,
-    step_matrices,
+    step_matrix,
 )
 from hrcslab.circuits import HeaParams, apply_hea_batch, sample_hea_params
 
 from conftest import (
     apply_strings,
     dense_hea_oracle,
+    depolarize_bath,
+    depolarize_system,
+    enumerate_noisy_joint_distribution,
     joint_indices,
     pauli_string_matrix,
     small_config,
@@ -68,7 +68,7 @@ def depth_first_reference(config, unitaries):
     """Joint distribution by a depth-first walk, one dense matrix-vector
     product per tree node: the oracle for the breadth-first enumerator."""
     d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
-    mats = step_matrices(unitaries, 1 << config.n_qubits)
+    mats = [step_matrix(step, 1 << config.n_qubits) for step in unitaries]
     out = np.zeros(1 << config.n_eff)
 
     def walk(state, k, prefix):
@@ -530,7 +530,8 @@ def dense_noisy_sampler(config, unitaries, shots, gamma, rng):
     n, n_sys = config.n_qubits, config.n_system
     d_sys, d_bath = 1 << n_sys, 1 << config.n_bath
     rows = np.arange(shots)
-    mats = step_matrices(unitaries, d_sys if config.reset_bath else 1 << n)
+    columns = d_sys if config.reset_bath else 1 << n
+    mats = [step_matrix(step, columns) for step in unitaries]
     state = np.zeros((shots, 1 << n), dtype=complex)
     state[:, 0] = 1.0
     bath_outcomes = np.zeros((shots, config.steps), dtype=np.int64)
@@ -703,15 +704,16 @@ class TestStepMatrices:
             )
             steps = instantiate_circuit(cfg, 0)
             for columns in (1 << n_system, 1 << cfg.n_qubits):
-                for m, step in zip(step_matrices(steps, columns), steps):
+                for step in steps:
+                    m = step_matrix(step, columns)
                     assert m.shape == (1 << cfg.n_qubits, columns)
                     np.testing.assert_allclose(
                         m, dense_hea_oracle(step)[:, :columns], rtol=0, atol=1e-12
                     )
         dense_cfg = small_config(n_system=1, steps=2)
         dense = instantiate_circuit(dense_cfg, 0)
-        for m, u in zip(step_matrices(dense, dense[0].shape[1]), dense):
-            np.testing.assert_array_equal(m, u)
+        for u in dense:
+            np.testing.assert_array_equal(step_matrix(u, u.shape[1]), u)
 
 
 def gate_kernel_propagate(picked, bath, step, d_bath, dense=engine_mod._propagate):
@@ -925,7 +927,7 @@ class TestStepCount:
         cfg = small_config(steps=3)
         steps = instantiate_circuit(cfg, 0)
         monkeypatch.setattr(engine_mod, "_propagate", no_work)
-        monkeypatch.setattr(engine_mod, "step_matrices", no_work)
+        monkeypatch.setattr(engine_mod, "step_matrix", no_work)
         with pytest.raises(ConfigurationError, match="no-reset"):
             self.MODES[mode](dataclasses.replace(cfg, reset_bath=False), steps)
 
@@ -944,7 +946,7 @@ class TestStepCount:
 
         cfg = HrcsConfig(n_system=1, n_bath=1, steps=1)
         monkeypatch.setattr(engine_mod, "_propagate", no_work)
-        monkeypatch.setattr(engine_mod, "step_matrices", no_work)
+        monkeypatch.setattr(engine_mod, "step_matrix", no_work)
         with pytest.raises(ConfigurationError, match="is not the 4 x c array, 2 <= c <= 4"):
             self.MODES[mode](cfg, [step])
 
@@ -959,7 +961,7 @@ class TestStepCount:
         cfg = HrcsConfig(n_system=2, n_bath=1, steps=2, unitary_source="hea", hea_layers=2)
         steps = [sample_hea_params(n_qubits, 2, np.random.default_rng(k)) for k in range(2)]
         monkeypatch.setattr(engine_mod, "_propagate", no_work)
-        monkeypatch.setattr(engine_mod, "step_matrices", no_work)
+        monkeypatch.setattr(engine_mod, "step_matrix", no_work)
         with pytest.raises(ConfigurationError, match="HEA step on"):
             self.MODES[mode](cfg, steps)
 
@@ -974,7 +976,7 @@ class TestConfigValidation:
         cfg = small_config(steps=3)
         steps = instantiate_circuit(cfg, 0)
         monkeypatch.setattr(engine_mod, "_propagate", no_work)
-        monkeypatch.setattr(engine_mod, "step_matrices", no_work)
+        monkeypatch.setattr(engine_mod, "step_matrix", no_work)
         for gamma in (1.5, -0.1, float("nan")):
             with pytest.raises(ConfigurationError, match="gamma must lie in"):
                 sample_trajectories(cfg, steps, 4, gamma, np.random.default_rng(0))

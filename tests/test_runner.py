@@ -4,7 +4,7 @@ equivalence, record layout, and file formats."""
 import ast
 import dataclasses
 import hashlib
-import importlib.util
+import importlib
 import itertools
 import json
 import os
@@ -32,6 +32,8 @@ from hrcslab.runner import (
 )
 
 from hrcslab import theory
+
+from conftest import CONFIGS, compare_records
 
 
 # each THEORY family called directly at N_A = 2, N_B = 1, t = 3, K = 3,
@@ -112,7 +114,7 @@ class TestSpecParsing:
         # pin the other configs' hashes; marginal_sweep and theory_noisy_xeb
         # write CSV, which has no spec_hash column, and neff200_xeb runs too
         # long for this suite
-        path = Path(__file__).parent.parent / "scripts" / "configs" / f"{name}.json"
+        path = CONFIGS / f"{name}.json"
         assert ExperimentSpec.from_json_file(str(path)).hash() == spec_hash
 
     def test_pop_bins_refused(self):
@@ -601,7 +603,7 @@ class TestCapacity:
 
     @pytest.mark.parametrize(
         "path",
-        sorted(Path(__file__).parent.parent.joinpath("scripts", "configs").glob("*.json")),
+        sorted(CONFIGS.glob("*.json")),
         ids=lambda path: path.stem,
     )
     def test_shipped_configs_within_capacity(self, path):
@@ -781,17 +783,19 @@ class TestRunExperiment:
             run_experiment(spec)
 
 
-CONFIGS = Path(__file__).parent.parent / "scripts" / "configs"
-_compare = importlib.util.spec_from_file_location(
-    "compare_records", CONFIGS.parent / "compare_records.py")
-compare_records = importlib.util.module_from_spec(_compare)
-_compare.loader.exec_module(compare_records)
-
-
 # each config's records sit in expected/ beside it, and each CI spec's in
-# ci/expected/; those of noisy_xeb_5_5, hea_noisy_xeb_5_5 and
-# noisy_xeb_kept_bath cover d_A = 32 and 8, where the sampler's pairwise bath
-# sums run blocks of 8 (the shipped configs all have d_A = 4).
+# ci/expected/.  The reset HEA xeb specs compile every step (4 columns, 200
+# shots); without a reset the steps after the first keep their bath, so their
+# gates run on the register, split 3 + 3 and, on 5 qubits, 2 + 3.  The noisy
+# specs sample Pauli strings with a reset HEA step and with a kept Haar bath.
+# The two 5+5 noisy specs fan the one |0> row out to 20 shots at t = 1 and 2,
+# with a Haar isometry and with an HEA-8 step whose 32 columns outnumber the
+# shots, so its second step runs gates.  Those two and noisy_xeb_kept_bath
+# cover d_A = 32 and 8, where the sampler's pairwise bath sums run blocks of
+# 8 (the shipped configs all have d_A = 4).  pop_hist pools enumerated
+# distributions; its density integral at t = 4 is 1263 of 1280.  ps_cap
+# enumerates 2^22 outcomes at 2+1 and t = 20, the most enumeration gives, so
+# each power sum takes exact_sum's binned path at its largest input.
 # expected_slow/ holds neff200_xeb's, which a CI step checks (about 20 s)
 GOLDEN = sorted((CONFIGS / "expected").iterdir()) + sorted((CONFIGS / "ci" / "expected").iterdir())
 
@@ -800,13 +804,18 @@ GOLDEN = sorted((CONFIGS / "expected").iterdir()) + sorted((CONFIGS / "ci" / "ex
     "expected", GOLDEN, ids=lambda path: str(path.parent.parent.relative_to(CONFIGS) / path.stem)
 )
 def test_shipped_config_reproduces_golden_records(expected, tmp_path):
-    # bytes hold on one BLAS kernel; across kernels compare_records allows
-    # means, standard errors and theory values 1e-12 relative
+    # the bytes hold at any worker count on one BLAS kernel; across kernels
+    # compare_records allows means, standard errors and theory values 1e-12
+    # relative
     spec = ExperimentSpec.from_json_file(str(expected.parent.parent / f"{expected.stem}.json"))
     assert expected.suffix == f".{spec.format}"
-    out = tmp_path / expected.name
-    write_records(run_experiment(spec), str(out), spec.format)
-    got, want = compare_records.read_records(out), compare_records.read_records(expected)
+    runs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}{expected.suffix}"
+        write_records(run_experiment(spec, workers=workers), str(out), spec.format)
+        runs.append(out)
+    assert runs[0].read_bytes() == runs[1].read_bytes()
+    got, want = compare_records.read_records(runs[0]), compare_records.read_records(expected)
     assert compare_records.mismatch(got, want) is None
 
 

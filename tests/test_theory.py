@@ -28,7 +28,7 @@ from hrcslab.theory import (
     tvd_upper_bound_asymptotic,
 )
 
-from conftest import noisy_xeb_oracle
+from conftest import enumerate_noisy_joint_distribution, noisy_xeb_oracle
 
 
 class TestHaarPowerSum:
@@ -335,7 +335,6 @@ class TestNoisyXeb:
         from hrcslab import (
             HrcsConfig,
             enumerate_joint_distribution,
-            enumerate_noisy_joint_distribution,
             ensemble_aggregate,
             instantiate_circuit,
         )
