@@ -7,16 +7,17 @@ its first 2^n_A columns, the only ones a state with the bath at 0 can reach.
 and by an HEA step compiled to one, and ``circuits.apply_hea_batch`` runs an
 HEA step layer by layer on a (rows, 2^n) batch.
 
-``sample_haar_unitary`` draws a circuit's t steps as one (t, 2^n, c) stack:
-each step's Ginibre normals in turn, as t separate draws would, then one
-stacked QR and one phase fix per ``HAAR_STACK_BYTES`` of normals.  The
-stacked QR runs the same LAPACK calls on each step, so the steps have the
-bits of separate draws.  The cap keeps a stack's transients below about 1 MB
-(``runner._check_capacity`` counts them).  From 8 qubits up, a 5+5 step for
-one, each step is drawn and factored alone, and each half of its Ginibre
-matrix passes through one ``HAAR_STACK_BYTES`` buffer, so that beside the
-output the draw holds 256 KiB, not a 2^n x 2^n half (8 MB at 5+5, 134 MB at
-6+6), and the QR's transients follow the kept columns alone.
+``sample_haar_unitary`` has two draw rules, split at 8 qubits
+(``HAAR_COLUMNS_DIM``).  From 8 qubits up a step draws only the c columns
+it keeps (2^n_A under a reset, 2^n without one), 3 % of a whole Ginibre
+matrix at 5+5 under a reset, and ``engine.instantiate_circuit`` gives each
+step a generator of its own.  Below 8 qubits each step draws its whole
+Ginibre matrix from the instance's generator, and a circuit's steps are
+factored by one stacked QR per ``HAAR_STACK_BYTES`` of normals, with the
+bits of separate draws.  That stream stays only because
+perfbench/reference.json pins the power sums it gives at 2+1 and 2+2
+qubits; once that file can be regenerated the small steps can move to the
+first rule and the stacked path go.
 
 Bit convention used everywhere in this package: qubit 0 is the least
 significant bit of the amplitude index, so the basis state
@@ -71,13 +72,15 @@ pin_blas_threads()
 
 
 # Bytes of Ginibre normals, 2 dim^2 doubles a step, that one stack of steps
-# draws in one call and factors with one QR.  np.linalg.qr costs about 16 us
-# a call beside its arithmetic, and each numpy call of a draw 1-2 us: most of
-# a step's cost at 2+1 and 2+2 qubits.  At dim 128 (256 KiB of normals) one
-# step's draw alone takes about 0.5 ms, so a larger stack would save under
-# 5 % and only add its copies to the peak.  From dim 256 up each step is
-# drawn and factored alone, its halves through a buffer of this many bytes.
+# draws in one call and factors with one QR, below ``HAAR_COLUMNS_DIM``.
+# np.linalg.qr costs about 16 us a call beside its arithmetic, and each numpy
+# call of a draw 1-2 us: most of a step's cost at 2+1 and 2+2 qubits.  At
+# dim 128 (256 KiB of normals) one step's draw alone takes about 0.5 ms, so
+# a larger stack would save under 5 % and only add its copies to the peak.
 HAAR_STACK_BYTES = 1 << 18
+# Dimension (8 qubits) from which a step draws only its kept columns, and
+# below which it draws its whole Ginibre matrix (see the module docstring)
+HAAR_COLUMNS_DIM = 1 << 8
 
 
 def sample_haar_unitary(
@@ -89,50 +92,57 @@ def sample_haar_unitary(
 
     Ginibre matrix -> QR, then column j is rescaled by conj(r_jj)/|r_jj| so
     the triangular factor has a positive real diagonal; without that fix the
-    QR output is not uniform.  The whole dim x dim Ginibre matrix is drawn
-    whatever ``columns`` is, so the stream and the generator's end state do
-    not depend on it; only the kept columns of its real and imaginary parts
-    are combined and factored, and the QR of column j sees columns <= j only.
-    A stack draws each matrix's normals in turn, exactly as ``count`` calls
-    would, and factors each ``HAAR_STACK_BYTES`` of normals with one stacked
-    QR, which runs the same LAPACK calls on each and so gives the same bits.
-    A larger step draws its real, then its imaginary half, ``HAAR_STACK_BYTES``
-    of rows at a time, into one reused buffer (``standard_normal(out=...)``,
-    the same normals in the same order), and copies each chunk's kept
-    columns into the output's real or imaginary part.
+    QR output is not uniform (Mezzadri, Notices AMS 54, 592 (2007)).  The
+    QR of column j sees columns <= j only, so the first c columns of Q
+    depend only on the first c Ginibre columns, and under either rule a
+    unitary's first c columns are the c-column isometry drawn from the same
+    generator:
+
+    - from ``HAAR_COLUMNS_DIM`` up, only the kept columns are drawn, column
+      after column, each as dim (real, imaginary) pairs of normals written
+      straight into the complex array that is factored, so a step takes
+      2 dim c normals from ``rng``;
+    - below it, the whole dim x dim Ginibre matrix is drawn, its real then
+      its imaginary half, whatever ``columns`` is, so the stream and the
+      generator's end state do not depend on it; only the kept columns are
+      factored.  A stack draws each matrix's normals in turn, exactly as
+      ``count`` calls would, and factors each ``HAAR_STACK_BYTES`` of
+      normals with one stacked QR, which runs the same LAPACK calls on each
+      and so gives the same bits.
     """
     if dim < 2:
         raise ConfigurationError(f"haar sampling needs dim >= 2, got {dim}")
     cols = dim if columns is None else columns
     if not 1 <= cols <= dim:
         raise ConfigurationError(f"haar sampling needs 1 <= columns <= {dim}, got {cols}")
-    out = np.empty((1 if count is None else count, dim, cols), dtype=complex)
-    normals = 16 * dim * dim  # bytes of one step's real and imaginary draws
-    group = max(1, HAAR_STACK_BYTES // normals)
-    for start in range(0, len(out), group):
-        stack = out[start:start + group]
-        # stack = real + 1j * imag, in place
-        if normals <= HAAR_STACK_BYTES:
-            # each step's real then imaginary draw, in one call: the same stream
+    steps = 1 if count is None else count
+    if dim >= HAAR_COLUMNS_DIM:
+        # (steps, cols, dim) complex normals, each column contiguous, seen as
+        # the (steps, dim, cols) stack they are columns of
+        ginibre = rng.standard_normal((steps, cols, 2 * dim)).view(complex).swapaxes(1, 2)
+        out = _phase_fixed_qr(ginibre)
+    else:
+        out = np.empty((steps, dim, cols), dtype=complex)
+        group = max(1, HAAR_STACK_BYTES // (16 * dim * dim))
+        for start in range(0, steps, group):
+            stack = out[start:start + group]
+            # stack = real + 1j * imag, in place; each step's real then
+            # imaginary draw, in one call: the same stream
             draws = rng.standard_normal((len(stack), 2, dim, dim))[..., :cols]
             np.multiply(1j, draws[:, 1], out=stack)
             np.add(draws[:, 0], stack, out=stack)
-            del draws
-        else:
-            # one step: each half's rows in turn through one HAAR_STACK_BYTES
-            # buffer, the same normals in the same order, and its kept
-            # columns straight into the output's real or imaginary part
-            buffer = np.empty((max(1, HAAR_STACK_BYTES // (8 * dim)), dim))
-            for half in (stack[0].real, stack[0].imag):
-                for row in range(0, dim, len(buffer)):
-                    chunk = rng.standard_normal(out=buffer[:dim - row])
-                    half[row:row + len(chunk)] = chunk[:, :cols]
-            del buffer, chunk
-        q, r = np.linalg.qr(np.divide(stack, np.sqrt(2), out=stack))
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        np.multiply(q, (diag.conj() / np.abs(diag))[:, None, :], out=stack)
-        del q, r, diag  # before the next stack's draws
+            del draws  # before the QR's copies
+            _phase_fixed_qr(stack, out=stack)
     return out[0] if count is None else out
+
+
+def _phase_fixed_qr(ginibre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The Haar factor of a (steps, dim, cols) stack of standard complex
+    normals, which is scaled in place: Q of its QR with column j rescaled by
+    conj(r_jj)/|r_jj|, written into ``out``, or into Q itself."""
+    q, r = np.linalg.qr(np.divide(ginibre, np.sqrt(2), out=ginibre))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return np.multiply(q, (diag.conj() / np.abs(diag))[:, None, :], out=q if out is None else out)
 
 
 def sample_haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import HeaParams, apply_hea_batch, sample_hea_params
-from .core import PROB_FLOOR, sample_haar_unitary
+from .core import HAAR_COLUMNS_DIM, PROB_FLOOR, sample_haar_unitary
 from .errors import CapacityError, ConfigurationError, DegenerateBranchError
 
 TRAJECTORY_MAX_QUBITS = 24
@@ -135,15 +135,33 @@ def instantiate_circuit(config: HrcsConfig, instance_index: int) -> list[StepUni
     """Deterministically draw the t step unitaries of one circuit instance.
 
     A reset bath reads 0 before every step, so a Haar step of a reset circuit
-    is drawn as the 2^n x 2^n_A isometry of its first 2^n_A columns.  The
-    draws, and so every kept column, do not depend on ``reset_bath``.
+    is drawn as the 2^n x 2^n_A isometry of its first 2^n_A columns, and
+    every kept column is the same with or without a reset.  Two stream
+    rules, split at 8 qubits (``core.HAAR_COLUMNS_DIM``):
+
+    - from 8 qubits up, step k draws only its kept columns, from its own
+      generator seeded by ``derive_seed(instance_seed, "step", k)``, so no
+      step's stream follows how many columns the steps before it kept;
+    - below 8 qubits, the t steps draw their whole Ginibre matrices in turn
+      from the instance's generator.  This is the stream that
+      ``perfbench/reference.json`` and the golden records of the smaller
+      configs pin; it moves to the first rule once that file can be
+      regenerated.
+
+    HEA steps draw their angles in turn from the instance's generator.
     """
-    rng = np.random.default_rng(instance_seed(config, instance_index))
+    seed = instance_seed(config, instance_index)
     n = config.n_qubits
-    if config.unitary_source == "haar":
-        columns = 1 << (config.n_system if config.reset_bath else n)
-        return list(sample_haar_unitary(1 << n, rng, columns, config.steps))
-    return [sample_hea_params(n, config.hea_layers, rng) for _ in range(config.steps)]
+    if config.unitary_source == "hea":
+        rng = np.random.default_rng(seed)
+        return [sample_hea_params(n, config.hea_layers, rng) for _ in range(config.steps)]
+    dim, columns = 1 << n, 1 << (config.n_system if config.reset_bath else n)
+    if dim < HAAR_COLUMNS_DIM:
+        return list(sample_haar_unitary(dim, np.random.default_rng(seed), columns, config.steps))
+    return [
+        sample_haar_unitary(dim, np.random.default_rng(derive_seed(seed, "step", k)), columns)
+        for k in range(config.steps)
+    ]
 
 
 def step_matrix(step: StepUnitary, columns: int) -> np.ndarray:

@@ -218,13 +218,14 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 # 7+1 and 9+1
 SAMPLER_LIVE_COPIES = 4
 # copies of the dense steps being factored, one stack of them (at most
-# HAAR_STACK_BYTES of normals) or one step from 8 qubits up, full or
-# isometries, that drawing them holds beside the output: the QR's copy of its
-# input and its q, and LAPACK's buffers, which tracemalloc does not see.  Each
-# Ginibre half passes through one HAAR_STACK_BYTES buffer.  Peak RSS of one
-# draw grows beyond its output by 4.0-4.1 full steps at 10 and 11 qubits, and
-# by 3.0-4.2 isometries of 16 to 512 columns at 10 to 12 qubits (tracemalloc:
-# 3.06-3.08 full steps at 6 to 11 qubits, 2.0-2.5 isometries)
+# HAAR_STACK_BYTES of normals) below 8 qubits or one step from 8 qubits up,
+# full or isometries, that drawing them holds beside the output: the drawn
+# normals, the QR's copy of them, its r (a full step's is one more step),
+# and LAPACK's buffers, which tracemalloc does not see.  From 8 qubits up
+# only the kept columns are drawn, so no array holds 2^n x 2^n normals.
+# Peak RSS of one draw grows beyond its output by 4.0-4.1 full steps and by
+# 3.9-4.0 isometries of 16 to 512 columns at 10 to 12 qubits (tracemalloc:
+# 3.06-3.07 full steps, 2.02-2.14 isometries)
 HAAR_QR_TRANSIENT_COPIES = 5
 # (L, N) float arrays that drawing one HEA step holds beside the 2t angle
 # arrays of an instance's t steps: tracemalloc measures 0.125 of one (its
@@ -460,7 +461,8 @@ def _steps_bytes(spec: ExperimentSpec) -> int:
         angles = 8 * spec.hea_layers * n_phys
         return (2 * t + HEA_ANGLE_TRANSIENT_COPIES) * angles
     # all t dense steps (instantiate_circuit), 2^n x 2^n_A isometries under
-    # a reset and full unitaries without one, and one stacked QR's transients
+    # a reset and full unitaries without one, and the transients of one
+    # step's draw, or one stack's below 8 qubits
     step = 16 << (n_phys + (spec.n_system if spec.config_for(t).reset_bath else n_phys))
     return t * step + HAAR_QR_TRANSIENT_COPIES * max(step, HAAR_STACK_BYTES)
 

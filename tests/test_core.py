@@ -209,8 +209,14 @@ class TestHaarSampler:
         full = sample_haar_unitary(dim, full_rng)[:, :cols]
         iso = sample_haar_unitary(dim, iso_rng, cols)
         assert iso.shape == (dim, cols) and iso.dtype == complex
-        # the whole Ginibre matrix is drawn either way
-        assert iso_rng.bit_generator.state == full_rng.bit_generator.state
+        if dim < core.HAAR_COLUMNS_DIM:
+            # the whole Ginibre matrix is drawn either way
+            assert iso_rng.bit_generator.state == full_rng.bit_generator.state
+        else:
+            # only the kept columns are drawn, 2 dim normals each
+            twin = np.random.default_rng(10 * n_sys + n_bath)
+            twin.standard_normal(2 * dim * cols)
+            assert iso_rng.bit_generator.state == twin.bit_generator.state
         assert unitarity_defect(iso) < 1e-12
         if (n_sys, n_bath) in ((2, 1), (2, 2), (5, 5)):
             # the shapes of the shipped Haar configs
@@ -222,34 +228,39 @@ class TestHaarSampler:
     @pytest.mark.parametrize("full", [True, False])
     def test_stack_is_the_per_step_draws(self, dim, full):
         # one draw and stacked QR per HAAR_STACK_BYTES of normals (64 steps
-        # at dim 16, 4 at dim 64, one at dim 128, and one drawn in halves
-        # from dim 256) gives the bits and leaves the generator where one
-        # 2-D draw and QR per step does
+        # at dim 16, 4 at dim 64, one at dim 128), and from dim 256 the kept
+        # columns alone, each as dim (real, imaginary) pairs, give the bits
+        # and leave the generator where one 2-D draw and QR per step does
         cols = dim if full else 1 << (dim.bit_length() - 1) // 2
         count = 6 if dim <= 128 else 2
         rng, twin = np.random.default_rng(dim), np.random.default_rng(dim)
         stack = sample_haar_unitary(dim, rng, cols, count)
         assert stack.shape == (count, dim, cols) and stack.dtype == complex
         for u in stack:
-            real = twin.standard_normal((dim, dim))[:, :cols]
-            q, r = np.linalg.qr((real + 1j * twin.standard_normal((dim, dim))[:, :cols]) / np.sqrt(2))
+            if dim < core.HAAR_COLUMNS_DIM:
+                real = twin.standard_normal((dim, dim))[:, :cols]
+                ginibre = real + 1j * twin.standard_normal((dim, dim))[:, :cols]
+            else:
+                ginibre = twin.standard_normal((cols, 2 * dim)).view(complex).T
+            q, r = np.linalg.qr(ginibre / np.sqrt(2))
             diag = np.diagonal(r)
             np.testing.assert_array_equal(u, q * (diag.conj() / np.abs(diag)))
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_draw_holds_no_ginibre_half(self):
-        # each half passes through one HAAR_STACK_BYTES buffer, so beyond the
-        # output a dim-1024 isometry holds only the QR's copy of a step and
-        # its q; drawing whole 1024^2 halves would hold 8 MB
+        # a dim-1024 isometry holds its 32 drawn columns, the QR's copy of
+        # them and its q, which becomes the output, and one 32 x 32 r; a
+        # whole 1024^2 Ginibre half would hold 8 MB, and one more copy of
+        # the columns 512 KiB
         rng = np.random.default_rng(3)
-        sample_haar_unitary(1024, rng, 32, 2)  # numpy's lazy setup, outside the trace
+        sample_haar_unitary(1024, rng, 32)  # numpy's lazy setup, outside the trace
         tracemalloc.start()
         try:
-            out = sample_haar_unitary(1024, rng, 32, 2)
+            out = sample_haar_unitary(1024, rng, 32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes - 2 * out[0].nbytes < core.HAAR_STACK_BYTES
+        assert peak - 3 * out.nbytes < out.nbytes // 8
 
     @pytest.mark.parametrize("columns", [0, 9])
     def test_rejects_columns_out_of_range(self, rng, columns):

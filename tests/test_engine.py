@@ -18,6 +18,7 @@ from hrcslab import (
     marginalize,
     power_sum_exact,
     replay_no_reset_equivalence,
+    sample_haar_unitary,
     sample_trajectories,
     theory,
 )
@@ -139,11 +140,22 @@ class TestInstantiation:
             assert u.shape == (4, 4)
             assert unitarity_defect(u) < 1e-12
 
-    def test_reset_draws_are_the_full_draws_columns(self):
-        cfg = small_config(n_bath=2, steps=3)
+    # 2+2 draws whole Ginibre matrices from the instance's stream, 4+4 each
+    # step's kept columns from its own
+    @pytest.mark.parametrize("n_sys, n_bath", [(2, 2), (4, 4)])
+    def test_reset_draws_are_the_full_draws_columns(self, n_sys, n_bath):
+        cfg = small_config(n_system=n_sys, n_bath=n_bath, steps=3)
         full = instantiate_circuit(dataclasses.replace(cfg, reset_bath=False), 4)
         for u, v in zip(instantiate_circuit(cfg, 4), full):
             np.testing.assert_array_equal(u, v[:, : u.shape[1]])
+
+    @pytest.mark.parametrize("reset", [True, False])
+    def test_large_step_draws_from_its_own_seed(self, reset):
+        cfg = small_config(n_system=4, n_bath=4, steps=3, reset_bath=reset)
+        seed = instance_seed(cfg, 4)
+        for k, u in enumerate(instantiate_circuit(cfg, 4)):
+            rng = np.random.default_rng(derive_seed(seed, "step", k))
+            np.testing.assert_array_equal(u, sample_haar_unitary(256, rng, u.shape[1]))
 
     def test_hea_source_builds_sequences(self):
         cfg = HrcsConfig(

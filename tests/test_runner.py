@@ -380,8 +380,8 @@ class TestCapacity:
 
     def test_reset_isometries_within_memory_pass(self, seven_gib):
         # 33 isometries of 4096 x 64 are 138 MB, the QR's transients 21 MB and
-        # four batch copies 52 MB; each Ginibre half passes through a 256 KiB
-        # buffer, where a whole real 4096^2 half would hold 134 MB
+        # four batch copies 52 MB; each step draws its 64 kept columns alone,
+        # where a whole real 4096^2 Ginibre half would hold 134 MB
         spec = ExperimentSpec(
             kind="xeb", n_system=6, n_bath=6, steps=(33,), instances=1, shots=200
         )
@@ -390,9 +390,10 @@ class TestCapacity:
     @pytest.mark.parametrize("n_sys, n_bath, t", [(2, 2, 20), (3, 3, 8), (4, 4, 3), (5, 5, 2)])
     @pytest.mark.parametrize("reset", [False, True])
     def test_haar_instance_within_its_counted_steps(self, n_sys, n_bath, t, reset):
-        # one stack of 20 full steps, stacks of 4, and steps factored alone;
-        # tracemalloc peaks at 3.06-3.08 stacks beside the steps without a
-        # reset, against the 5 the capacity check counts
+        # one stack of 20 full steps, stacks of 4, and from 8 qubits steps
+        # that draw their kept columns alone; tracemalloc peaks at 3.07-3.20
+        # stacks or steps beside the steps without a reset, against the 5 the
+        # capacity check counts
         spec = ExperimentSpec(kind="xeb", n_system=n_sys, n_bath=n_bath, steps=(t,),
                               reset_bath=reset, instances=1, shots=1)
         config = spec.config_for(t)
@@ -516,9 +517,9 @@ class TestCapacity:
     @pytest.mark.parametrize("n_sys, n_bath, shots", [(4, 4, 2000), (5, 5, 1000)])
     def test_reset_haar_sampler_holds_one_batch_copy(self, n_sys, n_bath, shots):
         # beside the step's product the sampler holds its bath weights and one
-        # slab of squared moduli, and a step's Ginibre halves pass through one
-        # buffer: tracemalloc reads 1.14-1.19 copies; summing the whole
-        # squared register at once and drawing whole halves would read 1.60
+        # slab of squared moduli, and a step draws only its kept columns:
+        # tracemalloc reads 1.14-1.19 copies; summing the whole squared
+        # register at once and drawing whole Ginibre halves would read 1.60
         spec = ExperimentSpec(kind="noisy_xeb", n_system=n_sys, n_bath=n_bath, steps=(2,),
                               gammas=(0.7,), instances=1, shots=shots, master_seed=3)
         runner_mod._instance(spec, 2, 0.7, 0)  # numpy's lazy setup, outside the trace
@@ -796,7 +797,7 @@ class TestRunExperiment:
 # distributions; its density integral at t = 4 is 1263 of 1280.  ps_cap
 # enumerates 2^22 outcomes at 2+1 and t = 20, the most enumeration gives, so
 # each power sum takes exact_sum's binned path at its largest input.
-# expected_slow/ holds neff200_xeb's, which a CI step checks (about 20 s)
+# expected_slow/ holds neff200_xeb's, which a CI step checks (about 8 s a run)
 GOLDEN = sorted((CONFIGS / "expected").iterdir()) + sorted((CONFIGS / "ci" / "expected").iterdir())
 
 
