@@ -137,7 +137,7 @@ def apply_hea_batch(amps: np.ndarray, params: HeaParams) -> np.ndarray:
             del state  # the input batch
             state = np.empty(shape, dtype=complex)
         np.matmul(high, rotated, out=state)
-        np.take(state.reshape(rows, -1), perm, axis=1, out=rotated.reshape(rows, -1),
+        np.take(state.reshape(rows, 1 << n), perm, axis=1, out=rotated.reshape(rows, 1 << n),
                 mode="clip")  # "raise" would copy through a buffer
         state, spare = rotated, state
-    return state.reshape(rows, -1)
+    return state.reshape(rows, 1 << n)

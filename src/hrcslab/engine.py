@@ -200,18 +200,9 @@ def _propagate(
     a length-2 and a length-2^n dot product differently in its tail.
 
     The product is returned where BLAS wrote it: the (rows, 2^n) transpose
-    of a C-ordered (2^n, rows) array, so a row's amplitudes lie ``rows``
-    apart, and copying it row-major would cost one batch copy per step.  An
-    HEA step run gate by gate returns C order.  The sampler reads the
-    (2^n, rows) array as it lies, rows last (``_bath_weights``): a slab of
-    whole bath blocks at a time, at most ``BATH_SLAB_BYTES`` where a block
-    fits, it squares their moduli and sums each block's 2^n_A amplitudes by
-    ``_pairwise_sum`` in the order numpy sums a C-ordered row, so every sum
-    has the bits of that row's reduction, each numpy call runs over all
-    rows, and beside the product the sampler holds its (2^n_B, rows)
-    weights and one slab, not a float copy of the whole register.  A slab
-    is whole blocks, not a range of rows: 256 KiB of rows took 5.5 ms a
-    5+5 step at 1000 rows, against 3.0 ms by blocks and 3.3 ms unsliced.
+    of a C-ordered (2^n, rows) array, since copying it row-major would cost
+    one batch copy per step.  An HEA step run gate by gate returns C order.
+    ``_weights`` reads either layout as it lies.
     """
     rows, d_sys = picked.shape
     if isinstance(step, HeaParams):
@@ -231,7 +222,7 @@ def _keep_branch(picked: np.ndarray, z: np.ndarray | None, d_bath: int) -> np.nd
         amps[:, 0, :] = picked
     else:
         amps[np.arange(rows), z, :] = picked
-    return amps.reshape(rows, -1)
+    return amps.reshape(rows, d_bath * d_sys)
 
 
 @dataclass
@@ -276,58 +267,16 @@ def _even_bits(x: np.ndarray, m: int) -> np.ndarray:
     return x
 
 
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum a (n, ...) array over its first axis in the order numpy's
-    ``np.add.reduce`` sums a contiguous last axis of length n, so each sum
-    has its bits: sequentially below 8 terms, in 8 accumulators combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) plus a sequential tail
-    up to 128, and as the sum of two halves split at a multiple of 8 above.
-    Every step adds one long (...) slice to another, so a sum over a short
-    axis costs per element, not per call.  The sums accumulate in ``terms``
-    itself, and the result is its first slice."""
-    n = len(terms)
-    if n < 8:
-        for i in range(1, n):
-            terms[0] += terms[i]
-    elif n <= 128:
-        acc, tail = terms[:8], n - n % 8
-        for i in range(8, tail, 8):
-            acc += terms[i:i + 8]
-        acc[0::2] += acc[1::2]
-        acc[0::4] += acc[2::4]
-        acc[0] += acc[4]
-        for i in range(tail, n):
-            acc[0] += terms[i]
-    else:
-        half = n // 2 - n // 2 % 8
-        _pairwise_sum(terms[:half])
-        terms[0] += _pairwise_sum(terms[half:])
-    return terms[0]
-
-
-# Bytes of squared moduli that the sampler sums at a time: a slab of whole
-# bath blocks, or one block where a block is larger.  Squaring the whole
-# register at once would hold a float copy of it, half a batch copy, beside
-# the step's product.
-BATH_SLAB_BYTES = 1 << 18
-
-
-def _bath_weights(blocks: np.ndarray) -> np.ndarray:
+def _weights(blocks: np.ndarray) -> np.ndarray:
     """The (d_B, rows) weights of each row's bath blocks in a (rows, d_B, d_A)
-    register: the squared moduli of its d_A amplitudes, summed by
-    ``_pairwise_sum``, a slab of whole blocks at a time.  Each sum adds the
-    same terms in the same order as over the whole array.  For a dense step
-    ``blocks.transpose(1, 2, 0)`` is the product as BLAS wrote it (see
-    ``_propagate``), so a slab is read without a transposing copy."""
-    rows, d_bath, d_sys = blocks.shape
-    amps = blocks.transpose(1, 2, 0)
-    weights = np.empty((d_bath, rows))
-    per_slab = max(1, BATH_SLAB_BYTES // (8 * d_sys * rows))
-    for b in range(0, d_bath, per_slab):
-        slab = np.abs(amps[b:b + per_slab], order="C")
-        np.square(slab, out=slab)
-        weights[b:b + per_slab] = _pairwise_sum(slab.swapaxes(0, 1))
-    return weights
+    register, in one defined order: for each row and outcome, the squared
+    real parts of the block's d_A amplitudes summed in order of the system
+    index, plus their squared imaginary parts summed the same way.  So a
+    weight has the same bits in any layout and beside any other rows.  Einsum
+    reads the real and imaginary views as they lie, with no BLAS call and no
+    copy of the register."""
+    re, im = blocks.real, blocks.imag
+    return np.einsum("rba,rba->br", re, re) + np.einsum("rba,rba->br", im, im)
 
 
 def _draw(
@@ -388,9 +337,13 @@ def sample_trajectories(
     the bath outcome.  The bath X mask f relabels the outcome: a row draws z
     with the probability of its block z ^ f, keeps that block and carries z.
     The system string acts on the kept block as X^flip Z^zmask, without its
-    global phase.  Model probabilities are those of the noisy paths.
+    global phase.  Model probabilities are those of the noisy paths.  Zero
+    shots give an empty batch.
     """
     _check_gamma(gamma)
+    n_shots = _as_int("n_shots", n_shots)
+    if n_shots < 0:
+        raise ConfigurationError(f"n_shots must be >= 0, got {n_shots}")
     d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
     rows = np.arange(n_shots)
     bath_outcomes = np.zeros((n_shots, config.steps), dtype=np.int64)
@@ -401,9 +354,8 @@ def sample_trajectories(
         flip_bath, _ = _random_paulis(n_shots, config.n_bath, gamma, rng)
         # at k = 0 blocks holds the one row every shot starts from
         row = rows if k else np.zeros_like(rows)
-        # each block's weight, summed a slab at a time beside the product;
         # outcome z reads block z ^ flip of the shot's row
-        probs = _bath_weights(blocks)[np.arange(d_bath)[:, None] ^ flip_bath, row]
+        probs = _weights(blocks)[np.arange(d_bath)[:, None] ^ flip_bath, row]
         z, p_z = _draw(probs, rng, "bath")
         model_prob[:] *= p_z
         bath_outcomes[:, k] = z
@@ -417,8 +369,7 @@ def sample_trajectories(
         return kept, z
 
     picked = _walk(config, unitaries, draw)
-    probs = np.abs(picked.T, order="C")
-    x, p_x = _draw(np.square(probs, out=probs), rng, "final")
+    x, p_x = _draw(_weights(picked[:, :, None]), rng, "final")
     model_prob *= p_x
     return TrajectoryBatch(bath_outcomes, x, model_prob)
 

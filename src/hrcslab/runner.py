@@ -28,6 +28,7 @@ from .engine import (
     ENUMERATION_MAX_BITS,
     TRAJECTORY_MAX_QUBITS,
     HrcsConfig,
+    _as_int,
     derive_seed,
     enumerate_joint_distribution,
     ideal_probabilities_batch,
@@ -203,19 +204,18 @@ KIND_TABLE = {
 EXPERIMENT_KINDS = tuple(KIND_TABLE)
 
 # (shots, 2^n) complex arrays an xeb or noisy_xeb instance holds at its peak,
-# replay included.  tracemalloc at t = 3 with 2000 shots (1000 at 5+5), xeb
-# and noisy_xeb at gamma = 0.7, steps included.  With a reset the peak is the
-# step's product beside its (d_B, shots) bath weights and one slab of squared
-# moduli: 1.2-1.3 with Haar and 4-layer HEA steps at 3+5 to 5+5, 1.3-1.5 at
-# 6+2, and at 7+1, whose kept block is half a copy, 1.6-1.7 and 1.8-2.0 noisy
-# (the Pauli gather index and signs).  Without a reset it is the rebuilt
+# replay included.  tracemalloc at t = 3 with 2000 shots (1000 at 5+5), xeb and
+# noisy_xeb at gamma = 0.7, steps included.  With a reset the peak is the
+# step's product beside its (d_B, shots) bath weights, summed with no copy of
+# the register: 1.2-1.3 with Haar and 4-layer HEA steps at 3+5 to 5+5, 1.3-1.5
+# at 6+2, and at 7+1, whose kept block is half a copy, 1.6-1.7 and 1.8-2.0
+# noisy (the Pauli gather index and signs).  Without a reset it is the rebuilt
 # register, the product and the steps: 2.4-2.9 with Haar steps at 3+5 to 7+1,
 # and 2.1-2.6 where the HEA steps after the first run their layers on the
-# rebuilt register, at 2000 and at 200 shots; so too a reset HEA step
-# compiled to 2^n_A columns with 2^n_A shots, where those columns are one
-# batch copy: 2.1-2.2 at 7+3 and 8+4 and 2.5 at 9+1.  At t = 1 the walk is
-# the one |0> row fanned out to the shots: 0.1-0.7 at 3+5 to 6+2, 1.0-1.2 at
-# 7+1 and 9+1
+# rebuilt register, at 2000 and at 200 shots; so too a reset HEA step compiled
+# to 2^n_A columns with 2^n_A shots, where those columns are one batch copy:
+# 2.1-2.2 at 7+3 and 8+4 and 2.5 at 9+1.  At t = 1 the walk is the one |0> row
+# fanned out to the shots: 0.1-0.7 at 3+5 to 6+2, 1.0-1.2 at 7+1 and 9+1
 SAMPLER_LIVE_COPIES = 4
 # copies of the dense steps being factored, one stack of them (at most
 # HAAR_STACK_BYTES of normals) below 8 qubits or one step from 8 qubits up,
@@ -246,12 +246,13 @@ REQUIRED = ("kind", "n_system", "n_bath", "steps")
 NEVER_REFUSED = REQUIRED + ("out", "format", "instances", "shots", "master_seed")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _as_real(name: str, value) -> float:
+    """An int or float as the float it equals; a bool, another type, or an
+    int that no double holds is refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, int) and abs(value) > sys.float_info.max):
+        raise ConfigurationError(f"{name} must be a number that a double holds, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -278,24 +279,22 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigurationError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
+        # the integer rule of HrcsConfig: numpy integers are stored as ints,
+        # so they hash and seed as the ints they equal; a real is its float
         for name in ("n_system", "n_bath", "instances", "shots", "master_seed"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not (self.hea_layers is None or _is_int(self.hea_layers)):
-            raise ConfigurationError(f"hea_layers must be an integer, got {self.hea_layers!r}")
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if self.hea_layers is not None:
+            object.__setattr__(self, "hea_layers", _as_int("hea_layers", self.hea_layers))
         if not isinstance(self.reset_bath, bool):
             raise ConfigurationError(f"reset_bath must be true or false, got {self.reset_bath!r}")
-        for name, ok, what in (
-            ("steps", _is_int, "integers"),
-            ("k_orders", _is_int, "integers"),
-            ("gammas", _is_real, "numbers"),
-        ):
+        for name, entry in (("steps", _as_int), ("k_orders", _as_int), ("gammas", _as_real)):
             values = getattr(self, name)
-            if not isinstance(values, (list, tuple)) or not all(ok(v) for v in values):
-                raise ConfigurationError(f"{name} must be a list of {what}, got {values!r}")
+            if not isinstance(values, (list, tuple)):
+                raise ConfigurationError(f"{name} must be a list, got {values!r}")
+            values = tuple(entry(f"each entry of {name}", v) for v in values)
             if len(set(values)) < len(values):  # its records would be written twice
                 raise ConfigurationError(f"{name} repeats an entry: {values!r}")
-            object.__setattr__(self, name, tuple(values))
+            object.__setattr__(self, name, values)
         if self.instances < 1 or self.shots < 1:
             raise ConfigurationError("instances and shots must be >= 1")
         if not self.steps:
@@ -303,11 +302,9 @@ class ExperimentSpec:
         self.config_for(min(self.steps))  # register sizes, steps >= 1, unitary source
         if not all(0.0 <= g <= 1.0 for g in self.gammas):
             raise ConfigurationError(f"gammas must lie in [0, 1], got {self.gammas}")
-        if not (_is_real(self.epsilon) and 0 < self.epsilon <= sys.float_info.max):
+        object.__setattr__(self, "epsilon", _as_real("epsilon", self.epsilon))
+        if not 0 < self.epsilon <= sys.float_info.max:
             raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        # a real is its value: 1 and 1.0 seed, label and hash a record alike
-        object.__setattr__(self, "gammas", tuple(map(float, self.gammas)))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
         if not (self.out is None or (isinstance(self.out, str) and self.out)):
             raise ConfigurationError(f"out must be a non-empty path string, got {self.out!r}")
         if self.format not in ("jsonl", "csv"):

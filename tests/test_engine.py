@@ -249,6 +249,18 @@ class TestTrajectories:
         freq = np.bincount(batch.bath_outcomes[:, 0], minlength=2) / len(batch)
         assert np.all(np.abs(freq - oracle_bath) < 4 * np.sqrt(0.25 / len(batch)))
 
+    @pytest.mark.parametrize("reset, source", [(True, "haar"), (False, "haar"), (False, "hea")])
+    @pytest.mark.parametrize("gamma", [1.0, 0.7])
+    def test_zero_shots_give_an_empty_batch(self, reset, source, gamma):
+        # zero shots raised ZeroDivisionError in the bath sums; replay of zero paths gives []
+        cfg = HrcsConfig(n_system=2, n_bath=2, steps=3, reset_bath=reset, unitary_source=source,
+                         hea_layers=2 if source == "hea" else None)
+        steps = instantiate_circuit(cfg, 0)
+        batch = sample_trajectories(cfg, steps, np.int64(0), gamma, np.random.default_rng(0))
+        assert len(batch) == 0 and batch.bath_outcomes.shape == (0, 3)
+        assert batch.model_probabilities.shape == (0,)
+        replay = ideal_probabilities_batch(cfg, steps, batch.bath_outcomes, batch.final_outcomes)
+        assert replay.shape == (0,)
 
     def test_joint_indices_refused_beyond_int64(self):
         # 5 + 12 * 5 = 65 effective bits would wrap an int64 index
@@ -860,18 +872,24 @@ class TestOneRowStart:
         assert seen == ([1, 2, 4] if mode == "enumerate" else [1, shots, shots])
 
 
-class TestStepLayout:
-    """A dense step's product is read where BLAS wrote it, and the sampler
-    sums its bath probabilities in C order all the same."""
+def _weights_in_defined_order(blocks):
+    """(d_B, rows) weights of a (rows, d_B, d_A) register, one system index
+    at a time: squared real parts summed in order, plus squared imaginary
+    parts summed in order."""
+    rows, d_bath, d_sys = blocks.shape
+    real, imag = np.zeros((d_bath, rows)), np.zeros((d_bath, rows))
+    for a in range(d_sys):
+        real += blocks[:, :, a].real.T ** 2
+        imag += blocks[:, :, a].imag.T ** 2
+    return real + imag
 
-    @pytest.mark.parametrize("n_sys, n_bath", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 5), (8, 2)])
-    def test_bath_probabilities_are_c_order_sums(self, n_sys, n_bath, monkeypatch):
-        # the second step of a dense circuit runs on 1000 rows; summing the
-        # strided view instead rounds most of a 5+5 step's 32 000 sums
-        # differently, and d_A = 2 to 256 takes each branch of the pairwise
-        # order: sequential, one block of 8 plus a tail, and split halves
-        cfg = HrcsConfig(n_system=n_sys, n_bath=n_bath, steps=2, master_seed=1)
-        steps = instantiate_circuit(cfg, 0)
+
+class TestStepLayout:
+    """A step's product is read where its kernel wrote it, and the sampler's
+    bath weights are sums in one defined order all the same."""
+
+    def _second_step(self, cfg, monkeypatch, shots=1000):
+        """The second step's product and the bath weights drawn from it."""
         products, bath_probs = [], []
 
         def spy_propagate(picked, bath, step, d_bath, propagate=engine_mod._propagate):
@@ -885,23 +903,48 @@ class TestStepLayout:
 
         monkeypatch.setattr(engine_mod, "_propagate", spy_propagate)
         monkeypatch.setattr(engine_mod, "_draw", spy_draw)
-        sample_trajectories(cfg, steps, 1000, 1.0, np.random.default_rng(0))
-        product = products[1]
-        d_sys, d_bath = 1 << n_sys, 1 << n_bath
-        assert product.shape == (1000, d_bath * d_sys) and not product.flags.c_contiguous
-        expected = (np.abs(np.ascontiguousarray(product)) ** 2).reshape(1000, d_bath, d_sys)
-        # the draw reads (outcomes, rows) weights
-        np.testing.assert_array_equal(bath_probs[1], expected.sum(axis=2).T)
+        sample_trajectories(cfg, instantiate_circuit(cfg, 0), shots, 1.0,
+                            np.random.default_rng(0))
+        blocks = products[1].reshape(shots, 1 << cfg.n_bath, 1 << cfg.n_system)
+        return products[1], blocks, bath_probs[1]
+
+    @pytest.mark.parametrize("n_sys, n_bath", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 5), (8, 2)])
+    def test_dense_bath_weights_are_sums_in_the_defined_order(self, n_sys, n_bath, monkeypatch):
+        # the dense product lies where BLAS wrote it, rows last; d_A = 2 to 256
+        cfg = HrcsConfig(n_system=n_sys, n_bath=n_bath, steps=2, master_seed=1)
+        product, blocks, probs = self._second_step(cfg, monkeypatch)
+        assert not product.flags.c_contiguous
+        np.testing.assert_array_equal(probs, _weights_in_defined_order(blocks))
+
+    def test_gate_kernel_bath_weights_are_sums_in_the_defined_order(self, monkeypatch):
+        # a kept bath runs the HEA layers on the register, in C order
+        cfg = HrcsConfig(n_system=3, n_bath=2, steps=2, reset_bath=False,
+                         unitary_source="hea", hea_layers=2, master_seed=1)
+        product, blocks, probs = self._second_step(cfg, monkeypatch)
+        assert product.flags.c_contiguous
+        np.testing.assert_array_equal(probs, _weights_in_defined_order(blocks))
+
+    @pytest.mark.parametrize("n_sys, n_bath", [(2, 2), (5, 5)])
+    def test_a_row_alone_weighs_as_in_its_batch(self, n_sys, n_bath, monkeypatch):
+        cfg = HrcsConfig(n_system=n_sys, n_bath=n_bath, steps=2, master_seed=1)
+        _, blocks, probs = self._second_step(cfg, monkeypatch)
+        for i in (0, 517, 999):
+            for row in (blocks[i:i + 1], np.ascontiguousarray(blocks[i:i + 1])):
+                np.testing.assert_array_equal(engine_mod._weights(row), probs[:, i:i + 1])
 
     @pytest.mark.parametrize("n", [*range(1, 301), 512, 1024, 4096])
-    def test_pairwise_sum_is_numpys_last_axis_reduce(self, n):
-        # the sampler's records rest on this: a numpy that sums in another
-        # order fails here rather than moving them
-        x = np.random.default_rng(n).standard_normal((3, 5, n))
-        terms = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-        total = engine_mod._pairwise_sum(terms)
-        assert np.shares_memory(total, terms)  # accumulated in the terms themselves
-        np.testing.assert_array_equal(total, np.add.reduce(x, axis=-1))
+    def test_weights_sum_in_the_defined_order(self, n):
+        # every system dimension d_A = n, on a C-order register, on one stored
+        # rows-last as BLAS writes a product, and on one row alone: a numpy
+        # whose einsum sums in another order fails here rather than moving records
+        rng = np.random.default_rng(n)
+        blocks = rng.standard_normal((3, 5, n)) + 1j * rng.standard_normal((3, 5, n))
+        rows_last = np.asfortranarray(blocks.reshape(3, 5 * n)).reshape(3, 5, n)
+        assert not rows_last.flags.c_contiguous
+        expected = _weights_in_defined_order(blocks)
+        for register in (blocks, rows_last):
+            np.testing.assert_array_equal(engine_mod._weights(register), expected)
+        np.testing.assert_array_equal(engine_mod._weights(rows_last[1:2]), expected[:, 1:2])
 
 
 class TestStepCount:
@@ -994,6 +1037,18 @@ class TestConfigValidation:
                 sample_trajectories(cfg, steps, 4, gamma, np.random.default_rng(0))
             with pytest.raises(ConfigurationError, match="gamma must lie in"):
                 enumerate_noisy_joint_distribution(cfg, steps, gamma)
+
+    @pytest.mark.parametrize("shots", [-1, 2.5, True])
+    def test_bad_shot_count_refused(self, shots, monkeypatch):
+        # -1 raised numpy's ValueError and 2.5 a TypeError; True ran one shot
+        def no_work(*args):
+            raise AssertionError("a step ran")
+
+        cfg = small_config(steps=3)
+        steps = instantiate_circuit(cfg, 0)
+        monkeypatch.setattr(engine_mod, "_propagate", no_work)
+        with pytest.raises(ConfigurationError, match="n_shots must be"):
+            sample_trajectories(cfg, steps, shots, 1.0, np.random.default_rng(0))
 
     def test_replace_keeps_validation(self):
         cfg = small_config()

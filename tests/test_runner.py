@@ -300,6 +300,28 @@ class TestSpecIdentity:
         with pytest.raises(ConfigurationError, match="epsilon"):  # no double holds it
             cp_spec(**table, epsilon=2 ** 1024)
 
+    @pytest.mark.parametrize("doc", [
+        dict(kind="xeb", n_system=2, n_bath=1, steps=[1, 3], instances=3, shots=40,
+             unitary_source="hea", hea_layers=2, master_seed=7),
+        dict(kind="ps_sweep", n_system=2, n_bath=1, steps=[1, 2], k_orders=[2, 3],
+             instances=3, master_seed=7),
+    ], ids=["xeb", "ps_sweep"])
+    def test_numpy_integers_are_their_ints(self, doc):
+        # the spec keeps HrcsConfig's integer rule: np.int64(2) was refused
+        # here and accepted there
+        as_numpy = {name: [np.int64(v) for v in value] if isinstance(value, list)
+                    else np.int64(value) if isinstance(value, int) else value
+                    for name, value in doc.items()}
+        spec, numpy_spec = ExperimentSpec(**doc), ExperimentSpec(**as_numpy)
+        assert type(numpy_spec.n_system) is int and type(numpy_spec.steps[0]) is int
+        assert numpy_spec == spec and hash(numpy_spec) == hash(spec)
+        assert numpy_spec.hash() == spec.hash()
+        assert [r.to_json_dict() for r in run_experiment(numpy_spec)] == \
+            [r.to_json_dict() for r in run_experiment(spec)]
+        for name in ("n_system", "steps"):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                ExperimentSpec(**{**doc, name: [True] if name == "steps" else True})
+
     def test_unread_accepted_fields_leave_the_hash(self):
         assert cp_spec(shots=50).hash() == cp_spec().hash()
         table = dict(kind="theory_table", theory_family="ideal_xeb")
@@ -516,9 +538,9 @@ class TestCapacity:
 
     @pytest.mark.parametrize("n_sys, n_bath, shots", [(4, 4, 2000), (5, 5, 1000)])
     def test_reset_haar_sampler_holds_one_batch_copy(self, n_sys, n_bath, shots):
-        # beside the step's product the sampler holds its bath weights and one
-        # slab of squared moduli, and a step draws only its kept columns:
-        # tracemalloc reads 1.14-1.19 copies; summing the whole squared
+        # beside the step's product the sampler holds its bath weights, which
+        # it sums with no copy of the register, and a step draws only its
+        # kept columns: tracemalloc reads 1.14-1.19 copies; squaring the whole
         # register at once and drawing whole Ginibre halves would read 1.60
         spec = ExperimentSpec(kind="noisy_xeb", n_system=n_sys, n_bath=n_bath, steps=(2,),
                               gammas=(0.7,), instances=1, shots=shots, master_seed=3)
@@ -792,11 +814,11 @@ class TestRunExperiment:
 # The two 5+5 noisy specs fan the one |0> row out to 20 shots at t = 1 and 2,
 # with a Haar isometry and with an HEA-8 step whose 32 columns outnumber the
 # shots, so its second step runs gates.  Those two and noisy_xeb_kept_bath
-# cover d_A = 32 and 8, where the sampler's pairwise bath sums run blocks of
-# 8 (the shipped configs all have d_A = 4).  pop_hist pools enumerated
-# distributions; its density integral at t = 4 is 1263 of 1280.  ps_cap
-# enumerates 2^22 outcomes at 2+1 and t = 20, the most enumeration gives, so
-# each power sum takes exact_sum's binned path at its largest input.
+# cover d_A = 32 and 8 (the shipped configs all have d_A = 4).  pop_hist
+# pools enumerated distributions; its density integral at t = 4 is 1263 of
+# 1280.  ps_cap enumerates 2^22 outcomes at 2+1 and t = 20, the most
+# enumeration gives, so each power sum takes exact_sum's binned path at its
+# largest input.
 # expected_slow/ holds neff200_xeb's, which a CI step checks (about 8 s a run)
 GOLDEN = sorted((CONFIGS / "expected").iterdir()) + sorted((CONFIGS / "ci" / "expected").iterdir())
 
