@@ -7,17 +7,26 @@ its first 2^n_A columns, the only ones a state with the bath at 0 can reach.
 and by an HEA step compiled to one, and ``circuits.apply_hea_batch`` runs an
 HEA step layer by layer on a (rows, 2^n) batch.
 
-``sample_haar_unitary`` has two draw rules, split at 8 qubits
-(``HAAR_COLUMNS_DIM``).  From 8 qubits up a step draws only the c columns
-it keeps (2^n_A under a reset, 2^n without one), 3 % of a whole Ginibre
-matrix at 5+5 under a reset, and ``engine.instantiate_circuit`` gives each
-step a generator of its own.  Below 8 qubits each step draws its whole
-Ginibre matrix from the instance's generator, and a circuit's steps are
-factored by one stacked QR per ``HAAR_STACK_BYTES`` of normals, with the
-bits of separate draws.  That stream stays only because
-perfbench/reference.json pins the power sums it gives at 2+1 and 2+2
-qubits; once that file can be regenerated the small steps can move to the
-first rule and the stacked path go.
+``sample_haar_unitary`` has two draw rules, split at 5 qubits
+(``HAAR_COLUMNS_DIM``):
+
+- from 5 qubits up, a step draws only the c columns it keeps (2^n_A under
+  a reset, 2^n without one), column after column, each as dim (real,
+  imaginary) pairs of normals written straight into the complex array that
+  is factored: 2 dim c normals, 3 % of a whole Ginibre matrix at 5+5 under
+  a reset.  ``engine.instantiate_circuit`` gives each step a generator of
+  its own, seeded by ``derive_seed(instance_seed, "step", k)``;
+- below 5 qubits, each step draws its whole dim x dim Ginibre matrix, its
+  real then its imaginary half, whatever c is, from the instance's
+  generator, so the stream and the generator's end state do not depend on
+  c; only the kept columns are factored.  All t steps of a circuit are
+  drawn in one call, the normals of each in turn, and factored by one
+  stacked QR, which runs the same LAPACK calls on each step and so gives
+  the bits of t separate draws.  At dim 16 and t = 1020, the most the
+  runner admits, the normals take 4.2 MB.  This stream stays only because
+  perfbench/reference.json pins the power sums it gives at 2+1 and 2+2
+  qubits; once that file can be regenerated the small steps can move to
+  the first rule.
 
 Bit convention used everywhere in this package: qubit 0 is the least
 significant bit of the amplitude index, so the basis state
@@ -71,16 +80,9 @@ def pin_blas_threads() -> bool:
 pin_blas_threads()
 
 
-# Bytes of Ginibre normals, 2 dim^2 doubles a step, that one stack of steps
-# draws in one call and factors with one QR, below ``HAAR_COLUMNS_DIM``.
-# np.linalg.qr costs about 16 us a call beside its arithmetic, and each numpy
-# call of a draw 1-2 us: most of a step's cost at 2+1 and 2+2 qubits.  At
-# dim 128 (256 KiB of normals) one step's draw alone takes about 0.5 ms, so
-# a larger stack would save under 5 % and only add its copies to the peak.
-HAAR_STACK_BYTES = 1 << 18
-# Dimension (8 qubits) from which a step draws only its kept columns, and
+# Dimension (5 qubits) from which a step draws only its kept columns, and
 # below which it draws its whole Ginibre matrix (see the module docstring)
-HAAR_COLUMNS_DIM = 1 << 8
+HAAR_COLUMNS_DIM = 1 << 5
 
 
 def sample_haar_unitary(
@@ -96,19 +98,7 @@ def sample_haar_unitary(
     QR of column j sees columns <= j only, so the first c columns of Q
     depend only on the first c Ginibre columns, and under either rule a
     unitary's first c columns are the c-column isometry drawn from the same
-    generator:
-
-    - from ``HAAR_COLUMNS_DIM`` up, only the kept columns are drawn, column
-      after column, each as dim (real, imaginary) pairs of normals written
-      straight into the complex array that is factored, so a step takes
-      2 dim c normals from ``rng``;
-    - below it, the whole dim x dim Ginibre matrix is drawn, its real then
-      its imaginary half, whatever ``columns`` is, so the stream and the
-      generator's end state do not depend on it; only the kept columns are
-      factored.  A stack draws each matrix's normals in turn, exactly as
-      ``count`` calls would, and factors each ``HAAR_STACK_BYTES`` of
-      normals with one stacked QR, which runs the same LAPACK calls on each
-      and so gives the same bits.
+    generator.  The two draw rules are those of the module docstring.
     """
     if dim < 2:
         raise ConfigurationError(f"haar sampling needs dim >= 2, got {dim}")
@@ -122,27 +112,21 @@ def sample_haar_unitary(
         ginibre = rng.standard_normal((steps, cols, 2 * dim)).view(complex).swapaxes(1, 2)
         out = _phase_fixed_qr(ginibre)
     else:
-        out = np.empty((steps, dim, cols), dtype=complex)
-        group = max(1, HAAR_STACK_BYTES // (16 * dim * dim))
-        for start in range(0, steps, group):
-            stack = out[start:start + group]
-            # stack = real + 1j * imag, in place; each step's real then
-            # imaginary draw, in one call: the same stream
-            draws = rng.standard_normal((len(stack), 2, dim, dim))[..., :cols]
-            np.multiply(1j, draws[:, 1], out=stack)
-            np.add(draws[:, 0], stack, out=stack)
-            del draws  # before the QR's copies
-            _phase_fixed_qr(stack, out=stack)
+        # each step's real then imaginary draw, in one call: the same stream
+        draws = rng.standard_normal((steps, 2, dim, dim))[..., :cols]
+        ginibre = draws[:, 0] + 1j * draws[:, 1]
+        del draws  # before the QR's copies
+        out = _phase_fixed_qr(ginibre)
     return out[0] if count is None else out
 
 
-def _phase_fixed_qr(ginibre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _phase_fixed_qr(ginibre: np.ndarray) -> np.ndarray:
     """The Haar factor of a (steps, dim, cols) stack of standard complex
     normals, which is scaled in place: Q of its QR with column j rescaled by
-    conj(r_jj)/|r_jj|, written into ``out``, or into Q itself."""
+    conj(r_jj)/|r_jj|, in place in Q."""
     q, r = np.linalg.qr(np.divide(ginibre, np.sqrt(2), out=ginibre))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return np.multiply(q, (diag.conj() / np.abs(diag))[:, None, :], out=q if out is None else out)
+    return np.multiply(q, (diag.conj() / np.abs(diag))[:, None, :], out=q)
 
 
 def sample_haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +81,7 @@ class HrcsConfig:
             value = getattr(self, name)
             if value is not None or name != "hea_layers":
                 object.__setattr__(self, name, _as_int(name, value))
-        # a truthy "false" or 0 would pick the other circuit
-        if not isinstance(self.reset_bath, (bool, np.bool_)):
-            raise ConfigurationError(f"reset_bath must be a bool, got {self.reset_bath!r}")
-        object.__setattr__(self, "reset_bath", bool(self.reset_bath))
+        object.__setattr__(self, "reset_bath", _as_bool("reset_bath", self.reset_bath))
         if self.n_system < 1 or self.n_bath < 1:
             raise ConfigurationError("system and bath need at least one qubit each")
         if self.steps < 1:
@@ -115,6 +113,23 @@ def _as_int(name: str, value) -> int:
     return int(value)
 
 
+def _as_real(name: str, value) -> float:
+    """A Python or numpy integer or float as the float it equals; a bool,
+    another type, or an int that no double holds is refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, int) and abs(value) > sys.float_info.max):
+        raise ConfigurationError(f"{name} must be a number that a double holds, got {value!r}")
+    return float(value)
+
+
+def _as_bool(name: str, value) -> bool:
+    """A bool or numpy bool as a bool; a truthy "false" or 0 would pick the
+    other circuit, so any other type is refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def instance_seed(config: HrcsConfig, instance_index: int) -> int:
     """Stream seed of one ensemble member; depends only on the master seed,
     the circuit-defining parameters, and the index, so growing a sweep never
@@ -136,17 +151,9 @@ def instantiate_circuit(config: HrcsConfig, instance_index: int) -> list[StepUni
 
     A reset bath reads 0 before every step, so a Haar step of a reset circuit
     is drawn as the 2^n x 2^n_A isometry of its first 2^n_A columns, and
-    every kept column is the same with or without a reset.  Two stream
-    rules, split at 8 qubits (``core.HAAR_COLUMNS_DIM``):
-
-    - from 8 qubits up, step k draws only its kept columns, from its own
-      generator seeded by ``derive_seed(instance_seed, "step", k)``, so no
-      step's stream follows how many columns the steps before it kept;
-    - below 8 qubits, the t steps draw their whole Ginibre matrices in turn
-      from the instance's generator.  This is the stream that
-      ``perfbench/reference.json`` and the golden records of the smaller
-      configs pin; it moves to the first rule once that file can be
-      regenerated.
+    every kept column is the same with or without a reset.  Haar steps
+    follow the two stream rules of the ``core`` module docstring, split at
+    ``core.HAAR_COLUMNS_DIM``.
 
     HEA steps draw their angles in turn from the instance's generator.
     """
@@ -340,7 +347,7 @@ def sample_trajectories(
     global phase.  Model probabilities are those of the noisy paths.  Zero
     shots give an empty batch.
     """
-    _check_gamma(gamma)
+    gamma = _check_gamma("gamma", gamma)
     n_shots = _as_int("n_shots", n_shots)
     if n_shots < 0:
         raise ConfigurationError(f"n_shots must be >= 0, got {n_shots}")
@@ -447,7 +454,8 @@ def marginalize(
         return shaped.sum(axis=t).reshape(-1)
     if kind == "per_step":
         # a float step would match no axis and sum them all
-        if not isinstance(step, (int, np.integer)) or isinstance(step, bool) or not 1 <= step <= t:
+        step = _as_int("per_step step index", step)
+        if not 1 <= step <= t:
             raise ConfigurationError(f"per_step needs a step index in [1, {t}], got {step}")
         axes = tuple(a for a in range(t + 1) if a != step - 1)
         return shaped.sum(axis=axes)
@@ -474,9 +482,12 @@ def replay_no_reset_equivalence(
     return with_reset, without_reset
 
 
-def _check_gamma(gamma: float) -> None:
+def _check_gamma(name: str, value) -> float:
+    """A noise strength as its float (``_as_real``), refused outside [0, 1]."""
+    gamma = _as_real(name, value)
     if not 0.0 <= gamma <= 1.0:  # false for nan too
-        raise ConfigurationError(f"gamma must lie in [0, 1], got {gamma}")
+        raise ConfigurationError(f"{name} must lie in [0, 1], got {gamma}")
+    return gamma
 
 
 def _check_steps(config: HrcsConfig, unitaries: list[StepUnitary]) -> None:

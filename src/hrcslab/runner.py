@@ -28,7 +28,10 @@ from .engine import (
     ENUMERATION_MAX_BITS,
     TRAJECTORY_MAX_QUBITS,
     HrcsConfig,
+    _as_bool,
     _as_int,
+    _as_real,
+    _check_gamma,
     derive_seed,
     enumerate_joint_distribution,
     ideal_probabilities_batch,
@@ -38,7 +41,7 @@ from .engine import (
     replay_no_reset_equivalence,
     sample_trajectories,
 )
-from .core import HAAR_STACK_BYTES, sample_haar_state
+from .core import HAAR_COLUMNS_DIM, sample_haar_state
 from .errors import CapacityError, ConfigurationError
 from .estimators import EnsembleStats
 
@@ -217,15 +220,13 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 # 2.1-2.2 at 7+3 and 8+4 and 2.5 at 9+1.  At t = 1 the walk is the one |0> row
 # fanned out to the shots: 0.1-0.7 at 3+5 to 6+2, 1.0-1.2 at 7+1 and 9+1
 SAMPLER_LIVE_COPIES = 4
-# copies of the dense steps being factored, one stack of them (at most
-# HAAR_STACK_BYTES of normals) below 8 qubits or one step from 8 qubits up,
-# full or isometries, that drawing them holds beside the output: the drawn
-# normals, the QR's copy of them, its r (a full step's is one more step),
-# and LAPACK's buffers, which tracemalloc does not see.  From 8 qubits up
-# only the kept columns are drawn, so no array holds 2^n x 2^n normals.
-# Peak RSS of one draw grows beyond its output by 4.0-4.1 full steps and by
-# 3.9-4.0 isometries of 16 to 512 columns at 10 to 12 qubits (tracemalloc:
-# 3.06-3.07 full steps, 2.02-2.14 isometries)
+# copies of what one draw call factors (core's module docstring: all t whole
+# steps below HAAR_COLUMNS_DIM, one step's kept columns from it up) that
+# drawing them holds beside the output: the drawn normals, the QR's copy of
+# them, its r (a full step's is one more step), and LAPACK's buffers, which
+# tracemalloc does not see.  Peak RSS of one draw grows beyond its output by
+# 4.0-4.1 full steps and by 3.9-4.0 isometries of 16 to 512 columns at 10
+# to 12 qubits (tracemalloc: 3.06-3.07 full steps, 2.02-2.14 isometries)
 HAAR_QR_TRANSIENT_COPIES = 5
 # (L, N) float arrays that drawing one HEA step holds beside the 2t angle
 # arrays of an instance's t steps: tracemalloc measures 0.125 of one (its
@@ -244,15 +245,6 @@ REQUIRED = ("kind", "n_system", "n_bath", "steps")
 # accepted on every kind, read or not: out and format say where records go;
 # perfbench's tiny mode writes shots everywhere, and hrcs --seed sets master_seed
 NEVER_REFUSED = REQUIRED + ("out", "format", "instances", "shots", "master_seed")
-
-
-def _as_real(name: str, value) -> float:
-    """An int or float as the float it equals; a bool, another type, or an
-    int that no double holds is refused."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, int) and abs(value) > sys.float_info.max):
-        raise ConfigurationError(f"{name} must be a number that a double holds, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -279,15 +271,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigurationError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        # the integer rule of HrcsConfig: numpy integers are stored as ints,
-        # so they hash and seed as the ints they equal; a real is its float
+        # the number and bool rules of engine: numpy values are stored as the
+        # int, float or bool they equal, so they hash and seed as those do
         for name in ("n_system", "n_bath", "instances", "shots", "master_seed"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.hea_layers is not None:
             object.__setattr__(self, "hea_layers", _as_int("hea_layers", self.hea_layers))
-        if not isinstance(self.reset_bath, bool):
-            raise ConfigurationError(f"reset_bath must be true or false, got {self.reset_bath!r}")
-        for name, entry in (("steps", _as_int), ("k_orders", _as_int), ("gammas", _as_real)):
+        object.__setattr__(self, "reset_bath", _as_bool("reset_bath", self.reset_bath))
+        for name, entry in (("steps", _as_int), ("k_orders", _as_int), ("gammas", _check_gamma)):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ConfigurationError(f"{name} must be a list, got {values!r}")
@@ -300,8 +291,6 @@ class ExperimentSpec:
         if not self.steps:
             raise ConfigurationError("steps list is empty")
         self.config_for(min(self.steps))  # register sizes, steps >= 1, unitary source
-        if not all(0.0 <= g <= 1.0 for g in self.gammas):
-            raise ConfigurationError(f"gammas must lie in [0, 1], got {self.gammas}")
         object.__setattr__(self, "epsilon", _as_real("epsilon", self.epsilon))
         if not 0 < self.epsilon <= sys.float_info.max:
             raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon!r}")
@@ -458,10 +447,11 @@ def _steps_bytes(spec: ExperimentSpec) -> int:
         angles = 8 * spec.hea_layers * n_phys
         return (2 * t + HEA_ANGLE_TRANSIENT_COPIES) * angles
     # all t dense steps (instantiate_circuit), 2^n x 2^n_A isometries under
-    # a reset and full unitaries without one, and the transients of one
-    # step's draw, or one stack's below 8 qubits
-    step = 16 << (n_phys + (spec.n_system if spec.config_for(t).reset_bath else n_phys))
-    return t * step + HAAR_QR_TRANSIENT_COPIES * max(step, HAAR_STACK_BYTES)
+    # a reset and full unitaries without one, and the transients of one draw
+    dim = 1 << n_phys
+    step = 16 * dim << (spec.n_system if spec.config_for(t).reset_bath else n_phys)
+    drawn = t * 16 * dim * dim if dim < HAAR_COLUMNS_DIM else step
+    return t * step + HAAR_QR_TRANSIENT_COPIES * drawn
 
 
 def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:

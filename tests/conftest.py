@@ -237,7 +237,7 @@ def enumerate_noisy_joint_distribution(
     Evolution is kept unnormalized: the diagonal entries surviving at the end
     of each forced branch are exactly the joint outcome probabilities.
     """
-    engine._check_gamma(gamma)
+    gamma = engine._check_gamma("gamma", gamma)
     if config.n_qubits > NOISY_ORACLE_MAX_QUBITS:
         raise CapacityError(
             f"density-matrix oracle limited to {NOISY_ORACLE_MAX_QUBITS} qubits, "

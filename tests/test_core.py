@@ -227,12 +227,13 @@ class TestHaarSampler:
     @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
     @pytest.mark.parametrize("full", [True, False])
     def test_stack_is_the_per_step_draws(self, dim, full):
-        # one draw and stacked QR per HAAR_STACK_BYTES of normals (64 steps
-        # at dim 16, 4 at dim 64, one at dim 128), and from dim 256 the kept
-        # columns alone, each as dim (real, imaginary) pairs, give the bits
-        # and leave the generator where one 2-D draw and QR per step does
+        # below dim 32 one draw and one stacked QR of all the whole
+        # matrices, at counts past the 256 and 64 steps of the 256 KiB stacks
+        # they replaced at dims 8 and 16, and from dim 32 the kept columns
+        # alone, each as dim (real, imaginary) pairs, give the bits and leave
+        # the generator where one 2-D draw and QR per step does
         cols = dim if full else 1 << (dim.bit_length() - 1) // 2
-        count = 6 if dim <= 128 else 2
+        count = {8: 257, 16: 65}.get(dim, 6 if dim <= 128 else 2)
         rng, twin = np.random.default_rng(dim), np.random.default_rng(dim)
         stack = sample_haar_unitary(dim, rng, cols, count)
         assert stack.shape == (count, dim, cols) and stack.dtype == complex

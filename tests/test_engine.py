@@ -149,13 +149,15 @@ class TestInstantiation:
         for u, v in zip(instantiate_circuit(cfg, 4), full):
             np.testing.assert_array_equal(u, v[:, : u.shape[1]])
 
+    # 3+2 is the smallest register on the per-step rule (dim 32)
+    @pytest.mark.parametrize("n_sys, n_bath", [(3, 2), (4, 4)])
     @pytest.mark.parametrize("reset", [True, False])
-    def test_large_step_draws_from_its_own_seed(self, reset):
-        cfg = small_config(n_system=4, n_bath=4, steps=3, reset_bath=reset)
-        seed = instance_seed(cfg, 4)
+    def test_large_step_draws_from_its_own_seed(self, n_sys, n_bath, reset):
+        cfg = small_config(n_system=n_sys, n_bath=n_bath, steps=3, reset_bath=reset)
+        seed, dim = instance_seed(cfg, 4), 1 << cfg.n_qubits
         for k, u in enumerate(instantiate_circuit(cfg, 4)):
             rng = np.random.default_rng(derive_seed(seed, "step", k))
-            np.testing.assert_array_equal(u, sample_haar_unitary(256, rng, u.shape[1]))
+            np.testing.assert_array_equal(u, sample_haar_unitary(dim, rng, u.shape[1]))
 
     def test_hea_source_builds_sequences(self):
         cfg = HrcsConfig(
@@ -1037,6 +1039,27 @@ class TestConfigValidation:
                 sample_trajectories(cfg, steps, 4, gamma, np.random.default_rng(0))
             with pytest.raises(ConfigurationError, match="gamma must lie in"):
                 enumerate_noisy_joint_distribution(cfg, steps, gamma)
+
+    @pytest.mark.parametrize("gamma", ["0.5", None, True, np.bool_(True)])
+    def test_non_number_gamma_refused(self, gamma, monkeypatch):
+        # "0.5" and None raised a TypeError mid-step, and True ran as 1
+        def no_work(*args):
+            raise AssertionError("a step ran")
+
+        cfg = small_config(steps=3)
+        steps = instantiate_circuit(cfg, 0)
+        monkeypatch.setattr(engine_mod, "_propagate", no_work)
+        with pytest.raises(ConfigurationError, match="gamma must be a number"):
+            sample_trajectories(cfg, steps, 4, gamma, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("gamma, real", [(np.float32(0.5), 0.5), (np.int64(1), 1.0)])
+    def test_numpy_gamma_samples_as_its_float(self, gamma, real):
+        cfg = small_config(steps=3)
+        steps = instantiate_circuit(cfg, 0)
+        got, want = (sample_trajectories(cfg, steps, 50, g, np.random.default_rng(4))
+                     for g in (gamma, real))
+        for name in ("bath_outcomes", "final_outcomes", "model_probabilities"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("shots", [-1, 2.5, True])
     def test_bad_shot_count_refused(self, shots, monkeypatch):
