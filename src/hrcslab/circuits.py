@@ -40,7 +40,7 @@ class HeaParams:
         if th.shape != ph.shape or th.ndim != 2:
             raise ConfigurationError(f"angle arrays must both be (L, N), got {th.shape} and {ph.shape}")
         for name, arr in (("thetas", th), ("phis", ph)):
-            if np.any(arr < 0) or np.any(arr >= TWO_TURNS):
+            if not np.all((0 <= arr) & (arr < TWO_TURNS)):  # false for nan too
                 raise ConfigurationError(f"{name} outside [0, 4*pi)")
         object.__setattr__(self, "thetas", th)
         object.__setattr__(self, "phis", ph)

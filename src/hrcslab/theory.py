@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .engine import _as_int, _check_gamma
 from .errors import ConfigurationError
 
 
@@ -35,12 +36,21 @@ def haar_power_sum(n_qubits: int, order: int) -> float:
     return math.exp(log_z)
 
 
+def _dims(n_system: int, n_bath: int, steps: int) -> tuple[float, float, int]:
+    """(2^N_A, 2^N_B, t), each count an int (``engine._as_int``) of at least 1;
+    a numpy t would move the bits of ``x ** t``."""
+    counts = {"n_system": n_system, "n_bath": n_bath, "steps": steps}
+    for name, value in counts.items():
+        counts[name] = _as_int(name, value)
+        if counts[name] < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    return 2.0 ** counts["n_system"], 2.0 ** counts["n_bath"], counts["steps"]
+
+
 def _log_step_cp(n_system: int, n_bath: int, steps: int) -> float:
     """log of the exact ensemble CP of the joint spatiotemporal distribution,
     2 (d_A+1)^(t-1) / (1 + d_A d_B)^t."""
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
+    d_a, d_b, steps = _dims(n_system, n_bath, steps)
     return math.log(2.0) + (steps - 1) * math.log(d_a + 1.0) - steps * math.log(1.0 + d_a * d_b)
 
 
@@ -54,11 +64,9 @@ def hrcs_power_sum(n_system: int, n_bath: int, steps: int, order: int) -> float:
     """Ensemble-averaged K-th power sum of the joint distribution after t steps,
         K! d_A d_B^t [(d_A+K-1)!/(d_A-1)!]^(t-1) [(d_A d_B-1)!/(d_A d_B+K-1)!]^t.
     """
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
+    d_a, d_b, steps = _dims(n_system, n_bath, steps)
     if order < 2:
         raise ConfigurationError(f"power-sum order must be >= 2, got {order}")
-    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
     log_z = (
         math.log(math.factorial(order))
         + math.log(d_a)
@@ -74,11 +82,11 @@ def critical_steps(n_system: int, n_bath: int, epsilon: float, order: int) -> fl
     (1+epsilon) of its Haar value,
         d_B/(d_B-1) (1/2 + 2 d_A ln(1+epsilon) / (K(K-1))).
     """
+    d_a, d_b, _ = _dims(n_system, n_bath, 1)
     if epsilon <= 0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     if order < 2:
         raise ConfigurationError(f"power-sum order must be >= 2, got {order}")
-    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
     return d_b / (d_b - 1.0) * (0.5 + 2.0 * d_a * math.log1p(epsilon) / (order * (order - 1)))
 
 
@@ -89,9 +97,7 @@ def _decay_ratio(d_a: float, d_b: float) -> float:
 def marginal_cp_spatial(n_system: int, n_bath: int, steps: int) -> float:
     """Exact ensemble CP of the spatial marginal of the joint distribution,
     the final system outcome."""
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
+    d_a, d_b, steps = _dims(n_system, n_bath, steps)
     base = (d_a * d_b + 1.0) / (d_a * d_a * d_b + 1.0)
     coeff = (d_a - 1.0) * (d_a * d_b - 1.0) / ((d_a + 1.0) * (d_a * d_a * d_b + 1.0))
     return base + coeff * _decay_ratio(d_a, d_b) ** steps
@@ -100,17 +106,13 @@ def marginal_cp_spatial(n_system: int, n_bath: int, steps: int) -> float:
 def marginal_cp_temporal(n_system: int, n_bath: int, steps: int) -> float:
     """Exact ensemble CP of the temporal marginal of the joint distribution,
     all bath outcomes, ((d_A+1)/(d_A d_B+1))^t."""
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
+    d_a, d_b, steps = _dims(n_system, n_bath, steps)
     return math.exp(steps * (math.log(d_a + 1.0) - math.log(d_a * d_b + 1.0)))
 
 
 def marginal_cp_per_step(n_system: int, n_bath: int, steps: int) -> float:
     """Exact ensemble CP of the bath outcome of step ``steps`` alone."""
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
+    d_a, d_b, steps = _dims(n_system, n_bath, steps)
     base = (d_a * d_a + 1.0) / (d_a * d_a * d_b + 1.0)
     coeff = (
         d_a * (d_b - 1.0) * (d_a * d_b - 1.0)
@@ -150,23 +152,21 @@ def tvd_upper_bound(n_system: int, n_bath: int, steps: int) -> float:
     """Bound on the total variation distance between the joint distribution
     and full sampling of an independent Haar state of matching dimension,
     (1/2) sqrt(2^N_eff Z) with Z the joint collision probability."""
-    n_eff = n_system + steps * n_bath
-    return 0.5 * math.exp(0.5 * (n_eff * math.log(2.0) + _log_step_cp(n_system, n_bath, steps)))
+    log_z = _log_step_cp(n_system, n_bath, steps)  # checks the counts before N_eff reads them
+    return 0.5 * math.exp(0.5 * (log_z + (n_system + steps * n_bath) * math.log(2.0)))
 
 
 def tvd_upper_bound_asymptotic(n_system: int, n_bath: int, steps: int) -> float:
     """Large-dimension form of ``tvd_upper_bound``, exp((t-1)/(2 d_A)) / sqrt(2)."""
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    d_a = 2.0 ** n_system
+    d_a, _, steps = _dims(n_system, n_bath, steps)
     return math.exp((steps - 1) / (2.0 * d_a)) / math.sqrt(2.0)
 
 
 def ideal_xeb(n_system: int, n_bath: int, steps: int) -> float:
     """Noiseless cross-entropy benchmark fidelity, 2^N_eff * Z - 1, summed in
     log space so that it stays finite where Z alone underflows."""
-    n_eff = n_system + steps * n_bath
-    return math.expm1(n_eff * math.log(2.0) + _log_step_cp(n_system, n_bath, steps))
+    log_z = _log_step_cp(n_system, n_bath, steps)
+    return math.expm1(log_z + (n_system + steps * n_bath) * math.log(2.0))
 
 
 def noisy_xeb(n_system: int, n_bath: int, steps: int, gamma: float) -> float:
@@ -175,11 +175,8 @@ def noisy_xeb(n_system: int, n_bath: int, steps: int, gamma: float) -> float:
     identity/swap coefficient pair; at gamma = 1 it is the symmetric
     noiseless recursion of the joint collision probability.
     """
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigurationError(f"gamma must lie in [0, 1], got {gamma}")
-    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
+    d_a, d_b, steps = _dims(n_system, n_bath, steps)
+    gamma = _check_gamma("gamma", gamma)
     # One application of the matrix is one protocol step: the system
     # channel left over from the previous step, the step unitary average,
     # and the noisy bath measurement, [twirl + bath projector] o [system
@@ -213,13 +210,11 @@ def noisy_xeb_asymptotic(n_system: int, n_bath: int, steps: int, gamma: float) -
         gamma^(2t) (1 + (1-gamma) t / (gamma d_B)) + gamma/((1-gamma) d_A),
     which is singular at gamma = 1.
     """
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
+    d_a, d_b, steps = _dims(n_system, n_bath, steps)
     if not 0.0 < gamma < 1.0:
         raise ConfigurationError(
             f"asymptotic form is singular at gamma = 1 and needs gamma in (0, 1), got {gamma}"
         )
-    d_a, d_b = 2.0 ** n_system, 2.0 ** n_bath
     return gamma ** (2 * steps) * (1.0 + (1.0 - gamma) * steps / (gamma * d_b)) + gamma / (
         (1.0 - gamma) * d_a
     )

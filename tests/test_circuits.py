@@ -103,6 +103,14 @@ class TestBuildHea:
             compiled(zero_angles(3, layers)), np.linalg.matrix_power(w, layers), atol=1e-12
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, TWO_TURNS])
+    @pytest.mark.parametrize("which", ["thetas", "phis"])
+    def test_angle_outside_range_raises(self, which, bad):
+        angles = {"thetas": np.zeros((1, 2)), "phis": np.zeros((1, 2))}
+        angles[which][0, 1] = bad
+        with pytest.raises(ConfigurationError, match="outside"):
+            HeaParams(**angles)
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
             HeaParams(np.zeros((2, 3)), np.zeros((2, 4)))

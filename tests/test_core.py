@@ -359,11 +359,16 @@ class TestCollapse:
         np.testing.assert_allclose(batch.model_probabilities, expected, rtol=1e-10)
 
     def test_zero_probability_branch_raises(self):
+        # and a step with a nan on the drawn bath outcome (row 0) or on the
+        # other one (row 2), which no floor comparison is true of
         config = HrcsConfig(n_system=1, n_bath=1, steps=1)
-        with pytest.raises(DegenerateBranchError):
-            sample_trajectories(
-                config, [np.zeros((4, 4), dtype=complex)], 3, 1.0, np.random.default_rng(0)
-            )
+        steps = [np.zeros((4, 4), dtype=complex)]
+        for row in (0, 2):
+            steps.append(np.eye(4, dtype=complex))
+            steps[-1][row, 0] = np.nan
+        for step in steps:
+            with pytest.raises(DegenerateBranchError):
+                sample_trajectories(config, [step], 3, 1.0, np.random.default_rng(0))
 
     def test_collapse_probabilities_sum_to_one(self):
         # forced replay of every (z, x) path: per bath outcome the paths sum

@@ -279,11 +279,13 @@ class TestSpecIdentity:
         assert spec.hash() == hashlib.blake2b(payload, digest_size=8).hexdigest()
 
     @pytest.mark.parametrize(
-        "whole, real", [(1, 1.0), (0, 0.0), (np.int64(1), 1.0), (np.float32(0.5), 0.5)]
+        "whole, real",
+        [(1, 1.0), (0, 0.0), (np.int64(1), 1.0), (np.float32(0.5), 0.5), (-0.0, 0.0)],
     )
     def test_integer_gamma_is_its_float(self, whole, real, tmp_path):
         # a gamma seeds the noisy shots through its repr, so 1 must read as
-        # 1.0; numpy numbers were refused here and accepted by the sampler
+        # 1.0, and -0.0, the same channel, as 0.0; numpy numbers were refused
+        # here and accepted by the sampler
         runs = []
         for gamma in (whole, real):
             spec = ExperimentSpec.from_json_dict({

@@ -31,6 +31,41 @@ from hrcslab.theory import (
 from conftest import enumerate_noisy_joint_distribution, noisy_xeb_oracle
 
 
+# every closed form of a register, as a function of (N_A, N_B, t); the
+# critical step count reads no t
+REGISTER_FORMS = {
+    "step_collision_probability": step_collision_probability,
+    "tvd_upper_bound": tvd_upper_bound,
+    "ideal_xeb": ideal_xeb,
+    "hrcs_power_sum": lambda a, b, t: hrcs_power_sum(a, b, t, 3),
+    "marginal_cp_spatial": marginal_cp_spatial,
+    "marginal_cp_temporal": marginal_cp_temporal,
+    "marginal_cp_per_step": marginal_cp_per_step,
+    "tvd_upper_bound_asymptotic": tvd_upper_bound_asymptotic,
+    "noisy_xeb": lambda a, b, t: noisy_xeb(a, b, t, 0.7),
+    "noisy_xeb_asymptotic": lambda a, b, t: noisy_xeb_asymptotic(a, b, t, 0.7),
+    "critical_steps": lambda a, b, t: critical_steps(a, b, 0.5, 3),
+}
+
+
+class TestRegisterArguments:
+    @pytest.mark.parametrize("bad", [0, 2.5, True, "1"])
+    @pytest.mark.parametrize("name, position", [
+        (name, position) for name in REGISTER_FORMS
+        for position in range(2 if name == "critical_steps" else 3)])
+    def test_each_count_is_an_integer_of_at_least_one(self, name, position, bad):
+        args = [2, 1, 3]
+        args[position] = bad
+        with pytest.raises(ConfigurationError, match="must be an integer|must be >= 1"):
+            REGISTER_FORMS[name](*args)
+
+    @pytest.mark.parametrize("name", REGISTER_FORMS)
+    def test_numpy_integers_give_the_int_value(self, name):
+        # bitwise: a numpy t would move the bits of x ** t
+        for args in ((1, 1, 1), (3, 2, 2), (5, 5, 5), (4, 7, 33)):
+            assert REGISTER_FORMS[name](*map(np.int64, args)) == REGISTER_FORMS[name](*args)
+
+
 class TestHaarPowerSum:
     def test_single_qubit_collision_probability(self):
         assert haar_power_sum(1, 2) == pytest.approx(2 / 3, rel=1e-12)
