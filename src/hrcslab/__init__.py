@@ -17,7 +17,6 @@ from .errors import CapacityError, ConfigurationError, DegenerateBranchError
 from .estimators import (
     EnsembleStats,
     ensemble_aggregate,
-    pop_histogram,
     power_sum_exact,
     tvd_exact,
     xeb_estimate,
@@ -41,7 +40,6 @@ __all__ = [
     "ideal_probabilities_batch",
     "instantiate_circuit",
     "marginalize",
-    "pop_histogram",
     "power_sum_exact",
     "replay_no_reset_equivalence",
     "run_experiment",

@@ -1,7 +1,6 @@
 """Statistics over distributions and sampled trajectories: power sums, the
-cross-entropy benchmark estimator, the probability-of-probability histogram
-and the KS distance to Porter-Thomas, total variation distance, and
-exact-merging ensemble aggregation.
+cross-entropy benchmark estimator, the KS distance to Porter-Thomas, total
+variation distance, and exact-merging ensemble aggregation.
 
 Power sums and the total variation distance are correctly rounded sums
 (`exact_sum`), bitwise equal to `math.fsum` whatever the order of their
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .theory import porter_thomas_cdf
 
-POP_BINS = 50
+# pop_hist's density integral counts the probabilities in [1e-2/D, 50/D]
 POP_RANGE_LOW = 1e-2  # in units of 1/D
 POP_RANGE_HIGH = 50.0
 # the largest n_eff whose XEB scale 2^n_eff is a finite double
@@ -125,24 +124,6 @@ def xeb_estimate(ideal_probabilities: Sequence[float] | np.ndarray, n_eff: int) 
     if p.size == 0:
         raise ConfigurationError("cannot estimate XEB from zero samples")
     return ensemble_aggregate((2.0 ** n_eff) * p - 1.0)
-
-
-def pop_histogram(
-    values: Sequence[float] | np.ndarray, n_eff: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram outcome probabilities on POP_BINS log bins spanning
-    [1e-2/D, 50/D]; returns the bin edges and the densities.
-
-    The density is over p itself (not log p); each input value carries equal
-    weight, so an exact distribution vector is binned outcome by outcome.
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
-        raise ConfigurationError("cannot histogram zero values")
-    dim = 2.0 ** n_eff
-    edges = np.geomspace(POP_RANGE_LOW / dim, POP_RANGE_HIGH / dim, POP_BINS + 1)
-    counts, _ = np.histogram(vals, bins=edges)
-    return edges, counts / (vals.size * np.diff(edges))
 
 
 def ks_distance_to_porter_thomas(values: Sequence[float] | np.ndarray, n_eff: int) -> float:

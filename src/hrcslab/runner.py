@@ -547,6 +547,7 @@ def _theory_value(spec: ExperimentSpec, t, k, gamma, formula, source: str) -> fl
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]:
     """Execute one experiment spec and return records in parameter order."""
+    workers = _as_int("workers", workers)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     _check_capacity(spec, workers)

@@ -14,10 +14,11 @@ gamma, applied to system and bath alike; gamma = 1 is noiseless.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .engine import _as_int, _check_gamma
+from .engine import _as_int, _as_real, _check_gamma
 from .errors import ConfigurationError
 
 
@@ -26,25 +27,28 @@ def _log_rising(x: float, k: int) -> float:
     return math.fsum(math.log(x + j) for j in range(k))
 
 
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int (``engine._as_int``) of at least ``least``; a numpy
+    count would move the bits of ``x ** t``."""
+    count = _as_int(name, value)
+    if count < least:
+        raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+    return count
+
+
 def haar_power_sum(n_qubits: int, order: int) -> float:
     """Ensemble-averaged K-th power sum of the outcome distribution of a
     Haar-random N-qubit state: K! d!/(d+K-1)! with d = 2^N."""
-    if order < 1:
-        raise ConfigurationError(f"power-sum order must be >= 1, got {order}")
-    d = 2.0 ** n_qubits
+    d = 2.0 ** _count("n_qubits", n_qubits)
+    order = _count("power-sum order", order)
     log_z = math.log(math.factorial(order)) - _log_rising(d + 1, order - 1)
     return math.exp(log_z)
 
 
 def _dims(n_system: int, n_bath: int, steps: int) -> tuple[float, float, int]:
-    """(2^N_A, 2^N_B, t), each count an int (``engine._as_int``) of at least 1;
-    a numpy t would move the bits of ``x ** t``."""
-    counts = {"n_system": n_system, "n_bath": n_bath, "steps": steps}
-    for name, value in counts.items():
-        counts[name] = _as_int(name, value)
-        if counts[name] < 1:
-            raise ConfigurationError(f"{name} must be >= 1, got {value}")
-    return 2.0 ** counts["n_system"], 2.0 ** counts["n_bath"], counts["steps"]
+    """(2^N_A, 2^N_B, t), each count a ``_count``."""
+    d_a, d_b = 2.0 ** _count("n_system", n_system), 2.0 ** _count("n_bath", n_bath)
+    return d_a, d_b, _count("steps", steps)
 
 
 def _log_step_cp(n_system: int, n_bath: int, steps: int) -> float:
@@ -54,19 +58,12 @@ def _log_step_cp(n_system: int, n_bath: int, steps: int) -> float:
     return math.log(2.0) + (steps - 1) * math.log(d_a + 1.0) - steps * math.log(1.0 + d_a * d_b)
 
 
-def step_collision_probability(n_system: int, n_bath: int, steps: int) -> float:
-    """Exact ensemble CP of the joint spatiotemporal distribution,
-    2 (d_A+1)^(t-1) / (1 + d_A d_B)^t, evaluated in log space."""
-    return math.exp(_log_step_cp(n_system, n_bath, steps))
-
-
 def hrcs_power_sum(n_system: int, n_bath: int, steps: int, order: int) -> float:
     """Ensemble-averaged K-th power sum of the joint distribution after t steps,
         K! d_A d_B^t [(d_A+K-1)!/(d_A-1)!]^(t-1) [(d_A d_B-1)!/(d_A d_B+K-1)!]^t.
     """
     d_a, d_b, steps = _dims(n_system, n_bath, steps)
-    if order < 2:
-        raise ConfigurationError(f"power-sum order must be >= 2, got {order}")
+    order = _count("power-sum order", order, 2)
     log_z = (
         math.log(math.factorial(order))
         + math.log(d_a)
@@ -83,10 +80,10 @@ def critical_steps(n_system: int, n_bath: int, epsilon: float, order: int) -> fl
         d_B/(d_B-1) (1/2 + 2 d_A ln(1+epsilon) / (K(K-1))).
     """
     d_a, d_b, _ = _dims(n_system, n_bath, 1)
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    if order < 2:
-        raise ConfigurationError(f"power-sum order must be >= 2, got {order}")
+    epsilon = _as_real("epsilon", epsilon)
+    if not 0.0 < epsilon <= sys.float_info.max:  # false for nan too
+        raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
+    order = _count("power-sum order", order, 2)
     return d_b / (d_b - 1.0) * (0.5 + 2.0 * d_a * math.log1p(epsilon) / (order * (order - 1)))
 
 
@@ -119,20 +116,6 @@ def marginal_cp_per_step(n_system: int, n_bath: int, steps: int) -> float:
         / ((d_a * d_a * d_b + 1.0) * (d_a + 1.0) * d_b)
     )
     return base + coeff * _decay_ratio(d_a, d_b) ** steps
-
-
-def porter_thomas_density(d: float, p) -> np.ndarray | float:
-    """Porter-Thomas probability-of-probability density (d-1)(1-p)^(d-2)."""
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0) or np.any(p_arr > 1):
-        raise ConfigurationError("probabilities must lie in [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_f = math.log(d - 1.0) + (d - 2.0) * np.log1p(-p_arr)
-    out = np.exp(log_f)
-    if d == 2.0:
-        # (d-2) * log(0) is indeterminate; the density is flat at 1 here
-        out = np.where(p_arr == 1.0, 1.0, out)
-    return out if out.shape else float(out)
 
 
 def porter_thomas_cdf(d: float, p) -> np.ndarray:
@@ -194,14 +177,14 @@ def noisy_xeb(n_system: int, n_bath: int, steps: int, gamma: float) -> float:
     leak = (1.0 - gamma) / d_a
     # fold the 4^N_B per-step outcome count into the matrix so the iteration
     # stays O(1) in magnitude; in plain floats, so no BLAS kernel's FMA moves it
-    scale = 4.0 ** n_bath
+    scale = d_b ** 2
     m00, m01 = scale * diag, scale * (diag * leak + off * gamma)
     m10, m11 = scale * (off * g_b), scale * ((off * leak + diag * gamma) * g_b)
     x, y = 1.0, g_b
     for _ in range(steps - 1):
         x, y = m00 * x + m01 * y, m10 * x + m11 * y
     closed = x + g_a * y
-    prefactor = (4.0 ** n_system) * (4.0 ** n_bath) / (d_a * d_b * (d_a * d_b + 1.0))
+    prefactor = d_a ** 2 * d_b ** 2 / (d_a * d_b * (d_a * d_b + 1.0))
     return prefactor * closed - 1.0
 
 
@@ -211,6 +194,7 @@ def noisy_xeb_asymptotic(n_system: int, n_bath: int, steps: int, gamma: float) -
     which is singular at gamma = 1.
     """
     d_a, d_b, steps = _dims(n_system, n_bath, steps)
+    gamma = _as_real("gamma", gamma)
     if not 0.0 < gamma < 1.0:
         raise ConfigurationError(
             f"asymptotic form is singular at gamma = 1 and needs gamma in (0, 1), got {gamma}"

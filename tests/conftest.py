@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,18 @@ def tensordot_step(amps: np.ndarray, entries: np.ndarray, n: int) -> np.ndarray:
     gate = entries.reshape((2,) * (2 * n))
     out = np.tensordot(gate, tensor, axes=(list(range(n, 2 * n)), list(range(1, n + 1))))
     return np.ascontiguousarray(np.moveaxis(out, range(n), range(1, n + 1))).reshape(rows, -1)
+
+
+def step_collision_probability(n_system: int, n_bath: int, steps: int) -> float:
+    """Exact ensemble CP of the joint spatiotemporal distribution,
+    2 (d_A+1)^(t-1) / (1 + d_A d_B)^t, as an exact rational rounded once."""
+    d_a, d_b = 2 ** n_system, 2 ** n_bath
+    return float(Fraction(2 * (d_a + 1) ** (steps - 1), (1 + d_a * d_b) ** steps))
+
+
+def porter_thomas_density(d: float, p):
+    """Porter-Thomas probability-of-probability density (d-1)(1-p)^(d-2)."""
+    return (d - 1.0) * (1.0 - np.asarray(p, dtype=float)) ** (d - 2.0)
 
 
 def noisy_xeb_oracle(n_system: int, n_bath: int, steps: int, gamma: float) -> float:

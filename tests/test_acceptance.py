@@ -27,7 +27,11 @@ from hrcslab.engine import derive_seed
 from hrcslab.estimators import ks_distance_to_porter_thomas
 from hrcslab.runner import ExperimentSpec, run_experiment, write_records
 
-from conftest import enumerate_noisy_joint_distribution, joint_indices
+from conftest import (
+    enumerate_noisy_joint_distribution,
+    joint_indices,
+    step_collision_probability,
+)
 
 
 def report(num: int, description: str, failures: list) -> None:
@@ -81,7 +85,7 @@ def test_criterion_02_power_sums_vs_step_formula(cp_ps_sweep):
     for n_a, n_b in ((1, 1), (2, 1), (3, 2), (6, 3)):
         for t in range(1, 9):
             ps = theory.hrcs_power_sum(n_a, n_b, t, 2)
-            cp = theory.step_collision_probability(n_a, n_b, t)
+            cp = step_collision_probability(n_a, n_b, t)
             if abs(ps / cp - 1) > 1e-12:
                 failures.append(("k2-analytic", n_a, n_b, t))
     report(2, "ensemble power sums K=3,4 within 3 SE; K=2 analytic to 1e-12", failures)

@@ -1,5 +1,5 @@
-"""Estimator tests: correctly rounded sums, power sums, XEB estimator, PoP
-histograms and KS calibration, TVD, and ensemble aggregation."""
+"""Estimator tests: correctly rounded sums, power sums, XEB estimator, KS
+calibration, TVD, and ensemble aggregation."""
 
 import math
 import tracemalloc
@@ -14,17 +14,14 @@ from hrcslab import (
     ensemble_aggregate,
     enumerate_joint_distribution,
     instantiate_circuit,
-    pop_histogram,
     power_sum_exact,
     sample_trajectories,
-    theory,
     tvd_exact,
     xeb_estimate,
 )
 from hrcslab.estimators import (
     EXACT_SUM_MAX_ENTRIES,
     FSUM_MAX_ENTRIES,
-    POP_BINS,
     exact_sum,
     ks_distance_to_porter_thomas,
 )
@@ -189,28 +186,6 @@ class TestXebEstimate:
             means.append(xeb_estimate(batch.model_probabilities, cfg.n_eff).mean)
         stats = ensemble_aggregate(means)
         assert abs(stats.mean - 0.92) < 4 * stats.std_error
-
-
-class TestPopHistogram:
-    def test_delta_lands_in_top_bins(self):
-        n_eff = 3
-        _, densities = pop_histogram(np.full(40, 1.0 / 2 ** n_eff * 30), n_eff)
-        nonzero = np.nonzero(densities)[0]
-        assert nonzero.size >= 1 and nonzero.min() > 10
-
-    def test_porter_thomas_integral_close_to_one(self, rng):
-        n_eff = 10
-        samples = porter_thomas_samples(2 ** n_eff, 50_000, rng)
-        edges, densities = pop_histogram(samples, n_eff)
-        assert abs(np.sum(densities * np.diff(edges)) - 1.0) < 0.02
-
-    def test_reference_curve_shape(self, rng):
-        # the Porter-Thomas curve at the bin centers, as the example script draws it
-        edges, densities = pop_histogram(porter_thomas_samples(2 ** 8, 5000, rng), 8)
-        assert edges.shape == (POP_BINS + 1,) and densities.shape == (POP_BINS,)
-        curve = theory.porter_thomas_density(2.0 ** 8, np.sqrt(edges[:-1] * edges[1:]))
-        assert curve.shape == densities.shape
-        assert np.all(curve >= 0)
 
 
 class TestKsCalibration:

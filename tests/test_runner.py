@@ -832,33 +832,36 @@ class TestRunExperiment:
 
 
 # each config's records sit in expected/ beside it, and each CI spec's in
-# ci/expected/.  The reset HEA xeb specs compile every step (4 columns, 200
+# ci/expected/; a config shipped without them fails.  neff200_xeb is the one
+# exception: its records sit in expected_slow/, and a CI step checks them
+# (about 8 s a run).  The reset HEA xeb specs compile every step (4 columns, 200
 # shots); without a reset the steps after the first keep their bath, so their
 # gates run on the register, split 3 + 3 and, on 5 qubits, 2 + 3.  The noisy
 # specs sample Pauli strings with a reset HEA step and with a kept Haar bath.
 # The two 5+5 noisy specs fan the one |0> row out to 20 shots at t = 1 and 2,
 # with a Haar isometry and with an HEA-8 step whose 32 columns outnumber the
 # shots, so its second step runs gates.  Those two and noisy_xeb_kept_bath
-# cover d_A = 32 and 8 (the shipped configs all have d_A = 4);
+# cover d_A = 32 and 8 (the shipped sampling configs all have d_A = 4);
 # noisy_xeb_kept_bath is the one spec between 5 and 7 qubits, on the per-step
 # Haar stream.  tvd pins each instance's Haar partner state beside its
 # enumerated distribution.  pop_hist pools enumerated distributions; its
 # density integral at t = 4 is 1263 of 1280.  ps_cap enumerates 2^22 outcomes at 2+1 and t = 20, the most
 # enumeration gives, so each power sum takes exact_sum's binned path at its
 # largest input.
-# expected_slow/ holds neff200_xeb's, which a CI step checks (about 8 s a run)
-GOLDEN = sorted((CONFIGS / "expected").iterdir()) + sorted((CONFIGS / "ci" / "expected").iterdir())
+SHIPPED = [path for path in sorted(CONFIGS.glob("*.json")) + sorted((CONFIGS / "ci").glob("*.json"))
+           if path.stem != "neff200_xeb"]
 
 
 @pytest.mark.parametrize(
-    "expected", GOLDEN, ids=lambda path: str(path.parent.parent.relative_to(CONFIGS) / path.stem)
+    "config", SHIPPED, ids=lambda path: str(path.relative_to(CONFIGS).with_suffix(""))
 )
-def test_shipped_config_reproduces_golden_records(expected, tmp_path):
+def test_shipped_config_reproduces_golden_records(config, tmp_path):
     # the bytes hold at any worker count on one BLAS kernel; across kernels
     # compare_records allows means, standard errors and theory values 1e-12
     # relative
-    spec = ExperimentSpec.from_json_file(str(expected.parent.parent / f"{expected.stem}.json"))
-    assert expected.suffix == f".{spec.format}"
+    spec = ExperimentSpec.from_json_file(str(config))
+    expected = config.parent / "expected" / f"{config.stem}.{spec.format}"
+    assert expected.is_file(), f"{config.name} ships without its golden records"
     runs = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}{expected.suffix}"
@@ -907,6 +910,11 @@ class TestDeterminism:
         monkeypatch.setattr(runner_mod, "_instance", no_work)
         with pytest.raises(ConfigurationError, match="workers"):
             run_experiment(cp_spec(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1.5, 2.0, "2", True])
+    def test_worker_count_not_an_integer_refused(self, workers):
+        with pytest.raises(ConfigurationError, match="workers must be an integer"):
+            run_experiment(cp_spec(instances=4), workers=workers)
 
     def test_worker_count_invariance(self):
         serial = run_experiment(cp_spec(), workers=1)

@@ -22,19 +22,21 @@ from hrcslab.theory import (
     noisy_xeb,
     noisy_xeb_asymptotic,
     porter_thomas_cdf,
-    porter_thomas_density,
-    step_collision_probability,
     tvd_upper_bound,
     tvd_upper_bound_asymptotic,
 )
 
-from conftest import enumerate_noisy_joint_distribution, noisy_xeb_oracle
+from conftest import (
+    enumerate_noisy_joint_distribution,
+    noisy_xeb_oracle,
+    porter_thomas_density,
+    step_collision_probability,
+)
 
 
 # every closed form of a register, as a function of (N_A, N_B, t); the
 # critical step count reads no t
 REGISTER_FORMS = {
-    "step_collision_probability": step_collision_probability,
     "tvd_upper_bound": tvd_upper_bound,
     "ideal_xeb": ideal_xeb,
     "hrcs_power_sum": lambda a, b, t: hrcs_power_sum(a, b, t, 3),
@@ -63,7 +65,39 @@ class TestRegisterArguments:
     def test_numpy_integers_give_the_int_value(self, name):
         # bitwise: a numpy t would move the bits of x ** t
         for args in ((1, 1, 1), (3, 2, 2), (5, 5, 5), (4, 7, 33)):
-            assert REGISTER_FORMS[name](*map(np.int64, args)) == REGISTER_FORMS[name](*args)
+            got = REGISTER_FORMS[name](*map(np.int64, args))
+            assert type(got) is float and got == REGISTER_FORMS[name](*args)
+
+    @pytest.mark.parametrize("form, args", [
+        (haar_power_sum, (2.5, 2)),
+        (haar_power_sum, (-3, 2)),
+        (haar_power_sum, (0, 2)),
+        (haar_power_sum, (2, True)),
+        (haar_power_sum, (2, 2.0)),
+        (hrcs_power_sum, (2, 1, 3, 2.5)),
+        (hrcs_power_sum, (2, 1, 3, "2")),
+        (critical_steps, (2, 1, 0.5, 2.5)),
+        (critical_steps, (2, 1, float("nan"), 2)),
+        (critical_steps, (2, 1, float("inf"), 2)),
+        (critical_steps, (2, 1, True, 2)),
+        (critical_steps, (2, 1, "0.5", 2)),
+        (noisy_xeb_asymptotic, (2, 1, 3, True)),
+        (noisy_xeb_asymptotic, (2, 1, 3, "0.5")),
+    ], ids=lambda v: v.__name__ if callable(v) else repr(v))
+    def test_order_epsilon_gamma_and_haar_register_refused(self, form, args):
+        with pytest.raises(ConfigurationError, match="must be"):
+            form(*args)
+
+    def test_numpy_orders_and_reals_give_python_floats(self):
+        cases = [
+            (haar_power_sum, (np.int64(3), np.int64(2)), (3, 2)),
+            (hrcs_power_sum, (2, 1, 3, np.int32(3)), (2, 1, 3, 3)),
+            (critical_steps, (2, 1, np.float32(0.5), np.int64(2)), (2, 1, 0.5, 2)),
+            (noisy_xeb_asymptotic, (2, 1, 3, np.float32(0.5)), (2, 1, 3, 0.5)),
+        ]
+        for form, numpy_args, args in cases:
+            got = form(*numpy_args)
+            assert type(got) is float and got == form(*args), form.__name__
 
 
 class TestHaarPowerSum:
