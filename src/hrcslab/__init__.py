@@ -21,7 +21,7 @@ from .estimators import (
     tvd_exact,
     xeb_estimate,
 )
-from .runner import ExperimentSpec, ResultRecord, run_experiment, write_records
+from .runner import ExperimentSpec, run_experiment, write_records
 from . import theory
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "ExperimentSpec",
     "HeaParams",
     "HrcsConfig",
-    "ResultRecord",
     "TrajectoryBatch",
     "ensemble_aggregate",
     "enumerate_joint_distribution",

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .engine import _as_int
 from .errors import ConfigurationError
 from .theory import porter_thomas_cdf
 
@@ -108,9 +109,18 @@ def exact_sum(values: Sequence[float] | np.ndarray) -> float:
 
 def power_sum_exact(dist: np.ndarray, order: int) -> float:
     """Sum of p^K over an exact distribution, correctly rounded."""
+    order = _as_int("power-sum order", order)
     if order < 1:
         raise ConfigurationError(f"power-sum order must be >= 1, got {order}")
     return exact_sum(np.asarray(dist, dtype=float) ** order)
+
+
+def _dimension(n_eff) -> float:
+    """2^n_eff as a double, for an integer n_eff in [0, XEB_MAX_BITS]."""
+    n_eff = _as_int("n_eff", n_eff)
+    if not 0 <= n_eff <= XEB_MAX_BITS:
+        raise ConfigurationError(f"n_eff must be in [0, {XEB_MAX_BITS}], got {n_eff}")
+    return 2.0 ** n_eff
 
 
 def xeb_estimate(ideal_probabilities: Sequence[float] | np.ndarray, n_eff: int) -> EnsembleStats:
@@ -123,7 +133,7 @@ def xeb_estimate(ideal_probabilities: Sequence[float] | np.ndarray, n_eff: int) 
     p = np.asarray(ideal_probabilities, dtype=float)
     if p.size == 0:
         raise ConfigurationError("cannot estimate XEB from zero samples")
-    return ensemble_aggregate((2.0 ** n_eff) * p - 1.0)
+    return ensemble_aggregate(_dimension(n_eff) * p - 1.0)
 
 
 def ks_distance_to_porter_thomas(values: Sequence[float] | np.ndarray, n_eff: int) -> float:
@@ -134,11 +144,12 @@ def ks_distance_to_porter_thomas(values: Sequence[float] | np.ndarray, n_eff: in
     gaps once the CDF is taken), the CDF, and the ECDF steps j/n, of which
     entries 1..n lie above each sorted value and 0..n-1 below it.
     """
+    d = _dimension(n_eff)
     vals = np.sort(np.asarray(values, dtype=float))
     n = vals.size
     if n == 0:
         raise ConfigurationError("cannot compute KS distance of zero values")
-    cdf = porter_thomas_cdf(2.0 ** n_eff, vals)
+    cdf = porter_thomas_cdf(d, vals)
     ecdf = np.arange(n + 1, dtype=float)
     ecdf /= n
     gap = np.subtract(ecdf[1:], cdf, out=vals)

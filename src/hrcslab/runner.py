@@ -191,9 +191,11 @@ KIND_TABLE = {
     "noisy_xeb": Kind("sample", _xeb, lambda s: (
         ("noisy_xeb_fidelity", None, THEORY["noisy_xeb_exact"], "noisy_xeb_exact"),),
         reads=CIRCUIT_READS + ("shots", "gammas")),
-    # the formula is its own measurement, one record per (t, gamma) and K
+    # the formula is its own measurement, one record per (t, gamma) and K; K
+    # is None for a family that reads no order
     "theory_table": Kind(None, None, lambda s: tuple(
-        (s.theory_family, k, THEORY[s.theory_family], s.theory_family) for k in s.k_orders),
+        (s.theory_family, k, THEORY[s.theory_family], s.theory_family)
+        for k in (s.k_orders if "k_orders" in s.reads else (None,))),
         reads=("theory_family",)),
     "reset_check": Kind("enumerate", _reset_pair, lambda s: tuple(
         (name, q, _HRCS, "hrcs_power_sum_exact") for name, q in (
@@ -328,10 +330,9 @@ class ExperimentSpec:
         unknown = set(doc) - {f.name for f in dataclasses.fields(cls)} - {"schema_version"}
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
-            )
+        version = doc.get("schema_version")  # the integer 1: not True, not 1.0
+        if version is None or _as_int("schema_version", version) != SCHEMA_VERSION:
+            raise ConfigurationError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
         missing = set(REQUIRED) - set(doc)
         if missing:
             raise ConfigurationError(f"missing config keys: {sorted(missing)}")
@@ -373,38 +374,6 @@ class ExperimentSpec:
         )
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One aggregated statistic at one parameter point."""
-
-    spec_hash: str
-    n_system: int
-    n_bath: int
-    steps: int
-    order: int | None
-    gamma: float | None
-    statistic: str
-    measured: estimators.EnsembleStats
-    theory_value: float
-    theory_source: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "spec_hash": self.spec_hash,
-            "n_A": self.n_system,
-            "n_B": self.n_bath,
-            "t": self.steps,
-            "K": self.order,
-            "gamma": self.gamma,
-            "statistic": self.statistic,
-            "count": self.measured.count,
-            "mean": self.measured.mean,
-            "std_error": self.measured.std_error,
-            "theory_value": self.theory_value,
-            "theory_source": self.theory_source,
-        }
-
-
 def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -425,7 +394,7 @@ def write_records(records, path: str, format: str = "jsonl") -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if format == "csv":
             fh.write(",".join(CSV_COLUMNS) + "\n")
-        for doc in (rec.to_json_dict() for rec in records):
+        for doc in records:
             fh.write((_json_line(doc) if format == "jsonl" else ",".join(
                 "" if v is None else _format_float(v) if isinstance(v, float) else str(v)
                 for v in map(doc.get, CSV_COLUMNS)
@@ -545,8 +514,9 @@ def _theory_value(spec: ExperimentSpec, t, k, gamma, formula, source: str) -> fl
     raise ConfigurationError(f"{source} at (t, K, gamma) = ({t}, {k}, {gamma}): {reason}")
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]:
-    """Execute one experiment spec and return records in parameter order."""
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
+    """Execute one experiment spec and return its records, in parameter
+    order, as the rows that ``write_records`` writes."""
     workers = _as_int("workers", workers)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -557,7 +527,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]
     kind = KIND_TABLE[spec.kind]
     spec_hash = spec.hash()
     statistics = kind.statistics(spec)
-    records: list[ResultRecord] = []
+    records = []
     for t, gamma in itertools.product(spec.steps, spec.gammas or (None,)):
         values = [
             _theory_value(spec, t, order, gamma, formula, source)
@@ -568,8 +538,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRecord]
         else:
             measured = kind.aggregate(spec, t, _run_instances(spec, t, gamma, workers))
         for (statistic, order, _, source), stats, value in zip(statistics, measured, values):
-            records.append(ResultRecord(
-                spec_hash, spec.n_system, spec.n_bath, t, order, gamma,
-                statistic, stats, value, source,
-            ))
+            records.append({
+                "spec_hash": spec_hash, "n_A": spec.n_system, "n_B": spec.n_bath, "t": t,
+                "K": order, "gamma": gamma, "statistic": statistic, **dataclasses.asdict(stats),
+                "theory_value": value, "theory_source": source,
+            })
     return records

@@ -61,26 +61,26 @@ def cp_ps_sweep():
 
 def test_criterion_01_collision_probability_vs_step_formula(cp_ps_sweep):
     failures = []
-    cp_records = [r for r in cp_ps_sweep if r.order == 2]
+    cp_records = [r for r in cp_ps_sweep if r["K"] == 2]
     assert len(cp_records) == 5
     for rec in cp_records:
-        target = theory.hrcs_power_sum(2, 1, rec.steps, 2)
-        z = (rec.measured.mean - target) / rec.measured.std_error
+        target = theory.hrcs_power_sum(2, 1, rec["t"], 2)
+        z = (rec["mean"] - target) / rec["std_error"]
         if abs(z) > 3:
-            failures.append((rec.steps, rec.measured.mean, target, z))
-    t2 = next(r for r in cp_records if r.steps == 2)
-    if abs(t2.theory_value - 10 / 81) > 1e-12:
-        failures.append(("t2 target", t2.theory_value))
+            failures.append((rec["t"], rec["mean"], target, z))
+    t2 = next(r for r in cp_records if r["t"] == 2)
+    if abs(t2["theory_value"] - 10 / 81) > 1e-12:
+        failures.append(("t2 target", t2["theory_value"]))
     report(1, "ensemble CP within 3 SE of the exact step formula, t=1..5", failures)
 
 
 def test_criterion_02_power_sums_vs_step_formula(cp_ps_sweep):
     failures = []
-    for rec in (r for r in cp_ps_sweep if r.order in (3, 4)):
-        target = theory.hrcs_power_sum(2, 1, rec.steps, rec.order)
-        z = (rec.measured.mean - target) / rec.measured.std_error
+    for rec in (r for r in cp_ps_sweep if r["K"] in (3, 4)):
+        target = theory.hrcs_power_sum(2, 1, rec["t"], rec["K"])
+        z = (rec["mean"] - target) / rec["std_error"]
         if abs(z) > 3:
-            failures.append((rec.steps, rec.order, z))
+            failures.append((rec["t"], rec["K"], z))
     # analytic route: the K=2 power sum equals the CP closed form to 1e-12
     for n_a, n_b in ((1, 1), (2, 1), (3, 2), (6, 3)):
         for t in range(1, 9):
@@ -117,9 +117,9 @@ def test_criterion_04_marginal_collision_probabilities():
             master_seed=411 + n_bath,
         )
         for rec in run_experiment(spec):
-            z = (rec.measured.mean - rec.theory_value) / rec.measured.std_error
+            z = (rec["mean"] - rec["theory_value"]) / rec["std_error"]
             if abs(z) > 3:
-                failures.append((n_bath, rec.steps, rec.statistic, z))
+                failures.append((n_bath, rec["t"], rec["statistic"], z))
     # step-index independence: the k-th step marginal at total steps T=4
     # matches the single-step formula evaluated at k
     cfg = HrcsConfig(n_system=2, n_bath=1, steps=4, master_seed=271)
@@ -146,16 +146,16 @@ def test_criterion_05_reset_invariance():
         instances=200,
         master_seed=5150,
     )
-    records = {r.statistic: r for r in run_experiment(spec)}
+    records = {r["statistic"]: r for r in run_experiment(spec)}
     failures = []
     for reset_stat, plain_stat in (
         ("collision_probability_reset", "collision_probability_no_reset"),
         ("power_sum_reset", "power_sum_no_reset"),
     ):
-        a, b = records[reset_stat].measured, records[plain_stat].measured
-        combined = math.hypot(a.std_error, b.std_error)
-        if abs(a.mean - b.mean) > 3 * combined:
-            failures.append((reset_stat, a.mean, b.mean))
+        a, b = records[reset_stat], records[plain_stat]
+        combined = math.hypot(a["std_error"], b["std_error"])
+        if abs(a["mean"] - b["mean"]) > 3 * combined:
+            failures.append((reset_stat, a["mean"], b["mean"]))
     report(5, "ensemble CP and K=3 power sum agree with reset on/off (3 SE)", failures)
 
 
@@ -204,9 +204,9 @@ def test_criterion_07_noisy_oracle_chain():
         master_seed=7070,
     )
     for rec in run_experiment(spec):
-        z = (rec.measured.mean - rec.theory_value) / rec.measured.std_error
+        z = (rec["mean"] - rec["theory_value"]) / rec["std_error"]
         if abs(z) > 4:
-            failures.append(("xeb", rec.steps, z))
+            failures.append(("xeb", rec["t"], z))
     report(7, f"Pauli/density-oracle L1={l1:.4f} <= 0.02; noisy XEB within 4 SE", failures)
 
 

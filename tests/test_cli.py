@@ -127,7 +127,7 @@ def test_overflowing_formula_reported(tmp_path, capsys, family):
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith(f"error: {family} at (t, K, gamma) = (20000, 2, ")
+    assert line.startswith(f"error: {family} at (t, K, gamma) = (20000, None, ")
 
 
 NO_SCIPY_RUN = """

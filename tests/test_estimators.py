@@ -22,6 +22,7 @@ from hrcslab import (
 from hrcslab.estimators import (
     EXACT_SUM_MAX_ENTRIES,
     FSUM_MAX_ENTRIES,
+    XEB_MAX_BITS,
     exact_sum,
     ks_distance_to_porter_thomas,
 )
@@ -219,6 +220,23 @@ class TestTvd:
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             tvd_exact(np.ones(4) / 4, np.ones(8) / 8)
+
+
+@pytest.mark.parametrize("estimate, bad", [
+    pytest.param(estimate, bad, id=f"{estimate.__name__}-{bad!r}")
+    for estimate in (power_sum_exact, xeb_estimate, ks_distance_to_porter_thomas)
+    for bad in (2.5, True, "2", np.float64(3.0))
+    + (() if estimate is power_sum_exact else (-1, XEB_MAX_BITS + 1))
+])
+def test_order_and_n_eff_must_be_integers(estimate, bad):
+    # a float or bool order or n_eff was read as the number it equals, "2"
+    # raised TypeError, an n_eff whose 2^n_eff no double holds raised
+    # OverflowError, and a negative one scored a dimension below 1; a numpy
+    # integer is its int
+    p = np.array([0.5, 0.25, 0.25])
+    assert estimate(p, np.int64(3)) == estimate(p, 3)
+    with pytest.raises(ConfigurationError, match="order|n_eff"):
+        estimate(p, bad)
 
 
 class TestAggregation:

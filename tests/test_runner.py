@@ -2,6 +2,7 @@
 equivalence, record layout, and file formats."""
 
 import ast
+import csv
 import dataclasses
 import hashlib
 import importlib
@@ -23,6 +24,7 @@ from hrcslab import CapacityError, ConfigurationError
 from hrcslab.engine import instance_seed, instantiate_circuit
 from hrcslab.runner import (
     CSV_COLUMNS,
+    EXPERIMENT_KINDS,
     FAMILY_READS,
     KIND_TABLE,
     THEORY_FAMILIES,
@@ -92,6 +94,12 @@ class TestSpecParsing:
     def test_wrong_schema_version_rejected(self):
         with pytest.raises(ConfigurationError, match="schema_version"):
             ExperimentSpec.from_json_dict(spec_doc(schema_version=2))
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_schema_version_other_than_the_integer_1_rejected(self, version):
+        # True and 1.0 equal 1, and were read as it
+        with pytest.raises(ConfigurationError, match="schema_version"):
+            ExperimentSpec.from_json_dict(spec_doc(schema_version=version))
 
     def test_missing_required_keys_rejected(self):
         doc = spec_doc()
@@ -305,8 +313,7 @@ class TestSpecIdentity:
         spec, numpy_spec = (ExperimentSpec(**doc, reset_bath=v) for v in (value, np.bool_(value)))
         assert type(numpy_spec.reset_bath) is bool
         assert numpy_spec == spec and numpy_spec.hash() == spec.hash()
-        assert [r.to_json_dict() for r in run_experiment(numpy_spec)] == \
-            [r.to_json_dict() for r in run_experiment(spec)]
+        assert run_experiment(numpy_spec) == run_experiment(spec)
         for bad in (np.int64(0), 1, "false"):
             with pytest.raises(ConfigurationError, match="reset_bath must be a bool"):
                 ExperimentSpec(**doc, reset_bath=bad)
@@ -317,8 +324,7 @@ class TestSpecIdentity:
         spec = cp_spec(**table, epsilon=whole)
         assert type(spec.epsilon) is float
         assert spec.hash() == cp_spec(**table, epsilon=2.0).hash()
-        assert [r.to_json_dict() for r in run_experiment(spec)] == \
-            [r.to_json_dict() for r in run_experiment(cp_spec(**table, epsilon=2.0))]
+        assert run_experiment(spec) == run_experiment(cp_spec(**table, epsilon=2.0))
         with pytest.raises(ConfigurationError, match="epsilon"):  # no double holds it
             cp_spec(**table, epsilon=2 ** 1024)
 
@@ -338,8 +344,7 @@ class TestSpecIdentity:
         assert type(numpy_spec.n_system) is int and type(numpy_spec.steps[0]) is int
         assert numpy_spec == spec and hash(numpy_spec) == hash(spec)
         assert numpy_spec.hash() == spec.hash()
-        assert [r.to_json_dict() for r in run_experiment(numpy_spec)] == \
-            [r.to_json_dict() for r in run_experiment(spec)]
+        assert run_experiment(numpy_spec) == run_experiment(spec)
         for name in ("n_system", "steps"):
             with pytest.raises(ConfigurationError, match="must be an integer"):
                 ExperimentSpec(**{**doc, name: [True] if name == "steps" else True})
@@ -662,39 +667,39 @@ class TestRunExperiment:
     def test_cp_sweep_record_layout(self):
         records = run_experiment(cp_spec())
         assert len(records) == 2
-        assert [r.steps for r in records] == [1, 2]
+        assert [r["t"] for r in records] == [1, 2]
         for rec in records:
-            assert rec.statistic == "collision_probability"
-            assert rec.theory_source == "hrcs_power_sum_exact"
-            assert rec.measured.count == 25
-            target = theory.hrcs_power_sum(2, 1, rec.steps, 2)
-            assert rec.theory_value == pytest.approx(target, rel=1e-12)
-            assert abs(rec.measured.mean - target) < 4 * rec.measured.std_error
+            assert rec["statistic"] == "collision_probability"
+            assert rec["theory_source"] == "hrcs_power_sum_exact"
+            assert rec["count"] == 25
+            target = theory.hrcs_power_sum(2, 1, rec["t"], 2)
+            assert rec["theory_value"] == pytest.approx(target, rel=1e-12)
+            assert abs(rec["mean"] - target) < 4 * rec["std_error"]
 
     def test_ps_sweep_shares_instances_across_orders(self):
         spec = cp_spec(kind="ps_sweep", k_orders=(2, 3), steps=(2,))
         records = run_experiment(spec)
-        assert [r.order for r in records] == [2, 3]
+        assert [r["K"] for r in records] == [2, 3]
         cp_records = run_experiment(cp_spec(steps=(2,)))
-        assert records[0].measured.mean == pytest.approx(
-            cp_records[0].measured.mean, rel=1e-12
+        assert records[0]["mean"] == pytest.approx(
+            cp_records[0]["mean"], rel=1e-12
         )
 
     def test_marginal_sweep_statistics(self):
         spec = cp_spec(kind="marginal_sweep", steps=(1,), instances=40)
         records = run_experiment(spec)
-        assert [r.statistic for r in records] == [
+        assert [r["statistic"] for r in records] == [
             "marginal_cp_spatial",
             "marginal_cp_temporal",
             "marginal_cp_per_step",
         ]
         for rec in records:
-            assert abs(rec.measured.mean - rec.theory_value) < 4 * rec.measured.std_error
+            assert abs(rec["mean"] - rec["theory_value"]) < 4 * rec["std_error"]
 
     def test_reset_check_records(self):
         spec = cp_spec(kind="reset_check", steps=(2,), instances=30)
         records = run_experiment(spec)
-        stats = [r.statistic for r in records]
+        stats = [r["statistic"] for r in records]
         assert stats == [
             "collision_probability_reset",
             "collision_probability_no_reset",
@@ -712,10 +717,10 @@ class TestRunExperiment:
             theory_family="hrcs_power_sum",
         )
         records = run_experiment(spec)
-        assert [r.measured.mean for r in records] == [
+        assert [r["mean"] for r in records] == [
             theory.hrcs_power_sum(2, 1, t, 2) for t in (1, 2, 3)
         ]
-        assert all(r.measured.std_error == 0.0 for r in records)
+        assert all(r["std_error"] == 0.0 for r in records)
 
     @pytest.mark.parametrize("family", THEORY_FAMILIES)
     def test_theory_table_family_matches_direct_call(self, family):
@@ -726,17 +731,18 @@ class TestRunExperiment:
             epsilon=0.5 if family == "critical_steps" else 1.0, theory_family=family,
         )
         (rec,) = run_experiment(spec)
-        assert rec.theory_source == family
-        assert rec.measured.mean == rec.theory_value == DIRECT_THEORY[family]()
+        assert rec["theory_source"] == family
+        assert rec["mean"] == rec["theory_value"] == DIRECT_THEORY[family]()
 
     def test_theory_table_record_order(self):
         # points run t-major over gammas, and each point lists one row per
-        # k_orders entry; no family reads both, so either order is the list's
+        # k_orders entry; no family reads both, so either order is the list's.
+        # A family that reads no order writes K as None
         spec = ExperimentSpec(
             kind="theory_table", n_system=2, n_bath=1, steps=(3, 1), k_orders=(2, 3, 5),
             epsilon=0.5, theory_family="critical_steps",
         )
-        got = [(r.steps, r.order, r.gamma, r.measured.mean, r.theory_value)
+        got = [(r["t"], r["K"], r["gamma"], r["mean"], r["theory_value"])
                for r in run_experiment(spec)]
         assert got == [(t, k, None, v, v) for t in (3, 1) for k in (2, 3, 5)
                        for v in [theory.critical_steps(2, 1, 0.5, k)]]
@@ -744,9 +750,9 @@ class TestRunExperiment:
             kind="theory_table", n_system=2, n_bath=1, steps=(3, 1), gammas=(0.7, 0.2),
             theory_family="noisy_xeb_exact",
         )
-        got = [(r.steps, r.order, r.gamma, r.measured.mean, r.theory_value)
+        got = [(r["t"], r["K"], r["gamma"], r["mean"], r["theory_value"])
                for r in run_experiment(spec)]
-        assert got == [(t, 2, g, v, v) for t in (3, 1) for g in (0.7, 0.2)
+        assert got == [(t, None, g, v, v) for t in (3, 1) for g in (0.7, 0.2)
                        for v in [theory.noisy_xeb(2, 1, t, g)]]
 
     @pytest.mark.parametrize(
@@ -764,7 +770,7 @@ class TestRunExperiment:
             kind="theory_table", n_system=1, n_bath=1, steps=(20000,),
             gammas=(gamma,) if gamma else (), theory_family=family,
         )
-        point = rf"\(t, K, gamma\) = \(20000, 2, {gamma}\)"
+        point = rf"\(t, K, gamma\) = \(20000, None, {gamma}\)"
         with pytest.raises(ConfigurationError, match=rf"{family} at {point}.*{reason}"):
             run_experiment(spec)
 
@@ -772,12 +778,12 @@ class TestRunExperiment:
         spec = cp_spec(kind="tvd", steps=(1, 2), instances=20)
         records = run_experiment(spec)
         for rec in records:
-            assert rec.measured.mean <= rec.theory_value
+            assert rec["mean"] <= rec["theory_value"]
 
     def test_xeb_small_run(self):
         spec = cp_spec(kind="xeb", steps=(1,), instances=30, shots=400)
         rec = run_experiment(spec)[0]
-        assert abs(rec.measured.mean - rec.theory_value) < 4 * rec.measured.std_error
+        assert abs(rec["mean"] - rec["theory_value"]) < 4 * rec["std_error"]
 
     def test_noisy_xeb_small_run(self):
         spec = cp_spec(
@@ -785,19 +791,19 @@ class TestRunExperiment:
         )
         records = run_experiment(spec)
         for rec in records:
-            assert rec.gamma == 0.7
-            assert rec.theory_source == "noisy_xeb_exact"
-            assert abs(rec.measured.mean - rec.theory_value) < 4 * rec.measured.std_error
+            assert rec["gamma"] == 0.7
+            assert rec["theory_source"] == "noisy_xeb_exact"
+            assert abs(rec["mean"] - rec["theory_value"]) < 4 * rec["std_error"]
 
     def test_pop_hist_reports_ks_and_integral(self):
         spec = ExperimentSpec(
             kind="pop_hist", n_system=2, n_bath=1, steps=(2,), instances=40, master_seed=1
         )
         ks_rec, int_rec = run_experiment(spec)
-        assert ks_rec.statistic == "pop_ks_to_porter_thomas"
-        assert 0.0 <= ks_rec.measured.mean < 0.2
-        assert int_rec.statistic == "pop_density_integral"
-        assert int_rec.measured.mean == pytest.approx(1.0, abs=0.05)
+        assert ks_rec["statistic"] == "pop_ks_to_porter_thomas"
+        assert 0.0 <= ks_rec["mean"] < 0.2
+        assert int_rec["statistic"] == "pop_density_integral"
+        assert int_rec["mean"] == pytest.approx(1.0, abs=0.05)
 
     @pytest.mark.parametrize("n_system, n_bath, t", [(1, 1, 2), (2, 1, 2), (4, 5, 2)])
     def test_pop_density_integral_theory_is_porter_thomas_range_mass(self, n_system, n_bath, t):
@@ -809,8 +815,8 @@ class TestRunExperiment:
         _, int_rec = run_experiment(spec)
         d = 2.0 ** (n_system + t * n_bath)
         mass = (1 - 1e-2 / d) ** (d - 1) - (1 - min(50 / d, 1)) ** (d - 1)
-        assert int_rec.theory_source == "porter_thomas_density"
-        assert int_rec.theory_value == pytest.approx(mass, rel=1e-12)
+        assert int_rec["theory_source"] == "porter_thomas_density"
+        assert int_rec["theory_value"] == pytest.approx(mass, rel=1e-12)
 
     @pytest.mark.parametrize(
         "kind", [kind for kind, entry in KIND_TABLE.items() if entry.measure is not None]
@@ -900,7 +906,7 @@ class TestDeterminism:
     def test_rerun_identical(self):
         a = run_experiment(cp_spec())
         b = run_experiment(cp_spec())
-        assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+        assert a == b
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_refused(self, workers, monkeypatch):
@@ -919,17 +925,26 @@ class TestDeterminism:
     def test_worker_count_invariance(self):
         serial = run_experiment(cp_spec(), workers=1)
         parallel = run_experiment(cp_spec(), workers=3)
-        assert [r.to_json_dict() for r in serial] == [r.to_json_dict() for r in parallel]
+        assert serial == parallel
 
     def test_seed_changes_measurements(self):
         a = run_experiment(cp_spec())
         b = run_experiment(cp_spec(master_seed=100))
-        assert a[0].measured.mean != b[0].measured.mean
+        assert a[0]["mean"] != b[0]["mean"]
 
     def test_adding_parameter_points_keeps_existing_instances(self):
         short = run_experiment(cp_spec(steps=(1,)))
         longer = run_experiment(cp_spec(steps=(1, 2)))
-        assert short[0].measured.mean == pytest.approx(longer[0].measured.mean, rel=1e-15)
+        assert short[0]["mean"] == pytest.approx(longer[0]["mean"], rel=1e-15)
+
+
+# the fields each kind needs beside cp_spec's, at one step and three instances
+TINY = {
+    "ps_sweep": dict(k_orders=(2, 3)),
+    "xeb": dict(shots=20),
+    "noisy_xeb": dict(shots=20, gammas=(0.7,)),
+    "theory_table": dict(theory_family="noisy_xeb_exact", gammas=(0.7, 0.2)),
+}
 
 
 class TestWriteRecords:
@@ -943,23 +958,32 @@ class TestWriteRecords:
         write_records([], str(path), "jsonl")
         assert path.read_text() == ""
 
-    def test_jsonl_round_trip(self, tmp_path):
-        records = run_experiment(cp_spec(instances=5))
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_jsonl_round_trip(self, kind, tmp_path):
+        # the rows run_experiment returns are the JSONL lines, and their
+        # CSV_COLUMNS projection is the CSV
+        records = run_experiment(cp_spec(kind=kind, steps=(1,), instances=3, **TINY.get(kind, {})))
+        assert records
         path = tmp_path / "out.jsonl"
         write_records(records, str(path), "jsonl")
         lines = path.read_text().splitlines()
-        assert len(lines) == len(records)
-        for rec, line in zip(records, lines):
-            parsed = json.loads(line)
-            assert parsed == json.loads(json.dumps(rec.to_json_dict()))
-            assert list(parsed) == sorted(parsed)
+        assert [json.loads(line) for line in lines] == records
+        assert all(list(json.loads(line)) == sorted(json.loads(line)) for line in lines)
+        path = tmp_path / "out.csv"
+        write_records(records, str(path), "csv")
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == list(CSV_COLUMNS)
+        assert [[None if cell == "" else type(rec[c])(cell) for c, cell in zip(CSV_COLUMNS, row)]
+                for rec, row in zip(records, table[1:], strict=True)] == \
+            [[rec[c] for c in CSV_COLUMNS] for rec in records]
 
     def test_jsonl_floats_have_17_significant_digits(self, tmp_path):
         records = run_experiment(cp_spec(instances=5))
         path = tmp_path / "out.jsonl"
         write_records(records, str(path), "jsonl")
         parsed = json.loads(path.read_text().splitlines()[0])
-        assert parsed["mean"] == records[0].measured.mean  # lossless round trip
+        assert parsed["mean"] == records[0]["mean"]  # lossless round trip
 
     def test_csv_column_order(self, tmp_path):
         records = run_experiment(cp_spec(instances=5))
@@ -1038,7 +1062,7 @@ import json, sys
 from hrcslab.runner import ExperimentSpec, run_experiment
 for doc in json.loads(sys.argv[1]):
     for rec in run_experiment(ExperimentSpec(**doc)):
-        print(json.dumps(rec.to_json_dict()))
+        print(json.dumps(rec))
 """
 
 
