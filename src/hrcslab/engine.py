@@ -16,7 +16,10 @@ an HEA step compiled to the columns it reaches, is one matrix product; an
 HEA step with a kept bath, or with more columns than rows, runs layer by
 layer.  This is decided at every step, so an HEA first step runs its gates
 on the one row, and a later step compiles once the shots, or the tree level,
-number at least its columns.  A step is either a complex 2^n x c array, the
+number at least its columns.  Replay knows each row's block before the step
+runs, so from 4 system qubits up a step that is one product multiplies each
+row only by the d_A x d_A block that maps its bath block to the recorded
+one (``_replay_step``).  A step is either a complex 2^n x c array, the
 first c columns of a unitary, or the ``HeaParams`` of an HEA step;
 ``_check_steps`` refuses an array of any other shape, and an HEA step on
 another register, before a step runs.
@@ -50,6 +53,9 @@ from .errors import CapacityError, ConfigurationError, DegenerateBranchError
 
 TRAJECTORY_MAX_QUBITS = 24
 ENUMERATION_MAX_BITS = 22
+# replay computes only each shot's recorded bath block from this many system
+# qubits up (``_replay_step``)
+FORCED_BLOCK_QUBITS = 4
 
 UNITARY_SOURCES = ("haar", "hea")
 
@@ -212,12 +218,54 @@ def _propagate(
     ``_weights`` reads either layout as it lies.
     """
     rows, d_sys = picked.shape
+    if _runs_gates(step, bath, rows, d_sys):
+        return apply_hea_batch(_keep_branch(picked, bath, d_bath), step)
     if isinstance(step, HeaParams):
-        if bath is not None or d_sys > rows:
-            return apply_hea_batch(_keep_branch(picked, bath, d_bath), step)
         step = step_matrix(step, d_sys)
     amps = picked if bath is None else _keep_branch(picked, bath, d_bath)
     return np.dot(step[:, :amps.shape[1]], amps.T).T
+
+
+def _runs_gates(step: StepUnitary, bath: np.ndarray | None, rows: int, d_sys: int) -> bool:
+    """Whether the step kernel runs an HEA step layer by layer on the
+    register rather than as a product with its compiled columns: with a kept
+    bath, or with more columns than rows."""
+    return isinstance(step, HeaParams) and (bath is not None or d_sys > rows)
+
+
+def _replay_step(
+    picked: np.ndarray, bath: np.ndarray | None, step: StepUnitary, z: np.ndarray, d_bath: int
+) -> np.ndarray:
+    """Replay's step: each row's system block after the step, at the bath
+    outcome z it recorded, unnormalized.  ``bath`` is the bath block the
+    row sits in before it, None when every bath reads 0.
+
+    From ``FORCED_BLOCK_QUBITS`` system qubits up, a step with more than one
+    row that is one product (a dense step, or an HEA step compiled to its
+    columns) multiplies each row only by the d_A x d_A block of the step
+    that maps its bath block to z: its rows of block z and its columns of
+    the block it sits in.  Rows are grouped by that block, so each group is
+    one product, and written back in row order.  The full product costs d_B
+    times the multiply-adds with a reset, and d_B^2 times with a kept bath.
+    Below the split, and where an HEA step runs gate by gate, each row's
+    block z is read from the full product (``_propagate``).
+    """
+    rows, d_sys = picked.shape
+    if rows < 2 or d_sys < 1 << FORCED_BLOCK_QUBITS or _runs_gates(step, bath, rows, d_sys):
+        blocks = _propagate(picked, bath, step, d_bath).reshape(rows, d_bath, d_sys)
+        return blocks[0 if rows == 1 else np.arange(rows), z]  # one row fans out
+    if isinstance(step, HeaParams):
+        step = step_matrix(step, d_sys)
+    group = z.astype(np.int64) * d_bath + (0 if bath is None else bath)
+    order = np.argsort(group, kind="stable")
+    group, ordered = group[order], picked[order]
+    starts = [*np.flatnonzero(np.diff(group, prepend=-1)), rows]
+    out = np.empty_like(picked)
+    for lo, hi in zip(starts, starts[1:]):
+        to, of = divmod(int(group[lo]), d_bath)
+        block = step[to * d_sys:(to + 1) * d_sys, of * d_sys:(of + 1) * d_sys]
+        out[order[lo:hi]] = np.dot(block, ordered[lo:hi].T).T
+    return out
 
 
 def _keep_branch(picked: np.ndarray, z: np.ndarray | None, d_bath: int) -> np.ndarray:
@@ -307,12 +355,16 @@ def _draw(
     return idx, p
 
 
-def _walk(config: HrcsConfig, unitaries: list[StepUnitary], keep) -> np.ndarray:
+def _walk(
+    config: HrcsConfig, unitaries: list[StepUnitary], keep=None, forced: np.ndarray | None = None
+) -> np.ndarray:
     """The step loop of every pure-state mode.  From one row of |0>, each step
     gives a (rows, d_B, d_A) register, in the step kernel's layout, and
     ``keep(k, blocks)`` returns the system blocks left by the bath
     measurement and their outcomes; the bath is carried or reset to 0.  At
-    k = 0 ``keep`` fans the one row out to as many rows as it keeps."""
+    k = 0 ``keep`` fans the one row out to as many rows as it keeps.
+    Replay passes its (rows, t) recorded bath outcomes as ``forced`` instead
+    of ``keep``: row i keeps block forced[i, k] (``_replay_step``)."""
     if config.n_qubits > TRAJECTORY_MAX_QUBITS:
         raise CapacityError(
             f"trajectory register of {config.n_qubits} qubits exceeds {TRAJECTORY_MAX_QUBITS}"
@@ -323,11 +375,14 @@ def _walk(config: HrcsConfig, unitaries: list[StepUnitary], keep) -> np.ndarray:
     picked[0, 0] = 1.0
     z = None
     for k, step in enumerate(unitaries):
-        blocks = _propagate(picked, z, step, d_bath).reshape(-1, d_bath, d_sys)
-        del picked  # free the consumed blocks before keep gathers the next
-        picked, z = keep(k, blocks)
+        if forced is not None:
+            picked, z = _replay_step(picked, z, step, forced[:, k], d_bath), forced[:, k]
+        else:
+            blocks = _propagate(picked, z, step, d_bath).reshape(-1, d_bath, d_sys)
+            del picked  # free the consumed blocks before keep gathers the next
+            picked, z = keep(k, blocks)
+            del blocks  # free this step's register before the next is built
         z = None if config.reset_bath else z
-        del blocks  # free this step's register before the next is built
     return picked
 
 
@@ -394,7 +449,19 @@ def ideal_probabilities_batch(
 
     Projections are applied without renormalizing, so each squared final
     amplitude is the full product of branch probabilities; an impossible
-    branch yields an exact 0.
+    branch yields an exact 0.  No random number is drawn.
+
+    The outcomes go through the walk as ``forced``: from
+    ``FORCED_BLOCK_QUBITS`` = 4 system qubits up, each step after the first
+    multiplies each path only by the d_A x d_A block of the step between
+    the bath block it sits in and the one it recorded (``_replay_step``).
+    Against the full product and select, per instance at t = 4 with Haar
+    steps and gamma = 0.7, that is 2.0x faster at 4+3, 1.9x at 5+2, 3.5x at
+    4+4, 3.7x at 4+3 with a kept bath and 8.6x at 5+5 with 1000 shots, and
+    0.96-3.5x with 200.  At 4+1, whose full product is only twice the work,
+    it loses 0.67-0.83x.  Below 4 system qubits it loses 0.29-0.66x at 200
+    shots, so there, and for an HEA step run gate by gate, each step is the
+    full product.  The two agree within 1.3e-14 relative.
     """
     bath, final = np.asarray(bath_outcomes), np.asarray(final_outcomes)
     # a (shots, 1) column of finals would index a (shots, shots) square
@@ -405,10 +472,8 @@ def ideal_probabilities_batch(
         raise ConfigurationError(f"outcomes must be integer (shots, {config.steps}) bath and "
                                  f"(shots,) final arrays in range, got {bath.shape} {bath.dtype} "
                                  f"and {final.shape} {final.dtype}")
-    rows = np.arange(final.size)
-    picked = _walk(config, unitaries, lambda k, blocks: (  # step 0 fans out the one row
-        blocks[rows if k else 0, bath[:, k], :], bath[:, k]))
-    return np.abs(picked[rows, final]) ** 2
+    picked = _walk(config, unitaries, forced=bath)
+    return np.abs(picked[np.arange(final.size), final]) ** 2
 
 
 def enumerate_joint_distribution(

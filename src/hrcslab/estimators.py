@@ -53,6 +53,8 @@ class EnsembleStats:
             raise ConfigurationError(f"need at least one value, got {self.count}")
         if not math.isfinite(self.mean):
             raise ConfigurationError(f"non-finite mean {self.mean}")
+        if not math.isfinite(self.std_error):
+            raise ConfigurationError(f"non-finite standard error {self.std_error}")
         if self.std_error < 0:
             raise ConfigurationError(f"negative standard error {self.std_error}")
 
@@ -62,10 +64,12 @@ def ensemble_aggregate(values: Sequence[float] | np.ndarray) -> EnsembleStats:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ConfigurationError("cannot aggregate an empty sequence")
-    mean = float(arr.mean())
-    if arr.size == 1:
-        return EnsembleStats(1, mean, 0.0)
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size))
+    # an overflow gives inf or nan, which EnsembleStats refuses by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(arr.mean())
+        if arr.size == 1:
+            return EnsembleStats(1, mean, 0.0)
+        se = float(arr.std(ddof=1) / math.sqrt(arr.size))
     return EnsembleStats(int(arr.size), mean, se)
 
 

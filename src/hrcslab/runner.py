@@ -209,12 +209,15 @@ KIND_TABLE = {
 EXPERIMENT_KINDS = tuple(KIND_TABLE)
 
 # (shots, 2^n) complex arrays an xeb or noisy_xeb instance holds at its peak,
-# replay included.  tracemalloc at t = 3 with 2000 shots (1000 at 5+5), xeb and
-# noisy_xeb at gamma = 0.7, steps included.  With a reset the peak is the
-# step's product beside its (d_B, shots) bath weights, summed with no copy of
-# the register: 1.2-1.3 with Haar and 4-layer HEA steps at 3+5 to 5+5, 1.3-1.5
-# at 6+2, and at 7+1, whose kept block is half a copy, 1.6-1.7 and 1.8-2.0
-# noisy (the Pauli gather index and signs).  Without a reset it is the rebuilt
+# replay included: from 4 system qubits up replay holds (shots, 2^n_A)
+# blocks, 0.10-0.20 copies at 4+4 and 5+5 (1.03-2.07 for the full product it
+# still runs below that and for HEA steps whose gates run on the register),
+# so the sampler sets the peak.  tracemalloc at t = 3 with 2000 shots (1000
+# at 5+5), xeb and noisy_xeb at gamma = 0.7, steps included.  With a reset
+# the peak is the step's product beside its (d_B, shots) bath weights, summed
+# with no copy of the register: 1.2-1.3 with Haar and 4-layer HEA steps at
+# 3+5 to 5+5, 1.3-1.5 at 6+2, and at 7+1, whose kept block is half a copy,
+# 1.6-1.7 and 1.8-2.0 noisy (the Pauli gather index and signs).  Without a reset it is the rebuilt
 # register, the product and the steps: 2.4-2.9 with Haar steps at 3+5 to 7+1,
 # and 2.1-2.6 where the HEA steps after the first run their layers on the
 # rebuilt register, at 2000 and at 200 shots; so too a reset HEA step compiled
@@ -241,6 +244,8 @@ HEA_ANGLE_TRANSIENT_COPIES = 1
 POP_HIST_LIVE_COPIES = 6
 
 CSV_COLUMNS = ("n_A", "n_B", "t", "K", "gamma", "statistic", "mean", "std_error", "theory_value")
+# the keys of every row run_experiment returns, and that write_records writes
+RECORD_KEYS = frozenset(CSV_COLUMNS + ("spec_hash", "count", "theory_source"))
 
 # the spec fields every config sets, and every spec_hash covers
 REQUIRED = ("kind", "n_system", "n_bath", "steps")
@@ -388,9 +393,19 @@ def _json_line(doc: dict) -> str:
 
 def write_records(records, path: str, format: str = "jsonl") -> None:
     """Persist records; JSONL has sorted keys and 17-significant-digit floats,
-    CSV uses the fixed column order documented in CSV_COLUMNS."""
+    CSV uses the fixed column order documented in CSV_COLUMNS.  A row whose
+    keys are not RECORD_KEYS is refused before the file is opened."""
     if format not in ("jsonl", "csv"):
         raise ConfigurationError(f"format must be jsonl or csv, got {format!r}")
+    records = list(records)
+    for doc in records:
+        keys = set(doc) if isinstance(doc, dict) else set()
+        if keys != RECORD_KEYS:
+            raise ConfigurationError(
+                f"a record is a dict of exactly the keys {sorted(RECORD_KEYS)}: got "
+                f"{type(doc).__name__} missing {sorted(RECORD_KEYS - keys)}, extra "
+                f"{sorted(keys - RECORD_KEYS, key=repr)}"
+            )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if format == "csv":
             fh.write(",".join(CSV_COLUMNS) + "\n")

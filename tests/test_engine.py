@@ -776,7 +776,11 @@ class TestCompiledHeaSteps:
             steps = instantiate_circuit(cfg, instance)
             compiled, compiled_replay, compiled_next = run(steps)
             with monkeypatch.context() as patch:
+                # at 5+5 replay multiplies by the compiled forced blocks and
+                # calls _propagate only on the first step's one row: with no
+                # forced blocks it replays through the gate kernel too
                 patch.setattr(engine_mod, "_propagate", gate_kernel_propagate)
+                patch.setattr(engine_mod, "FORCED_BLOCK_QUBITS", 64)
                 gates, gate_replay, gate_next = run(steps)
             np.testing.assert_array_equal(compiled.bath_outcomes, gates.bath_outcomes)
             np.testing.assert_array_equal(compiled.final_outcomes, gates.final_outcomes)
@@ -811,6 +815,116 @@ class TestCompiledHeaSteps:
         steps = instantiate_circuit(cfg, 0)
         monkeypatch.setattr(engine_mod, "apply_hea_batch", spy)
         sample_trajectories(cfg, steps, shots, 1.0, np.random.default_rng(0))
+        assert seen == rows
+
+
+def full_product_replay(config, unitaries, bath, final):
+    """Replay as one full product per step, each row's recorded block read
+    from it: the rule below ``FORCED_BLOCK_QUBITS``."""
+    rows = np.arange(len(final))
+    picked = engine_mod._walk(config, unitaries, lambda k, blocks: (
+        blocks[rows if k else 0, bath[:, k]], bath[:, k]))
+    return np.abs(picked[rows, final]) ** 2
+
+
+class TestForcedBlockReplay:
+    """From 4 system qubits up replay multiplies each shot only by the block
+    of the step that maps its bath block to its recorded outcome."""
+
+    @staticmethod
+    def noisy_paths(cfg, steps, shots):
+        batch = sample_trajectories(cfg, steps, shots, 0.7, np.random.default_rng(3))
+        return batch.bath_outcomes, batch.final_outcomes
+
+    @pytest.mark.parametrize("n_system, n_bath, reset, source, shots", [
+        (4, 3, True, "haar", 1000),
+        (5, 5, True, "haar", 1000),
+        (4, 3, False, "haar", 1000),  # the block of (z_k, z_k-1)
+        (5, 5, True, "hea", 64),  # HEA steps compiled to their 32 columns
+    ])
+    def test_matches_the_full_product(self, n_system, n_bath, reset, source, shots):
+        cfg = HrcsConfig(n_system=n_system, n_bath=n_bath, steps=3, reset_bath=reset,
+                         unitary_source=source, hea_layers=4 if source == "hea" else None,
+                         master_seed=2)
+        steps = instantiate_circuit(cfg, 0)
+        bath, final = self.noisy_paths(cfg, steps, shots)
+        forced = ideal_probabilities_batch(cfg, steps, bath, final)
+        full = full_product_replay(cfg, steps, bath, final)
+        assert np.all(full > 0)
+        np.testing.assert_allclose(forced, full, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("reset", [True, False])
+    def test_identity_steps_give_exact_zeros(self, reset):
+        # 64 paths at 4+1: only the all-zero one is possible
+        cfg = HrcsConfig(n_system=4, n_bath=1, steps=2, reset_bath=reset)
+        ideal = ideal_probabilities_batch(cfg, identity_steps(cfg), *all_paths(cfg))
+        assert ideal[0] == 1.0 and np.all(ideal[1:] == 0.0)
+
+    @pytest.mark.parametrize("reset", [True, False])
+    def test_interleaved_groups_keep_row_order(self, reset):
+        # shots of one block far apart and mixed with the others: row i is
+        # still path i, as each path replayed alone gives it
+        cfg = HrcsConfig(n_system=4, n_bath=2, steps=3, reset_bath=reset, master_seed=4)
+        steps = instantiate_circuit(cfg, 1)
+        bath = np.array([[3, 0, 2], [0, 1, 2], [3, 3, 0], [1, 0, 2], [0, 1, 2], [3, 0, 1],
+                         [2, 2, 2], [0, 0, 0], [3, 0, 2]])
+        final = np.array([5, 0, 15, 7, 9, 5, 1, 2, 5])
+        batch = ideal_probabilities_batch(cfg, steps, bath, final)
+        alone = [ideal_probabilities_batch(cfg, steps, bath[i:i + 1], final[i:i + 1])[0]
+                 for i in range(len(final))]
+        np.testing.assert_allclose(batch, alone, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(batch, full_product_replay(cfg, steps, bath, final),
+                                   rtol=1e-12, atol=0)
+        assert batch[0] == batch[8]  # the same path twice
+
+    @pytest.mark.parametrize("bath_dtype", [np.uint8, np.int64])
+    def test_narrow_outcome_dtype(self, bath_dtype):
+        # a uint8 outcome times d_B would wrap past 255 in the group key
+        cfg = HrcsConfig(n_system=4, n_bath=5, steps=2, reset_bath=False, master_seed=4)
+        steps = instantiate_circuit(cfg, 0)
+        bath, final = self.noisy_paths(cfg, steps, 300)
+        np.testing.assert_array_equal(
+            ideal_probabilities_batch(cfg, steps, bath.astype(bath_dtype), final),
+            ideal_probabilities_batch(cfg, steps, bath, final),
+        )
+
+    def test_zero_shots_give_an_empty_result(self):
+        cfg = HrcsConfig(n_system=4, n_bath=3, steps=3)
+        replay = ideal_probabilities_batch(cfg, instantiate_circuit(cfg, 0),
+                                           np.zeros((0, 3), dtype=np.int64),
+                                           np.zeros(0, dtype=np.int64))
+        assert replay.shape == (0,)
+
+    @pytest.mark.parametrize("n_system, n_bath", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("reset", [True, False])
+    def test_below_the_split_keeps_the_full_product_bits(self, n_system, n_bath, reset):
+        cfg = HrcsConfig(n_system=n_system, n_bath=n_bath, steps=3, reset_bath=reset,
+                         master_seed=6)
+        steps = instantiate_circuit(cfg, 0)
+        bath, final = self.noisy_paths(cfg, steps, 500)
+        np.testing.assert_array_equal(ideal_probabilities_batch(cfg, steps, bath, final),
+                                      full_product_replay(cfg, steps, bath, final))
+
+    @pytest.mark.parametrize("n_system, source, reset, rows", [
+        (3, "haar", True, [1, 40, 40]),  # below the split: full products
+        (4, "haar", True, [1]),  # forced blocks after the one-row first step
+        (4, "haar", False, [1]),
+        (5, "hea", True, [1]),  # 32 compiled columns for 40 rows
+        (5, "hea", False, [1, 40, 40]),  # a kept bath runs the gates
+    ])
+    def test_split_by_system_qubits(self, n_system, source, reset, rows, monkeypatch):
+        seen = []
+
+        def spy(picked, bath, step, d_bath, propagate=engine_mod._propagate):
+            seen.append(len(picked))
+            return propagate(picked, bath, step, d_bath)
+
+        cfg = HrcsConfig(n_system=n_system, n_bath=1, steps=3, reset_bath=reset,
+                         unitary_source=source, hea_layers=2 if source == "hea" else None)
+        steps = instantiate_circuit(cfg, 0)
+        bath, final = self.noisy_paths(cfg, steps, 40)
+        monkeypatch.setattr(engine_mod, "_propagate", spy)
+        ideal_probabilities_batch(cfg, steps, bath, final)
         assert seen == rows
 
 

@@ -252,3 +252,24 @@ class TestAggregation:
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             ensemble_aggregate([])
+
+    @pytest.mark.parametrize("mean, std_error, match", [
+        (math.nan, 0.1, "non-finite mean"),
+        (math.inf, 0.1, "non-finite mean"),
+        (0.5, math.inf, "non-finite standard error"),
+        (0.5, math.nan, "non-finite standard error"),
+        (0.5, -0.1, "negative standard error"),
+    ])
+    def test_rejects_non_finite_or_negative_stats(self, mean, std_error, match):
+        # a nan standard error passed the negative check, and inf is not JSON
+        with pytest.raises(ConfigurationError, match=match):
+            EnsembleStats(3, mean, std_error)
+
+    def test_xeb_whose_spread_overflows_is_refused(self):
+        # 2^1023 * p - 1 is finite, but the squared deviations overflow: the
+        # standard error came back inf
+        with pytest.raises(ConfigurationError, match="non-finite standard error"):
+            xeb_estimate([0.5, 0.25, 0.25], 1023)
+        # and a sum that overflows is refused as a non-finite mean, not warned of
+        with pytest.raises(ConfigurationError, match="non-finite mean"):
+            ensemble_aggregate([1e308, 1e308])

@@ -10,6 +10,7 @@ import itertools
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -994,6 +995,23 @@ class TestWriteRecords:
         first = lines[1].split(",")
         assert first[0] == "2" and first[1] == "1" and first[2] == "1"
         assert first[5] == "collision_probability"
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("change, named", [
+        (lambda rec: {"n_A": 1}, "missing ['K', 'count'"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "theory_source"},
+         "missing ['theory_source'], extra []"),
+        (lambda rec: {**rec, "wall_time_s": 0.5}, "missing [], extra ['wall_time_s']"),
+        (lambda rec: {**rec, 7: 0.5}, "missing [], extra [7]"),
+        (lambda rec: list(rec.items()), "got list"),
+    ], ids=["one-key", "missing", "extra", "int-key", "not-a-dict"])
+    def test_row_of_other_keys_refused(self, fmt, change, named, tmp_path):
+        # {"n_A": 1} was written as the CSV row 1,,,,,,,,; nothing is written
+        good = run_experiment(cp_spec(instances=3))
+        path = tmp_path / f"out.{fmt}"
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            write_records([*good, change(good[0])], str(path), fmt)
+        assert not path.exists()
 
     def test_byte_identical_files_across_runs_and_workers(self, tmp_path):
         paths = []
