@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _as_int
 
 TWO_TURNS = 4.0 * math.pi
 
@@ -56,10 +56,7 @@ class HeaParams:
 
 def sample_hea_params(n_qubits: int, layers: int, rng: np.random.Generator) -> HeaParams:
     """Draw 2*L*N independent angles uniform on [0, 4*pi)."""
-    if n_qubits < 2:
-        raise ConfigurationError(f"ansatz needs at least 2 qubits, got {n_qubits}")
-    if layers < 1:
-        raise ConfigurationError(f"ansatz needs at least 1 layer, got {layers}")
+    n_qubits, layers = _as_int("n_qubits", n_qubits, 2), _as_int("layers", layers, 1)
     thetas = rng.uniform(0.0, TWO_TURNS, size=(layers, n_qubits))
     phis = rng.uniform(0.0, TWO_TURNS, size=(layers, n_qubits))
     return HeaParams(thetas, phis)
@@ -80,6 +77,7 @@ def hea_gate_count(n_qubits: int, layers: int) -> int:
     counts of transpiled runs (e.g. 8 layers on 10 qubits give 72 CNOTs and
     232 gates per step).
     """
+    n_qubits, layers = _as_int("n_qubits", n_qubits, 2), _as_int("layers", layers, 1)
     return layers * (2 * n_qubits + len(brickwork_pairs(n_qubits)))
 
 

@@ -6,7 +6,8 @@ Usage:
 
 The config file is a JSON experiment spec (see README for the schema); CLI
 flags override the matching spec fields.  Exit code 0 on success, 1 with a
-diagnostic on stderr otherwise.
+diagnostic on stderr when the spec is refused or a run fails, and 2 with a
+usage message (argparse's) when the command line itself is wrong.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ import ctypes
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import _as_int
 
 PROB_FLOOR = 1e-300
 
@@ -100,12 +100,9 @@ def sample_haar_unitary(
     unitary's first c columns are the c-column isometry drawn from the same
     generator.  The two draw rules are those of the module docstring.
     """
-    if dim < 2:
-        raise ConfigurationError(f"haar sampling needs dim >= 2, got {dim}")
-    cols = dim if columns is None else columns
-    if not 1 <= cols <= dim:
-        raise ConfigurationError(f"haar sampling needs 1 <= columns <= {dim}, got {cols}")
-    steps = 1 if count is None else count
+    dim = _as_int("dim", dim, 2)
+    cols = dim if columns is None else _as_int("columns", columns, 1, dim)
+    steps = 1 if count is None else _as_int("count", count, 1)
     if dim >= HAAR_COLUMNS_DIM:
         # (steps, cols, dim) complex normals, each column contiguous, seen as
         # the (steps, dim, cols) stack they are columns of
@@ -131,5 +128,6 @@ def _phase_fixed_qr(ginibre: np.ndarray) -> np.ndarray:
 
 def sample_haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Amplitudes of a Haar-random pure state (normalized complex Gaussian vector)."""
+    dim = _as_int("dim", dim, 1)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

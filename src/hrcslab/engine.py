@@ -42,14 +42,20 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import HeaParams, apply_hea_batch, sample_hea_params
 from .core import HAAR_COLUMNS_DIM, PROB_FLOOR, sample_haar_unitary
-from .errors import CapacityError, ConfigurationError, DegenerateBranchError
+from .errors import (
+    CapacityError,
+    ConfigurationError,
+    DegenerateBranchError,
+    _as_bool,
+    _as_int,
+    _check_gamma,
+)
 
 TRAJECTORY_MAX_QUBITS = 24
 ENUMERATION_MAX_BITS = 22
@@ -83,22 +89,16 @@ class HrcsConfig:
 
     def __post_init__(self):
         # derive_seed hashes repr, so np.int64(3) would seed another circuit than 3
-        for name in ("n_system", "n_bath", "steps", "hea_layers", "master_seed"):
-            value = getattr(self, name)
-            if value is not None or name != "hea_layers":
-                object.__setattr__(self, name, _as_int(name, value))
+        for name, least in (("n_system", 1), ("n_bath", 1), ("steps", 1), ("master_seed", None)):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), least))
         object.__setattr__(self, "reset_bath", _as_bool("reset_bath", self.reset_bath))
-        if self.n_system < 1 or self.n_bath < 1:
-            raise ConfigurationError("system and bath need at least one qubit each")
-        if self.steps < 1:
-            raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
         if self.unitary_source not in UNITARY_SOURCES:
             raise ConfigurationError(
                 f"unitary_source must be one of {UNITARY_SOURCES}, got {self.unitary_source!r}"
             )
-        if self.unitary_source == "hea" and (self.hea_layers is None or self.hea_layers < 1):
-            raise ConfigurationError("hea source needs hea_layers >= 1")
-        if self.unitary_source == "haar" and self.hea_layers is not None:
+        if self.unitary_source == "hea":
+            object.__setattr__(self, "hea_layers", _as_int("hea_layers", self.hea_layers, 1))
+        elif self.hea_layers is not None:
             # instance_seed hashes hea_layers: a stray value would redraw every circuit
             raise ConfigurationError("hea_layers applies only to the hea source")
 
@@ -109,31 +109,6 @@ class HrcsConfig:
     @property
     def n_eff(self) -> int:
         return self.n_system + self.steps * self.n_bath
-
-
-def _as_int(name: str, value) -> int:
-    """A Python int or numpy integer as an int; a bool, float or other type
-    is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_real(name: str, value) -> float:
-    """A Python or numpy integer or float as the float it equals; a bool,
-    another type, or an int that no double holds is refused."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or isinstance(value, int) and abs(value) > sys.float_info.max):
-        raise ConfigurationError(f"{name} must be a number that a double holds, got {value!r}")
-    return float(value)
-
-
-def _as_bool(name: str, value) -> bool:
-    """A bool or numpy bool as a bool; a truthy "false" or 0 would pick the
-    other circuit, so any other type is refused."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ConfigurationError(f"{name} must be a bool, got {value!r}")
-    return bool(value)
 
 
 def instance_seed(config: HrcsConfig, instance_index: int) -> int:
@@ -405,9 +380,7 @@ def sample_trajectories(
     shots give an empty batch.
     """
     gamma = _check_gamma("gamma", gamma)
-    n_shots = _as_int("n_shots", n_shots)
-    if n_shots < 0:
-        raise ConfigurationError(f"n_shots must be >= 0, got {n_shots}")
+    n_shots = _as_int("n_shots", n_shots, 0)
     d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
     rows = np.arange(n_shots)
     bath_outcomes = np.zeros((n_shots, config.steps), dtype=np.int64)
@@ -521,9 +494,7 @@ def marginalize(
         return shaped.sum(axis=t).reshape(-1)
     if kind == "per_step":
         # a float step would match no axis and sum them all
-        step = _as_int("per_step step index", step)
-        if not 1 <= step <= t:
-            raise ConfigurationError(f"per_step needs a step index in [1, {t}], got {step}")
+        step = _as_int("per_step step index", step, 1, t)
         axes = tuple(a for a in range(t + 1) if a != step - 1)
         return shaped.sum(axis=axes)
     raise ConfigurationError(f"unknown marginal kind {kind!r}")
@@ -547,15 +518,6 @@ def replay_no_reset_equivalence(
         dataclasses.replace(config, reset_bath=False), unitaries
     )
     return with_reset, without_reset
-
-
-def _check_gamma(name: str, value) -> float:
-    """A noise strength as its float (``_as_real``), refused outside [0, 1];
-    -0.0 comes back as 0.0, so that it hashes and seeds as the same channel."""
-    gamma = _as_real(name, value)
-    if not 0.0 <= gamma <= 1.0:  # false for nan too
-        raise ConfigurationError(f"{name} must lie in [0, 1], got {gamma}")
-    return gamma + 0.0
 
 
 def _check_steps(config: HrcsConfig, unitaries: list[StepUnitary]) -> None:

@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import _as_int
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _as_int
 from .theory import porter_thomas_cdf
 
 # pop_hist's density integral counts the probabilities in [1e-2/D, 50/D]
@@ -49,8 +48,7 @@ class EnsembleStats:
     std_error: float
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigurationError(f"need at least one value, got {self.count}")
+        object.__setattr__(self, "count", _as_int("count", self.count, 1))
         if not math.isfinite(self.mean):
             raise ConfigurationError(f"non-finite mean {self.mean}")
         if not math.isfinite(self.std_error):
@@ -113,18 +111,8 @@ def exact_sum(values: Sequence[float] | np.ndarray) -> float:
 
 def power_sum_exact(dist: np.ndarray, order: int) -> float:
     """Sum of p^K over an exact distribution, correctly rounded."""
-    order = _as_int("power-sum order", order)
-    if order < 1:
-        raise ConfigurationError(f"power-sum order must be >= 1, got {order}")
+    order = _as_int("power-sum order", order, 1)
     return exact_sum(np.asarray(dist, dtype=float) ** order)
-
-
-def _dimension(n_eff) -> float:
-    """2^n_eff as a double, for an integer n_eff in [0, XEB_MAX_BITS]."""
-    n_eff = _as_int("n_eff", n_eff)
-    if not 0 <= n_eff <= XEB_MAX_BITS:
-        raise ConfigurationError(f"n_eff must be in [0, {XEB_MAX_BITS}], got {n_eff}")
-    return 2.0 ** n_eff
 
 
 def xeb_estimate(ideal_probabilities: Sequence[float] | np.ndarray, n_eff: int) -> EnsembleStats:
@@ -137,7 +125,7 @@ def xeb_estimate(ideal_probabilities: Sequence[float] | np.ndarray, n_eff: int) 
     p = np.asarray(ideal_probabilities, dtype=float)
     if p.size == 0:
         raise ConfigurationError("cannot estimate XEB from zero samples")
-    return ensemble_aggregate(_dimension(n_eff) * p - 1.0)
+    return ensemble_aggregate(2.0 ** _as_int("n_eff", n_eff, 0, XEB_MAX_BITS) * p - 1.0)
 
 
 def ks_distance_to_porter_thomas(values: Sequence[float] | np.ndarray, n_eff: int) -> float:
@@ -148,7 +136,7 @@ def ks_distance_to_porter_thomas(values: Sequence[float] | np.ndarray, n_eff: in
     gaps once the CDF is taken), the CDF, and the ECDF steps j/n, of which
     entries 1..n lie above each sorted value and 0..n-1 below it.
     """
-    d = _dimension(n_eff)
+    d = 2.0 ** _as_int("n_eff", n_eff, 0, XEB_MAX_BITS)
     vals = np.sort(np.asarray(values, dtype=float))
     n = vals.size
     if n == 0:

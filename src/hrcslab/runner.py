@@ -28,10 +28,6 @@ from .engine import (
     ENUMERATION_MAX_BITS,
     TRAJECTORY_MAX_QUBITS,
     HrcsConfig,
-    _as_bool,
-    _as_int,
-    _as_real,
-    _check_gamma,
     derive_seed,
     enumerate_joint_distribution,
     ideal_probabilities_batch,
@@ -42,7 +38,7 @@ from .engine import (
     sample_trajectories,
 )
 from .core import HAAR_COLUMNS_DIM, sample_haar_state
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError, ConfigurationError, _as_bool, _as_int, _as_real, _check_gamma
 from .estimators import EnsembleStats
 
 SCHEMA_VERSION = 1
@@ -278,10 +274,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigurationError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
-        # the number and bool rules of engine: numpy values are stored as the
+        # the number and bool rules of errors: numpy values are stored as the
         # int, float or bool they equal, so they hash and seed as those do
-        for name in ("n_system", "n_bath", "instances", "shots", "master_seed"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        for name, least in (("n_system", None), ("n_bath", None), ("instances", 1),
+                            ("shots", 1), ("master_seed", None)):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), least))
         if self.hea_layers is not None:
             object.__setattr__(self, "hea_layers", _as_int("hea_layers", self.hea_layers))
         object.__setattr__(self, "reset_bath", _as_bool("reset_bath", self.reset_bath))
@@ -293,8 +290,6 @@ class ExperimentSpec:
             if len(set(values)) < len(values):  # its records would be written twice
                 raise ConfigurationError(f"{name} repeats an entry: {values!r}")
             object.__setattr__(self, name, values)
-        if self.instances < 1 or self.shots < 1:
-            raise ConfigurationError("instances and shots must be >= 1")
         if not self.steps:
             raise ConfigurationError("steps list is empty")
         self.config_for(min(self.steps))  # register sizes, steps >= 1, unitary source
@@ -532,9 +527,7 @@ def _theory_value(spec: ExperimentSpec, t, k, gamma, formula, source: str) -> fl
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
     """Execute one experiment spec and return its records, in parameter
     order, as the rows that ``write_records`` writes."""
-    workers = _as_int("workers", workers)
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    workers = _as_int("workers", workers, 1)
     _check_capacity(spec, workers)
     # freeing one 16 MB block raises glibc's mmap threshold: later arrays up to
     # that size are reused from its heap, not mapped and page-faulted afresh

@@ -18,8 +18,10 @@ import sys
 
 import numpy as np
 
-from .engine import _as_int, _as_real, _check_gamma
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _as_int, _as_real, _check_gamma
+
+# the largest e for which 2^e and 2^-e are both normal doubles (1022)
+MAX_EXPONENT = 1 - sys.float_info.min_exp
 
 
 def _log_rising(x: float, k: int) -> float:
@@ -27,28 +29,24 @@ def _log_rising(x: float, k: int) -> float:
     return math.fsum(math.log(x + j) for j in range(k))
 
 
-def _count(name: str, value, least: int = 1) -> int:
-    """``value`` as an int (``engine._as_int``) of at least ``least``; a numpy
-    count would move the bits of ``x ** t``."""
-    count = _as_int(name, value)
-    if count < least:
-        raise ConfigurationError(f"{name} must be >= {least}, got {value}")
-    return count
-
-
 def haar_power_sum(n_qubits: int, order: int) -> float:
     """Ensemble-averaged K-th power sum of the outcome distribution of a
     Haar-random N-qubit state: K! d!/(d+K-1)! with d = 2^N."""
-    d = 2.0 ** _count("n_qubits", n_qubits)
-    order = _count("power-sum order", order)
+    d = 2.0 ** _as_int("n_qubits", n_qubits, 1, MAX_EXPONENT)
+    order = _as_int("power-sum order", order, 1)
     log_z = math.log(math.factorial(order)) - _log_rising(d + 1, order - 1)
     return math.exp(log_z)
 
 
-def _dims(n_system: int, n_bath: int, steps: int) -> tuple[float, float, int]:
-    """(2^N_A, 2^N_B, t), each count a ``_count``."""
-    d_a, d_b = 2.0 ** _count("n_system", n_system), 2.0 ** _count("n_bath", n_bath)
-    return d_a, d_b, _count("steps", steps)
+def _dims(n_system: int, n_bath: int, steps: int, power: int = 1) -> tuple[float, float, int]:
+    """(2^N_A, 2^N_B, t), each count an integer of at least 1.  A form that
+    multiplies up to ``power`` register dimensions 2^(N_A+N_B) needs each such
+    product, and its reciprocal, to be a normal double, so the register may
+    hold at most MAX_EXPONENT // power qubits; past that the products overflow
+    to inf and the form returns a wrong finite value or nan."""
+    n_system, n_bath = _as_int("n_system", n_system, 1), _as_int("n_bath", n_bath, 1)
+    _as_int("n_system + n_bath", n_system + n_bath, 2, MAX_EXPONENT // power)
+    return 2.0 ** n_system, 2.0 ** n_bath, _as_int("steps", steps, 1)
 
 
 def _log_step_cp(n_system: int, n_bath: int, steps: int) -> float:
@@ -63,7 +61,7 @@ def hrcs_power_sum(n_system: int, n_bath: int, steps: int, order: int) -> float:
         K! d_A d_B^t [(d_A+K-1)!/(d_A-1)!]^(t-1) [(d_A d_B-1)!/(d_A d_B+K-1)!]^t.
     """
     d_a, d_b, steps = _dims(n_system, n_bath, steps)
-    order = _count("power-sum order", order, 2)
+    order = _as_int("power-sum order", order, 2)
     log_z = (
         math.log(math.factorial(order))
         + math.log(d_a)
@@ -83,7 +81,7 @@ def critical_steps(n_system: int, n_bath: int, epsilon: float, order: int) -> fl
     epsilon = _as_real("epsilon", epsilon)
     if not 0.0 < epsilon <= sys.float_info.max:  # false for nan too
         raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
-    order = _count("power-sum order", order, 2)
+    order = _as_int("power-sum order", order, 2)
     return d_b / (d_b - 1.0) * (0.5 + 2.0 * d_a * math.log1p(epsilon) / (order * (order - 1)))
 
 
@@ -94,7 +92,7 @@ def _decay_ratio(d_a: float, d_b: float) -> float:
 def marginal_cp_spatial(n_system: int, n_bath: int, steps: int) -> float:
     """Exact ensemble CP of the spatial marginal of the joint distribution,
     the final system outcome."""
-    d_a, d_b, steps = _dims(n_system, n_bath, steps)
+    d_a, d_b, steps = _dims(n_system, n_bath, steps, 3)
     base = (d_a * d_b + 1.0) / (d_a * d_a * d_b + 1.0)
     coeff = (d_a - 1.0) * (d_a * d_b - 1.0) / ((d_a + 1.0) * (d_a * d_a * d_b + 1.0))
     return base + coeff * _decay_ratio(d_a, d_b) ** steps
@@ -109,7 +107,7 @@ def marginal_cp_temporal(n_system: int, n_bath: int, steps: int) -> float:
 
 def marginal_cp_per_step(n_system: int, n_bath: int, steps: int) -> float:
     """Exact ensemble CP of the bath outcome of step ``steps`` alone."""
-    d_a, d_b, steps = _dims(n_system, n_bath, steps)
+    d_a, d_b, steps = _dims(n_system, n_bath, steps, 3)
     base = (d_a * d_a + 1.0) / (d_a * d_a * d_b + 1.0)
     coeff = (
         d_a * (d_b - 1.0) * (d_a * d_b - 1.0)
@@ -158,7 +156,7 @@ def noisy_xeb(n_system: int, n_bath: int, steps: int, gamma: float) -> float:
     identity/swap coefficient pair; at gamma = 1 it is the symmetric
     noiseless recursion of the joint collision probability.
     """
-    d_a, d_b, steps = _dims(n_system, n_bath, steps)
+    d_a, d_b, steps = _dims(n_system, n_bath, steps, 3)
     gamma = _check_gamma("gamma", gamma)
     # One application of the matrix is one protocol step: the system
     # channel left over from the previous step, the step unitary average,

@@ -11,6 +11,7 @@ import pytest
 from hrcslab import CapacityError, ConfigurationError, HrcsConfig, engine, sample_haar_unitary
 from hrcslab.circuits import brickwork_pairs
 from hrcslab.engine import StepUnitary
+from hrcslab.errors import _check_gamma
 
 CONFIGS = Path(__file__).parent.parent / "scripts" / "configs"
 # scripts/ is not a package: its record comparison loads from its file
@@ -250,7 +251,7 @@ def enumerate_noisy_joint_distribution(
     Evolution is kept unnormalized: the diagonal entries surviving at the end
     of each forced branch are exactly the joint outcome probabilities.
     """
-    gamma = engine._check_gamma("gamma", gamma)
+    gamma = _check_gamma("gamma", gamma)
     if config.n_qubits > NOISY_ORACLE_MAX_QUBITS:
         raise CapacityError(
             f"density-matrix oracle limited to {NOISY_ORACLE_MAX_QUBITS} qubits, "

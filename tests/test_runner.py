@@ -775,6 +775,15 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match=rf"{family} at {point}.*{reason}"):
             run_experiment(spec)
 
+    @pytest.mark.parametrize("family", ["ideal_xeb", "tvd_bound_exact"])
+    def test_register_beyond_a_double_refused(self, family):
+        # at 600+600, 2^(N_A+N_B) is inf: ideal_xeb wrote -1.0 and
+        # tvd_bound_exact 0.0, where both are near 1 and 0.707
+        spec = ExperimentSpec(kind="theory_table", n_system=600, n_bath=600, steps=(3,),
+                              theory_family=family)
+        with pytest.raises(ConfigurationError, match=rf"{family} at .*n_system \+ n_bath"):
+            run_experiment(spec)
+
     def test_tvd_bounded_by_theory(self):
         spec = cp_spec(kind="tvd", steps=(1, 2), instances=20)
         records = run_experiment(spec)

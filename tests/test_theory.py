@@ -12,6 +12,7 @@ from scipy import integrate
 from hrcslab import ConfigurationError
 from hrcslab.estimators import ks_distance_to_porter_thomas
 from hrcslab.theory import (
+    MAX_EXPONENT,
     critical_steps,
     haar_power_sum,
     hrcs_power_sum,
@@ -47,6 +48,66 @@ REGISTER_FORMS = {
     "noisy_xeb": lambda a, b, t: noisy_xeb(a, b, t, 0.7),
     "noisy_xeb_asymptotic": lambda a, b, t: noisy_xeb_asymptotic(a, b, t, 0.7),
     "critical_steps": lambda a, b, t: critical_steps(a, b, 0.5, 3),
+}
+CUBIC_FORMS = ("marginal_cp_spatial", "marginal_cp_per_step", "noisy_xeb")
+
+
+def _rising(x: Fraction, k: int) -> Fraction:
+    return math.prod((x + j for j in range(k)), start=Fraction(1))
+
+
+def _exact_noisy_xeb(a: int, b: int, t: int, gamma: float) -> Fraction:
+    """noisy_xeb's transfer-matrix recursion in exact rationals: a check of
+    its rounding and range, not of the model (the oracles check that)."""
+    d_a, d_b, g = Fraction(2) ** a, Fraction(2) ** b, Fraction(gamma)
+    g_a, g_b = g + (1 - g) / d_a, g + (1 - g) / d_b
+    c = 1 / (d_b * (d_a * d_a * d_b * d_b - 1))
+    diag, off, leak = (d_a * d_a * d_b - 1) * c, d_a * (d_b - 1) * c, (1 - g) / d_a
+    m00, m01 = d_b ** 2 * diag, d_b ** 2 * (diag * leak + off * g)
+    m10, m11 = d_b ** 2 * off * g_b, d_b ** 2 * (off * leak + diag * g) * g_b
+    x, y = Fraction(1), g_b
+    for _ in range(t - 1):
+        x, y = m00 * x + m01 * y, m10 * x + m11 * y
+    return d_a * d_b / (d_a * d_b + 1) * (x + g_a * y) - 1
+
+
+def _exact_marginals(a: int, b: int, t: int) -> tuple[Fraction, Fraction]:
+    """The spatial and per-step marginal CPs in exact rationals."""
+    d_a, d_b = Fraction(2) ** a, Fraction(2) ** b
+    ratio = (d_a * d_a - 1) * d_b / (d_a * d_a * d_b * d_b - 1)
+    big = d_a * d_a * d_b + 1
+    spatial = (d_a * d_b + 1) / big + (d_a - 1) * (d_a * d_b - 1) / ((d_a + 1) * big) * ratio ** t
+    per_step = (d_a * d_a + 1) / big + (
+        d_a * (d_b - 1) * (d_a * d_b - 1) / (big * (d_a + 1) * d_b) * ratio ** t)
+    return spatial, per_step
+
+
+def _scaled_cp(a: int, b: int, t: int) -> Fraction:
+    """2^N_eff times the step CP 2 (d_A+1)^(t-1) / (1 + d_A d_B)^t."""
+    d_a, d_b = Fraction(2) ** a, Fraction(2) ** b
+    return d_a * d_b ** t * 2 * (d_a + 1) ** (t - 1) / (1 + d_a * d_b) ** t
+
+
+# REGISTER_FORMS in exact rationals, or as the double nearest a square root,
+# exponential or logarithm of one
+EXACT_FORMS = {
+    "tvd_upper_bound": lambda a, b, t: 0.5 * math.sqrt(_scaled_cp(a, b, t)),
+    "ideal_xeb": lambda a, b, t: _scaled_cp(a, b, t) - 1,
+    "hrcs_power_sum": lambda a, b, t: (
+        6 * Fraction(2) ** (a + t * b) * _rising(Fraction(2) ** a, 3) ** (t - 1)
+        / _rising(Fraction(2) ** (a + b), 3) ** t),
+    "marginal_cp_spatial": lambda a, b, t: _exact_marginals(a, b, t)[0],
+    "marginal_cp_temporal": lambda a, b, t: (
+        (Fraction(2) ** a + 1) / (Fraction(2) ** (a + b) + 1)) ** t,
+    "marginal_cp_per_step": lambda a, b, t: _exact_marginals(a, b, t)[1],
+    "tvd_upper_bound_asymptotic": lambda a, b, t: math.exp(
+        Fraction(t - 1, 2 ** (a + 1))) / math.sqrt(2),
+    "noisy_xeb": lambda a, b, t: _exact_noisy_xeb(a, b, t, 0.7),
+    "noisy_xeb_asymptotic": lambda a, b, t: (
+        Fraction(0.7) ** (2 * t) * (1 + (1 - Fraction(0.7)) * t / (Fraction(0.7) * 2 ** b))
+        + Fraction(0.7) / ((1 - Fraction(0.7)) * 2 ** a)),
+    "critical_steps": lambda a, b, t: Fraction(2 ** b, 2 ** b - 1) * (
+        Fraction(1, 2) + 2 * 2 ** a * Fraction(math.log1p(0.5)) / 6),
 }
 
 
@@ -87,6 +148,26 @@ class TestRegisterArguments:
     def test_order_epsilon_gamma_and_haar_register_refused(self, form, args):
         with pytest.raises(ConfigurationError, match="must be"):
             form(*args)
+
+    @pytest.mark.parametrize("a, b", [
+        (300, 300), (600, 600), (1000, 20), (20, 1000),
+        (170, 170), (1, 339), (339, 1), (511, 511), (1, 1021), (1021, 1)])
+    @pytest.mark.parametrize("name", REGISTER_FORMS)
+    def test_large_register_gives_the_exact_value_or_is_refused(self, name, a, b):
+        # 2^(N_A+N_B) products overflowed: ideal_xeb(600, 600, 3) gave -1.0,
+        # noisy_xeb(300, 300, 3, 0.7) nan; the three forms that multiply three
+        # register dimensions hold a third of the register of the others
+        limit = MAX_EXPONENT // (3 if name in CUBIC_FORMS else 1)
+        for t in (1, 2, 3):
+            if a + b > limit:
+                with pytest.raises(ConfigurationError,
+                                   match=rf"n_system \+ n_bath must be in \[2, {limit}\]"):
+                    REGISTER_FORMS[name](a, b, t)
+            else:
+                # abs: 4 steps of 2^-1074 for a value below the smallest normal
+                # double; rel: the log sums lose ~1e-12 at N_eff ~ 3000
+                assert REGISTER_FORMS[name](a, b, t) == pytest.approx(
+                    float(EXACT_FORMS[name](a, b, t)), rel=1e-11, abs=2e-323), t
 
     def test_numpy_orders_and_reals_give_python_floats(self):
         cases = [
