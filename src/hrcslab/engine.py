@@ -6,17 +6,20 @@ forced-outcome replay and exact enumeration of the joint outcome
 distribution.  The density-matrix oracle for the noisy variant lives in the
 tests, a separate recursion so that it checks them.  All three run one step
 loop, ``_walk``, from the one |0> row that every shot and branch shares: the
-sampler draws one bath block per row, replay keeps the recorded one, and
-enumeration keeps all of them as the next tree level, so at the first bath
-measurement the one row fans out to the shots, or to d_B branches.  Between
-steps the walk holds each row's kept system block, a (rows, 2^n_A) batch,
-and the bath block it sits in (0 after a reset).  Its kernel ``_propagate``
-turns that into the (rows, 2^n) state after the next step: a dense step, or
-an HEA step compiled to the columns it reaches, is one matrix product; an
-HEA step with a kept bath, or with more columns than rows, runs layer by
-layer.  This is decided at every step, so an HEA first step runs its gates
-on the one row, and a later step compiles once the shots, or the tree level,
-number at least its columns.  Replay knows each row's block before the step
+sampler draws one bath block per shot, replay keeps the recorded one, and
+enumeration keeps all of them as the next tree level.  So at the first bath
+measurement the one row fans out to the sampler's distinct paths (shots that
+keep the same block under the same Pauli strings share a row), to replay's
+shots, or to d_B branches; from the second bath measurement on, each shot
+has its own row.  Between steps the walk holds each row's kept system
+block, a (rows, 2^n_A) batch, and the bath block it sits in (0 after a
+reset).  Its kernel ``_propagate`` turns that into the (rows, 2^n) state
+after the next step: a dense step, or an HEA step compiled to the columns
+it reaches, is one matrix product; an HEA step with a kept bath, or with
+more columns than rows, runs layer by layer.  This is decided at every
+step, so an HEA first step runs its gates on the one row, and a later step
+compiles once its rows (distinct paths, shots or tree level) number at
+least its columns.  Replay knows each row's block before the step
 runs, so from 4 system qubits up a step that is one product multiplies each
 row only by the d_A x d_A block that maps its bath block to the recorded
 one (``_replay_step``).  A step is either a complex 2^n x c array, the
@@ -337,7 +340,8 @@ def _walk(
     gives a (rows, d_B, d_A) register, in the step kernel's layout, and
     ``keep(k, blocks)`` returns the system blocks left by the bath
     measurement and their outcomes; the bath is carried or reset to 0.  At
-    k = 0 ``keep`` fans the one row out to as many rows as it keeps.
+    k = 0 ``keep`` fans the one row out to as many rows as it keeps: the
+    sampler's distinct paths, or enumeration's d_B branches.
     Replay passes its (rows, t) recorded bath outcomes as ``forced`` instead
     of ``keep``: row i keeps block forced[i, k] (``_replay_step``)."""
     if config.n_qubits > TRAJECTORY_MAX_QUBITS:
@@ -369,44 +373,58 @@ def sample_trajectories(
     rng: np.random.Generator,
 ) -> TrajectoryBatch:
     """Sample n_shots protocol runs of the same circuit, all advanced as one batch.
-    They share the first step, which runs once on the one |0> row.
+    They share the first step, which runs once on the one |0> row.  What a
+    shot keeps from it is fixed by the bath block it reads, its system Pauli
+    string and, with a kept bath, its outcome, so the register holds one row
+    per distinct such path, not one per shot: at 5+5 with gamma = 0.7 and
+    1000 shots about 330 rows run the second step.  From the second bath
+    measurement on each shot has its own row.
 
     Depolarizing noise of strength ``gamma`` (1 is noiseless) draws, per
-    step, a Pauli string per row on the system, then one on the bath, then
-    the bath outcome.  The bath X mask f relabels the outcome: a row draws z
-    with the probability of its block z ^ f, keeps that block and carries z.
-    The system string acts on the kept block as X^flip Z^zmask, without its
-    global phase.  Model probabilities are those of the noisy paths.  Zero
-    shots give an empty batch.
+    step, a Pauli string per shot on the system, then one on the bath, then
+    the bath outcome.  The bath X mask f relabels the outcome: a shot draws z
+    with the probability of its row's block z ^ f, keeps that block and
+    carries z.  The system string acts on the kept block as X^flip Z^zmask,
+    without its global phase.  Model probabilities are those of the noisy
+    paths.  Zero shots give an empty batch.
     """
     gamma = _check_gamma("gamma", gamma)
     n_shots = _as_int("n_shots", n_shots, 0)
     d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
     rows = np.arange(n_shots)
+    row = np.zeros(n_shots, dtype=np.int64)  # each shot's row of the register
     bath_outcomes = np.zeros((n_shots, config.steps), dtype=np.int64)
     model_prob = np.ones(n_shots)
 
     def draw(k: int, blocks: np.ndarray):
+        nonlocal row
         flip_sys, zmask_sys = _random_paulis(n_shots, config.n_system, gamma, rng)
         flip_bath, _ = _random_paulis(n_shots, config.n_bath, gamma, rng)
-        # at k = 0 blocks holds the one row every shot starts from
-        row = rows if k else np.zeros_like(rows)
         # outcome z reads block z ^ flip of the shot's row
         probs = _weights(blocks)[np.arange(d_bath)[:, None] ^ flip_bath, row]
         z, p_z = _draw(probs, rng, "bath")
         model_prob[:] *= p_z
         bath_outcomes[:, k] = z
         src_bath = z ^ flip_bath
-        src_sys = np.arange(d_sys) if gamma == 1.0 else np.arange(d_sys) ^ flip_sys[:, None]
-        kept = blocks[row[:, None], src_bath[:, None], src_sys]
+        if k:  # every shot keeps its own row
+            shot, next_row = slice(None), rows
+        else:  # from the one row, a shot's block, strings and kept z fix what it keeps;
+            # the key has at most 2 * TRAJECTORY_MAX_QUBITS = 48 bits
+            key = src_bath if config.reset_bath else src_bath << config.n_bath | z
+            key = (key << config.n_system | flip_sys) << config.n_system | zmask_sys
+            _, shot, next_row = np.unique(key, return_index=True, return_inverse=True)
+        src_sys = np.arange(d_sys) if gamma == 1.0 else np.arange(d_sys) ^ flip_sys[shot, None]
+        kept = blocks[row[shot, None], src_bath[shot, None], src_sys]
         if gamma < 1.0:  # Z^zmask: the gather has spent src_sys, which takes the overlap
-            odd = np.bitwise_count(np.bitwise_and(src_sys, zmask_sys[:, None], out=src_sys)) % 2
+            odd = np.bitwise_count(
+                np.bitwise_and(src_sys, zmask_sys[shot, None], out=src_sys)) % 2
             np.negative(kept, out=kept, where=odd == 1)
-        kept /= np.sqrt(p_z)[:, None]
-        return kept, z
+        kept /= np.sqrt(p_z[shot])[:, None]
+        row = next_row
+        return kept, z[shot]
 
     picked = _walk(config, unitaries, draw)
-    x, p_x = _draw(_weights(picked[:, :, None]), rng, "final")
+    x, p_x = _draw(_weights(picked[:, :, None])[:, row], rng, "final")
     model_prob *= p_x
     return TrajectoryBatch(bath_outcomes, x, model_prob)
 

@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 from collections.abc import Callable
@@ -219,7 +218,11 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 # rebuilt register, at 2000 and at 200 shots; so too a reset HEA step compiled
 # to 2^n_A columns with 2^n_A shots, where those columns are one batch copy:
 # 2.1-2.2 at 7+3 and 8+4 and 2.5 at 9+1.  At t = 1 the walk is the one |0> row
-# fanned out to the shots: 0.1-0.7 at 3+5 to 6+2, 1.0-1.2 at 7+1 and 9+1
+# fanned out to the distinct paths, and the final draw gathers their weights
+# to the shots; replay still fans the row out to every shot: 0.04-0.36 at
+# 3+5 to 6+2 and 0.54-0.71 at 7+1 and 9+1 (steps drawn before the trace; one
+# row per shot read 0.08-0.53 and 1.04-1.05).  From t = 2 on the later steps
+# hold one row per shot, so the budget stays at 4
 SAMPLER_LIVE_COPIES = 4
 # copies of what one draw call factors (core's module docstring: all t whole
 # steps below HAAR_COLUMNS_DIM, one step's kept columns from it up) that
@@ -511,17 +514,13 @@ def _run_instances(spec: ExperimentSpec, t: int, gamma: float | None, workers: i
 
 
 def _theory_value(spec: ExperimentSpec, t, k, gamma, formula, source: str) -> float:
-    """One closed-form value; a formula that overflows or leaves its domain
-    at this point refuses the spec, naming the family and the point."""
+    """One closed-form value; a point where the formula leaves its domain,
+    or a double, refuses the spec, naming the family and the point."""
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            value = formula(spec.n_system, spec.n_bath, t, k, gamma, spec.epsilon)
-        if math.isfinite(value):
-            return value
-        reason = f"non-finite value {value}"
+        return formula(spec.n_system, spec.n_bath, t, k, gamma, spec.epsilon)
     except (ArithmeticError, ValueError) as exc:
-        reason = exc
-    raise ConfigurationError(f"{source} at (t, K, gamma) = ({t}, {k}, {gamma}): {reason}")
+        point = f"(t, K, gamma) = ({t}, {k}, {gamma})"
+        raise ConfigurationError(f"{source} at {point}: {exc}") from None
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:

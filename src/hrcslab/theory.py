@@ -8,11 +8,14 @@ the product route stays near machine epsilon.  Exponentiation happens last.
 Each closed form is its own function.  Where a large-dimension form sits
 beside an exact one, it is the exact one's name with ``_asymptotic``
 appended.  The noisy XEB forms take one per-step depolarizing strength
-gamma, applied to system and bath alike; gamma = 1 is noiseless.
+gamma, applied to system and bath alike; gamma = 1 is noiseless.  A form
+whose value at a point is too large for a double, or not a number, refuses
+that point (``_finite``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -24,11 +27,34 @@ from .errors import ConfigurationError, _as_int, _as_real, _check_gamma
 MAX_EXPONENT = 1 - sys.float_info.min_exp
 
 
+def _finite(form):
+    """The closed form ``form`` made to raise a ``ConfigurationError`` that
+    names it and its point where its value does not fit a double: where math
+    overflows, or the value comes out inf or nan.  A finite value passes as
+    it is."""
+
+    @functools.wraps(form)
+    def checked(*args, **kwargs):
+        try:
+            value = form(*args, **kwargs)
+        except OverflowError as exc:
+            reason = exc
+        else:
+            if math.isfinite(value):
+                return value
+            reason = f"non-finite value {value}"
+        point = ", ".join([*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())])
+        raise ConfigurationError(f"{form.__name__}({point}) does not fit a double: {reason}")
+
+    return checked
+
+
 def _log_rising(x: float, k: int) -> float:
     """log of x (x+1) ... (x+k-1); zero terms for k <= 0."""
     return math.fsum(math.log(x + j) for j in range(k))
 
 
+@_finite
 def haar_power_sum(n_qubits: int, order: int) -> float:
     """Ensemble-averaged K-th power sum of the outcome distribution of a
     Haar-random N-qubit state: K! d!/(d+K-1)! with d = 2^N."""
@@ -56,6 +82,7 @@ def _log_step_cp(n_system: int, n_bath: int, steps: int) -> float:
     return math.log(2.0) + (steps - 1) * math.log(d_a + 1.0) - steps * math.log(1.0 + d_a * d_b)
 
 
+@_finite
 def hrcs_power_sum(n_system: int, n_bath: int, steps: int, order: int) -> float:
     """Ensemble-averaged K-th power sum of the joint distribution after t steps,
         K! d_A d_B^t [(d_A+K-1)!/(d_A-1)!]^(t-1) [(d_A d_B-1)!/(d_A d_B+K-1)!]^t.
@@ -72,6 +99,7 @@ def hrcs_power_sum(n_system: int, n_bath: int, steps: int, order: int) -> float:
     return math.exp(log_z)
 
 
+@_finite
 def critical_steps(n_system: int, n_bath: int, epsilon: float, order: int) -> float:
     """Step count at which the joint K-th power sum stays within a factor
     (1+epsilon) of its Haar value,
@@ -89,6 +117,7 @@ def _decay_ratio(d_a: float, d_b: float) -> float:
     return (d_a * d_a - 1.0) * d_b / (d_a * d_a * d_b * d_b - 1.0)
 
 
+@_finite
 def marginal_cp_spatial(n_system: int, n_bath: int, steps: int) -> float:
     """Exact ensemble CP of the spatial marginal of the joint distribution,
     the final system outcome."""
@@ -98,6 +127,7 @@ def marginal_cp_spatial(n_system: int, n_bath: int, steps: int) -> float:
     return base + coeff * _decay_ratio(d_a, d_b) ** steps
 
 
+@_finite
 def marginal_cp_temporal(n_system: int, n_bath: int, steps: int) -> float:
     """Exact ensemble CP of the temporal marginal of the joint distribution,
     all bath outcomes, ((d_A+1)/(d_A d_B+1))^t."""
@@ -105,6 +135,7 @@ def marginal_cp_temporal(n_system: int, n_bath: int, steps: int) -> float:
     return math.exp(steps * (math.log(d_a + 1.0) - math.log(d_a * d_b + 1.0)))
 
 
+@_finite
 def marginal_cp_per_step(n_system: int, n_bath: int, steps: int) -> float:
     """Exact ensemble CP of the bath outcome of step ``steps`` alone."""
     d_a, d_b, steps = _dims(n_system, n_bath, steps, 3)
@@ -129,6 +160,7 @@ def porter_thomas_cdf(d: float, p) -> np.ndarray:
     return np.negative(cdf, out=cdf)[()]  # [()] turns a 0-d result into a scalar
 
 
+@_finite
 def tvd_upper_bound(n_system: int, n_bath: int, steps: int) -> float:
     """Bound on the total variation distance between the joint distribution
     and full sampling of an independent Haar state of matching dimension,
@@ -137,12 +169,14 @@ def tvd_upper_bound(n_system: int, n_bath: int, steps: int) -> float:
     return 0.5 * math.exp(0.5 * (log_z + (n_system + steps * n_bath) * math.log(2.0)))
 
 
+@_finite
 def tvd_upper_bound_asymptotic(n_system: int, n_bath: int, steps: int) -> float:
     """Large-dimension form of ``tvd_upper_bound``, exp((t-1)/(2 d_A)) / sqrt(2)."""
     d_a, _, steps = _dims(n_system, n_bath, steps)
     return math.exp((steps - 1) / (2.0 * d_a)) / math.sqrt(2.0)
 
 
+@_finite
 def ideal_xeb(n_system: int, n_bath: int, steps: int) -> float:
     """Noiseless cross-entropy benchmark fidelity, 2^N_eff * Z - 1, summed in
     log space so that it stays finite where Z alone underflows."""
@@ -150,6 +184,7 @@ def ideal_xeb(n_system: int, n_bath: int, steps: int) -> float:
     return math.expm1(log_z + (n_system + steps * n_bath) * math.log(2.0))
 
 
+@_finite
 def noisy_xeb(n_system: int, n_bath: int, steps: int, gamma: float) -> float:
     """Cross-entropy fidelity under per-step depolarizing noise of strength
     ``gamma`` on system and bath, by the 2x2 transfer-matrix recursion on the
@@ -186,6 +221,7 @@ def noisy_xeb(n_system: int, n_bath: int, steps: int, gamma: float) -> float:
     return prefactor * closed - 1.0
 
 
+@_finite
 def noisy_xeb_asymptotic(n_system: int, n_bath: int, steps: int, gamma: float) -> float:
     """Large-dimension form of ``noisy_xeb``,
         gamma^(2t) (1 + (1-gamma) t / (gamma d_B)) + gamma/((1-gamma) d_A),

@@ -164,6 +164,37 @@ def tensordot_step(amps: np.ndarray, entries: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, range(n), range(1, n + 1))).reshape(rows, -1)
 
 
+def per_shot_sampler(
+    config: HrcsConfig, unitaries: list[StepUnitary], n_shots: int, gamma: float,
+    rng: np.random.Generator,
+) -> engine.TrajectoryBatch:
+    """The trajectory sampler with one register row per shot from the first
+    bath measurement on: the one |0> row fans out to every shot, not to the
+    distinct paths.  It draws the same random numbers in the same order, so
+    its outcomes are the sampler's bit for bit."""
+    d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
+    rows = np.arange(n_shots)
+    bath_outcomes = np.zeros((n_shots, config.steps), dtype=np.int64)
+    model_prob = np.ones(n_shots)
+
+    def draw(k, blocks):
+        flip_sys, zmask_sys = engine._random_paulis(n_shots, config.n_system, gamma, rng)
+        flip_bath, _ = engine._random_paulis(n_shots, config.n_bath, gamma, rng)
+        row = rows if k else np.zeros_like(rows)  # at k = 0 the one row
+        probs = engine._weights(blocks)[np.arange(d_bath)[:, None] ^ flip_bath, row]
+        z, p_z = engine._draw(probs, rng, "bath")
+        model_prob[:] *= p_z
+        bath_outcomes[:, k] = z
+        src_sys = np.arange(d_sys) ^ flip_sys[:, None]
+        kept = blocks[row[:, None], (z ^ flip_bath)[:, None], src_sys]
+        odd = np.bitwise_count(src_sys & zmask_sys[:, None]) % 2 == 1
+        return np.where(odd, -kept, kept) / np.sqrt(p_z)[:, None], z
+
+    picked = engine._walk(config, unitaries, draw)
+    x, p_x = engine._draw(engine._weights(picked[:, :, None]), rng, "final")
+    return engine.TrajectoryBatch(bath_outcomes, x, model_prob * p_x)
+
+
 def step_collision_probability(n_system: int, n_bath: int, steps: int) -> float:
     """Exact ensemble CP of the joint spatiotemporal distribution,
     2 (d_A+1)^(t-1) / (1 + d_A d_B)^t, as an exact rational rounded once."""

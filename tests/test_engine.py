@@ -2,6 +2,7 @@
 oracle against each other and against the closed-form layer."""
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,7 @@ from conftest import (
     enumerate_noisy_joint_distribution,
     joint_indices,
     pauli_string_matrix,
+    per_shot_sampler,
     small_config,
     unitarity_defect,
     y_factor,
@@ -790,31 +792,40 @@ class TestCompiledHeaSteps:
             )
             np.testing.assert_allclose(compiled_replay, gate_replay, rtol=1e-12, atol=0)
 
-    # the first step runs its gates on the one |0> row every shot shares
-    @pytest.mark.parametrize("n_system, n_bath, reset, shots, rows", [
-        (5, 5, True, 16, [1, 16, 16]),  # 32 columns outnumber 16 shots: gates
-        (5, 5, True, 64, [1, 32, 32]),  # 32 columns compiled once per step
-        (5, 5, False, 64, [1, 64, 64]),  # a kept bath reaches all 1024 columns
+    # the first step runs its gates on the one |0> row every shot shares,
+    # the second on the distinct paths it fans out to, the third on the shots
+    @pytest.mark.parametrize("n_system, n_bath, reset, shots, layers, gamma, paths, rows", [
+        # 32 columns outnumber 4 paths and 16 shots: gates
+        (5, 5, True, 16, 1, 1.0, 4, [1, 4, 16]),
+        (5, 5, True, 64, 1, 1.0, 8, [1, 8, 32]),  # gates on 8 paths, then compiled
+        (5, 5, True, 64, 2, 0.7, 38, [1, 32, 32]),  # 32 columns compiled for 38 paths
+        (5, 5, False, 64, 1, 1.0, 8, [1, 8, 64]),  # a kept bath reaches all 1024 columns
         # a kept bath runs the gates even where its 32 columns fit the rows
-        (3, 2, False, 64, [1, 64, 64]),
+        (3, 2, False, 64, 4, 0.7, 32, [1, 32, 64]),
     ])
     def test_kernel_chosen_by_columns_and_rows(
-        self, n_system, n_bath, reset, shots, rows, monkeypatch
+        self, n_system, n_bath, reset, shots, layers, gamma, paths, rows, monkeypatch
     ):
         # the rows each apply_hea_batch call runs show which form a step took
-        seen = []
+        seen, propagated = [], []
 
         def spy(amps, params):
             seen.append(amps.shape[0])
             return apply_hea_batch(amps, params)
 
+        def spy_propagate(picked, bath, step, d_bath, propagate=engine_mod._propagate):
+            propagated.append(len(picked))
+            return propagate(picked, bath, step, d_bath)
+
         cfg = HrcsConfig(
             n_system=n_system, n_bath=n_bath, steps=3, reset_bath=reset,
-            unitary_source="hea", hea_layers=1, master_seed=7,
+            unitary_source="hea", hea_layers=layers, master_seed=7,
         )
         steps = instantiate_circuit(cfg, 0)
         monkeypatch.setattr(engine_mod, "apply_hea_batch", spy)
-        sample_trajectories(cfg, steps, shots, 1.0, np.random.default_rng(0))
+        monkeypatch.setattr(engine_mod, "_propagate", spy_propagate)
+        sample_trajectories(cfg, steps, shots, gamma, np.random.default_rng(0))
+        assert propagated == [1, paths, shots]
         assert seen == rows
 
 
@@ -984,8 +995,84 @@ class TestOneRowStart:
         }[mode]
         monkeypatch.setattr(engine_mod, "_propagate", spy)
         run()
-        # enumeration fans out to d_B = 2 branches per row, the others to the shots
-        assert seen == ([1, 2, 4] if mode == "enumerate" else [1, shots, shots])
+        # enumeration fans out to d_B = 2 branches per row, replay to the
+        # shots, and the sampler to its distinct paths (TestDistinctPaths)
+        if mode == "enumerate":
+            assert seen == [1, 2, 4]
+        elif mode == "replay":
+            assert seen == [1, shots, shots]
+        else:
+            assert seen[0] == 1 and 1 <= seen[1] <= shots and seen[2:] == [shots]
+
+
+@functools.lru_cache(maxsize=1)
+def three_step_circuit(n_system, n_bath, reset, source):
+    """A three-step circuit and its steps, drawn once for the parameter sets
+    that run in a row on it."""
+    cfg = HrcsConfig(n_system=n_system, n_bath=n_bath, steps=3, reset_bath=reset,
+                     unitary_source=source, hea_layers=2 if source == "hea" else None,
+                     master_seed=8)
+    return cfg, instantiate_circuit(cfg, 0)
+
+
+class TestDistinctPaths:
+    """At the first bath measurement the one |0> row fans out to the distinct
+    paths, not to every shot: shots that keep the same bath block under the
+    same system string, and with a kept bath the same outcome, share a row."""
+
+    # listed so that the parameter sets of one circuit run in a row
+    @pytest.mark.parametrize("shots", [0, 1, 7, 1000])
+    @pytest.mark.parametrize("gamma", [1.0, 0.7, 0.0])
+    @pytest.mark.parametrize("source", ["haar", "hea"])
+    @pytest.mark.parametrize("reset", [True, False])
+    @pytest.mark.parametrize("n_system, n_bath", [(1, 1), (2, 2), (3, 1), (5, 5)])
+    def test_matches_the_per_shot_sampler(self, n_system, n_bath, reset, source, gamma, shots):
+        cfg, steps = three_step_circuit(n_system, n_bath, reset, source)
+        # one step ends on the distinct paths' rows, three carry them on
+        for t in (1, 3):
+            runs = []
+            for sampler in (sample_trajectories, per_shot_sampler):
+                rng = np.random.default_rng(9)
+                runs.append((sampler(dataclasses.replace(cfg, steps=t), steps[:t], shots,
+                                     gamma, rng), rng.random(4)))
+            (got, got_next), (want, want_next) = runs
+            np.testing.assert_array_equal(got.bath_outcomes, want.bath_outcomes)
+            np.testing.assert_array_equal(got.final_outcomes, want.final_outcomes)
+            np.testing.assert_array_equal(got_next, want_next)
+            np.testing.assert_allclose(
+                got.model_probabilities, want.model_probabilities, rtol=1e-12, atol=0
+            )
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.7, 0.0])
+    @pytest.mark.parametrize("source", ["haar", "hea"])
+    @pytest.mark.parametrize("reset", [True, False])
+    @pytest.mark.parametrize("n_system, n_bath", [(1, 1), (2, 2), (3, 1), (5, 5)])
+    def test_second_step_runs_one_row_per_path(
+        self, n_system, n_bath, reset, source, gamma, monkeypatch
+    ):
+        seen, strings = [], []
+
+        def spy_propagate(picked, bath, step, d_bath, propagate=engine_mod._propagate):
+            seen.append(len(picked))
+            return propagate(picked, bath, step, d_bath)
+
+        def spy_paulis(rows, m, gamma, rng, paulis=engine_mod._random_paulis):
+            strings.append(paulis(rows, m, gamma, rng))
+            return strings[-1]
+
+        cfg, steps = three_step_circuit(n_system, n_bath, reset, source)
+        monkeypatch.setattr(engine_mod, "_propagate", spy_propagate)
+        monkeypatch.setattr(engine_mod, "_random_paulis", spy_paulis)
+        shots = 1000
+        batch = sample_trajectories(cfg, steps, shots, gamma, np.random.default_rng(9))
+        # the first step's system strings, then its bath strings
+        (flip_sys, zmask_sys), (flip_bath, _) = strings[:2]
+        z = batch.bath_outcomes[:, 0]
+        paths = set(zip((z ^ flip_bath).tolist(), (0 * z if reset else z).tolist(),
+                        flip_sys.tolist(), zmask_sys.tolist()))
+        assert seen == [1, len(paths), shots]
+        if gamma == 1.0:
+            assert len(paths) <= 1 << n_bath
 
 
 def _weights_in_defined_order(blocks):
@@ -1005,7 +1092,10 @@ class TestStepLayout:
     bath weights are sums in one defined order all the same."""
 
     def _second_step(self, cfg, monkeypatch, shots=1000):
-        """The second step's product and the bath weights drawn from it."""
+        """The second step's product, its (paths, d_B, d_A) blocks, the
+        (d_B, shots) bath weights drawn from it, and each shot's row of it.
+        Noiseless, a shot's path is its first bath outcome, so the rows are
+        the distinct first outcomes in increasing order."""
         products, bath_probs = [], []
 
         def spy_propagate(picked, bath, step, d_bath, propagate=engine_mod._propagate):
@@ -1019,34 +1109,37 @@ class TestStepLayout:
 
         monkeypatch.setattr(engine_mod, "_propagate", spy_propagate)
         monkeypatch.setattr(engine_mod, "_draw", spy_draw)
-        sample_trajectories(cfg, instantiate_circuit(cfg, 0), shots, 1.0,
-                            np.random.default_rng(0))
-        blocks = products[1].reshape(shots, 1 << cfg.n_bath, 1 << cfg.n_system)
-        return products[1], blocks, bath_probs[1]
+        batch = sample_trajectories(cfg, instantiate_circuit(cfg, 0), shots, 1.0,
+                                    np.random.default_rng(0))
+        _, row = np.unique(batch.bath_outcomes[:, 0], return_inverse=True)
+        blocks = products[1].reshape(-1, 1 << cfg.n_bath, 1 << cfg.n_system)
+        assert len(blocks) == row.max() + 1
+        return products[1], blocks, bath_probs[1], row
 
     @pytest.mark.parametrize("n_sys, n_bath", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 5), (8, 2)])
     def test_dense_bath_weights_are_sums_in_the_defined_order(self, n_sys, n_bath, monkeypatch):
         # the dense product lies where BLAS wrote it, rows last; d_A = 2 to 256
         cfg = HrcsConfig(n_system=n_sys, n_bath=n_bath, steps=2, master_seed=1)
-        product, blocks, probs = self._second_step(cfg, monkeypatch)
+        product, blocks, probs, row = self._second_step(cfg, monkeypatch)
         assert not product.flags.c_contiguous
-        np.testing.assert_array_equal(probs, _weights_in_defined_order(blocks))
+        np.testing.assert_array_equal(probs, _weights_in_defined_order(blocks)[:, row])
 
     def test_gate_kernel_bath_weights_are_sums_in_the_defined_order(self, monkeypatch):
         # a kept bath runs the HEA layers on the register, in C order
         cfg = HrcsConfig(n_system=3, n_bath=2, steps=2, reset_bath=False,
                          unitary_source="hea", hea_layers=2, master_seed=1)
-        product, blocks, probs = self._second_step(cfg, monkeypatch)
+        product, blocks, probs, row = self._second_step(cfg, monkeypatch)
         assert product.flags.c_contiguous
-        np.testing.assert_array_equal(probs, _weights_in_defined_order(blocks))
+        np.testing.assert_array_equal(probs, _weights_in_defined_order(blocks)[:, row])
 
     @pytest.mark.parametrize("n_sys, n_bath", [(2, 2), (5, 5)])
     def test_a_row_alone_weighs_as_in_its_batch(self, n_sys, n_bath, monkeypatch):
         cfg = HrcsConfig(n_system=n_sys, n_bath=n_bath, steps=2, master_seed=1)
-        _, blocks, probs = self._second_step(cfg, monkeypatch)
+        _, blocks, probs, row = self._second_step(cfg, monkeypatch)
         for i in (0, 517, 999):
-            for row in (blocks[i:i + 1], np.ascontiguousarray(blocks[i:i + 1])):
-                np.testing.assert_array_equal(engine_mod._weights(row), probs[:, i:i + 1])
+            r = row[i]
+            for alone in (blocks[r:r + 1], np.ascontiguousarray(blocks[r:r + 1])):
+                np.testing.assert_array_equal(engine_mod._weights(alone), probs[:, i:i + 1])
 
     @pytest.mark.parametrize("n", [*range(1, 301), 512, 1024, 4096])
     def test_weights_sum_in_the_defined_order(self, n):

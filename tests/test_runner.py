@@ -546,7 +546,7 @@ class TestCapacity:
         # Without a reset the HEA steps after the first run their gates; at
         # 8+2 with 256 shots a reset HEA step compiles to 256 columns, the
         # one-batch-copy boundary.  At t = 1 the whole walk is the fan-out
-        # of the one |0> row to the shots
+        # of the one |0> row to the distinct paths, and replay's to the shots
         gamma = 0.7 if kind == "noisy_xeb" else None
         runs = [(4, 4, True, 2000), (4, 4, False, 2000)]
         if source == "hea":

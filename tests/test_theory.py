@@ -2,6 +2,7 @@
 monotonicity, and large-register finiteness."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -179,6 +180,44 @@ class TestRegisterArguments:
         for form, numpy_args, args in cases:
             got = form(*numpy_args)
             assert type(got) is float and got == form(*args), form.__name__
+
+
+class TestBeyondADouble:
+    """A form whose value does not fit a double refuses the point, naming
+    the form and the point, and passes every finite value as it is."""
+
+    # the log-space forms overflowed math.exp, the transfer matrix and the
+    # critical step count returned inf, and the large-dimension noisy form nan
+    @pytest.mark.parametrize("form, args, reason", [
+        (ideal_xeb, (1, 1, 20000), "math range error"),
+        (tvd_upper_bound, (1, 1, 20000), "math range error"),
+        (tvd_upper_bound_asymptotic, (1, 1, 20000), "math range error"),
+        (noisy_xeb, (1, 1, 20000, 1.0), "non-finite value inf"),
+        (critical_steps, (1020, 1, 1e300, 2), "non-finite value inf"),
+        (noisy_xeb_asymptotic, (1, 1, 1, 1e-310), "non-finite value nan"),
+    ], ids=lambda v: v.__name__ if callable(v) else None)
+    def test_refused_naming_the_form_and_the_point(self, form, args, reason):
+        point = re.escape(f"{form.__name__}({', '.join(map(repr, args))})")
+        with pytest.raises(ConfigurationError, match=rf"^{point} does not fit a double: {reason}$"):
+            form(*args)
+
+    def test_keyword_arguments_are_named(self):
+        point = re.escape("noisy_xeb(1, 1, 20000, gamma=1.0)")
+        with pytest.raises(ConfigurationError, match=point):
+            noisy_xeb(1, 1, 20000, gamma=1.0)
+
+    @pytest.mark.parametrize("form, last, extra", [
+        (ideal_xeb, 3891, ()),
+        (tvd_upper_bound, 7784, ()),
+        (tvd_upper_bound_asymptotic, 2840, ()),
+        (noisy_xeb, 3890, (1.0,)),
+    ], ids=lambda v: v.__name__ if callable(v) else None)
+    def test_last_finite_step_count_passes_unchanged(self, form, last, extra):
+        # at 1+1 the value nears the largest double at ``last`` steps
+        value = form(1, 1, last, *extra)
+        assert 1e307 < value == form.__wrapped__(1, 1, last, *extra)
+        with pytest.raises(ConfigurationError, match="does not fit a double"):
+            form(1, 1, last + 1, *extra)
 
 
 class TestHaarPowerSum:
