@@ -155,6 +155,34 @@ def instantiate_circuit(config: HrcsConfig, instance_index: int) -> list[StepUni
     ]
 
 
+# copies of what one draw call factors (core's module docstring: all t whole
+# steps below HAAR_COLUMNS_DIM, one step's kept columns from it up) that
+# drawing them holds beside the output: the drawn normals, the QR's copy of
+# them, its r (a full step's is one more step), and LAPACK's buffers, which
+# tracemalloc does not see.  Peak RSS of one draw grows beyond its output by
+# 4.0-4.1 full steps and by 3.9-4.0 isometries of 16 to 512 columns at 10
+# to 12 qubits (tracemalloc: 3.06-3.07 full steps, 2.02-2.14 isometries)
+HAAR_QR_TRANSIENT_COPIES = 5
+# (L, N) float arrays that drawing one HEA step holds beside the 2t angle
+# arrays of an instance's t steps: tracemalloc measures 0.125 of one (its
+# boolean range mask) at 1+1 to 5+5 with 10^5 to 10^6 layers
+HEA_ANGLE_TRANSIENT_COPIES = 1
+
+
+def steps_bytes(config: HrcsConfig) -> int:
+    """Bytes one instance's steps take at their peak, while
+    ``instantiate_circuit`` draws them."""
+    n, t = config.n_qubits, config.steps
+    if config.unitary_source == "hea":
+        # the (L, N) thetas and phis of all t steps
+        return (2 * t + HEA_ANGLE_TRANSIENT_COPIES) * 8 * config.hea_layers * n
+    # all t dense steps, 2^n x 2^n_A isometries under a reset and full
+    # unitaries without one, and the transients of one draw
+    dim, columns = 1 << n, 1 << (config.n_system if config.reset_bath else n)
+    drawn = t * 16 * dim * dim if dim < HAAR_COLUMNS_DIM else 16 * dim * columns
+    return t * 16 * dim * columns + HAAR_QR_TRANSIENT_COPIES * drawn
+
+
 def step_matrix(step: StepUnitary, columns: int) -> np.ndarray:
     """The first ``columns`` columns of a step as a dense 2^n x columns
     matrix.  A dense step gives its drawn columns; an HEA step is compiled
@@ -446,13 +474,18 @@ def ideal_probabilities_batch(
     ``FORCED_BLOCK_QUBITS`` = 4 system qubits up, each step after the first
     multiplies each path only by the d_A x d_A block of the step between
     the bath block it sits in and the one it recorded (``_replay_step``).
-    Against the full product and select, per instance at t = 4 with Haar
-    steps and gamma = 0.7, that is 2.0x faster at 4+3, 1.9x at 5+2, 3.5x at
-    4+4, 3.7x at 4+3 with a kept bath and 8.6x at 5+5 with 1000 shots, and
-    0.96-3.5x with 200.  At 4+1, whose full product is only twice the work,
-    it loses 0.67-0.83x.  Below 4 system qubits it loses 0.29-0.66x at 200
-    shots, so there, and for an HEA step run gate by gate, each step is the
-    full product.  The two agree within 1.3e-14 relative.
+    Against the full product and select, replay alone at t = 4 with Haar
+    steps and gamma = 0.7 (medians of 41 interleaved calls, in each of three
+    processes) runs 2.0x faster at 4+3, 1.9-2.0x at 5+2, 3.1-3.2x at 4+4,
+    4.7-4.9x at 4+3 with a kept bath and 7.2-7.6x at 5+5 with 1000 shots.
+    Where it starts to win depends on the shot count as well as the
+    register: with 200 shots it loses at 4+1, 4+2, 4+3 and 5+1 (0.63-0.65x,
+    0.80-0.82x, 0.86-0.98x, 0.93-0.95x) and wins from 5+2 and 4+4 on
+    (1.3x, 1.2x); with 1000 shots it loses only at 4+1 (0.75-0.77x, whose
+    full product is only twice the work) and wins at 4+2 and 5+1 (1.2x,
+    1.1x).  Below 4 system qubits it loses 0.42-0.56x at 200 shots and
+    0.49-0.73x at 1000, so there, and for an HEA step run gate by gate,
+    each step is the full product.  The two agree within 1.3e-14 relative.
     """
     bath, final = np.asarray(bath_outcomes), np.asarray(final_outcomes)
     # a (shots, 1) column of finals would index a (shots, shots) square

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, _as_int
+from .errors import ConfigurationError, _as_int, _as_real
 from .theory import porter_thomas_cdf
 
 # pop_hist's density integral counts the probabilities in [1e-2/D, 50/D]
@@ -49,6 +49,9 @@ class EnsembleStats:
 
     def __post_init__(self):
         object.__setattr__(self, "count", _as_int("count", self.count, 1))
+        # a numpy float is stored as the float it equals: a record holds Python values
+        for name in ("mean", "std_error"):
+            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
         if not math.isfinite(self.mean):
             raise ConfigurationError(f"non-finite mean {self.mean}")
         if not math.isfinite(self.std_error):

@@ -35,8 +35,9 @@ from .engine import (
     marginalize,
     replay_no_reset_equivalence,
     sample_trajectories,
+    steps_bytes,
 )
-from .core import HAAR_COLUMNS_DIM, sample_haar_state
+from .core import sample_haar_state
 from .errors import CapacityError, ConfigurationError, _as_bool, _as_int, _as_real, _check_gamma
 from .estimators import EnsembleStats
 
@@ -122,7 +123,7 @@ def _porter_thomas(spec, t, rows) -> list[EnsembleStats]:
     """KS distance of all instances' probabilities pooled, and their density
     integral: the fraction of them in [1e-2/D, 50/D]."""
     pooled = np.concatenate(rows)
-    n_eff = spec.n_system + t * spec.n_bath
+    n_eff = spec.config_for(t).n_eff
     ks = estimators.ks_distance_to_porter_thomas(pooled, n_eff)
     d = 2.0 ** n_eff
     low, high = estimators.POP_RANGE_LOW / d, estimators.POP_RANGE_HIGH / d
@@ -224,18 +225,6 @@ EXPERIMENT_KINDS = tuple(KIND_TABLE)
 # row per shot read 0.08-0.53 and 1.04-1.05).  From t = 2 on the later steps
 # hold one row per shot, so the budget stays at 4
 SAMPLER_LIVE_COPIES = 4
-# copies of what one draw call factors (core's module docstring: all t whole
-# steps below HAAR_COLUMNS_DIM, one step's kept columns from it up) that
-# drawing them holds beside the output: the drawn normals, the QR's copy of
-# them, its r (a full step's is one more step), and LAPACK's buffers, which
-# tracemalloc does not see.  Peak RSS of one draw grows beyond its output by
-# 4.0-4.1 full steps and by 3.9-4.0 isometries of 16 to 512 columns at 10
-# to 12 qubits (tracemalloc: 3.06-3.07 full steps, 2.02-2.14 isometries)
-HAAR_QR_TRANSIENT_COPIES = 5
-# (L, N) float arrays that drawing one HEA step holds beside the 2t angle
-# arrays of an instance's t steps: tracemalloc measures 0.125 of one (its
-# boolean range mask) at 1+1 to 5+5 with 10^5 to 10^6 layers
-HEA_ANGLE_TRANSIENT_COPIES = 1
 # (instances, 2^n_eff) float arrays a pop_hist point holds at its peak (the
 # kept distributions, their pooled copy, and the KS distance's sorted copy,
 # CDF and ECDF; the range masks that follow hold 3/8 of one): tracemalloc
@@ -279,11 +268,8 @@ class ExperimentSpec:
             raise ConfigurationError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         # the number and bool rules of errors: numpy values are stored as the
         # int, float or bool they equal, so they hash and seed as those do
-        for name, least in (("n_system", None), ("n_bath", None), ("instances", 1),
-                            ("shots", 1), ("master_seed", None)):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name), least))
-        if self.hea_layers is not None:
-            object.__setattr__(self, "hea_layers", _as_int("hea_layers", self.hea_layers))
+        for name in ("instances", "shots"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), 1))
         object.__setattr__(self, "reset_bath", _as_bool("reset_bath", self.reset_bath))
         for name, entry in (("steps", _as_int), ("k_orders", _as_int), ("gammas", _check_gamma)):
             values = getattr(self, name)
@@ -295,7 +281,11 @@ class ExperimentSpec:
             object.__setattr__(self, name, values)
         if not self.steps:
             raise ConfigurationError("steps list is empty")
-        self.config_for(min(self.steps))  # register sizes, steps >= 1, unitary source
+        # register sizes, steps >= 1, unitary source and hea_layers, which
+        # are kept as the config converts them
+        config = self.config_for(min(self.steps))
+        for name in ("n_system", "n_bath", "master_seed", "hea_layers"):
+            object.__setattr__(self, name, getattr(config, name))
         object.__setattr__(self, "epsilon", _as_real("epsilon", self.epsilon))
         if not 0 < self.epsilon <= sys.float_info.max:
             raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon!r}")
@@ -420,29 +410,13 @@ def _pool_size(spec: ExperimentSpec, workers: int) -> int:
     return min(workers, spec.instances, os.cpu_count() or 1)
 
 
-def _steps_bytes(spec: ExperimentSpec) -> int:
-    """Bytes an instance's steps take at their peak, while they are drawn."""
-    n_phys = spec.n_system + spec.n_bath
-    t = max(spec.steps)
-    if spec.unitary_source == "hea":
-        # the (L, N) thetas and phis of all t steps
-        angles = 8 * spec.hea_layers * n_phys
-        return (2 * t + HEA_ANGLE_TRANSIENT_COPIES) * angles
-    # all t dense steps (instantiate_circuit), 2^n x 2^n_A isometries under
-    # a reset and full unitaries without one, and the transients of one draw
-    dim = 1 << n_phys
-    step = 16 * dim << (spec.n_system if spec.config_for(t).reset_bath else n_phys)
-    drawn = t * 16 * dim * dim if dim < HAAR_COLUMNS_DIM else step
-    return t * step + HAAR_QR_TRANSIENT_COPIES * drawn
-
-
 def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
     """Refuse specs that would exceed an engine mode before any work starts.
     Up to ``_pool_size`` instances run at once, each with its own shot batch
     and steps."""
     engine = KIND_TABLE[spec.kind].engine
-    n_eff_max = spec.n_system + max(spec.steps) * spec.n_bath
-    n_phys = spec.n_system + spec.n_bath
+    config = spec.config_for(max(spec.steps))
+    n_eff_max, n_phys = config.n_eff, config.n_qubits
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if engine == "enumerate" and n_eff_max > ENUMERATION_MAX_BITS:
         raise CapacityError(
@@ -465,12 +439,12 @@ def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
         )
     need = spec.shots * (16 << n_phys) * SAMPLER_LIVE_COPIES if engine == "sample" else 0
     if engine is not None:
-        need += _steps_bytes(spec)
+        need += steps_bytes(config)
     pool = _pool_size(spec, workers)
     need *= pool
     if need > memory:
         raise CapacityError(
-            f"{spec.kind} on {n_phys} qubits at t = {max(spec.steps)} with {pool} worker(s) "
+            f"{spec.kind} on {n_phys} qubits at t = {config.steps} with {pool} worker(s) "
             f"needs about {need / 1e9:.3g} GB of amplitudes and step unitaries, more than the "
             f"{memory / 1e9:.3g} GB of physical memory"
         )

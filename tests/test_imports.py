@@ -1,7 +1,9 @@
 """The package's import graph, read from the source: the exception types and
 number rules sit in a leaf module, the samplers import only it, the closed
 forms and estimators stay below the engine and the runner, and a private
-name crosses a module boundary only out of ``errors``."""
+name crosses a module boundary only out of ``errors``.  The Haar column
+rule is known to the sampler that draws by it and the engine that draws and
+counts the steps, not to the runner."""
 
 import ast
 from pathlib import Path
@@ -65,3 +67,17 @@ def test_private_names_come_only_from_errors(module):
     crossing = [(source, name) for source, names in package_imports(module)
                 if source != "errors" for name in names if name.startswith("_")]
     assert crossing == []
+
+
+def test_runner_imports_only_the_partner_state_from_core():
+    # the step draws and their byte count belong to the engine
+    assert [names for source, names in package_imports("runner") if source == "core"] == \
+        [["sample_haar_state"]]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_core_and_engine_know_the_column_rule(module):
+    # HAAR_COLUMNS_DIM splits the Haar draw: core draws by it, and the engine
+    # draws and counts the steps' bytes by it
+    imported = {name for _, names in package_imports(module) for name in names}
+    assert module in ("core", "engine") or "HAAR_COLUMNS_DIM" not in imported

@@ -22,7 +22,7 @@ import pytest
 import hrcslab
 import hrcslab.runner as runner_mod
 from hrcslab import CapacityError, ConfigurationError
-from hrcslab.engine import instance_seed, instantiate_circuit
+from hrcslab.engine import instance_seed, instantiate_circuit, steps_bytes
 from hrcslab.runner import (
     CSV_COLUMNS,
     EXPERIMENT_KINDS,
@@ -457,7 +457,7 @@ class TestCapacity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(step.nbytes for step in steps) < peak <= runner_mod._steps_bytes(spec)
+        assert sum(step.nbytes for step in steps) < peak <= steps_bytes(config)
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -628,8 +628,7 @@ class TestCapacity:
         finally:
             tracemalloc.stop()
         angle_array = 8 * layers * (n_system + n_bath)
-        assert 2 * t * angle_array < peak
-        assert peak < (2 * t + runner_mod.HEA_ANGLE_TRANSIENT_COPIES) * angle_array
+        assert 2 * t * angle_array < peak < steps_bytes(config)
 
     def test_pooled_distributions_beyond_memory_refused_before_work(self, monkeypatch):
         # 10^4 instances of 2^22 probabilities are 336 GB per pooled copy
@@ -978,6 +977,8 @@ class TestWriteRecords:
         write_records(records, str(path), "jsonl")
         lines = path.read_text().splitlines()
         assert [json.loads(line) for line in lines] == records
+        # Python values only: a numpy float would pass every check above
+        assert {type(v) for rec in records for v in rec.values()} <= {str, int, float, type(None)}
         assert all(list(json.loads(line)) == sorted(json.loads(line)) for line in lines)
         path = tmp_path / "out.csv"
         write_records(records, str(path), "csv")
