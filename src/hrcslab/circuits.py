@@ -10,8 +10,9 @@ rotations as two dense products on each row viewed as a 2^(N - N//2) x
 2^(N//2) matrix: the Kronecker product of the low N//2 qubits' 2x2s from the
 right, that of the high qubits from the left.  Each layer's CNOTs follow as
 one precomputed permutation of the amplitude index.  The engine runs this
-one kernel on a batch of states, and on the basis rows of the columns a step
-can reach to compile the step into a dense matrix (``engine.step_matrix``).
+one kernel on a batch of states, and on the basis rows of the columns an HEA
+step can reach to compile that step into a dense matrix of them
+(``engine.step_matrix``).
 """
 
 from __future__ import annotations

@@ -13,16 +13,17 @@ keep the same block under the same Pauli strings share a row), to replay's
 shots, or to d_B branches; from the second bath measurement on, each shot
 has its own row.  Between steps the walk holds each row's kept system
 block, a (rows, 2^n_A) batch, and the bath block it sits in (0 after a
-reset).  Its kernel ``_propagate`` turns that into the (rows, 2^n) state
-after the next step: a dense step, or an HEA step compiled to the columns
-it reaches, is one matrix product; an HEA step with a kept bath, or with
-more columns than rows, runs layer by layer.  This is decided at every
-step, so an HEA first step runs its gates on the one row, and a later step
-compiles once its rows (distinct paths, shots or tree level) number at
-least its columns.  Replay knows each row's block before the step
-runs, so from 4 system qubits up a step that is one product multiplies each
-row only by the d_A x d_A block that maps its bath block to the recorded
-one (``_replay_step``).  A step is either a complex 2^n x c array, the
+reset).  At the top of each step ``_walk`` compiles an HEA step to the
+2^n_A columns it reaches (``step_matrix``) when every bath reads 0 and its
+rows (distinct paths, shots or tree level) number at least those columns;
+so an HEA first step runs its gates on the one row, and a later step
+compiles once its rows are enough.  Its kernel ``_propagate`` turns the
+blocks into the (rows, 2^n) state after the step: a dense or compiled step
+is one matrix product, and an HEA step still handed over runs layer by
+layer.  Replay knows each row's block before the step runs, so from 4
+system qubits up a step that is one product multiplies each row only by
+the d_A x d_A block that maps its bath block to the recorded one
+(``_replay_step``).  A step is either a complex 2^n x c array, the
 first c columns of a unitary, or the ``HeaParams`` of an HEA step;
 ``_check_steps`` refuses an array of any other shape, and an HEA step on
 another register, before a step runs.
@@ -168,29 +169,50 @@ HAAR_QR_TRANSIENT_COPIES = 5
 # boolean range mask) at 1+1 to 5+5 with 10^5 to 10^6 layers
 HEA_ANGLE_TRANSIENT_COPIES = 1
 
+# (shots, 2^n) complex arrays an xeb or noisy_xeb instance holds at its peak,
+# replay included: from 4 system qubits up replay holds (shots, 2^n_A)
+# blocks, 0.10-0.20 copies at 4+4 and 5+5 (1.03-2.07 for the full product it
+# still runs below that and for HEA steps whose gates run on the register),
+# so the sampler sets the peak.  tracemalloc at t = 3 with 2000 shots (1000
+# at 5+5), xeb and noisy_xeb at gamma = 0.7, steps included.  With a reset
+# the peak is the step's product beside its (d_B, shots) bath weights, summed
+# with no copy of the register: 1.2-1.3 with Haar and 4-layer HEA steps at
+# 3+5 to 5+5, 1.3-1.5 at 6+2, and at 7+1, whose kept block is half a copy,
+# 1.6-1.7 and 1.8-2.0 noisy (the Pauli gather index and signs).  Without a reset it is the rebuilt
+# register, the product and the steps: 2.4-2.9 with Haar steps at 3+5 to 7+1,
+# and 2.1-2.6 where the HEA steps after the first run their layers on the
+# rebuilt register, at 2000 and at 200 shots; so too a reset HEA step compiled
+# to 2^n_A columns with 2^n_A shots, where those columns are one batch copy:
+# 2.1-2.2 at 7+3 and 8+4 and 2.5 at 9+1.  At t = 1 the walk is the one |0> row
+# fanned out to the distinct paths, and the final draw gathers their weights
+# to the shots; replay still fans the row out to every shot: 0.04-0.36 at
+# 3+5 to 6+2 and 0.54-0.71 at 7+1 and 9+1 (steps drawn before the trace; one
+# row per shot read 0.08-0.53 and 1.04-1.05).  From t = 2 on the later steps
+# hold one row per shot, so the budget stays at 4
+SAMPLER_LIVE_COPIES = 4
 
-def steps_bytes(config: HrcsConfig) -> int:
-    """Bytes one instance's steps take at their peak, while
-    ``instantiate_circuit`` draws them."""
+
+def instance_bytes(config: HrcsConfig, shots: int = 0) -> int:
+    """Bytes one instance takes at its peak: its steps while
+    ``instantiate_circuit`` draws them, and ``SAMPLER_LIVE_COPIES`` batch
+    copies for each of ``shots`` sampled trajectories."""
     n, t = config.n_qubits, config.steps
+    batches = shots * (16 << n) * SAMPLER_LIVE_COPIES
     if config.unitary_source == "hea":
         # the (L, N) thetas and phis of all t steps
-        return (2 * t + HEA_ANGLE_TRANSIENT_COPIES) * 8 * config.hea_layers * n
+        return batches + (2 * t + HEA_ANGLE_TRANSIENT_COPIES) * 8 * config.hea_layers * n
     # all t dense steps, 2^n x 2^n_A isometries under a reset and full
     # unitaries without one, and the transients of one draw
     dim, columns = 1 << n, 1 << (config.n_system if config.reset_bath else n)
     drawn = t * 16 * dim * dim if dim < HAAR_COLUMNS_DIM else 16 * dim * columns
-    return t * 16 * dim * columns + HAAR_QR_TRANSIENT_COPIES * drawn
+    return batches + t * 16 * dim * columns + HAAR_QR_TRANSIENT_COPIES * drawn
 
 
-def step_matrix(step: StepUnitary, columns: int) -> np.ndarray:
-    """The first ``columns`` columns of a step as a dense 2^n x columns
-    matrix.  A dense step gives its drawn columns; an HEA step is compiled
-    by running the first ``columns`` basis rows through the gate kernel,
-    whose row b is then column b of the matrix."""
-    if isinstance(step, HeaParams):
-        return apply_hea_batch(np.eye(columns, 1 << step.n_qubits, dtype=complex), step).T
-    return step[:, :columns]
+def step_matrix(step: HeaParams, columns: int) -> np.ndarray:
+    """The first ``columns`` columns of an HEA step as a dense 2^n x columns
+    matrix, compiled by running the first ``columns`` basis rows through the
+    gate kernel, whose row b is then column b of the matrix."""
+    return apply_hea_batch(np.eye(columns, 1 << step.n_qubits, dtype=complex), step).T
 
 
 def _propagate(
@@ -201,16 +223,15 @@ def _propagate(
     batch after it.  ``bath`` is None when every bath reads 0 (the first
     step, or after a reset).
 
-    With every bath at 0 a step reaches only its first 2^n_A columns.  An
-    HEA step applied there with no more columns than rows is compiled to
-    them (``step_matrix``) and applied as a dense step, so the compiled
-    matrix is at most one batch copy.  Otherwise, and always with a kept
-    bath, its layers run on the full register that ``_keep_branch`` rebuilds:
-    a kept bath reaches all 2^n columns, whose dense product costs 2^n
-    multiply-adds per amplitude, and compiling them runs 2^n basis rows
-    through the kernel; the kernel costs 2^(n - n//2) + 2^(n//2) per
-    amplitude and layer (64 at n = 10).  The walk's first step has one row,
-    so an HEA first step runs its gates on that row.
+    ``_walk`` has already compiled an HEA step that it applies with every
+    bath at 0 and no more columns than rows, so the compiled matrix is at
+    most one batch copy.  An HEA step handed over as ``HeaParams`` runs its
+    layers on the full register that ``_keep_branch`` rebuilds: a kept bath
+    reaches all 2^n columns, whose dense product costs 2^n multiply-adds per
+    amplitude, and compiling them runs 2^n basis rows through the kernel;
+    the kernel costs 2^(n - n//2) + 2^(n//2) per amplitude and layer (64 at
+    n = 10).  The walk's first step has one row, so an HEA first step runs
+    its gates on that row.
 
     A dense step is one product: of its first 2^n_A columns with the blocks
     when every bath is at 0, else of all its columns with the register that
@@ -223,20 +244,10 @@ def _propagate(
     one batch copy per step.  An HEA step run gate by gate returns C order.
     ``_weights`` reads either layout as it lies.
     """
-    rows, d_sys = picked.shape
-    if _runs_gates(step, bath, rows, d_sys):
-        return apply_hea_batch(_keep_branch(picked, bath, d_bath), step)
     if isinstance(step, HeaParams):
-        step = step_matrix(step, d_sys)
+        return apply_hea_batch(_keep_branch(picked, bath, d_bath), step)
     amps = picked if bath is None else _keep_branch(picked, bath, d_bath)
     return np.dot(step[:, :amps.shape[1]], amps.T).T
-
-
-def _runs_gates(step: StepUnitary, bath: np.ndarray | None, rows: int, d_sys: int) -> bool:
-    """Whether the step kernel runs an HEA step layer by layer on the
-    register rather than as a product with its compiled columns: with a kept
-    bath, or with more columns than rows."""
-    return isinstance(step, HeaParams) and (bath is not None or d_sys > rows)
 
 
 def _replay_step(
@@ -247,21 +258,19 @@ def _replay_step(
     row sits in before it, None when every bath reads 0.
 
     From ``FORCED_BLOCK_QUBITS`` system qubits up, a step with more than one
-    row that is one product (a dense step, or an HEA step compiled to its
-    columns) multiplies each row only by the d_A x d_A block of the step
-    that maps its bath block to z: its rows of block z and its columns of
-    the block it sits in.  Rows are grouped by that block, so each group is
-    one product, and written back in row order.  The full product costs d_B
-    times the multiply-adds with a reset, and d_B^2 times with a kept bath.
-    Below the split, and where an HEA step runs gate by gate, each row's
-    block z is read from the full product (``_propagate``).
+    row that is one product (a dense step, or an HEA step that ``_walk``
+    compiled to its columns) multiplies each row only by the d_A x d_A block
+    of the step that maps its bath block to z: its rows of block z and its
+    columns of the block it sits in.  Rows are grouped by that block, so
+    each group is one product, and written back in row order.  The full
+    product costs d_B times the multiply-adds with a reset, and d_B^2 times
+    with a kept bath.  Below the split, and where an HEA step runs gate by
+    gate, each row's block z is read from the full product (``_propagate``).
     """
     rows, d_sys = picked.shape
-    if rows < 2 or d_sys < 1 << FORCED_BLOCK_QUBITS or _runs_gates(step, bath, rows, d_sys):
+    if rows < 2 or d_sys < 1 << FORCED_BLOCK_QUBITS or isinstance(step, HeaParams):
         blocks = _propagate(picked, bath, step, d_bath).reshape(rows, d_bath, d_sys)
         return blocks[0 if rows == 1 else np.arange(rows), z]  # one row fans out
-    if isinstance(step, HeaParams):
-        step = step_matrix(step, d_sys)
     group = z.astype(np.int64) * d_bath + (0 if bath is None else bath)
     order = np.argsort(group, kind="stable")
     group, ordered = group[order], picked[order]
@@ -371,7 +380,12 @@ def _walk(
     k = 0 ``keep`` fans the one row out to as many rows as it keeps: the
     sampler's distinct paths, or enumeration's d_B branches.
     Replay passes its (rows, t) recorded bath outcomes as ``forced`` instead
-    of ``keep``: row i keeps block forced[i, k] (``_replay_step``)."""
+    of ``keep``: row i keeps block forced[i, k] (``_replay_step``).
+
+    Each step's kernel is chosen here, once, for every mode: an HEA step
+    applied with every bath at 0 and at least as many rows as its 2^n_A
+    columns is compiled to them (``step_matrix``), and the kernels run every
+    other HEA step gate by gate."""
     if config.n_qubits > TRAJECTORY_MAX_QUBITS:
         raise CapacityError(
             f"trajectory register of {config.n_qubits} qubits exceeds {TRAJECTORY_MAX_QUBITS}"
@@ -382,11 +396,13 @@ def _walk(
     picked[0, 0] = 1.0
     z = None
     for k, step in enumerate(unitaries):
+        if isinstance(step, HeaParams) and z is None and len(picked) >= d_sys:
+            step = step_matrix(step, d_sys)
         if forced is not None:
             picked, z = _replay_step(picked, z, step, forced[:, k], d_bath), forced[:, k]
         else:
             blocks = _propagate(picked, z, step, d_bath).reshape(-1, d_bath, d_sys)
-            del picked  # free the consumed blocks before keep gathers the next
+            del picked, step  # free the consumed blocks and a compiled step before keep
             picked, z = keep(k, blocks)
             del blocks  # free this step's register before the next is built
         z = None if config.reset_bath else z

@@ -22,9 +22,6 @@ import numpy as np
 from .errors import ConfigurationError, _as_int, _as_real
 from .theory import porter_thomas_cdf
 
-# pop_hist's density integral counts the probabilities in [1e-2/D, 50/D]
-POP_RANGE_LOW = 1e-2  # in units of 1/D
-POP_RANGE_HIGH = 50.0
 # the largest n_eff whose XEB scale 2^n_eff is a finite double
 XEB_MAX_BITS = sys.float_info.max_exp - 1
 # at or below this many terms one fsum over a list is faster than binning

@@ -30,12 +30,12 @@ from .engine import (
     derive_seed,
     enumerate_joint_distribution,
     ideal_probabilities_batch,
+    instance_bytes,
     instance_seed,
     instantiate_circuit,
     marginalize,
     replay_no_reset_equivalence,
     sample_trajectories,
-    steps_bytes,
 )
 from .core import sample_haar_state
 from .errors import CapacityError, ConfigurationError, _as_bool, _as_int, _as_real, _check_gamma
@@ -119,6 +119,11 @@ def _ensemble(spec, t, rows) -> list[EnsembleStats]:
     return [estimators.ensemble_aggregate([row[j] for row in rows]) for j in range(len(rows[0]))]
 
 
+# pop_hist's density integral counts the probabilities in [1e-2/D, 50/D]
+POP_RANGE_LOW = 1e-2  # in units of 1/D
+POP_RANGE_HIGH = 50.0
+
+
 def _porter_thomas(spec, t, rows) -> list[EnsembleStats]:
     """KS distance of all instances' probabilities pooled, and their density
     integral: the fraction of them in [1e-2/D, 50/D]."""
@@ -126,7 +131,7 @@ def _porter_thomas(spec, t, rows) -> list[EnsembleStats]:
     n_eff = spec.config_for(t).n_eff
     ks = estimators.ks_distance_to_porter_thomas(pooled, n_eff)
     d = 2.0 ** n_eff
-    low, high = estimators.POP_RANGE_LOW / d, estimators.POP_RANGE_HIGH / d
+    low, high = POP_RANGE_LOW / d, POP_RANGE_HIGH / d
     inside = np.count_nonzero((pooled >= low) & (pooled <= high)) / pooled.size
     return [EnsembleStats(spec.instances, v, 0.0) for v in (ks, inside)]
 
@@ -136,9 +141,7 @@ def _pop_range_mass(a, b, t, k, g, eps) -> float:
     p = 1: (1 - 1e-2/D)^(D-1) - (1 - min(50/D, 1))^(D-1), the value the
     density integral of Porter-Thomas probabilities converges to."""
     d = 2.0 ** (a + t * b)
-    low, high = theory.porter_thomas_cdf(
-        d, [estimators.POP_RANGE_LOW / d, estimators.POP_RANGE_HIGH / d]
-    )
+    low, high = theory.porter_thomas_cdf(d, [POP_RANGE_LOW / d, POP_RANGE_HIGH / d])
     return float(high - low)
 
 
@@ -204,27 +207,6 @@ KIND_TABLE = {
 }
 EXPERIMENT_KINDS = tuple(KIND_TABLE)
 
-# (shots, 2^n) complex arrays an xeb or noisy_xeb instance holds at its peak,
-# replay included: from 4 system qubits up replay holds (shots, 2^n_A)
-# blocks, 0.10-0.20 copies at 4+4 and 5+5 (1.03-2.07 for the full product it
-# still runs below that and for HEA steps whose gates run on the register),
-# so the sampler sets the peak.  tracemalloc at t = 3 with 2000 shots (1000
-# at 5+5), xeb and noisy_xeb at gamma = 0.7, steps included.  With a reset
-# the peak is the step's product beside its (d_B, shots) bath weights, summed
-# with no copy of the register: 1.2-1.3 with Haar and 4-layer HEA steps at
-# 3+5 to 5+5, 1.3-1.5 at 6+2, and at 7+1, whose kept block is half a copy,
-# 1.6-1.7 and 1.8-2.0 noisy (the Pauli gather index and signs).  Without a reset it is the rebuilt
-# register, the product and the steps: 2.4-2.9 with Haar steps at 3+5 to 7+1,
-# and 2.1-2.6 where the HEA steps after the first run their layers on the
-# rebuilt register, at 2000 and at 200 shots; so too a reset HEA step compiled
-# to 2^n_A columns with 2^n_A shots, where those columns are one batch copy:
-# 2.1-2.2 at 7+3 and 8+4 and 2.5 at 9+1.  At t = 1 the walk is the one |0> row
-# fanned out to the distinct paths, and the final draw gathers their weights
-# to the shots; replay still fans the row out to every shot: 0.04-0.36 at
-# 3+5 to 6+2 and 0.54-0.71 at 7+1 and 9+1 (steps drawn before the trace; one
-# row per shot read 0.08-0.53 and 1.04-1.05).  From t = 2 on the later steps
-# hold one row per shot, so the budget stays at 4
-SAMPLER_LIVE_COPIES = 4
 # (instances, 2^n_eff) float arrays a pop_hist point holds at its peak (the
 # kept distributions, their pooled copy, and the KS distance's sorted copy,
 # CDF and ECDF; the range masks that follow hold 3/8 of one): tracemalloc
@@ -437,11 +419,9 @@ def _check_capacity(spec: ExperimentSpec, workers: int = 1) -> None:
             f"{spec.kind} scores {n_eff_max} effective bits by 2^n_eff, "
             f"limit {estimators.XEB_MAX_BITS}"
         )
-    need = spec.shots * (16 << n_phys) * SAMPLER_LIVE_COPIES if engine == "sample" else 0
-    if engine is not None:
-        need += steps_bytes(config)
     pool = _pool_size(spec, workers)
-    need *= pool
+    shots = spec.shots if engine == "sample" else 0
+    need = 0 if engine is None else pool * instance_bytes(config, shots)
     if need > memory:
         raise CapacityError(
             f"{spec.kind} on {n_phys} qubits at t = {config.steps} with {pool} worker(s) "

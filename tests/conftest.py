@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hrcslab import CapacityError, ConfigurationError, HrcsConfig, engine, sample_haar_unitary
-from hrcslab.circuits import brickwork_pairs
+from hrcslab.circuits import HeaParams, brickwork_pairs
 from hrcslab.engine import StepUnitary
 from hrcslab.errors import _check_gamma
 
@@ -150,6 +150,12 @@ def dense_hea_oracle(params, columns=None) -> np.ndarray:
         for control, target in brickwork_pairs(n):
             out = cnot_permutation(control, target, n) @ out
     return out
+
+
+def step_columns(step: StepUnitary, columns: int) -> np.ndarray:
+    """The first ``columns`` columns of a step as a dense 2^n x columns
+    array: a dense step's drawn ones, an HEA step's compiled by the engine."""
+    return engine.step_matrix(step, columns) if isinstance(step, HeaParams) else step[:, :columns]
 
 
 def tensordot_step(amps: np.ndarray, entries: np.ndarray, n: int) -> np.ndarray:
@@ -297,7 +303,7 @@ def enumerate_noisy_joint_distribution(
     d_sys, d_bath = 1 << n_sys, 1 << n_bath
     t = config.steps
     columns = d_sys if config.reset_bath else d_sys * d_bath
-    mats = [engine.step_matrix(step, columns) for step in unitaries]
+    mats = [step_columns(step, columns) for step in unitaries]
     out = np.zeros(1 << config.n_eff)
 
     def walk(rho_sys: np.ndarray, bath_state: int, k: int, prefix: int) -> None:

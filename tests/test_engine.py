@@ -43,6 +43,7 @@ from conftest import (
     pauli_string_matrix,
     per_shot_sampler,
     small_config,
+    step_columns,
     unitarity_defect,
     y_factor,
 )
@@ -71,7 +72,7 @@ def depth_first_reference(config, unitaries):
     """Joint distribution by a depth-first walk, one dense matrix-vector
     product per tree node: the oracle for the breadth-first enumerator."""
     d_sys, d_bath = 1 << config.n_system, 1 << config.n_bath
-    mats = [step_matrix(step, 1 << config.n_qubits) for step in unitaries]
+    mats = [step_columns(step, 1 << config.n_qubits) for step in unitaries]
     out = np.zeros(1 << config.n_eff)
 
     def walk(state, k, prefix):
@@ -559,7 +560,7 @@ def dense_noisy_sampler(config, unitaries, shots, gamma, rng):
     d_sys, d_bath = 1 << n_sys, 1 << config.n_bath
     rows = np.arange(shots)
     columns = d_sys if config.reset_bath else 1 << n
-    mats = [step_matrix(step, columns) for step in unitaries]
+    mats = [step_columns(step, columns) for step in unitaries]
     state = np.zeros((shots, 1 << n), dtype=complex)
     state[:, 0] = 1.0
     bath_outcomes = np.zeros((shots, config.steps), dtype=np.int64)
@@ -722,7 +723,7 @@ class TestResetEquivalence:
 
 
 class TestStepMatrices:
-    def test_dense_and_sequence_sources(self):
+    def test_hea_steps_compile_to_their_columns(self):
         # an HEA step compiles to the 2^n_A columns a reset bath reaches, or
         # to all 2^n
         for n_system, n_bath, layers in ((1, 1, 2), (3, 2, 8)):
@@ -738,18 +739,6 @@ class TestStepMatrices:
                     np.testing.assert_allclose(
                         m, dense_hea_oracle(step)[:, :columns], rtol=0, atol=1e-12
                     )
-        dense_cfg = small_config(n_system=1, steps=2)
-        dense = instantiate_circuit(dense_cfg, 0)
-        for u in dense:
-            np.testing.assert_array_equal(step_matrix(u, u.shape[1]), u)
-
-
-def gate_kernel_propagate(picked, bath, step, d_bath, dense=engine_mod._propagate):
-    """The step kernel with every HEA step run gate by gate on the rebuilt
-    register: the reference the compiled HEA steps are checked against."""
-    if isinstance(step, HeaParams):
-        return apply_hea_batch(engine_mod._keep_branch(picked, bath, d_bath), step)
-    return dense(picked, bath, step, d_bath)
 
 
 class TestCompiledHeaSteps:
@@ -778,11 +767,9 @@ class TestCompiledHeaSteps:
             steps = instantiate_circuit(cfg, instance)
             compiled, compiled_replay, compiled_next = run(steps)
             with monkeypatch.context() as patch:
-                # at 5+5 replay multiplies by the compiled forced blocks and
-                # calls _propagate only on the first step's one row: with no
-                # forced blocks it replays through the gate kernel too
-                patch.setattr(engine_mod, "_propagate", gate_kernel_propagate)
-                patch.setattr(engine_mod, "FORCED_BLOCK_QUBITS", 64)
+                # the walk compiles no step, so every HEA step runs its gates,
+                # replay's too (``_replay_step`` takes the full product)
+                patch.setattr(engine_mod, "step_matrix", lambda step, columns: step)
                 gates, gate_replay, gate_next = run(steps)
             np.testing.assert_array_equal(compiled.bath_outcomes, gates.bath_outcomes)
             np.testing.assert_array_equal(compiled.final_outcomes, gates.final_outcomes)
@@ -802,12 +789,14 @@ class TestCompiledHeaSteps:
         (5, 5, False, 64, 1, 1.0, 8, [1, 8, 64]),  # a kept bath reaches all 1024 columns
         # a kept bath runs the gates even where its 32 columns fit the rows
         (3, 2, False, 64, 4, 0.7, 32, [1, 32, 64]),
+        # 32 shots are exactly the 32 columns: the third step compiles
+        (5, 5, True, 32, 1, 1.0, 6, [1, 6, 32]),
     ])
     def test_kernel_chosen_by_columns_and_rows(
         self, n_system, n_bath, reset, shots, layers, gamma, paths, rows, monkeypatch
     ):
         # the rows each apply_hea_batch call runs show which form a step took
-        seen, propagated = [], []
+        seen, propagated, compiled = [], [], []
 
         def spy(amps, params):
             seen.append(amps.shape[0])
@@ -815,6 +804,7 @@ class TestCompiledHeaSteps:
 
         def spy_propagate(picked, bath, step, d_bath, propagate=engine_mod._propagate):
             propagated.append(len(picked))
+            compiled.append(not isinstance(step, HeaParams))
             return propagate(picked, bath, step, d_bath)
 
         cfg = HrcsConfig(
@@ -827,6 +817,9 @@ class TestCompiledHeaSteps:
         sample_trajectories(cfg, steps, shots, gamma, np.random.default_rng(0))
         assert propagated == [1, paths, shots]
         assert seen == rows
+        # compiled exactly where every bath reads 0 and the rows reach the columns
+        assert compiled == [(reset or k == 0) and r >= 1 << n_system
+                            for k, r in enumerate(propagated)]
 
 
 def full_product_replay(config, unitaries, bath, final):
@@ -959,6 +952,8 @@ class TestOneRowStart:
         zeros[:, 0] = 1.0
         one = engine_mod._propagate(zeros[:1], None, step, 1 << cfg.n_bath)
         assert one.shape == (1, 1 << cfg.n_qubits)
+        if source == "hea" and rows >= 1 << cfg.n_system:  # as _walk would compile it
+            step = step_matrix(step, 1 << cfg.n_system)
         np.testing.assert_array_equal(
             engine_mod._propagate(zeros, None, step, 1 << cfg.n_bath),
             np.broadcast_to(one, (rows, one.shape[1])),

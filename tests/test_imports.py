@@ -3,7 +3,8 @@ number rules sit in a leaf module, the samplers import only it, the closed
 forms and estimators stay below the engine and the runner, and a private
 name crosses a module boundary only out of ``errors``.  The Haar column
 rule is known to the sampler that draws by it and the engine that draws and
-counts the steps, not to the runner."""
+counts the steps, not to the runner.  The engine's walk alone chooses each
+step's kernel, and the engine alone counts what an instance holds."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,40 @@ def test_only_core_and_engine_know_the_column_rule(module):
     # draws and counts the steps' bytes by it
     imported = {name for _, names in package_imports(module) for name in names}
     assert module in ("core", "engine") or "HAAR_COLUMNS_DIM" not in imported
+
+
+def defined_names(module: str) -> set[str]:
+    """Names bound at the top level of ``module``: functions, classes and
+    assignments."""
+    names = set()
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return names
+
+
+def test_the_engine_owns_the_instance_budget():
+    # the runner asks engine.instance_bytes for the steps and the shot batch
+    # copies, and keeps no copy count of its own
+    assert "SAMPLER_LIVE_COPIES" in defined_names("engine")
+    assert "SAMPLER_LIVE_COPIES" not in defined_names("runner")
+    engine_names = {name for source, names in package_imports("runner") if source == "engine"
+                    for name in names}
+    assert "instance_bytes" in engine_names and "steps_bytes" not in engine_names
+
+
+def test_only_the_walk_compiles_a_step():
+    # _walk picks each step's kernel once, so neither kernel decides again
+    assert "_runs_gates" not in defined_names("engine")
+    callers = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                callers += [(module, function.name) for node in ast.walk(function)
+                            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "step_matrix"]
+    assert callers == [("engine", "_walk")]

@@ -22,7 +22,7 @@ import pytest
 import hrcslab
 import hrcslab.runner as runner_mod
 from hrcslab import CapacityError, ConfigurationError
-from hrcslab.engine import instance_seed, instantiate_circuit, steps_bytes
+from hrcslab.engine import SAMPLER_LIVE_COPIES, instance_bytes, instance_seed, instantiate_circuit
 from hrcslab.runner import (
     CSV_COLUMNS,
     EXPERIMENT_KINDS,
@@ -457,7 +457,7 @@ class TestCapacity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(step.nbytes for step in steps) < peak <= steps_bytes(config)
+        assert sum(step.nbytes for step in steps) < peak <= instance_bytes(config)
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -565,7 +565,7 @@ class TestCapacity:
             finally:
                 tracemalloc.stop()
             batch_bytes = spec.shots * (16 << (spec.n_system + spec.n_bath))
-            assert peak < runner_mod.SAMPLER_LIVE_COPIES * batch_bytes, (reset, shots, t)
+            assert peak < SAMPLER_LIVE_COPIES * batch_bytes, (reset, shots, t)
 
     @pytest.mark.parametrize("n_sys, n_bath, shots", [(4, 4, 2000), (5, 5, 1000)])
     def test_reset_haar_sampler_holds_one_batch_copy(self, n_sys, n_bath, shots):
@@ -628,7 +628,7 @@ class TestCapacity:
         finally:
             tracemalloc.stop()
         angle_array = 8 * layers * (n_system + n_bath)
-        assert 2 * t * angle_array < peak < steps_bytes(config)
+        assert 2 * t * angle_array < peak < instance_bytes(config)
 
     def test_pooled_distributions_beyond_memory_refused_before_work(self, monkeypatch):
         # 10^4 instances of 2^22 probabilities are 336 GB per pooled copy
